@@ -114,6 +114,26 @@ impl DistanceTable {
         }
     }
 
+    /// All-pairs distances of an intact graph with an isometric hypercube
+    /// embedding ([`Topology::cube_labels`](crate::topology::Topology::cube_labels)),
+    /// in closed form: `dist[dst][src] = popcount(labels[src] ^ labels[dst])`.
+    /// Equal to [`healthy`](DistanceTable::healthy) on such a graph, at
+    /// the cost of one XOR per entry instead of one BFS per node. The
+    /// caller checks the byte budget.
+    pub(crate) fn hamming(labels: &[u64]) -> DistanceTable {
+        let n = labels.len();
+        let mut dist = Vec::with_capacity(n * n);
+        for &ld in labels {
+            dist.extend(labels.iter().map(|&ls| (ls ^ ld).count_ones()));
+        }
+        DistanceTable {
+            n,
+            dist,
+            epoch: 0,
+            row_epoch: vec![0; n],
+        }
+    }
+
     /// Number of nodes the table covers.
     pub fn nodes(&self) -> usize {
         self.n
@@ -677,6 +697,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn hamming_table_matches_bfs_on_labelled_topologies() {
+        for topo in [
+            &FibonacciNet::classical(7) as &dyn Topology,
+            &FibonacciNet::new(6, 3),
+            &Hypercube::new(4),
+        ] {
+            let labels = topo.cube_labels().expect("cubes carry labels");
+            let table = DistanceTable::hamming(&labels);
+            let healthy = DistanceTable::healthy(topo.graph()).unwrap();
+            for dst in 0..topo.len() as u32 {
+                assert_eq!(table.to_dst(dst), healthy.to_dst(dst), "{}", topo.name());
+            }
+        }
+        assert!(Ring::new(6).cube_labels().is_none());
     }
 
     #[test]

@@ -19,16 +19,32 @@
 //! ([`DropReason::LinkDied`] / [`DropReason::NodeDied`]). Deliveries at
 //! the `c + 1` arrival boundary precede deaths at cycle `c + 1`.
 //!
+//! ## Routing state
+//!
+//! The router is built with [`FaultMaskingRouter::for_topology`]. On a
+//! topology with [`cube_labels`](crate::topology::Topology::cube_labels)
+//! (the Fibonacci cubes and `Q_d`) its fault-free start table is filled
+//! in closed form, `dist[dst][src] = popcount(l[src] ^ l[dst])`, with no
+//! BFS. Per hop, a `(cur, dst)` query is **certified** when no dead node
+//! and no independently failed link (both endpoints) lies in their
+//! interval, where node `w` is in the interval iff
+//! `((l[w] ^ l[cur]) & !(l[cur] ^ l[dst])) == 0`. A certified pair is
+//! reachable at its Hamming distance, and the hop rule runs on labels
+//! alone, making exactly the table's decision. The table is read as
+//! before for uncertified pairs, for every pair while more than a fixed
+//! number of faults are live, and on topologies without labels.
+//!
 //! ## Sharding
 //!
-//! Each lane owns a **replica** of the masked router, built from the
-//! same timeline and patched by the same deterministic
-//! [`FaultMaskingRouter::apply_event`] calls — so every lane's routing
-//! and admission decisions agree without any shared lock (this replaced
-//! the old worker-0 `RwLock`'d event application). Queue flushes and
-//! drop accounting are gated on node ownership; the closed-loop session
-//! machine is replicated the same way, with every RNG draw executing on
-//! every lane and only the owning lane touching real packets.
+//! Each lane owns a **replica** of the masked router (table, labels and
+//! fault list), built from the same timeline and patched by the same
+//! deterministic [`FaultMaskingRouter::apply_event`] calls — so every
+//! lane's routing and admission decisions agree without any shared lock
+//! (this replaced the old worker-0 `RwLock`'d event application). Queue
+//! flushes and drop accounting are gated on node ownership; the
+//! closed-loop session machine is replicated the same way, with every
+//! RNG draw executing on every lane and only the owning lane touching
+//! real packets.
 //!
 //! ## Equivalence gates
 //!
@@ -59,7 +75,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use fibcube_graph::csr::CsrGraph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -97,7 +112,7 @@ where
         return super::simulate_observed(topology, router, packets, max_cycles, observer);
     }
     let n = topology.len() as u32;
-    let workload = ChurnUnicast::open(topology.graph(), router, timeline.events(), packets, 0, n);
+    let workload = ChurnUnicast::open(topology, router, timeline.events(), packets, 0, n);
     let (stats, _) = run_core(topology, packets.len(), max_cycles, observer, workload);
     stats
 }
@@ -142,13 +157,7 @@ where
         topology.len() >= 2,
         "request/reply needs a peer to talk to (>= 2 nodes)"
     );
-    let workload = ChurnUnicast::closed(
-        topology.graph(),
-        router,
-        timeline.events(),
-        load,
-        topology.len() as u32,
-    );
+    let workload = ChurnUnicast::closed(topology, router, timeline.events(), load);
     let (mut stats, workload) = run_core(topology, 0, max_cycles, observer, workload);
     stats.offered = workload.offered();
     stats
@@ -181,8 +190,8 @@ impl<'g, 'p, R: Router + ?Sized> ChurnUnicast<'g, 'p, R> {
     /// The open-loop churn workload for one lane: injects the packets
     /// sourced in `[lo, hi)`, time-sorted (stable — the serial order
     /// restricted to the lane).
-    pub(crate) fn open(
-        g: &'g CsrGraph,
+    pub(crate) fn open<T: Topology + ?Sized>(
+        topology: &'g T,
         inner: &'g R,
         events: &'p [ChurnEvent],
         packets: &'p [Packet],
@@ -195,7 +204,7 @@ impl<'g, 'p, R: Router + ?Sized> ChurnUnicast<'g, 'p, R> {
             .collect();
         inj.sort_by_key(|p| p.inject_time);
         ChurnUnicast {
-            router: FaultMaskingRouter::new(g, inner, &FaultSet::empty()),
+            router: FaultMaskingRouter::for_topology(topology, inner, &FaultSet::empty()),
             events,
             next_event: 0,
             mode: Mode::Open {
@@ -208,18 +217,17 @@ impl<'g, 'p, R: Router + ?Sized> ChurnUnicast<'g, 'p, R> {
     /// The closed-loop churn workload for one lane: the full session
     /// machine, replicated identically on every lane (same seed, same
     /// draws); the lane bounds live in the [`Core`] it runs against.
-    pub(crate) fn closed(
-        g: &'g CsrGraph,
+    pub(crate) fn closed<T: Topology + ?Sized>(
+        topology: &'g T,
         inner: &'g R,
         events: &'p [ChurnEvent],
         load: &RequestReplyLoad,
-        n: u32,
     ) -> ChurnUnicast<'g, 'p, R> {
         ChurnUnicast {
-            router: FaultMaskingRouter::new(g, inner, &FaultSet::empty()),
+            router: FaultMaskingRouter::for_topology(topology, inner, &FaultSet::empty()),
             events,
             next_event: 0,
-            mode: Mode::Closed(Sessions::new(load, n)),
+            mode: Mode::Closed(Sessions::new(load, topology.len() as u32)),
         }
     }
 

@@ -181,7 +181,7 @@ where
     if faults.is_empty() {
         return simulate_observed(topology, router, packets, max_cycles, observer);
     }
-    let masked = FaultMaskingRouter::new(topology.graph(), router, faults);
+    let masked = FaultMaskingRouter::for_topology(topology, router, faults);
     simulate_premasked(topology, &masked, packets, max_cycles, observer)
 }
 
@@ -333,7 +333,7 @@ where
             simulate_faulted(topology, router, faults, packets, max_cycles, observer)
         }
         SwitchingSpec::Wormhole { vcs, buf_flits, .. } => {
-            let masked = FaultMaskingRouter::new(topology.graph(), router, faults);
+            let masked = FaultMaskingRouter::for_topology(topology, router, faults);
             let admission = MaskedAdmission::new(&masked);
             FlitWormhole {
                 flits_per_packet: spec.flits_per_packet(),

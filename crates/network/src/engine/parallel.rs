@@ -174,7 +174,7 @@ where
         let make = |lo, hi| Unicast::for_range(plan.as_ref(), packets, lo, hi, &admit);
         run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
     } else {
-        let masked = FaultMaskingRouter::new(topology.graph(), router, faults);
+        let masked = FaultMaskingRouter::for_topology(topology, router, faults);
         let admission = MaskedAdmission::new(&masked);
         let plan = routing_for(topology, &masked, packets.len());
         let make = |lo, hi| Unicast::for_range(plan.as_ref(), packets, lo, hi, &admission);
@@ -230,8 +230,7 @@ where
             topology, router, &empty, packets, max_cycles, threads, observer,
         );
     }
-    let g = topology.graph();
-    let make = |lo, hi| ChurnUnicast::open(g, router, timeline.events(), packets, lo, hi);
+    let make = |lo, hi| ChurnUnicast::open(topology, router, timeline.events(), packets, lo, hi);
     run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
 }
 
@@ -259,9 +258,8 @@ where
         return simulate_request_reply(topology, router, timeline, load, max_cycles, observer);
     }
     assert!(n >= 2, "request/reply needs a peer to talk to (>= 2 nodes)");
-    let g = topology.graph();
     let (mut stats, lanes) = run_core_pool(topology, 0, max_cycles, observer, threads, |_, _| {
-        ChurnUnicast::closed(g, router, timeline.events(), load, n as u32)
+        ChurnUnicast::closed(topology, router, timeline.events(), load)
     });
     stats.offered = lanes[0].offered();
     stats

@@ -772,7 +772,7 @@ where
                     &admit,
                 )
             } else {
-                let masked = FaultMaskingRouter::new(topology.graph(), router, faults);
+                let masked = FaultMaskingRouter::for_topology(topology, router, faults);
                 let admission = MaskedAdmission::new(&masked);
                 wormhole_pool(
                     topology, &masked, fpp, vcs, buf_flits, packets, max_cycles, threads, observer,

@@ -566,6 +566,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
         if self.faults.is_churn() || matches!(self.traffic, TrafficSpec::RequestReply { .. }) {
             return self.run_dynamic(fault_set);
         }
+        check_masked_budget(n, !fault_set.is_empty())?;
         let router = self.router.resolve(self.topology)?;
         // A degraded run executes the fault-masking wrapper, and the
         // report should say so rather than claim the bare policy ran.
@@ -715,6 +716,9 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
                     })),
             ),
         };
+        // The closed loop always runs the masked router; open-loop churn
+        // only when there are events (an empty timeline runs healthy).
+        check_masked_budget(n, closed_loop || !timeline.is_empty())?;
         let router = self.router.resolve(self.topology)?;
         let router_name = if timeline.is_empty() {
             router.name()
@@ -846,6 +850,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
                 (stats, "tree-forward".to_string(), outcome)
             }
             CollectiveWorkload::Unicasts(packets) => {
+                check_masked_budget(n, !fault_set.is_empty())?;
                 let router = self.router.resolve(self.topology)?;
                 let router_name = if fault_set.is_empty() {
                     router.name()
@@ -912,6 +917,19 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
             collective: Some(outcome),
             sections: self.observer.sections(),
         })
+    }
+}
+
+/// Refuses a run that would build a fault-masking router (`masked`)
+/// whose `4n²`-byte distance table exceeds
+/// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET) — a typed
+/// [`ExperimentError::TableTooLarge`] before anything is allocated,
+/// instead of an allocation failure that aborts the process.
+fn check_masked_budget(n: usize, masked: bool) -> Result<(), ExperimentError> {
+    if masked {
+        crate::router::check_table_budget(n)
+    } else {
+        Ok(())
     }
 }
 
@@ -1705,6 +1723,62 @@ mod tests {
                 assert_eq!(par.stats, serial.stats, "threads={t} faults={faults}");
             }
         }
+    }
+
+    #[test]
+    fn masked_runs_over_the_table_budget_are_refused_before_allocating() {
+        // Γ_21 has 28 657 nodes: a masked router's distance table would
+        // need 3.28 GB. Every path that builds one must refuse with the
+        // typed error instead of aborting on the allocation.
+        let net = FibonacciNet::classical(21);
+        let rr: TrafficSpec = "request_reply(clients=8,think=20,timeout=200,retries=3)"
+            .parse()
+            .unwrap();
+        let churn: FaultSpec = "churn(node_rate=0.01,link_rate=0.01,mttr=50)"
+            .parse()
+            .unwrap();
+        let few = TrafficSpec::Uniform {
+            count: 10,
+            window: 10,
+        };
+        let wormhole: SwitchingSpec = "wormhole(flit_size=8,vcs=2,buf_flits=4)".parse().unwrap();
+        let faulted = FaultSpec::Nodes { count: 3 };
+        let runs = [
+            Experiment::on(&net).traffic(rr.clone()).cycles(200),
+            Experiment::on(&net)
+                .traffic(rr)
+                .faults(faulted.clone())
+                .cycles(200),
+            Experiment::on(&net)
+                .traffic(few.clone())
+                .faults(churn)
+                .cycles(200),
+            Experiment::on(&net)
+                .traffic(few.clone())
+                .faults(faulted.clone()),
+            Experiment::on(&net)
+                .traffic(few)
+                .faults(faulted)
+                .switching(wormhole),
+        ];
+        for (i, exp) in runs.into_iter().enumerate() {
+            match exp.run() {
+                Err(ExperimentError::TableTooLarge { nodes, bytes }) => {
+                    assert_eq!(nodes, 28_657, "run {i}");
+                    assert_eq!(bytes, 28_657u128 * 28_657 * 4, "run {i}");
+                }
+                other => panic!("run {i}: expected TableTooLarge, got {other:?}"),
+            }
+        }
+        // A healthy run of the same network still goes ahead.
+        let healthy = Experiment::on(&net)
+            .traffic(TrafficSpec::Uniform {
+                count: 10,
+                window: 10,
+            })
+            .run()
+            .unwrap();
+        assert_eq!(healthy.stats.delivered, 10);
     }
 
     #[test]

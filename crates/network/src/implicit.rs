@@ -338,6 +338,12 @@ impl Topology for ImplicitFibonacciNet {
         self.d
     }
 
+    fn cube_labels(&self) -> Option<Vec<u64>> {
+        // Unranked on demand: only the fault-masking router asks, and it
+        // builds an n² table next to these n labels anyway.
+        Some((0..self.n as u32).map(|v| self.address(v)).collect())
+    }
+
     fn router(&self) -> Box<dyn Router + Send + Sync + '_> {
         Box::new(ImplicitRouter::canonical(self.codec.clone()))
     }

@@ -105,6 +105,21 @@ pub trait Topology: Send + Sync {
         0
     }
 
+    /// Packed labels of an isometric hypercube embedding: entry `v` is
+    /// node `v`'s binary address, and the hop distance between any two
+    /// nodes equals the Hamming distance of their labels. `None` when
+    /// the topology has no such embedding (or does not expose one).
+    ///
+    /// The fault-masking router
+    /// ([`FaultMaskingRouter::for_topology`](crate::router::FaultMaskingRouter::for_topology))
+    /// uses the labels to fill its healthy distance table in closed form
+    /// and to route without reading the table wherever no fault lies
+    /// between the current node and the destination. Labels that are not
+    /// isometric would mis-route, so the default is `None`.
+    fn cube_labels(&self) -> Option<Vec<u64>> {
+        None
+    }
+
     /// The topology's preferred split-out [`Router`] — the policy
     /// [`simulate`](crate::simulator::simulate) drives packets with.
     /// Defaults to wrapping [`next_hop`](Topology::next_hop); hypercube
@@ -207,6 +222,11 @@ impl Topology for Hypercube {
         // e-cube corrects ascending bit positions, so the flipped
         // dimension itself is a strictly increasing class along any route.
         (u ^ v).trailing_zeros()
+    }
+
+    fn cube_labels(&self) -> Option<Vec<u64>> {
+        // Q_d is its own embedding: node ids are the addresses.
+        Some((0..self.len() as u64).collect())
     }
 
     fn router(&self) -> Box<dyn Router + Send + Sync + '_> {
@@ -350,6 +370,12 @@ impl Topology for FibonacciNet {
             }
         }
         unreachable!("channel endpoints must differ in one position")
+    }
+
+    fn cube_labels(&self) -> Option<Vec<u64>> {
+        // Q_d(1^k) is an isometric subgraph of Q_d for every k
+        // (Ilić–Klavžar–Rho), so the words themselves are the embedding.
+        Some(self.labels.iter().map(Word::bits).collect())
     }
 
     fn router(&self) -> Box<dyn Router + Send + Sync + '_> {

@@ -13,8 +13,8 @@ use fibcube_network::fault::{
 use fibcube_network::observer::{LatencyHistogram, LinkHeatmap, SloTracker};
 use fibcube_network::observer::{NoopObserver, SimObserver};
 use fibcube_network::router::{
-    AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, NextHopRouter, NoLoad,
-    Router,
+    AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, LinkLoad, NextHopRouter,
+    NoLoad, Router,
 };
 use fibcube_network::simulator::{
     simulate, simulate_churn, simulate_collective, simulate_faulted, simulate_faulted_reference,
@@ -1368,5 +1368,177 @@ fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
             "cycle-0 permanent churn ≡ static faults on {}",
             topo.name()
         );
+    }
+}
+
+/// Every topology that reports cube labels, over the whole small range
+/// the label certificate is tested on: Γ_d and Q_d(1^k) for d ≤ 10 and
+/// k ∈ 2..=4 (dense and implicit), and Q_n for n ≤ 8.
+fn labelled_topologies() -> Vec<Box<dyn Topology>> {
+    let mut topos: Vec<Box<dyn Topology>> = Vec::new();
+    for k in 2..=4usize {
+        for d in 1..=10usize {
+            topos.push(Box::new(FibonacciNet::new(d, k)));
+            topos.push(Box::new(ImplicitFibonacciNet::new(d, k)));
+        }
+    }
+    for n in 0..=8usize {
+        topos.push(Box::new(Hypercube::new(n)));
+    }
+    topos
+}
+
+#[test]
+fn cube_label_hamming_distance_equals_bfs_on_every_labelled_instance() {
+    // The isometric-embedding contract behind `Topology::cube_labels`,
+    // checked exhaustively on every pair of every instance in range.
+    for topo in labelled_topologies() {
+        let labels = topo.cube_labels().expect("labelled topology");
+        assert_eq!(labels.len(), topo.len(), "{}", topo.name());
+        for dst in 0..topo.len() as u32 {
+            let bfs = bfs_distances(topo.graph(), dst);
+            for src in 0..topo.len() as u32 {
+                assert_eq!(
+                    (labels[src as usize] ^ labels[dst as usize]).count_ones(),
+                    bfs[src as usize],
+                    "{}: {src}→{dst}",
+                    topo.name()
+                );
+            }
+        }
+    }
+    assert!(Ring::new(8).cube_labels().is_none());
+    assert!(Mesh::new(3, 3).cube_labels().is_none());
+}
+
+#[test]
+fn closed_form_start_table_equals_the_healthy_bfs_table() {
+    for topo in labelled_topologies() {
+        let router = topo.router();
+        let masked = FaultMaskingRouter::for_topology(&*topo, &*router, &FaultSet::empty());
+        let healthy = DistanceTable::healthy(topo.graph()).unwrap();
+        for dst in 0..topo.len() as u32 {
+            assert_eq!(
+                masked.distances().to_dst(dst),
+                healthy.to_dst(dst),
+                "{} dst {dst}",
+                topo.name()
+            );
+        }
+    }
+}
+
+/// A load view that differs per slot, so the least-loaded detour choice
+/// and adaptive inner routers actually discriminate between links.
+struct SkewedLoad(u64);
+
+impl LinkLoad for SkewedLoad {
+    fn load(&self, slot: usize) -> usize {
+        ((slot as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.0) as usize % 5
+    }
+}
+
+/// An inner policy that ignores the destination's direction: it names
+/// an arbitrary neighbor, often a non-progressive one, so the masked
+/// router's detour rule runs even where no fault is in the way.
+struct Wayward<'g>(&'g fibcube_graph::csr::CsrGraph);
+
+impl Router for Wayward<'_> {
+    fn name(&self) -> String {
+        "wayward".into()
+    }
+
+    fn next_hop(&self, cur: u32, dst: u32, _load: &dyn LinkLoad) -> Option<u32> {
+        let nbrs = self.0.neighbors(cur);
+        (cur != dst && !nbrs.is_empty()).then(|| nbrs[(cur ^ dst) as usize % nbrs.len()])
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn labelled_and_label_less_masked_routers_agree_under_churn(
+        family in 0usize..3,
+        d in 3usize..=8,
+        steps in 1usize..40,
+        seed in 0u64..10_000,
+    ) {
+        // The label certificate must reproduce the table rule decision
+        // for decision: after every event of a random fail/recover
+        // sequence, `reachable` and `next_hop` agree on all pairs, under
+        // an idle and a skewed load, for a load-blind, an adaptive and a
+        // wayward inner policy. Up to 39 events push the live fault count past
+        // the certificate's bound, so the table fallback is covered too.
+        let topo: Box<dyn Topology> = match family {
+            0 => Box::new(FibonacciNet::classical(d)),
+            1 => Box::new(FibonacciNet::new(d, 3)),
+            _ => Box::new(Hypercube::new(d.min(6))),
+        };
+        let g = topo.graph();
+        let n = g.num_vertices();
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let inners = [
+            RouterSpec::Preferred.resolve(&*topo).unwrap(),
+            RouterSpec::Adaptive.resolve(&*topo).unwrap(),
+            Box::new(Wayward(g)),
+        ];
+        let mut pairs: Vec<_> = inners
+            .iter()
+            .map(|inner| {
+                (
+                    FaultMaskingRouter::for_topology(&*topo, &**inner, &FaultSet::empty()),
+                    FaultMaskingRouter::new(g, &**inner, &FaultSet::empty()),
+                )
+            })
+            .collect();
+        let mut node_down = vec![false; n];
+        let mut link_down = vec![false; edges.len()];
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let skewed = SkewedLoad(seed);
+        for step in 0..steps {
+            let (target, failed) = if next() % 3 == 0 {
+                let idx = (next() % n as u64) as usize;
+                node_down[idx] = !node_down[idx];
+                (ChurnTarget::Node(idx as u32), node_down[idx])
+            } else {
+                let idx = (next() % edges.len() as u64) as usize;
+                link_down[idx] = !link_down[idx];
+                let (u, v) = edges[idx];
+                (ChurnTarget::Link(u, v), link_down[idx])
+            };
+            let event = ChurnEvent { cycle: step as u64, target, failed };
+            for (labelled, plain) in &mut pairs {
+                labelled.apply_event(&event);
+                plain.apply_event(&event);
+                for dst in 0..n as u32 {
+                    for cur in 0..n as u32 {
+                        let reach = plain.reachable(cur, dst);
+                        prop_assert_eq!(
+                            labelled.reachable(cur, dst), reach,
+                            "{}: reachable {}→{} after event {} ({:?})",
+                            topo.name(), cur, dst, step, event
+                        );
+                        if !reach {
+                            continue;
+                        }
+                        for load in [&NoLoad as &dyn LinkLoad, &skewed] {
+                            prop_assert_eq!(
+                                labelled.next_hop(cur, dst, load),
+                                plain.next_hop(cur, dst, load),
+                                "{} via {}: next_hop {}→{} after event {} ({:?})",
+                                topo.name(), plain.name(), cur, dst, step, event
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

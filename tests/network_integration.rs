@@ -275,3 +275,101 @@ fn fault_aware_experiment_on_the_acceptance_topology() {
     let json = degraded.to_json();
     assert!(json.contains("\"faults\": \"mix(nodes(count=120)+links(count=40))\""));
 }
+
+/// A topology that delegates everything to the wrapped one except
+/// `cube_labels`, so every fault-masking router built on it takes the
+/// label-less, table-only path.
+struct Unlabelled<'a>(&'a dyn Topology);
+
+impl Topology for Unlabelled<'_> {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn graph(&self) -> &CsrGraph {
+        self.0.graph()
+    }
+
+    fn next_hop(&self, cur: u32, dst: u32) -> Option<u32> {
+        self.0.next_hop(cur, dst)
+    }
+
+    fn diameter_bound(&self) -> usize {
+        self.0.diameter_bound()
+    }
+
+    fn channel_class(&self, u: u32, v: u32) -> u32 {
+        self.0.channel_class(u, v)
+    }
+
+    fn router(&self) -> Box<dyn Router + Send + Sync + '_> {
+        self.0.router()
+    }
+
+    fn resolve_router(&self, spec: RouterSpec) -> Option<Box<dyn Router + Send + Sync + '_>> {
+        self.0.resolve_router(spec)
+    }
+}
+
+#[test]
+fn label_certified_routing_equals_the_table_router_end_to_end() {
+    // The label certificate is a pure speed-up: on a topology with cube
+    // labels, every masked run must equal the same run with the labels
+    // hidden — full SimStats and report JSON, serial and sharded — for
+    // churned closed- and open-loop traffic and for static faults.
+    let rr: TrafficSpec = "request_reply(clients=48,think=10,timeout=80,retries=2)"
+        .parse()
+        .unwrap();
+    let uniform = TrafficSpec::Uniform {
+        count: 3000,
+        window: 1500,
+    };
+    let light: FaultSpec = "churn(node_rate=0.01,link_rate=0.02,mttr=100)"
+        .parse()
+        .unwrap();
+    // Enough live faults to cross the certificate's bound and back.
+    let heavy: FaultSpec = "churn(node_rate=0.04,link_rate=0.08,mttr=400)"
+        .parse()
+        .unwrap();
+    let fixed: FaultSpec = "mix(nodes(count=4)+links(count=6))".parse().unwrap();
+    let configs = [
+        (rr.clone(), light.clone()),
+        (rr.clone(), heavy.clone()),
+        (rr, fixed.clone()),
+        (uniform.clone(), light),
+        (uniform.clone(), heavy),
+        (uniform, fixed),
+    ];
+    let gamma = FibonacciNet::classical(12);
+    let q93 = FibonacciNet::new(9, 3);
+    for topo in [&gamma as &dyn Topology, &q93] {
+        assert!(topo.cube_labels().is_some(), "{}", topo.name());
+        let hidden = Unlabelled(topo);
+        assert!(hidden.cube_labels().is_none());
+        for (traffic, faults) in &configs {
+            let run = |t: &dyn Topology, faults: &FaultSpec, threads: usize| {
+                Experiment::on(t)
+                    .traffic(traffic.clone())
+                    .faults(faults.clone())
+                    .cycles(3000)
+                    .seed(11)
+                    .threads(threads)
+                    .run()
+                    .unwrap()
+            };
+            let healthy = run(topo, &FaultSpec::None, 1);
+            for threads in [1usize, 2] {
+                let labelled = run(topo, faults, threads);
+                let plain = run(&hidden, faults, threads);
+                let what = format!("{} {traffic} {faults} threads={threads}", topo.name());
+                assert_ne!(labelled.stats, healthy.stats, "faults must bite: {what}");
+                assert_eq!(labelled.stats, plain.stats, "{what}");
+                assert_eq!(labelled.to_json(), plain.to_json(), "{what}");
+            }
+        }
+    }
+}
