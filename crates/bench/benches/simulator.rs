@@ -4,9 +4,10 @@
 //! cost nothing beyond the engine), and one large-scale sweep-shaped run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use fibcube_network::engine::{self, RunPlan, Workload};
 use fibcube_network::{
-    simulate, simulate_reference, simulate_with, Experiment, FibonacciNet, Hypercube, Mesh,
-    Topology, TrafficSpec,
+    simulate_reference, Experiment, FibonacciNet, Hypercube, Mesh, NoopObserver, Topology,
+    TrafficSpec,
 };
 
 fn bench_simulator(c: &mut Criterion) {
@@ -25,7 +26,13 @@ fn bench_simulator(c: &mut Criterion) {
         let pkts = traffic.generate(t.len(), 11);
         group.bench_function(BenchmarkId::new("active_set", t.name()), |b| {
             b.iter(|| {
-                let s = simulate(t.as_ref(), &pkts, 1_000_000);
+                let s = engine::run(
+                    &RunPlan::new(t.as_ref(), &*t.router(), Workload::Open(&pkts), 1_000_000),
+                    1,
+                    &mut NoopObserver,
+                )
+                .unwrap()
+                .stats;
                 assert_eq!(s.delivered, s.offered);
                 std::hint::black_box(s.mean_latency)
             })
@@ -70,7 +77,13 @@ fn bench_simulator_large(c: &mut Criterion) {
         .generate(t.len(), 3);
         group.bench_function(BenchmarkId::new("bernoulli_0.05", t.name()), |b| {
             b.iter(|| {
-                let s = simulate_with(t, &*t.router(), &pkts, 100_000);
+                let s = engine::run(
+                    &RunPlan::new(t, &*t.router(), Workload::Open(&pkts), 100_000),
+                    1,
+                    &mut NoopObserver,
+                )
+                .unwrap()
+                .stats;
                 assert_eq!(s.delivered, s.offered);
                 std::hint::black_box(s.mean_latency)
             })

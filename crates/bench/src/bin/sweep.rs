@@ -58,16 +58,17 @@
 use std::time::Instant;
 
 use fibcube_bench::{header, BenchError};
+use fibcube_network::engine::{self, Admission, RequestReplyLoad, RunPlan, Workload};
 use fibcube_network::fault::{ChurnTimeline, FaultSet};
 use fibcube_network::report::JsonValue;
+use fibcube_network::router::{FaultMaskingRouter, NextHopRouter, Router};
 use fibcube_network::sweep::{
     churn_sweep, collective_sweep, fault_load_sweep, injection_sweep, rate_ladder,
     saturation_point, switching_sweep, ChurnGrid, CollectiveGrid, FaultLoadGrid, SweepConfig,
     SwitchingGrid,
 };
 use fibcube_network::{
-    broadcast_one_port, simulate_parallel, simulate_parallel_churn, simulate_parallel_collective,
-    simulate_parallel_wormhole, simulate_reference, CollectiveSpec, CopyPlan, Experiment,
+    broadcast_one_port, simulate_reference, CollectiveSpec, CopyPlan, Experiment, ExperimentError,
     FibonacciNet, Hypercube, ImplicitFibonacciNet, Mesh, NoopObserver, Port, Report, Ring,
     RouterSpec, SweepCurve, SwitchingSpec, Topology, TrafficSpec,
 };
@@ -492,7 +493,7 @@ fn thread_ladder<S: PartialEq>(
     topology: &str,
     host_cpus: usize,
     barred: bool,
-    mut run: impl FnMut(usize) -> S,
+    mut run: impl FnMut(usize) -> Result<S, ExperimentError>,
 ) -> Result<Vec<(usize, f64)>, BenchError> {
     let mut rows: Vec<(usize, f64)> = Vec::new();
     let mut serial: Option<S> = None;
@@ -500,6 +501,7 @@ fn thread_ladder<S: PartialEq>(
         rows.clear();
         for t in [1usize, 2, 4, 8] {
             let (out, ms) = time_best_of(|| run(t));
+            let out = out?;
             match &serial {
                 None => serial = Some(out),
                 Some(first) => {
@@ -561,11 +563,36 @@ fn ladder_json(workload: String, rows: &[(usize, f64)], asserted: bool) -> JsonV
     ])
 }
 
-/// The `--check-threads N` mode: one Γ_16 fixed-load workload, healthy
-/// and degraded, run serially and through the sharded engine at
-/// `threads` workers. Any divergence in the full `SimStats` (histograms
-/// included) is a typed error — the CI thread matrix turns this into a
-/// determinism gate that is independent of host speed.
+/// Runs `plan` at one lane and at `threads` lanes: any divergence in the
+/// full outcome (`SimStats` with histograms, plus the collective's
+/// reached-target tally) is a typed error.
+fn check_plan<R: Router + Sync + ?Sized>(
+    plan: &RunPlan<'_, FibonacciNet, R>,
+    threads: usize,
+    what: &str,
+) -> Result<(), BenchError> {
+    let serial = engine::run(plan, 1, &mut NoopObserver)?;
+    let sharded = engine::run(plan, threads, &mut NoopObserver)?;
+    if sharded != serial {
+        return Err(BenchError::ThreadCountMismatch {
+            topology: plan.topology.name(),
+            threads,
+        });
+    }
+    println!(
+        "check-threads: Γ_16 {what} at {threads} threads ≡ serial \
+         (full SimStats, histograms included)"
+    );
+    Ok(())
+}
+
+/// The `--check-threads N` mode: Γ_16 workloads — fixed load healthy,
+/// statically faulted and churned, wormhole, a tree collective, and a
+/// closed request/reply loop under churn — each run at one lane and
+/// through the sharded engine at `threads` lanes. Any divergence in the
+/// full `SimStats` (histograms included) is a typed error — the CI thread
+/// matrix turns this into a determinism gate that is independent of host
+/// speed.
 fn check_threads(threads: usize) -> Result<(), BenchError> {
     let gamma = FibonacciNet::classical(16);
     let pkts = TrafficSpec::Uniform {
@@ -576,41 +603,22 @@ fn check_threads(threads: usize) -> Result<(), BenchError> {
     let router = gamma.router();
     let cap = 4_000_000;
     let dead_nodes: Vec<u32> = (1..=40u32).map(|i| i * 37).collect();
-    for faults in [
-        FaultSet::default(),
-        FaultSet::new(dead_nodes, [(0u32, 1u32)]),
-    ] {
-        let serial = simulate_parallel(&gamma, &*router, &faults, &pkts, cap, 1);
-        let sharded = simulate_parallel(&gamma, &*router, &faults, &pkts, cap, threads);
-        if sharded != serial {
-            return Err(BenchError::ThreadCountMismatch {
-                topology: gamma.name(),
-                threads,
-            });
-        }
-        println!(
-            "check-threads: Γ_16 fixed load ({} faults) at {threads} threads ≡ serial \
-             (full SimStats, histograms included)",
-            faults.failed_nodes().len()
-        );
-    }
+    let faults = FaultSet::new(dead_nodes, [(0u32, 1u32)]);
+    let mask = FaultMaskingRouter::for_topology(&gamma, &*router, &faults);
+    let healthy = || RunPlan::new(&gamma, &*router, Workload::Open(&pkts), cap);
+    check_plan(&healthy(), threads, "fixed load (0 faults)")?;
+    let faulted = healthy().admission(Admission::Static(&mask));
+    check_plan(&faulted, threads, "fixed load (40 faults)")?;
     // The churned configuration: a seeded mid-run fail/recover timeline
     // applied at cycle boundaries — the dynamic engine must shard
     // bit-identically too.
     let timeline = ChurnTimeline::generate(gamma.graph(), 0.002, 0.002, 300.0, 2026, 10_000);
-    let serial = simulate_parallel_churn(&gamma, &*router, &timeline, &pkts, cap, 1);
-    let sharded = simulate_parallel_churn(&gamma, &*router, &timeline, &pkts, cap, threads);
-    if sharded != serial {
-        return Err(BenchError::ThreadCountMismatch {
-            topology: gamma.name(),
-            threads,
-        });
-    }
-    println!(
-        "check-threads: Γ_16 fixed load under churn ({} timeline events) at {threads} \
-         threads ≡ serial (full SimStats, histograms included)",
+    let churned = healthy().admission(Admission::Churn(&timeline));
+    let what = format!(
+        "fixed load under churn ({} timeline events)",
         timeline.len()
     );
+    check_plan(&churned, threads, &what)?;
     // The wormhole configuration: the flit engine sharded under
     // replicated arbitration, healthy and statically faulted. A smaller
     // packet budget keeps the flit-level run CI-sized.
@@ -624,61 +632,33 @@ fn check_threads(threads: usize) -> Result<(), BenchError> {
         window: 500,
     }
     .generate(gamma.len(), 2026);
-    let dead_nodes: Vec<u32> = (1..=40u32).map(|i| i * 37).collect();
-    for faults in [
-        FaultSet::default(),
-        FaultSet::new(dead_nodes, [(0u32, 1u32)]),
-    ] {
-        let serial = simulate_parallel_wormhole(
-            &gamma,
-            &*router,
-            &worm_spec,
-            &faults,
-            &worm_pkts,
-            cap,
-            1,
-            &mut NoopObserver,
-        );
-        let sharded = simulate_parallel_wormhole(
-            &gamma,
-            &*router,
-            &worm_spec,
-            &faults,
-            &worm_pkts,
-            cap,
-            threads,
-            &mut NoopObserver,
-        );
-        if sharded != serial {
-            return Err(BenchError::ThreadCountMismatch {
-                topology: gamma.name(),
-                threads,
-            });
-        }
-        println!(
-            "check-threads: Γ_16 wormhole ({} faults) at {threads} threads ≡ serial \
-             (full SimStats, histograms included)",
-            faults.failed_nodes().len()
-        );
-    }
+    let worm = || {
+        RunPlan::new(&gamma, &*router, Workload::Open(&worm_pkts), cap).switching(worm_spec.clone())
+    };
+    check_plan(&worm(), threads, "wormhole (0 faults)")?;
+    let worm_faulted = worm().admission(Admission::Static(&mask));
+    check_plan(&worm_faulted, threads, "wormhole (40 faults)")?;
     // The collective configuration: a one-port broadcast tree executed
     // by replication, sharded by spawning-node ownership.
     let schedule =
         broadcast_one_port(&gamma, 0).expect("healthy Γ_16 always schedules a broadcast");
-    let plan = CopyPlan::from_schedule(gamma.graph(), &schedule, true);
-    let serial = simulate_parallel_collective(&gamma, &plan, cap, 1, &mut NoopObserver);
-    let sharded = simulate_parallel_collective(&gamma, &plan, cap, threads, &mut NoopObserver);
-    if sharded != serial {
-        return Err(BenchError::ThreadCountMismatch {
-            topology: gamma.name(),
-            threads,
-        });
-    }
-    println!(
-        "check-threads: Γ_16 one-port broadcast collective at {threads} threads ≡ serial \
-         (full SimStats and reached-target tally)"
-    );
-    Ok(())
+    let copies = CopyPlan::from_schedule(gamma.graph(), &schedule, true);
+    let tree_forward = NextHopRouter::new(&gamma);
+    let collective = RunPlan::new(&gamma, &tree_forward, Workload::Copies(&copies), cap);
+    check_plan(&collective, threads, "one-port broadcast collective")?;
+    // The closed-loop configuration: request/reply sessions under the
+    // same churn timeline, with the session machine replicated on every
+    // lane.
+    let load = RequestReplyLoad {
+        clients: 256,
+        think: 20.0,
+        timeout: 200,
+        retries: 3,
+        seed: 2026,
+    };
+    let closed = RunPlan::new(&gamma, &*router, Workload::Closed(&load), 10_000)
+        .admission(Admission::Churn(&timeline));
+    check_plan(&closed, threads, "request_reply under churn")
 }
 
 fn main() {
@@ -782,19 +762,17 @@ fn run() -> Result<(), BenchError> {
     }
     .generate(gamma.len(), 2026);
     let gamma_router = gamma.router();
-    let no_faults = FaultSet::default();
     let parallel_asserted = host_cpus >= 8;
     println!("host CPUs: {host_cpus}");
 
+    let saf_plan = RunPlan::new(
+        &gamma,
+        &*gamma_router,
+        Workload::Open(&parallel_pkts),
+        4_000_000,
+    );
     let ladder_rows = thread_ladder(&gamma.name(), host_cpus, true, |t| {
-        simulate_parallel(
-            &gamma,
-            &*gamma_router,
-            &no_faults,
-            &parallel_pkts,
-            4_000_000,
-            t,
-        )
+        engine::run(&saf_plan, t, &mut NoopObserver)
     })?;
     print_ladder("store-and-forward", &ladder_rows);
     let serial_ms = ladder_rows[0].1;
@@ -821,17 +799,15 @@ fn run() -> Result<(), BenchError> {
         window: 500,
     }
     .generate(gamma.len(), 2026);
+    let worm_plan = RunPlan::new(
+        &gamma,
+        &*gamma_router,
+        Workload::Open(&worm_pkts),
+        4_000_000,
+    )
+    .switching(worm_spec.clone());
     let worm_rows = thread_ladder(&gamma.name(), host_cpus, true, |t| {
-        simulate_parallel_wormhole(
-            &gamma,
-            &*gamma_router,
-            &worm_spec,
-            &no_faults,
-            &worm_pkts,
-            4_000_000,
-            t,
-            &mut NoopObserver,
-        )
+        engine::run(&worm_plan, t, &mut NoopObserver)
     })?;
     print_ladder("wormhole (flit_size=4, vcs=2, buf_flits=4)", &worm_rows);
     let worm_speedup_at_8 = parallel_speedup(&worm_rows, 8);
@@ -850,8 +826,15 @@ fn run() -> Result<(), BenchError> {
     let bcast_schedule =
         broadcast_one_port(&gamma, 0).expect("healthy Γ_16 always schedules a broadcast");
     let bcast_plan = CopyPlan::from_schedule(gamma.graph(), &bcast_schedule, true);
+    let tree_forward = NextHopRouter::new(&gamma);
+    let coll_plan = RunPlan::new(
+        &gamma,
+        &tree_forward,
+        Workload::Copies(&bcast_plan),
+        4_000_000,
+    );
     let coll_rows = thread_ladder(&gamma.name(), host_cpus, false, |t| {
-        simulate_parallel_collective(&gamma, &bcast_plan, 4_000_000, t, &mut NoopObserver)
+        engine::run(&coll_plan, t, &mut NoopObserver)
     })?;
     print_ladder("collective (one-port broadcast)", &coll_rows);
 

@@ -78,6 +78,9 @@ pub enum BenchError {
         /// The acceptance bar.
         bar: f64,
     },
+    /// The engine refused a run the benchmark configured — a bug in the
+    /// benchmark's configuration, reported instead of a panic.
+    Engine(fibcube_network::ExperimentError),
     /// A scale-ladder rung needed more per-node routing state than the
     /// implicit-routing budget allows.
     RoutingStateOverBudget {
@@ -133,6 +136,7 @@ impl fmt::Display for BenchError {
                 "acceptance: sharded engine must reach ≥ {bar}× over serial at \
                  {threads} threads on this host (got {speedup:.2}×)"
             ),
+            BenchError::Engine(e) => write!(f, "engine run refused: {e}"),
             BenchError::RoutingStateOverBudget {
                 topology,
                 nodes,
@@ -148,6 +152,12 @@ impl fmt::Display for BenchError {
 }
 
 impl std::error::Error for BenchError {}
+
+impl From<fibcube_network::ExperimentError> for BenchError {
+    fn from(e: fibcube_network::ExperimentError) -> BenchError {
+        BenchError::Engine(e)
+    }
+}
 
 /// Formats a boolean as the paper's ↪ / ↪̸ notation.
 pub fn embeds(b: bool) -> &'static str {

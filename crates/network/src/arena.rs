@@ -132,7 +132,7 @@ impl PacketSlab {
 
     /// The copy-plan edge the origin of packet `id` emits after this copy
     /// departs, or [`NO_COPY`] — the one-port tree-forwarding chain of
-    /// [`simulate_collective`](crate::simulator::simulate_collective).
+    /// a [`Workload::Copies`](crate::engine::Workload::Copies) run.
     #[inline]
     pub fn next_copy(&self, id: u32) -> u32 {
         self.next_copy[id as usize]
@@ -245,7 +245,7 @@ impl LinkQueues {
 /// Fixed-stride ring-buffer flit FIFOs for the wormhole engine: one
 /// buffer per (directed link × virtual channel), in a single contiguous
 /// arena, holding packed `u64` flit records
-/// (see [`simulate_wormhole`](crate::simulator::simulate_wormhole)).
+/// (see [`SwitchingSpec::Wormhole`](crate::switching::SwitchingSpec::Wormhole)).
 ///
 /// The layout is [`LinkQueues`]' exactly — `RING_STRIDE` slots per buffer
 /// with lazily materialised overflow spill — because the capacity a

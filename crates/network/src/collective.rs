@@ -15,7 +15,7 @@
 //! * [`CopyPlan`] — the spec compiled against a concrete (healthy or
 //!   faulted) network: a `BroadcastSchedule`-derived **next-copy table**
 //!   (per-node child/edge lists in round order, CSR layout) that the
-//!   arena engine ([`simulate_collective`](crate::simulator::simulate_collective))
+//!   arena engine ([`Workload::Copies`](crate::engine::Workload::Copies))
 //!   executes by replicating packets at intermediate nodes — one copy per
 //!   tree edge, chained through the struct-of-arrays
 //!   [`PacketSlab`](crate::arena::PacketSlab) with no per-packet
@@ -507,7 +507,7 @@ impl CopyPlan {
 
     /// Copies the engine must account for: spawned plus dropped —
     /// the `offered` figure of the run's
-    /// [`SimStats`](crate::simulator::SimStats).
+    /// [`SimStats`](crate::engine::SimStats).
     pub fn offered(&self) -> usize {
         self.total_copies() + self.dropped_dead.len() + self.dropped_unreachable.len()
     }
@@ -554,7 +554,7 @@ impl CopyPlan {
 }
 
 /// The completion-time/round statistics of one collective run, reported
-/// alongside the engine's [`SimStats`](crate::simulator::SimStats) in the
+/// alongside the engine's [`SimStats`](crate::engine::SimStats) in the
 /// experiment [`Report`](crate::report::Report).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CollectiveOutcome {

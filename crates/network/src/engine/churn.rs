@@ -1,8 +1,12 @@
 //! The dynamic-fault (churn) store-and-forward workload: the same
-//! unified stepper as the static engine ([`run_core`]), with a
-//! [`ChurnTimeline`] of fail/recover events applied in the event-commit
-//! stage and an optional closed-loop request/reply workload with
-//! timeout-and-retry delivery.
+//! unified stepper as the static engine
+//! ([`run_saf`](super::core::run_saf)), with a
+//! [`ChurnTimeline`](crate::fault::ChurnTimeline) of fail/recover events
+//! applied in the event-commit stage and an optional closed-loop
+//! request/reply workload with timeout-and-retry delivery.
+//! [`run`](super::run) reaches it through
+//! [`Admission::Churn`](super::Admission::Churn) or
+//! [`Workload::Closed`](super::Workload::Closed).
 //!
 //! ## Event semantics
 //!
@@ -12,7 +16,7 @@
 //! before cycle `c`'s injections — so every admission verdict and
 //! routing decision within one cycle sees one consistent fault epoch
 //! (the stability contract of
-//! [`ChurnAdmission`](super::policy::ChurnAdmission)). Applying an event
+//! [`MaskedAdmission`](super::policy::MaskedAdmission)). Applying an event
 //! flips the [`FaultMaskingRouter`]'s masks and **incrementally patches**
 //! its distance table ([`FaultMaskingRouter::apply_event`]); packets
 //! queued on a dying link or node are flushed as typed drops
@@ -48,20 +52,21 @@
 //!
 //! ## Equivalence gates
 //!
-//! - An **empty timeline** delegates to the healthy engine — the
-//!   zero-churn run is packet-for-packet identical to
-//!   [`simulate_observed`](crate::simulate_observed).
+//! - An **empty timeline** runs the healthy network — the zero-churn
+//!   open-loop run is packet-for-packet identical to
+//!   [`Admission::Healthy`](super::Admission::Healthy).
 //! - A timeline whose failures all commit at cycle 0 and never recover
-//!   is packet-for-packet identical to the static degraded engine
-//!   ([`simulate_faulted`](crate::simulate_faulted)): both route per-hop
-//!   through the same [`FaultMaskingRouter`] state, with the same
-//!   injection admission and the same cycle skeleton.
+//!   is packet-for-packet identical to the static degraded run
+//!   ([`Admission::Static`](super::Admission::Static)): both route
+//!   per-hop through the same [`FaultMaskingRouter`] state, with the
+//!   same injection admission and the same cycle skeleton.
 //!
 //! ## Closed-loop delivery
 //!
-//! [`simulate_request_reply`] replaces the open-loop packet list with
-//! `clients` sessions. Each session thinks (seeded exponential holding
-//! time), then issues a request to a fresh random destination; the
+//! [`Workload::Closed`](super::Workload::Closed) replaces the open-loop
+//! packet list with `clients` sessions. Each session thinks (seeded
+//! exponential holding time), then issues a request to a fresh random
+//! destination; the
 //! destination answers with a reply packet, and the transaction
 //! completes when the reply returns. A reply that misses its deadline
 //! triggers a retry with seeded exponential backoff (jittered delay,
@@ -79,48 +84,24 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::arena::PacketSlab;
-use crate::fault::{ChurnEvent, ChurnTarget, ChurnTimeline, FaultSet};
+use crate::fault::{ChurnEvent, ChurnTarget, FaultSet};
 use crate::observer::SimObserver;
 use crate::router::{FaultMaskingRouter, Router};
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::core::{run_core, Core, Routing, SafMsg};
-use super::policy::{ChurnAdmission, FaultPolicy, ReplicationPolicy};
-use super::stats::{DropReason, SimStats};
+use super::core::{Core, Routing, SafMsg};
+use super::policy::{FaultPolicy, MaskedAdmission, ReplicationPolicy};
+use super::stats::DropReason;
 
-/// Runs the store-and-forward engine under a churn timeline: faults
-/// fail and recover mid-run, routes repair incrementally, and packets
-/// caught on dying elements become typed drops. See the
-/// module-level docs for the event semantics and equivalence gates.
-///
-/// An empty timeline delegates to the healthy engine.
-pub fn simulate_churn<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    packets: &[Packet],
-    max_cycles: u64,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + ?Sized,
-    O: SimObserver,
-{
-    if timeline.is_empty() {
-        return super::simulate_observed(topology, router, packets, max_cycles, observer);
-    }
-    let n = topology.len() as u32;
-    let workload = ChurnUnicast::open(topology, router, timeline.events(), packets, 0, n);
-    let (stats, _) = run_core(topology, packets.len(), max_cycles, observer, workload);
-    stats
-}
-
-/// The closed-loop request/reply workload of [`simulate_request_reply`]:
-/// `clients` sessions cycling think → request → reply with
-/// timeout-and-retry delivery. Parsed from
-/// [`TrafficSpec::RequestReply`](crate::traffic::TrafficSpec).
+/// The closed-loop request/reply workload
+/// ([`Workload::Closed`](super::Workload::Closed)): `clients` sessions
+/// cycling think → request → reply with timeout-and-retry delivery.
+/// Parsed from [`TrafficSpec::RequestReply`](crate::traffic::TrafficSpec).
+/// A run needs at least 2 nodes and a finite cycle cap (the closed loop
+/// never drains on its own); [`run`](super::run) refuses either with a
+/// typed error. See the module-level docs for the transaction
+/// accounting.
 #[derive(Clone, Copy, Debug)]
 pub struct RequestReplyLoad {
     /// Concurrent client sessions.
@@ -133,34 +114,6 @@ pub struct RequestReplyLoad {
     pub retries: u32,
     /// Seed for session placement, destinations, think times, backoff.
     pub seed: u64,
-}
-
-/// Runs the closed-loop request/reply workload under a churn timeline
-/// (which may be empty — retries then only cover congestion). Requires
-/// at least 2 nodes and a finite `max_cycles` (the closed loop never
-/// drains on its own); the experiment layer enforces both with typed
-/// errors. See the module-level docs for the transaction accounting.
-pub fn simulate_request_reply<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    load: &RequestReplyLoad,
-    max_cycles: u64,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + ?Sized,
-    O: SimObserver,
-{
-    assert!(
-        topology.len() >= 2,
-        "request/reply needs a peer to talk to (>= 2 nodes)"
-    );
-    let workload = ChurnUnicast::closed(topology, router, timeline.events(), load);
-    let (mut stats, workload) = run_core(topology, 0, max_cycles, observer, workload);
-    stats.offered = workload.offered();
-    stats
 }
 
 /// Traffic side of the churn workload: the open-loop time-sorted packet
@@ -338,7 +291,7 @@ where
                     let p = inj[*next_inject];
                     *next_inject += 1;
                     core.observer.on_inject(cycle, p.src, p.dst);
-                    if let Some(reason) = ChurnAdmission::new(router).verdict(p.src, p.dst) {
+                    if let Some(reason) = MaskedAdmission::new(router).verdict(p.src, p.dst) {
                         core.acc.drop_packet(reason);
                         core.observer.on_drop(cycle, p.src, p.dst, reason);
                         continue;
@@ -554,7 +507,7 @@ impl Sessions {
         core: &mut Core<'_, O>,
     ) {
         let s = self.sessions[session as usize];
-        if ChurnAdmission::new(router).verdict(s.src, s.dst).is_some() {
+        if MaskedAdmission::new(router).verdict(s.src, s.dst).is_some() {
             return;
         }
         if !core.owns(s.src) {

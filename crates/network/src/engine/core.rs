@@ -1,21 +1,21 @@
 //! The store-and-forward lane: the per-lane arena state ([`Core`]) and
 //! the [`ReplicationPolicy`] workloads (unicast, collective) that
 //! specialize the unified stepper ([`super::stepper`]) into every
-//! packet-switched engine variant. The historical `simulate_*` entry
-//! points are [`Solo`] (one-lane) monomorphizations of [`run_core`];
-//! the sharded entry points build one [`SafLane`] per node shard and
-//! drive the **same** stage methods under the pooled protocol.
+//! packet-switched run. [`run_saf`] drives one [`SafLane`] under the
+//! [`Solo`] protocol, or one per node shard under the pooled protocol —
+//! the **same** stage methods either way.
 
 use fibcube_graph::csr::CsrGraph;
 
 use crate::arena::{LinkQueues, PacketSlab, NO_COPY};
 use crate::collective::CopyPlan;
+use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
 use crate::router::{LinkLoad, NextHopTable, Router};
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::parallel::run_pool;
+use super::parallel::{fork_lanes, merge_lanes, run_pool};
 use super::policy::{FaultPolicy, ReplicationPolicy};
 use super::stats::{DropReason, SimStats, StatsAcc};
 use super::stepper::{lane_bounds, run_lane, LaneWorkload, Solo};
@@ -455,86 +455,58 @@ fn pop_step<O: SimObserver, W: ReplicationPolicy<O>>(
     out.push(msg);
 }
 
-/// Runs one whole-network lane of `workload` through the unified
-/// stepper — the serial store-and-forward engine. Returns the finished
-/// stats and the workload (which may carry run outputs, e.g. the
-/// collective's reached-target tally).
-pub(crate) fn run_core<T, O, W>(
+/// Runs a store-and-forward workload through the unified stepper on
+/// `lanes` lanes (already clamped to `[1, n]`), building each lane's
+/// workload with `make(lo, hi)` for its node shard. One lane runs under
+/// [`Solo`] on the caller's thread with the caller's observer — no fork,
+/// no thread. More lanes run the pooled protocol, each on an observer
+/// fork, merged back in ascending lane order. Returns the finished
+/// stats and the lane workloads in lane order (which may carry run
+/// outputs, e.g. the collective's reached-target tally).
+pub(crate) fn run_saf<T, O, W, F>(
     topology: &T,
     offered: usize,
     max_cycles: u64,
-    observer: O,
-    workload: W,
-) -> (SimStats, W)
-where
-    T: Topology + ?Sized,
-    O: SimObserver,
-    W: ReplicationPolicy<O>,
-{
-    let n = topology.len();
-    let mut lane = SafLane {
-        core: Core::new(topology.graph(), n, 0, n as u32, observer),
-        workload,
-    };
-    run_lane(&mut lane, &Solo::default(), 0, max_cycles);
-    (lane.core.acc.finish(offered), lane.workload)
-}
-
-/// Runs `make_workload(lo, hi)`-built lanes of a store-and-forward
-/// workload across `threads` lanes of the pooled stepper, forking the
-/// observer per lane and merging accumulators and observer forks back
-/// in ascending lane order. Returns the finished stats and the lane
-/// workloads (lane order).
-///
-/// # Panics
-///
-/// Panics if `observer` does not support forking
-/// ([`SimObserver::fork`] returns `None`); the experiment layer
-/// pre-checks and reports a typed error instead.
-pub(crate) fn run_core_pool<T, O, W, F>(
-    topology: &T,
-    offered: usize,
-    max_cycles: u64,
+    lanes: usize,
     observer: &mut O,
-    threads: usize,
-    mut make_workload: F,
-) -> (SimStats, Vec<W>)
+    mut make: F,
+) -> Result<(SimStats, Vec<W>), ExperimentError>
 where
     T: Topology + ?Sized,
     O: SimObserver + Send,
-    W: ReplicationPolicy<O> + Send,
+    W: ReplicationPolicy<O> + for<'o> ReplicationPolicy<&'o mut O> + Send,
     F: FnMut(u32, u32) -> W,
 {
     let n = topology.len();
     let g = topology.graph();
-    let lanes: Vec<SafLane<'_, O, W>> = lane_bounds(n, threads)
+    if lanes <= 1 {
+        // The workload first: its set-up scratch (the injection sort's
+        // buffer) is freed before the arena allocates, keeping peak RSS
+        // down.
+        let workload = make(0, n as u32);
+        let mut lane = SafLane {
+            core: Core::new(g, n, 0, n as u32, observer),
+            workload,
+        };
+        run_lane(&mut lane, &Solo::default(), 0, max_cycles);
+        return Ok((lane.core.acc.finish(offered), vec![lane.workload]));
+    }
+    let forks = fork_lanes(observer, lanes)?;
+    let pool: Vec<SafLane<'_, O, W>> = lane_bounds(n, lanes)
         .into_iter()
-        .map(|(lo, hi)| SafLane {
-            core: Core::new(g, n, lo, hi, fork_observer(observer)),
-            workload: make_workload(lo, hi),
+        .zip(forks)
+        .map(|((lo, hi), fork)| SafLane {
+            core: Core::new(g, n, lo, hi, fork),
+            workload: make(lo, hi),
         })
         .collect();
-    let lanes = run_pool(lanes, max_cycles);
-    let mut acc: Option<StatsAcc> = None;
-    let mut workloads = Vec::with_capacity(lanes.len());
-    for lane in lanes {
-        observer.merge(lane.core.observer);
-        match &mut acc {
-            None => acc = Some(lane.core.acc),
-            Some(a) => a.merge(lane.core.acc),
-        }
+    let mut workloads = Vec::with_capacity(lanes);
+    let finished = run_pool(pool, max_cycles).into_iter().map(|lane| {
         workloads.push(lane.workload);
-    }
-    (acc.expect("at least one lane").finish(offered), workloads)
-}
-
-/// Forks `observer` for one lane of a sharded run, with the engine's
-/// documented panic on observers that opted out of sharding.
-pub(crate) fn fork_observer<O: SimObserver>(observer: &O) -> O {
-    observer.fork().expect(
-        "this observer does not implement SimObserver::fork/merge; \
-         it cannot attach to a sharded run (use threads = 1)",
-    )
+        (lane.core.observer, lane.core.acc)
+    });
+    let acc = merge_lanes(observer, finished);
+    Ok((acc.finish(offered), workloads))
 }
 
 /// The unicast workload: time-sorted injection with admission control,

@@ -3,8 +3,8 @@
 //!
 //! This module contains **no cycle logic**: the per-cycle stages live on
 //! the workloads ([`LaneWorkload`]), and the one stepper driving them,
-//! [`run_lane`](super::stepper::run_lane), is the same function the
-//! serial entry points run under the no-sync
+//! [`run_lane`](super::stepper::run_lane), is the same function a
+//! one-lane [`run`](super::run) drives under the no-sync
 //! [`Solo`](super::stepper::Solo) protocol. Here the protocol is
 //! [`Pooled`]: per-lane `RwLock`'d outboxes and published atomic
 //! counters, with two [`Barrier`] waits per cycle — one after
@@ -26,17 +26,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, RwLock};
 
-use crate::collective::CopyPlan;
-use crate::fault::{ChurnTimeline, FaultSet};
-use crate::observer::{NoopObserver, SimObserver};
-use crate::router::{FaultMaskingRouter, Router};
-use crate::topology::Topology;
-use crate::traffic::Packet;
+use crate::experiment::ExperimentError;
+use crate::observer::SimObserver;
 
-use super::churn::{simulate_churn, simulate_request_reply, ChurnUnicast, RequestReplyLoad};
-use super::core::{routing_for, run_core_pool, Replicate, Unicast};
-use super::policy::{AdmitAll, MaskedAdmission};
-use super::stats::SimStats;
+use super::stats::StatsAcc;
 use super::stepper::{run_lane, LaneWorkload, Protocol};
 
 /// Sentinel for "no pending traffic" in the published atomic.
@@ -119,179 +112,41 @@ where
     lanes
 }
 
-/// Runs the store-and-forward simulation sharded across `threads` OS
-/// threads (clamped to `[1, nodes]`; `<= 1` runs the serial engine),
-/// returning **exactly** the serial [`SimStats`], histograms included.
-/// A non-empty `faults` set applies the same [`FaultMaskingRouter`]
-/// detours and typed drops as
-/// [`simulate_faulted`](crate::simulate_faulted).
-pub fn simulate_parallel<T, R>(
-    topology: &T,
-    router: &R,
-    faults: &FaultSet,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-{
-    let o = &mut NoopObserver;
-    simulate_parallel_observed(topology, router, faults, packets, max_cycles, threads, o)
+/// One [`SimObserver::fork`] per lane, or the typed
+/// [`ExperimentError::UnforkableObserver`] for an observer that opted
+/// out of sharding — checked before any lane is built.
+pub(crate) fn fork_lanes<O: SimObserver>(
+    observer: &O,
+    lanes: usize,
+) -> Result<Vec<O>, ExperimentError> {
+    (0..lanes)
+        .map(|_| {
+            observer
+                .fork()
+                .ok_or_else(|| ExperimentError::UnforkableObserver {
+                    observer: std::any::type_name::<O>().to_string(),
+                    threads: lanes,
+                })
+        })
+        .collect()
 }
 
-/// [`simulate_parallel`] with an observer attached: each lane runs a
-/// [`SimObserver::fork`] of `observer`, and the forks merge back in
-/// ascending lane order — the merged output equals the serial run's.
-///
-/// # Panics
-///
-/// Panics if `threads > 1` and [`SimObserver::fork`] returns `None`;
-/// the experiment layer pre-checks and reports a typed error instead.
-pub fn simulate_parallel_observed<T, R, O>(
-    topology: &T,
-    router: &R,
-    faults: &FaultSet,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
+/// Merges finished lanes back in ascending lane order: each observer
+/// fork into `observer`, each accumulator into the first — the merged
+/// result equals the one-lane run's.
+pub(crate) fn merge_lanes<O: SimObserver>(
     observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return super::simulate_faulted(topology, router, faults, packets, max_cycles, observer);
-    }
-    let admit = AdmitAll;
-    if faults.is_empty() {
-        let plan = routing_for(topology, router, packets.len());
-        let make = |lo, hi| Unicast::for_range(plan.as_ref(), packets, lo, hi, &admit);
-        run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
-    } else {
-        let masked = FaultMaskingRouter::for_topology(topology, router, faults);
-        let admission = MaskedAdmission::new(&masked);
-        let plan = routing_for(topology, &masked, packets.len());
-        let make = |lo, hi| Unicast::for_range(plan.as_ref(), packets, lo, hi, &admission);
-        run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
-    }
-}
-
-/// [`simulate_churn`] sharded across `threads` OS threads. Each lane
-/// owns a **replica** of the masked router and applies the same event
-/// stream in its event-commit stage — no shared lock anywhere, and
-/// bit-identical to the serial churn engine at any thread count.
-pub fn simulate_parallel_churn<T, R>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-{
-    let o = &mut NoopObserver;
-    simulate_parallel_churn_observed(topology, router, timeline, packets, max_cycles, threads, o)
-}
-
-/// [`simulate_parallel_churn`] with a forked observer — see
-/// [`simulate_parallel_observed`] for the fork/merge contract.
-pub fn simulate_parallel_churn_observed<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return simulate_churn(topology, router, timeline, packets, max_cycles, observer);
-    }
-    if timeline.is_empty() {
-        // Zero churn is the healthy network: skip the replica builds.
-        let empty = FaultSet::empty();
-        return simulate_parallel_observed(
-            topology, router, &empty, packets, max_cycles, threads, observer,
-        );
-    }
-    let make = |lo, hi| ChurnUnicast::open(topology, router, timeline.events(), packets, lo, hi);
-    run_core_pool(topology, packets.len(), max_cycles, observer, threads, make).0
-}
-
-/// [`simulate_request_reply`] sharded across `threads` OS threads: the
-/// session machine is replicated on every lane (identical RNG streams),
-/// with packet effects gated on node ownership. `stats.offered` comes
-/// from lane 0's replica, exactly the serial machine's tally.
-pub fn simulate_parallel_request_reply<T, R, O>(
-    topology: &T,
-    router: &R,
-    timeline: &ChurnTimeline,
-    load: &RequestReplyLoad,
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return simulate_request_reply(topology, router, timeline, load, max_cycles, observer);
-    }
-    assert!(n >= 2, "request/reply needs a peer to talk to (>= 2 nodes)");
-    let (mut stats, lanes) = run_core_pool(topology, 0, max_cycles, observer, threads, |_, _| {
-        ChurnUnicast::closed(topology, router, timeline.events(), load)
-    });
-    stats.offered = lanes[0].offered();
-    stats
-}
-
-/// [`simulate_collective`](crate::simulate_collective) sharded across
-/// `threads` OS threads: copies spawn at the lane owning the spawning
-/// node and the reached-target tally sums over lanes.
-pub fn simulate_parallel_collective<T, O>(
-    topology: &T,
-    plan: &CopyPlan,
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> (SimStats, usize)
-where
-    T: Topology + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return super::simulate_collective(topology, plan, max_cycles, observer);
-    }
-    let make = |_, _| Replicate::new(plan);
-    let (stats, lanes) = run_core_pool(
-        topology,
-        plan.offered(),
-        max_cycles,
-        observer,
-        threads,
-        make,
-    );
-    (stats, lanes.iter().map(|w| w.reached_targets).sum())
+    lanes: impl IntoIterator<Item = (O, StatsAcc)>,
+) -> StatsAcc {
+    lanes
+        .into_iter()
+        .map(|(fork, acc)| {
+            observer.merge(fork);
+            acc
+        })
+        .reduce(|mut acc, lane| {
+            acc.merge(lane);
+            acc
+        })
+        .expect("a pooled run has at least two lanes")
 }

@@ -1,11 +1,10 @@
-//! The compile-time policy axes of the unified engine core.
+//! The compile-time policy traits of the unified engine core.
 //!
-//! One engine, three orthogonal policies (plus the [`SimObserver`]
+//! [`run`](super::run) picks the switching model from the plan's
+//! [`SwitchingSpec`](crate::switching::SwitchingSpec); within it, each
+//! run monomorphizes over two policy traits (plus the [`SimObserver`]
 //! event axis):
 //!
-//! - [`SwitchingPolicy`] — how packets occupy links: whole-packet
-//!   store-and-forward ([`StoreAndForward`]) or flit-level wormhole with
-//!   virtual channels ([`FlitWormhole`]).
 //! - [`FaultPolicy`] — injection admission: admit everything
 //!   ([`AdmitAll`]) or drop packets whose endpoints are dead or
 //!   disconnected, with typed reasons ([`MaskedAdmission`]).
@@ -14,19 +13,15 @@
 //!   intermediate nodes (the collective path).
 //!
 //! Every policy is a zero-sized or reference-carrying struct resolved at
-//! compile time, so each combination monomorphizes to the same
-//! specialized loop the pre-unification engine variants compiled to —
-//! the "zero-cost gate" the equivalence tests pin down.
+//! compile time, so each combination monomorphizes to its own
+//! specialized loop — a healthy run pays nothing for the fault axis.
 
 use crate::arena::PacketSlab;
 use crate::observer::SimObserver;
 use crate::router::{FaultMaskingRouter, Router};
-use crate::topology::Topology;
-use crate::traffic::Packet;
 
-use super::core::{routing_for, run_core, Core, SafMsg, Unicast};
-use super::stats::{DropReason, SimStats};
-use super::wormhole::wormhole_engine;
+use super::core::{Core, SafMsg};
+use super::stats::DropReason;
 
 /// Injection-time admission policy: decides per packet whether the
 /// engine routes it or drops it with a typed reason.
@@ -39,9 +34,9 @@ use super::wormhole::wormhole_engine;
 ///   calls it from several threads and the serial/parallel equivalence
 ///   depends on it). Policies over static fault sets ([`AdmitAll`],
 ///   [`MaskedAdmission`]) are stable for the whole run; under churn the
-///   engine applies fault events only at cycle boundaries, between the
-///   arrival phase and the next injection phase, so every verdict
-///   within one cycle sees one consistent epoch ([`ChurnAdmission`]).
+///   engine applies fault events only at cycle boundaries, so every
+///   verdict within one cycle sees one consistent epoch (see
+///   [`MaskedAdmission`]).
 /// - A `Some(reason)` verdict means the packet never enters the network:
 ///   it is counted under the matching typed-drop statistic at its inject
 ///   cycle and no link state changes.
@@ -67,6 +62,14 @@ impl FaultPolicy for AdmitAll {
 /// reachability: dead endpoints drop as
 /// [`DropReason::DeadEndpoint`], surviving-but-disconnected pairs as
 /// [`DropReason::Unreachable`].
+///
+/// Under churn the masks change mid-run as events apply. The churn
+/// engine applies events only at cycle boundaries, between the arrival
+/// phase and the next injection phase, and builds a fresh admission
+/// per borrow after the cycle's events commit — so every verdict in a
+/// cycle sees the same fault epoch, the weakest stability
+/// [`FaultPolicy`] permits. Such a borrow must not outlive its cycle:
+/// the next event application invalidates its verdicts.
 pub struct MaskedAdmission<'a, 'b, R: Router + ?Sized> {
     masked: &'a FaultMaskingRouter<'b, R>,
 }
@@ -81,37 +84,6 @@ impl<'a, 'b, R: Router + ?Sized> MaskedAdmission<'a, 'b, R> {
 }
 
 impl<R: Router + ?Sized> FaultPolicy for MaskedAdmission<'_, '_, R> {
-    fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
-        if !self.masked.node_alive(src) || !self.masked.node_alive(dst) {
-            Some(DropReason::DeadEndpoint)
-        } else if src != dst && !self.masked.reachable(src, dst) {
-            Some(DropReason::Unreachable)
-        } else {
-            None
-        }
-    }
-}
-
-/// Epoch-scoped admission for churned runs: the same liveness and
-/// reachability checks as [`MaskedAdmission`], but against a
-/// [`FaultMaskingRouter`] whose masks change mid-run as churn events
-/// apply. The churn engine constructs one per borrow *after* the
-/// cycle's events commit, so every verdict in a cycle sees the same
-/// fault epoch — the weakest stability [`FaultPolicy`] permits.
-pub struct ChurnAdmission<'a, 'b, R: Router + ?Sized> {
-    masked: &'a FaultMaskingRouter<'b, R>,
-}
-
-impl<'a, 'b, R: Router + ?Sized> ChurnAdmission<'a, 'b, R> {
-    /// Admission against `masked`'s *current* epoch. The borrow must not
-    /// outlive the cycle that created it: the next event application
-    /// invalidates its verdicts.
-    pub fn new(masked: &'a FaultMaskingRouter<'b, R>) -> ChurnAdmission<'a, 'b, R> {
-        ChurnAdmission { masked }
-    }
-}
-
-impl<R: Router + ?Sized> FaultPolicy for ChurnAdmission<'_, '_, R> {
     fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
         if !self.masked.node_alive(src) || !self.masked.node_alive(dst) {
             Some(DropReason::DeadEndpoint)
@@ -186,118 +158,5 @@ pub trait ReplicationPolicy<O: SimObserver> {
     /// Default: nothing deferred.
     fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O>) {
         let _ = (now, core);
-    }
-}
-
-/// How packets occupy links while crossing the network. The policy owns
-/// the whole engine loop for its model (the two models differ in their
-/// per-link state — packet FIFOs vs flit buffers × virtual channels —
-/// not just in a hook), parameterized over the same topology, router,
-/// observer, and fault axes.
-///
-/// # Invariants
-///
-/// - Injection admission, idle fast-forward, self-addressed delivery,
-///   forward-scan order (ascending node, then edge), and the
-///   `cycle + 1` arrival boundary are identical across implementations
-///   — a degenerate wormhole configuration (1 flit/packet, 1 VC,
-///   unbounded buffers) must reproduce [`StoreAndForward`] exactly.
-/// - Packet-level accounting ([`SimStats`], `on_hop`, hop counts)
-///   follows the packet's head; flit-level movement is observable only
-///   through `on_flit_hop`.
-/// - `offered == delivered + dropped + still-in-flight` holds under any
-///   cycle cap.
-pub trait SwitchingPolicy {
-    /// Runs a unicast packet workload under this switching model.
-    fn run_unicast<T, R, O, F>(
-        &self,
-        topology: &T,
-        router: &R,
-        packets: &[Packet],
-        max_cycles: u64,
-        observer: &mut O,
-        faults: &F,
-    ) -> SimStats
-    where
-        T: Topology + ?Sized,
-        R: Router + ?Sized,
-        O: SimObserver,
-        F: FaultPolicy;
-}
-
-/// Whole-packet store-and-forward switching: every directed link moves
-/// at most one packet per cycle between unbounded FIFO queues.
-pub struct StoreAndForward;
-
-impl SwitchingPolicy for StoreAndForward {
-    fn run_unicast<T, R, O, F>(
-        &self,
-        topology: &T,
-        router: &R,
-        packets: &[Packet],
-        max_cycles: u64,
-        observer: &mut O,
-        faults: &F,
-    ) -> SimStats
-    where
-        T: Topology + ?Sized,
-        R: Router + ?Sized,
-        O: SimObserver,
-        F: FaultPolicy,
-    {
-        let plan = routing_for(topology, router, packets.len());
-        let n = topology.len() as u32;
-        let (stats, _) = run_core(
-            topology,
-            packets.len(),
-            max_cycles,
-            observer,
-            Unicast::for_range(plan.as_ref(), packets, 0, n, faults),
-        );
-        stats
-    }
-}
-
-/// Flit-level wormhole switching with virtual channels and credit
-/// backpressure: each packet is `flits_per_packet` flits streaming
-/// through a chain of (link × VC) buffers of `buf_flits` capacity. See
-/// [`simulate_wormhole`](crate::simulate_wormhole) for the model and
-/// [`switching`](crate::switching) for the deadlock-freedom argument.
-pub struct FlitWormhole {
-    /// Flits per packet (≥ 1); 1 degenerates to packet switching.
-    pub flits_per_packet: u32,
-    /// Virtual channels per directed link (≥ 1).
-    pub vcs: u32,
-    /// Flit capacity of each (link × VC) buffer (≥ 1).
-    pub buf_flits: u32,
-}
-
-impl SwitchingPolicy for FlitWormhole {
-    fn run_unicast<T, R, O, F>(
-        &self,
-        topology: &T,
-        router: &R,
-        packets: &[Packet],
-        max_cycles: u64,
-        observer: &mut O,
-        faults: &F,
-    ) -> SimStats
-    where
-        T: Topology + ?Sized,
-        R: Router + ?Sized,
-        O: SimObserver,
-        F: FaultPolicy,
-    {
-        wormhole_engine(
-            topology,
-            router,
-            self.flits_per_packet,
-            self.vcs,
-            self.buf_flits,
-            packets,
-            max_cycles,
-            observer,
-            faults,
-        )
     }
 }

@@ -10,9 +10,9 @@
 /// Why a packet was dropped instead of delivered — the typed accounting
 /// behind the `dropped_*` fields of [`SimStats`] and the
 /// [`on_drop`](crate::observer::SimObserver::on_drop) observer hook.
-/// Drops only happen on degraded runs
-/// ([`simulate_faulted`](crate::simulate_faulted) or churned runs);
-/// the healthy engine never drops. The first two reasons are
+/// Drops only happen on degraded runs (a static fault mask or a churn
+/// timeline, see [`Admission`](super::Admission)); the healthy engine
+/// never drops. The first two reasons are
 /// injection-time verdicts; the `LinkDied`/`NodeDied` reasons hit
 /// packets already in flight when a churn event removes the link or
 /// node holding them, and `RetriesExhausted` is the closed-loop

@@ -7,10 +7,10 @@
 //! exchange cross-shard effects:
 //!
 //! - [`Solo`] — one lane covering every node, outbox kept in a local
-//!   `RefCell`, no synchronization at all. Every historical
-//!   `simulate_*` entry point is a `Solo` monomorphization, so the
-//!   serial engines compile to the same straight-line loops they were
-//!   before the stepper existed.
+//!   `RefCell`, no synchronization at all. A one-lane
+//!   [`run`](super::run) is a `Solo` monomorphization on the caller's
+//!   thread, so it compiles to a straight-line loop with no fork and no
+//!   thread spawn.
 //! - `Pooled` (in [`parallel`](super::parallel)) — `k` lanes on a
 //!   scoped thread pool with per-lane `RwLock` outboxes, published
 //!   queue counters, and a barrier per phase boundary.
@@ -161,8 +161,8 @@ impl<M> Protocol<M> for Solo<M> {
 /// Drives one lane through the unified cycle skeleton until the run
 /// drains, hits `max_cycles`, or the workload's `advance` stops it.
 /// This is the **only** stepper in the engine: `Solo` monomorphizations
-/// of it are the serial `simulate_*` functions, `Pooled` ones are the
-/// sharded engine — there is no second copy of the cycle loop to drift.
+/// of it are the one-lane runs, `Pooled` ones are the sharded engine —
+/// there is no second copy of the cycle loop to drift.
 pub(crate) fn run_lane<W, P>(lane: &mut W, proto: &P, me: usize, max_cycles: u64)
 where
     W: LaneWorkload,

@@ -1,13 +1,39 @@
 //! The flit-level wormhole workload of the unified stepper — the
-//! engine body behind [`simulate_wormhole`](crate::simulate_wormhole),
-//! [`simulate_wormhole_faulted`](crate::simulate_wormhole_faulted) and
-//! [`simulate_parallel_wormhole`], i.e. the
-//! [`FlitWormhole`](super::policy::FlitWormhole) switching policy.
+//! engine body [`run`](super::run) executes for a
+//! [`SwitchingSpec::Wormhole`] plan.
+//!
+//! ## Model
+//!
+//! Each packet is [`SwitchingSpec::flits_per_packet`] flits. The head
+//! flit claims a chain of (directed link × virtual channel) buffers of
+//! `buf_flits` capacity, routing one hop per cycle exactly like the
+//! store-and-forward engine; body flits stream behind it through the
+//! same chain (one injected per cycle at the source) and the tail
+//! releases each buffer as it passes — so a blocked packet occupies
+//! buffers along its whole path, the defining wormhole behaviour.
+//! Advancement is credit-based (a flit moves only when the next buffer
+//! has space, counting same-cycle reservations) and each directed link
+//! still moves at most one flit per cycle, scanning VCs lowest-first.
+//! Virtual channels are keyed to [`Topology::channel_class`]: a hop
+//! whose class does not increase bumps the packet to the next VC level
+//! (clamped to `vcs − 1`), which on order-based routes makes the
+//! channel-dependency graph acyclic — see
+//! [`switching`](crate::switching) for the argument. Fault detours are
+//! not order-based, so on degraded networks the VC level can clamp and
+//! deadlock freedom is best-effort; packet conservation holds either
+//! way.
+//!
+//! Packet-level accounting ([`SimStats`],
+//! [`SimObserver::on_hop`], hop counts) follows the **head** flit, so a
+//! degenerate configuration (one flit per packet, one VC, effectively
+//! unbounded buffers) reproduces the store-and-forward run exactly.
+//! Flit-level movement is observable through
+//! [`SimObserver::on_flit_hop`].
 //!
 //! Like the store-and-forward core, the cycle body lives in stage
-//! methods driven by [`run_lane`](super::stepper::run_lane); the serial
-//! entry points are the one-lane [`Solo`] monomorphization and the
-//! sharded entry runs the identical stages under the pooled protocol.
+//! methods driven by [`run_lane`](super::stepper::run_lane): a one-lane
+//! run is the [`Solo`] monomorphization, and more lanes run the
+//! identical stages under the pooled protocol.
 //!
 //! ## Sharding model: replicated arbitration
 //!
@@ -50,16 +76,16 @@ use std::collections::VecDeque;
 use fibcube_graph::csr::CsrGraph;
 
 use crate::arena::{FlitQueues, PacketSlab};
-use crate::fault::FaultSet;
+use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
-use crate::router::{FaultMaskingRouter, Router};
+use crate::router::Router;
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::core::{fork_observer, route_edge, routing_for, Routing};
-use super::parallel::run_pool;
-use super::policy::{AdmitAll, FaultPolicy, MaskedAdmission};
+use super::core::{route_edge, Routing};
+use super::parallel::{fork_lanes, merge_lanes, run_pool};
+use super::policy::FaultPolicy;
 use super::stats::{SimStats, StatsAcc};
 use super::stepper::{lane_bounds, run_lane, LaneWorkload, Solo};
 
@@ -674,168 +700,60 @@ impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLa
     }
 }
 
-/// The shared flit-level engine body behind
-/// [`simulate_wormhole`](crate::simulate_wormhole) and
-/// [`simulate_wormhole_faulted`](crate::simulate_wormhole_faulted): one
-/// [`WormLane`] covering every node, driven by the unified stepper
-/// under the [`Solo`] protocol. See
-/// [`simulate_wormhole`](crate::simulate_wormhole) for the model; the
-/// stage structure deliberately mirrors the store-and-forward core
-/// phase for phase, so the degenerate configuration is event-for-event
-/// identical.
+/// Runs the flit-level wormhole workload of a
+/// [`SwitchingSpec::Wormhole`] spec on `lanes` lanes (already clamped to
+/// `[1, n]`). One lane covers every node under the [`Solo`] protocol, on
+/// the caller's thread with the caller's observer; more lanes run the
+/// replicated-arbitration protocol (see the [module docs](self)) on
+/// observer forks, merged back in ascending lane order — bit-identical
+/// [`SimStats`] and observer output at any lane count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn wormhole_engine<T, R, O, F>(
+pub(crate) fn run_wormhole<T, R, F, O>(
     topology: &T,
-    router: &R,
-    flits_per_packet: u32,
-    vcs: u32,
-    buf_flits: u32,
+    routing: Routing<'_, R>,
+    spec: &SwitchingSpec,
     packets: &[Packet],
-    max_cycles: u64,
-    observer: &mut O,
     admission: &F,
-) -> SimStats
+    max_cycles: u64,
+    lanes: usize,
+    observer: &mut O,
+) -> Result<SimStats, ExperimentError>
 where
     T: Topology + ?Sized,
-    R: Router + ?Sized,
-    O: SimObserver,
-    F: FaultPolicy,
+    R: Router + Sync + ?Sized,
+    F: FaultPolicy + Sync,
+    O: SimObserver + Send,
 {
-    let n = topology.len();
-    let plan = routing_for(topology, router, packets.len());
-    let classes = edge_classes(topology);
-    let mut lane = WormLane::new(
-        topology.graph(),
-        &classes,
-        plan.as_ref(),
-        admission,
-        observer,
-        flits_per_packet.max(1),
+    let SwitchingSpec::Wormhole { vcs, buf_flits, .. } = *spec else {
+        unreachable!("store-and-forward specs run the packet core")
+    };
+    let (fpp, vcs, buf_flits) = (
+        spec.flits_per_packet().max(1),
         vcs.max(1) as usize,
         buf_flits.max(1) as u64,
-        packets,
-        n,
-        0,
-        n as u32,
     );
-    run_lane(&mut lane, &Solo::default(), 0, max_cycles);
-    lane.acc.finish(packets.len())
-}
-
-/// [`simulate_wormhole_faulted`](crate::simulate_wormhole_faulted)
-/// sharded across `threads` OS threads through the
-/// replicated-arbitration protocol (see `engine/wormhole.rs`'s docs) —
-/// bit-identical [`SimStats`] and merged observer output at any thread
-/// count, for table-routed *and* adaptive configurations. `threads` is
-/// clamped to `[1, nodes]`; `threads <= 1` runs the serial engine
-/// directly, and a [`SwitchingSpec::StoreAndForward`] spec delegates to
-/// [`simulate_parallel_observed`](super::simulate_parallel_observed).
-///
-/// # Panics
-///
-/// Panics if `observer` does not support forking
-/// ([`SimObserver::fork`] returns `None`) and `threads > 1`; the
-/// experiment layer pre-checks and reports a typed error instead.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_parallel_wormhole<T, R, O>(
-    topology: &T,
-    router: &R,
-    spec: &SwitchingSpec,
-    faults: &FaultSet,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-{
-    let n = topology.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return super::simulate_wormhole_faulted(
-            topology, router, spec, faults, packets, max_cycles, observer,
-        );
-    }
-    match *spec {
-        SwitchingSpec::StoreAndForward => super::parallel::simulate_parallel_observed(
-            topology, router, faults, packets, max_cycles, threads, observer,
-        ),
-        SwitchingSpec::Wormhole { vcs, buf_flits, .. } => {
-            let fpp = spec.flits_per_packet();
-            if faults.is_empty() {
-                let admit = AdmitAll;
-                wormhole_pool(
-                    topology, router, fpp, vcs, buf_flits, packets, max_cycles, threads, observer,
-                    &admit,
-                )
-            } else {
-                let masked = FaultMaskingRouter::for_topology(topology, router, faults);
-                let admission = MaskedAdmission::new(&masked);
-                wormhole_pool(
-                    topology, &masked, fpp, vcs, buf_flits, packets, max_cycles, threads, observer,
-                    &admission,
-                )
-            }
-        }
-    }
-}
-
-/// Builds one [`WormLane`] per thread (forking the observer), runs them
-/// under the pooled protocol, and merges accumulators and observer
-/// forks back in ascending lane order.
-#[allow(clippy::too_many_arguments)]
-fn wormhole_pool<T, R, O, F>(
-    topology: &T,
-    router: &R,
-    flits_per_packet: u32,
-    vcs: u32,
-    buf_flits: u32,
-    packets: &[Packet],
-    max_cycles: u64,
-    threads: usize,
-    observer: &mut O,
-    admission: &F,
-) -> SimStats
-where
-    T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
-    O: SimObserver + Send,
-    F: FaultPolicy + Sync,
-{
     let n = topology.len();
     let g = topology.graph();
-    let plan = routing_for(topology, router, packets.len());
     let classes = edge_classes(topology);
-    let lanes: Vec<WormLane<'_, R, F, O>> = lane_bounds(n, threads)
+    if lanes <= 1 {
+        let mut lane = WormLane::new(
+            g, &classes, routing, admission, observer, fpp, vcs, buf_flits, packets, n, 0, n as u32,
+        );
+        run_lane(&mut lane, &Solo::default(), 0, max_cycles);
+        return Ok(lane.acc.finish(packets.len()));
+    }
+    let forks = fork_lanes(observer, lanes)?;
+    let pool: Vec<WormLane<'_, R, F, O>> = lane_bounds(n, lanes)
         .into_iter()
-        .map(|(lo, hi)| {
+        .zip(forks)
+        .map(|((lo, hi), fork)| {
             WormLane::new(
-                g,
-                &classes,
-                plan.as_ref(),
-                admission,
-                fork_observer(observer),
-                flits_per_packet.max(1),
-                vcs.max(1) as usize,
-                buf_flits.max(1) as u64,
-                packets,
-                n,
-                lo,
-                hi,
+                g, &classes, routing, admission, fork, fpp, vcs, buf_flits, packets, n, lo, hi,
             )
         })
         .collect();
-    let lanes = run_pool(lanes, max_cycles);
-    let mut acc: Option<StatsAcc> = None;
-    for lane in lanes {
-        observer.merge(lane.observer);
-        match &mut acc {
-            None => acc = Some(lane.acc),
-            Some(a) => a.merge(lane.acc),
-        }
-    }
-    acc.expect("at least one lane").finish(packets.len())
+    let finished = run_pool(pool, max_cycles)
+        .into_iter()
+        .map(|lane| (lane.observer, lane.acc));
+    Ok(merge_lanes(observer, finished).finish(packets.len()))
 }

@@ -30,9 +30,8 @@
 //! * **traffic** — a [`TrafficSpec`], parseable from CLI/JSON text;
 //! * **switching** — a [`SwitchingSpec`]
 //!   ([`switching`](Experiment::switching), default store-and-forward):
-//!   wormhole specs route the run through the flit-level engine
-//!   ([`simulate_wormhole`]) with virtual channels and credit-based
-//!   backpressure;
+//!   wormhole specs route the run through the flit-level engine with
+//!   virtual channels and credit-based backpressure;
 //! * **faults** — a [`FaultSpec`] failure scenario
 //!   ([`faults`](Experiment::faults), default none): the engine routes
 //!   the degraded network through a fault-masking router and counts
@@ -43,11 +42,10 @@
 //! * **observers** — any [`SimObserver`], attached with
 //!   [`observe`](Experiment::observe).
 //!
-//! [`run`](Experiment::run) feeds the generated packets through the
-//! monomorphized active-set engine
-//! ([`simulate_observed`](crate::simulator::simulate_observed)) and
-//! returns a [`Report`]: the configuration echo, the engine's
-//! [`SimStats`](crate::simulator::SimStats), and one JSON section per
+//! [`run`](Experiment::run) builds one [`RunPlan`] from the
+//! configuration, executes it with [`engine::run`], and returns a
+//! [`Report`]: the configuration echo, the engine's
+//! [`SimStats`](crate::engine::SimStats), and one JSON section per
 //! observer. [`run_batch`](Experiment::run_batch) fans the same
 //! configuration across many seeds on the workspace thread pool with
 //! deterministic, order-independent results — the building block the
@@ -58,8 +56,8 @@
 //!
 //! Observers are compiled into the engine (generic, not `dyn`), so the
 //! default [`NoopObserver`] costs nothing — a no-observer experiment
-//! reproduces [`simulate_with`](crate::simulator::simulate_with) packet
-//! for packet *and* cycle for cycle. Hooks fire in simulation order:
+//! reproduces a direct [`engine::run`] of the same plan packet for
+//! packet *and* cycle for cycle. Hooks fire in simulation order:
 //! `on_inject` when a packet enters its source queue, `on_hop` per link
 //! traversal, `on_deliver` on arrival (with end-to-end latency), and
 //! `on_cycle_end` after each *simulated* cycle — the engine fast-forwards
@@ -74,22 +72,15 @@ use core::fmt;
 use fibcube_graph::parallel::par_map;
 
 use crate::broadcast::BroadcastError;
-use crate::collective::{CollectiveOutcome, CollectiveSpec, CollectiveWorkload};
-use crate::engine::{
-    simulate_parallel_churn_observed, simulate_parallel_collective,
-    simulate_parallel_request_reply, simulate_parallel_wormhole, RequestReplyLoad,
-};
-use crate::fault::{ChurnEvent, ChurnTarget, ChurnTimeline, FaultError, FaultSet, FaultSpec};
+use crate::collective::{CollectiveOutcome, CollectiveSpec, CollectiveWorkload, CopyPlan};
+use crate::engine::{self, Admission, RequestReplyLoad, RunPlan, Workload};
+use crate::fault::{ChurnTimeline, FaultError, FaultSpec};
 use crate::observer::{NoopObserver, SimObserver};
 use crate::report::Report;
-use crate::router::RouterSpec;
-use crate::simulator::{
-    simulate_churn, simulate_collective, simulate_request_reply, simulate_wormhole,
-    simulate_wormhole_faulted,
-};
+use crate::router::{check_table_budget, FaultMaskingRouter, NextHopRouter, RouterSpec};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
-use crate::traffic::TrafficSpec;
+use crate::traffic::{Packet, TrafficSpec};
 
 /// A configuration the experiment layer rejected — every failure mode
 /// that used to be a panic or an `assert!` at a call site, as a typed,
@@ -147,10 +138,9 @@ pub enum ExperimentError {
     /// The experiment combines features that have no defined execution
     /// path — e.g. a tree collective (replication-based) under wormhole
     /// switching, which used to ignore the switching spec silently. See
-    /// the support table in the [`collective`](Experiment::collective) /
-    /// [`switching`](Experiment::switching) docs.
+    /// the support table in the [`RunPlan`] docs.
     UnsupportedCombination {
-        /// The collective spec, in canonical text form.
+        /// The collective spec or copy plan, in canonical text form.
         collective: String,
         /// The switching spec, in canonical text form.
         switching: String,
@@ -158,10 +148,12 @@ pub enum ExperimentError {
     /// A dynamic-path feature (fault churn, closed-loop `request_reply`
     /// traffic) was combined with a configuration the churn engine does
     /// not model — wormhole switching or a collective workload. Both
-    /// run on the store-and-forward point-to-point engine only.
+    /// run on the store-and-forward point-to-point engine only. A
+    /// closed loop also takes static faults only as a cycle-0 churn
+    /// timeline, never as a static fault mask.
     UnsupportedDynamic {
         /// The dynamic feature, in canonical text form
-        /// (`churn(...)` or `request_reply(...)`).
+        /// (`churn(...)`, `request_reply(...)`, or a churn timeline).
         feature: String,
         /// What it was combined with, in canonical text form.
         with: String,
@@ -329,36 +321,11 @@ impl<'a, T: Topology + ?Sized> Experiment<'a, T, NoopObserver> {
     }
 }
 
-/// The supported (collective × switching) grid — one explicit table
-/// instead of scattered silent fallbacks:
-///
-/// | collective              | store-and-forward | wormhole |
-/// |-------------------------|-------------------|----------|
-/// | none (point-to-point)   | ✓                 | ✓        |
-/// | broadcast / multicast   | ✓                 | ✗        |
-/// | alltoallp (unicasts)    | ✓                 | ✓        |
-///
-/// Tree collectives execute by packet replication, which has no
-/// flit-level wormhole model, so that combination is a typed error
-/// rather than a silently ignored switching spec.
-fn check_combination(
-    collective: Option<&CollectiveSpec>,
-    switching: &SwitchingSpec,
-) -> Result<(), ExperimentError> {
-    let supported = match (collective, switching) {
-        (None, _) => true,
-        (Some(CollectiveSpec::AllToAllPersonalized), _) => true,
-        (Some(_), SwitchingSpec::StoreAndForward) => true,
-        (Some(_), SwitchingSpec::Wormhole { .. }) => false,
-    };
-    if supported {
-        Ok(())
-    } else {
-        Err(ExperimentError::UnsupportedCombination {
-            collective: collective.map(|c| c.to_string()).unwrap_or_default(),
-            switching: switching.to_string(),
-        })
-    }
+/// The owned workload one run borrows as its [`Workload`].
+enum Load {
+    Packets(Vec<Packet>),
+    Sessions(RequestReplyLoad),
+    Tree(CopyPlan),
 }
 
 /// Decorrelates fault placement from the traffic stream while keeping
@@ -439,9 +406,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
 
     /// Selects the switching model (default
     /// [`SwitchingSpec::StoreAndForward`]). A wormhole spec routes the
-    /// run through the flit-level engine
-    /// ([`simulate_wormhole`] /
-    /// [`simulate_wormhole_faulted`]): packets split into flits, stream
+    /// run through the flit-level engine: packets split into flits, stream
     /// through per-`(edge × virtual channel)` ring buffers under
     /// credit-based backpressure, and virtual channels are allocated
     /// against the topology's
@@ -461,7 +426,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     /// [`traffic`](Experiment::traffic) spec is ignored while a
     /// collective is set. Tree collectives (broadcast/multicast) execute
     /// by packet replication over a
-    /// [`CopyPlan`](crate::collective::CopyPlan) compiled against the
+    /// [`CopyPlan`] compiled against the
     /// (possibly degraded) network; `alltoallp` runs as routed unicasts.
     /// The [`Report`] gains a
     /// [`collective`](crate::report::Report::collective) outcome with the
@@ -477,7 +442,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     /// traffic stream), so the same `(spec, topology, seed)` triple
     /// reproduces the same degraded network. The engine routes around
     /// the faults via a
-    /// [`FaultMaskingRouter`](crate::router::FaultMaskingRouter) and
+    /// [`FaultMaskingRouter`] and
     /// counts unroutable packets as typed drops; an empty scenario is
     /// packet-for-packet identical to not calling this at all.
     pub fn faults(mut self, spec: FaultSpec) -> Self {
@@ -536,408 +501,168 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     }
 
     /// Validates the configuration, generates the workload, materialises
-    /// the fault scenario, resolves the router, runs the engine (healthy
-    /// or degraded), and assembles the [`Report`]. A configured
+    /// the fault scenario, resolves the router, runs the engine
+    /// ([`engine::run`]), and assembles the [`Report`]. A configured
     /// [`collective`](Experiment::collective) replaces the traffic
     /// workload and adds its [`CollectiveOutcome`] to the report.
+    ///
+    /// Fault churn and closed-loop `request_reply` traffic run on the
+    /// churn engine: a churn spec draws its event timeline from the
+    /// experiment seed over the `[0, cycles)` horizon, and a *static*
+    /// fault set under closed-loop traffic becomes the equivalent
+    /// timeline of fail events pinned to cycle 0. Unsupported
+    /// combinations are typed errors from the engine's support table
+    /// (see [`RunPlan`]).
     pub fn run(mut self) -> Result<Report, ExperimentError>
     where
         O: Send,
     {
-        let n = self.topology.len();
+        let (topology, n) = (self.topology, self.topology.len());
         self.switching.validate()?;
-        self.ensure_forkable()?;
-        check_combination(self.collective.as_ref(), &self.switching)?;
-        if self.faults.is_churn() {
-            if let Some(spec) = &self.collective {
-                return Err(ExperimentError::UnsupportedDynamic {
-                    feature: self.faults.to_string(),
-                    with: spec.to_string(),
-                });
-            }
+        if let (true, Some(spec)) = (self.faults.is_churn(), &self.collective) {
+            // Collectives run on the static network only — `alltoallp`
+            // included, which reaches the engine as open packets.
+            return Err(ExperimentError::UnsupportedDynamic {
+                feature: self.faults.to_string(),
+                with: spec.to_string(),
+            });
         }
         let fault_set = self
             .faults
-            .sample(self.topology.graph(), fault_seed(self.seed))?;
-        if let Some(spec) = self.collective.take() {
-            return self.run_collective(spec, fault_set);
-        }
-        self.traffic.validate(n)?;
-        if self.faults.is_churn() || matches!(self.traffic, TrafficSpec::RequestReply { .. }) {
-            return self.run_dynamic(fault_set);
-        }
-        check_masked_budget(n, !fault_set.is_empty())?;
-        let router = self.router.resolve(self.topology)?;
-        // A degraded run executes the fault-masking wrapper, and the
-        // report should say so rather than claim the bare policy ran.
-        let router_name = if fault_set.is_empty() {
-            router.name()
-        } else {
-            crate::router::masked_router_name(&router.name())
+            .sample(topology.graph(), fault_seed(self.seed))?;
+        let collective = self.collective.take();
+        let compiled = match &collective {
+            Some(spec) => {
+                Some(spec.compile(topology.graph(), &fault_set, collective_seed(self.seed))?)
+            }
+            None => {
+                self.traffic.validate(n)?;
+                None
+            }
         };
-        let packets = self.traffic.generate(n, self.seed);
-        // `simulate_wormhole*` / `simulate_parallel_wormhole` dispatch
-        // on the spec: store-and-forward runs the packet engine,
-        // wormhole runs the flit-level engine. A thread budget above 1
-        // shards either through the pooled stepper — bit-identical
-        // results, so the choice is invisible in the report.
-        let stats = if self.threads > 1 {
-            simulate_parallel_wormhole(
-                self.topology,
-                &*router,
-                &self.switching,
-                &fault_set,
-                &packets,
-                self.max_cycles,
-                self.threads,
-                &mut self.observer,
-            )
-        } else if fault_set.is_empty() {
-            simulate_wormhole(
-                self.topology,
-                &*router,
-                &self.switching,
-                &packets,
-                self.max_cycles,
-                &mut self.observer,
-            )
-        } else {
-            simulate_wormhole_faulted(
-                self.topology,
-                &*router,
-                &self.switching,
-                &fault_set,
-                &packets,
-                self.max_cycles,
-                &mut self.observer,
-            )
-        };
-        Ok(Report {
-            topology: self.topology.name(),
-            nodes: n,
-            router_spec: self.router.to_string(),
-            router: router_name,
-            traffic: self.traffic.to_string(),
-            switching: self.switching.to_string(),
-            faults: self.faults.to_string(),
-            failed_nodes: fault_set.failed_nodes().len(),
-            failed_links: fault_set.failed_links().len(),
-            seed: self.seed,
-            max_cycles: self.max_cycles,
-            stats,
-            collective: None,
-            sections: self.observer.sections(),
-        })
-    }
-
-    /// Rejects a thread budget the observer cannot follow: the pooled
-    /// engine runs one [`SimObserver::fork`] per lane, so an observer
-    /// whose `fork` returns `None` cannot attach to a sharded run.
-    /// Checked up front so the failure is a typed error naming the
-    /// observer type, never a mid-run panic or a silent serial fallback.
-    fn ensure_forkable(&self) -> Result<(), ExperimentError> {
-        if self.threads > 1 && self.topology.len() > 1 && self.observer.fork().is_none() {
-            return Err(ExperimentError::UnforkableObserver {
-                observer: std::any::type_name::<O>().to_string(),
-                threads: self.threads,
-            });
-        }
-        Ok(())
-    }
-
-    /// The dynamic half of [`run`](Experiment::run): fault churn and/or
-    /// closed-loop `request_reply` traffic, both executed by the churn
-    /// engine — [`simulate_churn`] / [`simulate_request_reply`] serially,
-    /// [`simulate_parallel_churn_observed`] /
-    /// [`simulate_parallel_request_reply`] under a thread budget. A
-    /// churn spec draws its event timeline from the experiment seed over
-    /// the `[0, max_cycles)` horizon; a *static* fault set under
-    /// closed-loop traffic becomes the equivalent timeline of fail
-    /// events pinned to cycle 0.
-    fn run_dynamic(mut self, fault_set: FaultSet) -> Result<Report, ExperimentError>
-    where
-        O: Send,
-    {
-        let n = self.topology.len();
-        let closed_loop = matches!(self.traffic, TrafficSpec::RequestReply { .. });
-        let feature = if self.faults.is_churn() {
-            self.faults.to_string()
-        } else {
-            self.traffic.to_string()
-        };
-        if !matches!(self.switching, SwitchingSpec::StoreAndForward) {
-            return Err(ExperimentError::UnsupportedDynamic {
-                feature,
-                with: self.switching.to_string(),
-            });
-        }
-        if self.max_cycles == u64::MAX {
-            // Churn needs a horizon to bound its event timeline, and a
-            // closed loop never drains — both require an explicit cap.
-            return if closed_loop {
-                Err(ExperimentError::InvalidTraffic {
-                    spec: self.traffic.to_string(),
-                    reason: "closed-loop sources never drain; set a finite cycles(..) cap"
-                        .to_string(),
-                })
-            } else {
-                Err(ExperimentError::Fault(FaultError::InvalidChurn {
+        let closed = compiled.is_none() && matches!(self.traffic, TrafficSpec::RequestReply { .. });
+        let timeline = match self.faults {
+            FaultSpec::Churn { .. } if self.max_cycles == u64::MAX => {
+                return Err(ExperimentError::Fault(FaultError::InvalidChurn {
                     reason: "churn needs a finite cycles(..) cap to bound its event timeline"
                         .to_string(),
                 }))
-            };
-        }
-        let timeline = match self.faults {
+            }
             FaultSpec::Churn {
                 node_rate,
                 link_rate,
                 mttr,
-            } => ChurnTimeline::generate(
-                self.topology.graph(),
+            } => Some(ChurnTimeline::generate(
+                topology.graph(),
                 node_rate,
                 link_rate,
                 mttr,
                 fault_seed(self.seed),
                 self.max_cycles,
-            ),
-            _ => ChurnTimeline::from_events(
-                fault_set
-                    .failed_nodes()
-                    .iter()
-                    .map(|&x| ChurnEvent {
-                        cycle: 0,
-                        target: ChurnTarget::Node(x),
-                        failed: true,
-                    })
-                    .chain(fault_set.failed_links().iter().map(|&(u, v)| ChurnEvent {
-                        cycle: 0,
-                        target: ChurnTarget::Link(u, v),
-                        failed: true,
-                    })),
-            ),
+            )),
+            _ if closed => Some(ChurnTimeline::failing_at_cycle_zero(&fault_set)),
+            _ => None,
         };
-        // The closed loop always runs the masked router; open-loop churn
-        // only when there are events (an empty timeline runs healthy).
-        check_masked_budget(n, closed_loop || !timeline.is_empty())?;
-        let router = self.router.resolve(self.topology)?;
-        let router_name = if timeline.is_empty() {
-            router.name()
+        // Tree forwarding consults no routing policy: the plan resolved
+        // every edge at compile time, so the spec is not resolved either.
+        let tree = matches!(compiled, Some(CollectiveWorkload::Tree(_)));
+        let router = if tree {
+            Box::new(NextHopRouter::new(topology))
         } else {
-            crate::router::masked_router_name(&router.name())
+            self.router.resolve(topology)?
         };
-        let stats = if closed_loop {
-            let TrafficSpec::RequestReply {
-                clients,
-                think,
-                timeout,
-                retries,
-            } = self.traffic
-            else {
-                unreachable!("closed_loop implies RequestReply")
-            };
-            let load = RequestReplyLoad {
-                clients,
-                think,
-                timeout,
-                retries,
-                seed: self.seed,
-            };
-            if self.threads > 1 {
-                simulate_parallel_request_reply(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &load,
-                    self.max_cycles,
-                    self.threads,
-                    &mut self.observer,
-                )
-            } else {
-                simulate_request_reply(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &load,
-                    self.max_cycles,
-                    &mut self.observer,
-                )
-            }
+        let load = match compiled {
+            Some(CollectiveWorkload::Tree(plan)) => Load::Tree(plan),
+            Some(CollectiveWorkload::Unicasts(packets)) => Load::Packets(packets),
+            None => match self.traffic {
+                TrafficSpec::RequestReply {
+                    clients,
+                    think,
+                    timeout,
+                    retries,
+                } => Load::Sessions(RequestReplyLoad {
+                    clients,
+                    think,
+                    timeout,
+                    retries,
+                    seed: self.seed,
+                }),
+                _ => Load::Packets(self.traffic.generate(n, self.seed)),
+            },
+        };
+        let masked = if timeline.is_none() && !tree && !fault_set.is_empty() {
+            check_table_budget(n)?;
+            Some(FaultMaskingRouter::for_topology(
+                topology, &*router, &fault_set,
+            ))
         } else {
-            let packets = self.traffic.generate(n, self.seed);
-            if self.threads > 1 {
-                simulate_parallel_churn_observed(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &packets,
-                    self.max_cycles,
-                    self.threads,
-                    &mut self.observer,
-                )
-            } else {
-                simulate_churn(
-                    self.topology,
-                    &*router,
-                    &timeline,
-                    &packets,
-                    self.max_cycles,
-                    &mut self.observer,
-                )
-            }
+            None
         };
+        let admission = match (&timeline, &masked) {
+            (Some(timeline), _) => Admission::Churn(timeline),
+            (None, Some(mask)) => Admission::Static(mask),
+            (None, None) => Admission::Healthy,
+        };
+        let workload = match &load {
+            Load::Packets(packets) => Workload::Open(packets),
+            Load::Sessions(sessions) => Workload::Closed(sessions),
+            Load::Tree(plan) => Workload::Copies(plan),
+        };
+        let plan = RunPlan::new(topology, &*router, workload, self.max_cycles)
+            .switching(self.switching.clone())
+            .admission(admission);
+        let out = engine::run(&plan, self.threads, &mut self.observer)?;
+        // A degraded run executes the fault-masking wrapper, and the
+        // report should say so rather than claim the bare policy ran.
+        let degraded = timeline
+            .as_ref()
+            .map_or(masked.is_some(), |t| !t.is_empty());
+        let router_name = match () {
+            _ if tree => "tree-forward".to_string(),
+            _ if degraded => crate::router::masked_router_name(&router.name()),
+            _ => router.name(),
+        };
+        let collective = collective.map(|spec| CollectiveOutcome {
+            spec: spec.to_string(),
+            targets: match &load {
+                Load::Tree(plan) => plan.targets(),
+                _ => out.stats.offered,
+            },
+            reached: out.reached.unwrap_or(out.stats.delivered),
+            // Only the full broadcast has an exact static oracle; pruned
+            // multicast trees re-serialize more tightly.
+            schedule_rounds: match &load {
+                Load::Tree(plan) if spec.is_broadcast() => Some(plan.schedule_rounds()),
+                _ => None,
+            },
+            completion_cycles: out.stats.makespan,
+        });
         Ok(Report {
-            topology: self.topology.name(),
+            topology: topology.name(),
             nodes: n,
             router_spec: self.router.to_string(),
             router: router_name,
-            traffic: self.traffic.to_string(),
+            traffic: collective
+                .as_ref()
+                .map_or_else(|| self.traffic.to_string(), |c| c.spec.clone()),
             switching: self.switching.to_string(),
             faults: self.faults.to_string(),
             failed_nodes: fault_set.failed_nodes().len(),
             failed_links: fault_set.failed_links().len(),
             seed: self.seed,
             max_cycles: self.max_cycles,
-            stats,
-            collective: None,
+            stats: out.stats,
+            collective,
             sections: self.observer.sections(),
         })
-    }
-
-    /// The collective half of [`run`](Experiment::run): compiles the spec
-    /// against the (possibly degraded) network and executes it — tree
-    /// collectives by replication through [`simulate_collective`]
-    /// ([`simulate_parallel_collective`] under a thread budget), the
-    /// personalized exchange as routed unicasts through the ordinary
-    /// (healthy or faulted) engine.
-    fn run_collective(
-        mut self,
-        spec: CollectiveSpec,
-        fault_set: crate::fault::FaultSet,
-    ) -> Result<Report, ExperimentError>
-    where
-        O: Send,
-    {
-        let n = self.topology.len();
-        let workload = spec.compile(
-            self.topology.graph(),
-            &fault_set,
-            collective_seed(self.seed),
-        )?;
-        let (stats, router_name, outcome) = match workload {
-            CollectiveWorkload::Tree(plan) => {
-                let (stats, reached) = if self.threads > 1 {
-                    simulate_parallel_collective(
-                        self.topology,
-                        &plan,
-                        self.max_cycles,
-                        self.threads,
-                        &mut self.observer,
-                    )
-                } else {
-                    simulate_collective(self.topology, &plan, self.max_cycles, &mut self.observer)
-                };
-                let outcome = CollectiveOutcome {
-                    spec: spec.to_string(),
-                    targets: plan.targets(),
-                    reached,
-                    // Only the full broadcast has an exact static oracle;
-                    // pruned multicast trees re-serialize more tightly.
-                    schedule_rounds: spec.is_broadcast().then(|| plan.schedule_rounds()),
-                    completion_cycles: stats.makespan,
-                };
-                // Tree forwarding consults no routing policy: the plan
-                // resolved every edge at compile time.
-                (stats, "tree-forward".to_string(), outcome)
-            }
-            CollectiveWorkload::Unicasts(packets) => {
-                check_masked_budget(n, !fault_set.is_empty())?;
-                let router = self.router.resolve(self.topology)?;
-                let router_name = if fault_set.is_empty() {
-                    router.name()
-                } else {
-                    crate::router::masked_router_name(&router.name())
-                };
-                // Routed unicasts honor the switching spec (the
-                // `simulate_wormhole*` entry points delegate
-                // store-and-forward specs to the packet engine).
-                let stats = if self.threads > 1 {
-                    simulate_parallel_wormhole(
-                        self.topology,
-                        &*router,
-                        &self.switching,
-                        &fault_set,
-                        &packets,
-                        self.max_cycles,
-                        self.threads,
-                        &mut self.observer,
-                    )
-                } else if fault_set.is_empty() {
-                    simulate_wormhole(
-                        self.topology,
-                        &*router,
-                        &self.switching,
-                        &packets,
-                        self.max_cycles,
-                        &mut self.observer,
-                    )
-                } else {
-                    simulate_wormhole_faulted(
-                        self.topology,
-                        &*router,
-                        &self.switching,
-                        &fault_set,
-                        &packets,
-                        self.max_cycles,
-                        &mut self.observer,
-                    )
-                };
-                let outcome = CollectiveOutcome {
-                    spec: spec.to_string(),
-                    targets: packets.len(),
-                    reached: stats.delivered,
-                    schedule_rounds: None,
-                    completion_cycles: stats.makespan,
-                };
-                (stats, router_name, outcome)
-            }
-        };
-        Ok(Report {
-            topology: self.topology.name(),
-            nodes: n,
-            router_spec: self.router.to_string(),
-            router: router_name,
-            traffic: spec.to_string(),
-            switching: self.switching.to_string(),
-            faults: self.faults.to_string(),
-            failed_nodes: fault_set.failed_nodes().len(),
-            failed_links: fault_set.failed_links().len(),
-            seed: self.seed,
-            max_cycles: self.max_cycles,
-            stats,
-            collective: Some(outcome),
-            sections: self.observer.sections(),
-        })
-    }
-}
-
-/// Refuses a run that would build a fault-masking router (`masked`)
-/// whose `4n²`-byte distance table exceeds
-/// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET) — a typed
-/// [`ExperimentError::TableTooLarge`] before anything is allocated,
-/// instead of an allocation failure that aborts the process.
-fn check_masked_budget(n: usize, masked: bool) -> Result<(), ExperimentError> {
-    if masked {
-        crate::router::check_table_budget(n)
-    } else {
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::SimStats;
     use crate::observer::{LatencyHistogram, LinkHeatmap};
-    use crate::simulator::{simulate_with, SimStats};
     use crate::topology::{FibonacciNet, Hypercube, Ring};
 
     fn run_spec(topo: &dyn Topology, router: RouterSpec) -> Result<Report, ExperimentError> {
@@ -952,9 +677,9 @@ mod tests {
     }
 
     #[test]
-    fn experiment_reproduces_simulate_with_on_the_acceptance_pair() {
+    fn experiment_reproduces_a_direct_engine_run_on_the_acceptance_pair() {
         // Acceptance criterion: a no-op-observer experiment must match
-        // `simulate_with` packet for packet on Γ_16 and Q_11 — same
+        // a direct `engine::run` packet for packet on Γ_16 and Q_11 — same
         // histogram, makespan, hops, everything — and the zero-fault
         // path (explicit empty FaultSpec) must be indistinguishable
         // from the healthy engine.
@@ -965,12 +690,18 @@ mod tests {
                 count: 1500,
                 window: 400,
             };
-            let direct: SimStats = simulate_with(
-                topo,
-                &*topo.router(),
-                &spec.generate(topo.len(), 2026),
-                4_000_000,
-            );
+            let direct: SimStats = engine::run(
+                &RunPlan::new(
+                    topo,
+                    &*topo.router(),
+                    Workload::Open(&spec.generate(topo.len(), 2026)),
+                    4_000_000,
+                ),
+                1,
+                &mut NoopObserver,
+            )
+            .unwrap()
+            .stats;
             let report = Experiment::on(topo)
                 .traffic(spec.clone())
                 .seed(2026)

@@ -14,7 +14,7 @@
 //! like a [`TrafficSpec`](crate::traffic::TrafficSpec). Sampling a spec
 //! against a concrete graph yields a [`FaultSet`], which the *live*
 //! simulation path (the fault-masking router and
-//! [`simulate_faulted`](crate::simulator::simulate_faulted)) routes
+//! [`Admission::Static`](crate::engine::Admission::Static)) routes
 //! around and the static path ([`fault_set_trial`]) analyses.
 //!
 //! Degenerate inputs are typed [`FaultError`]s, not panics: asking to
@@ -495,7 +495,7 @@ impl FromStr for FaultSpec {
 /// A materialised set of failures: the failed node ids and failed
 /// undirected links, normalised (sorted, deduplicated, links stored as
 /// `(min, max)`). Produced by [`FaultSpec::sample`]; consumed by the
-/// live engine ([`simulate_faulted`](crate::simulator::simulate_faulted)
+/// live engine ([`Admission::Static`](crate::engine::Admission::Static)
 /// via the [`FaultMaskingRouter`](crate::router::FaultMaskingRouter))
 /// and the static analysis ([`fault_set_trial`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -635,6 +635,11 @@ impl FaultMasks {
     #[inline]
     pub fn edge_alive(&self, e: usize) -> bool {
         !self.edge_dead[e]
+    }
+
+    /// `true` when no node and no directed edge is dead.
+    pub(crate) fn is_intact(&self) -> bool {
+        !self.node_dead.contains(&true) && !self.edge_dead.contains(&true)
     }
 
     /// Flips node `v`'s liveness — churn support. The caller (the
@@ -824,6 +829,22 @@ impl ChurnTimeline {
             );
         }
         ChurnTimeline { events }
+    }
+
+    /// The static `faults` as a timeline: every failure commits at
+    /// cycle 0 and never recovers — the closed loop's form of a static
+    /// fault set.
+    pub(crate) fn failing_at_cycle_zero(faults: &FaultSet) -> ChurnTimeline {
+        let nodes = faults.failed_nodes().iter().map(|&x| ChurnTarget::Node(x));
+        let links = faults
+            .failed_links()
+            .iter()
+            .map(|&(u, v)| ChurnTarget::Link(u, v));
+        ChurnTimeline::from_events(nodes.chain(links).map(|target| ChurnEvent {
+            cycle: 0,
+            target,
+            failed: true,
+        }))
     }
 
     /// The events, sorted by commit cycle.

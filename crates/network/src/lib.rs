@@ -16,22 +16,15 @@
 //! * [`router`] — routing *policies* split out of the topologies: e-cube,
 //!   precomputed canonical-path, and load-aware adaptive minimal routing,
 //!   named declaratively by [`RouterSpec`];
-//! * [`engine`] — the unified simulation engine: one composable,
-//!   arena-backed active-set core parameterized by compile-time policy
-//!   traits ([`engine::policy`] — switching × faults × replication ×
-//!   observer) behind every `simulate*` entry point, the original
-//!   full-scan engines as reference oracles, and **one cycle stepper**
-//!   both drivers execute: the serial entry points run it on one lane,
-//!   the `simulate_parallel*` family shards it across a scoped thread
-//!   pool with a propose/commit outbox protocol — bit-identical to the
-//!   serial engine at any thread count for every policy combination
-//!   (store-and-forward, wormhole, churn, request/reply, collectives,
-//!   forked observers), plus the dynamic-fault engines:
-//!   [`simulate_churn`] applies a seeded mid-run fail/recover event
-//!   timeline at cycle boundaries, and [`simulate_request_reply`]
-//!   drives closed-loop clients with timeout-and-retry delivery;
-//! * [`simulator`] — source-compatibility facade re-exporting the
-//!   engine's entry points under their historical paths;
+//! * [`engine`] — the simulation engine behind one entry point,
+//!   [`engine::run`]: a [`RunPlan`] names the switching model, the
+//!   admission mode (healthy, a static fault mask, or a churn timeline of
+//!   mid-run fail/recover events) and the workload (open packets,
+//!   closed-loop request/reply sessions, or a collective copy plan), and
+//!   the one arena-backed active-set core executes it — on one lane, or
+//!   sharded across a scoped thread pool with a propose/commit outbox
+//!   protocol that is bit-identical to the one-lane run at any lane
+//!   count. The original full-scan engines stay as reference oracles;
 //! * [`arena`] — the engine's storage core: the struct-of-arrays
 //!   [`PacketSlab`] and the fixed-stride ring-buffer [`LinkQueues`];
 //! * [`implicit`] — million-node scale: [`ImplicitRouter`] computes
@@ -101,7 +94,6 @@ pub mod metrics;
 pub mod observer;
 pub mod report;
 pub mod router;
-pub mod simulator;
 pub mod sweep;
 pub mod switching;
 pub mod topology;
@@ -115,9 +107,8 @@ pub use collective::{CollectiveOutcome, CollectiveSpec, CopyPlan, Port};
 pub use dist::{DistanceSample, DistanceTable};
 pub use embedding::{embed_hypercube, embed_path, embed_ring, Embedding};
 pub use engine::{
-    simulate_parallel, simulate_parallel_churn, simulate_parallel_churn_observed,
-    simulate_parallel_collective, simulate_parallel_observed, simulate_parallel_request_reply,
-    simulate_parallel_wormhole,
+    simulate_faulted_reference, simulate_reference, Admission, DropReason, LogHistogram,
+    RequestReplyLoad, RunOutcome, RunPlan, SimStats, Workload, DENSE_HISTOGRAM_NODE_LIMIT,
 };
 pub use experiment::{Experiment, ExperimentError};
 pub use fault::{
@@ -135,12 +126,6 @@ pub use report::{JsonValue, Report};
 pub use router::{
     AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, LinkLoad, NextHopRouter,
     NextHopTable, NoLoad, Router, RouterSpec, TABLE_BYTE_BUDGET,
-};
-pub use simulator::{
-    simulate, simulate_churn, simulate_collective, simulate_faulted, simulate_faulted_reference,
-    simulate_observed, simulate_reference, simulate_request_reply, simulate_with,
-    simulate_wormhole, simulate_wormhole_faulted, DropReason, LogHistogram, RequestReplyLoad,
-    SimStats, DENSE_HISTOGRAM_NODE_LIMIT,
 };
 pub use sweep::{
     churn_sweep, collective_sweep, fault_load_sweep, injection_sweep, injection_sweep_with,

@@ -1,7 +1,7 @@
 //! Pluggable simulation observers.
 //!
 //! A [`SimObserver`] is threaded through the active-set engine
-//! ([`simulate_observed`](crate::simulator::simulate_observed)) and
+//! ([`engine::run`](crate::engine::run)) and
 //! receives one callback per event:
 //!
 //! * [`on_inject`](SimObserver::on_inject) — a packet enters its source's
@@ -12,7 +12,7 @@
 //! * [`on_drop`](SimObserver::on_drop) — a packet is dropped at
 //!   injection with a typed
 //!   [`DropReason`] (degraded runs
-//!   only — see [`simulate_faulted`](crate::simulator::simulate_faulted));
+//!   only — see [`Admission`](crate::engine::Admission));
 //! * [`on_deliver`](SimObserver::on_deliver) — a packet reaches its
 //!   destination, with its end-to-end latency;
 //! * [`on_cycle_end`](SimObserver::on_cycle_end) — a *simulated* cycle
@@ -20,7 +20,7 @@
 //!   fires only for cycles in which the network held packets — observers
 //!   must not assume consecutive cycle numbers;
 //! * [`on_flit_hop`](SimObserver::on_flit_hop) — **wormhole runs only**
-//!   ([`simulate_wormhole`](crate::simulator::simulate_wormhole)): one
+//!   ([`SwitchingSpec::Wormhole`](crate::switching::SwitchingSpec::Wormhole)): one
 //!   flit entered an (edge × virtual-channel) buffer. Store-and-forward
 //!   runs never emit it; [`VcOccupancy`](crate::switching::VcOccupancy)
 //!   is the ready-made consumer.
@@ -36,7 +36,7 @@
 //! [`NextHopTable`](crate::router::NextHopTable).
 //!
 //! Collective runs
-//! ([`simulate_collective`](crate::simulator::simulate_collective)) emit
+//! ([`Workload::Copies`](crate::engine::Workload::Copies)) emit
 //! the same hooks per *copy*: `on_inject(cycle, origin, child)` when a
 //! replica is spawned at its tree parent (so injections happen throughout
 //! the run, not just in the workload window), `on_drop` at cycle 0 for
@@ -51,10 +51,11 @@
 //! `Γ_d`), and [`DeliveryTracker`] (delivered/dropped/undeliverable
 //! fractions — the fault-resilience measure).
 //!
-//! [`SimStats`]: crate::simulator::SimStats
+//! [`SimStats`]: crate::engine::SimStats
 
+use crate::engine::stats::{bump, percentile};
+use crate::engine::DropReason;
 use crate::report::JsonValue;
-use crate::simulator::{bump, percentile, DropReason};
 
 /// Event hooks invoked by the simulation engine. All hooks default to
 /// no-ops; implement only what you need. See the [module
@@ -114,7 +115,7 @@ pub trait SimObserver {
 
     /// A packet was dropped at injection during `cycle` — only on
     /// degraded networks
-    /// ([`simulate_faulted`](crate::simulator::simulate_faulted)), with
+    /// ([`Admission`](crate::engine::Admission)), with
     /// the typed [`DropReason`]. Fires after the packet's
     /// [`on_inject`](SimObserver::on_inject).
     #[inline]
@@ -139,7 +140,7 @@ pub trait SimObserver {
     /// A flit entered the buffer of directed link `edge`, virtual channel
     /// `vc`, during `cycle`; `occupancy` is that buffer's flit count
     /// *after* the push. Fired only by the wormhole engine
-    /// ([`simulate_wormhole`](crate::simulator::simulate_wormhole)) —
+    /// ([`SwitchingSpec::Wormhole`](crate::switching::SwitchingSpec::Wormhole)) —
     /// store-and-forward runs emit packet-level
     /// [`on_hop`](SimObserver::on_hop) events only.
     #[inline]
@@ -150,7 +151,7 @@ pub trait SimObserver {
     /// A churn event committed at the boundary of `cycle`: `failed` is
     /// `true` for a fail event, `false` for a recovery. Fired only by the
     /// churn engine
-    /// ([`simulate_churn`](crate::simulator::simulate_churn)) — static
+    /// ([`Admission::Churn`](crate::engine::Admission::Churn)) — static
     /// fault runs never emit it. Fires before the cycle's injections.
     #[inline]
     fn on_fault_event(&mut self, cycle: u64, failed: bool) {
@@ -290,7 +291,7 @@ impl<A: SimObserver, B: SimObserver> SimObserver for (A, B) {
 
 /// Observer building the end-to-end latency distribution from
 /// [`on_deliver`](SimObserver::on_deliver) events. Its histogram must
-/// match [`SimStats::latency_histogram`](crate::simulator::SimStats) for
+/// match [`SimStats::latency_histogram`](crate::engine::SimStats) for
 /// the same run — the experiment tests use exactly that as the observer
 /// contract check.
 #[derive(Clone, Debug, Default)]
@@ -734,7 +735,7 @@ pub struct SloRecovery {
 /// and time-to-recover after each fault event.
 ///
 /// Attach to a churn run
-/// ([`simulate_churn`](crate::simulator::simulate_churn)) and read the
+/// ([`Admission::Churn`](crate::engine::Admission::Churn)) and read the
 /// typed accessors, or let [`sections`](SimObserver::sections) emit an
 /// `"slo"` report section. Windows aggregate `window` cycles each and
 /// are recorded sparsely (idle windows are absent).

@@ -11,7 +11,7 @@
 use core::fmt;
 
 use crate::collective::CollectiveOutcome;
-use crate::simulator::SimStats;
+use crate::engine::SimStats;
 
 /// A JSON document node. Numbers are split into unsigned integers and
 /// floats so counters print exactly (`42`, not `42.0`).
@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn stats_json_carries_the_histogram() {
-        let mut buckets = crate::simulator::LogHistogram::new();
+        let mut buckets = crate::engine::LogHistogram::new();
         buckets.record(1);
         buckets.record(3);
         let stats = SimStats {

@@ -29,7 +29,7 @@
 //! packet-atomic engine.
 //!
 //! [`churn_sweep`] leaves the static-fault world entirely: it runs the
-//! dynamic-churn engine ([`simulate_churn`]) across a ladder of
+//! dynamic-churn engine ([`Admission::Churn`]) across a ladder of
 //! mean-time-to-repair values with an [`SloTracker`] attached, producing
 //! the recovery-time-vs-MTTR grid — how long after each fail event the
 //! network takes to meet its delivered-fraction target again, and what
@@ -39,13 +39,12 @@ use fibcube_graph::parallel::par_map;
 
 use crate::collective::{CollectiveOutcome, CollectiveSpec};
 use crate::dist::DistanceTable;
-use crate::engine::simulate_premasked;
+use crate::engine::{self, Admission, RunPlan, SimStats, Workload};
 use crate::experiment::{fault_seed, run_cells, Experiment, ExperimentError};
 use crate::fault::{ChurnTimeline, FaultSpec};
 use crate::observer::{NoopObserver, SloRecovery, SloTracker, SloWindow};
 use crate::report::JsonValue;
 use crate::router::{FaultMaskingRouter, Router, RouterSpec};
-use crate::simulator::{simulate_churn, simulate_with, SimStats};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::TrafficSpec;
@@ -250,12 +249,11 @@ where
             cycles: config.inject_cycles,
         }
         .generate(n, rung_seed(seeds[j % seeds.len()], rung));
-        simulate_with(
-            topo,
-            router,
-            &pkts,
-            config.inject_cycles + config.drain_cycles,
-        )
+        let cap = config.inject_cycles + config.drain_cycles;
+        let plan = RunPlan::new(topo, router, Workload::Open(&pkts), cap);
+        engine::run(&plan, 1, &mut NoopObserver)
+            .expect("a healthy one-lane open run is always supported")
+            .stats
     });
     SweepCurve {
         topology: topo.name(),
@@ -431,8 +429,8 @@ where
     let cap = config.inject_cycles + config.drain_cycles;
     // (fault count, seed) columns fan out across the workspace pool; the
     // rate ladder replays serially inside each column against its cached
-    // masked router. Empty columns (zero faults) run the healthy engine
-    // directly, mirroring `simulate_faulted`'s empty-set delegation.
+    // masked router. Empty columns (zero faults) build no mask and run
+    // the healthy engine.
     let runs: Vec<Vec<SimStats>> = par_map(fault_sets.len(), |j| {
         let fi = j / seeds.len();
         let faults = &fault_sets[j];
@@ -447,18 +445,25 @@ where
             }
             .generate(n, rung_seed(seeds[j % seeds.len()], cell))
         };
-        if faults.is_empty() {
-            return (0..rates.len())
-                .map(|ri| simulate_with(topo, &*router, &traffic(ri), cap))
-                .collect();
-        }
-        let masks = faults.masks(g);
-        let dist = DistanceTable::degraded(g, &masks);
-        let masked = FaultMaskingRouter::with_table(g, &*router, faults, masks, dist);
+        let masked = (!faults.is_empty()).then(|| {
+            let masks = faults.masks(g);
+            let dist = DistanceTable::degraded(g, &masks);
+            FaultMaskingRouter::with_table(g, &*router, faults, masks, dist)
+        });
+        let admission = masked
+            .as_ref()
+            .map_or(Admission::Healthy, Admission::Static);
         (0..rates.len())
-            .map(|ri| simulate_premasked(topo, &masked, &traffic(ri), cap, &mut NoopObserver))
+            .map(|ri| {
+                let pkts = traffic(ri);
+                let plan =
+                    RunPlan::new(topo, &*router, Workload::Open(&pkts), cap).admission(admission);
+                Ok(engine::run(&plan, 1, &mut NoopObserver)?.stats)
+            })
             .collect()
-    });
+    })
+    .into_iter()
+    .collect::<Result<_, ExperimentError>>()?;
     let m = seeds.len() as f64;
     let mut points = Vec::with_capacity(rates.len() * fault_counts.len());
     for (ri, &rate) in rates.iter().enumerate() {
@@ -795,7 +800,7 @@ impl SwitchingGrid {
 /// `switching` section of `BENCH_sim.json`. One [`Experiment`] per
 /// (rate, switching model, seed) run with open-loop Bernoulli traffic,
 /// parallel across runs like [`injection_sweep`]. Wormhole cells run the
-/// flit-level engine ([`simulate_wormhole`](crate::simulator::simulate_wormhole))
+/// flit-level engine ([`SwitchingSpec::Wormhole`])
 /// with virtual channels and credit backpressure, so the grid exposes
 /// both the serialization cost at light load and the earlier saturation
 /// knee under finite flit buffering. Configuration problems (unsupported
@@ -1022,7 +1027,7 @@ struct ChurnRun {
 /// `BENCH_sim.json`. Each (MTTR, seed) cell generates a seeded
 /// [`ChurnTimeline`] at the given per-cycle node/link failure
 /// intensities, drives open-loop Bernoulli traffic at `rate` through
-/// [`simulate_churn`] with an [`SloTracker`] attached, and reports
+/// [`engine::run`] with an [`SloTracker`] attached, and reports
 /// SLO-grade aggregates: per-fail-event time-to-recover, the fraction
 /// of fail events service recovered from, windowed worst-case tail
 /// latency, and the typed drop taxonomy (packets lost on dying
@@ -1079,17 +1084,21 @@ where
         }
         .generate(n, seed);
         let mut slo = SloTracker::new(slo_window);
-        let stats = simulate_churn(topo, &*router, &timeline, &pkts, cap, &mut slo);
+        let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), cap)
+            .admission(Admission::Churn(&timeline));
+        let stats = engine::run(&plan, 1, &mut slo)?.stats;
         let fails: Vec<SloRecovery> = slo.recoveries().into_iter().filter(|r| r.failed).collect();
-        ChurnRun {
+        Ok(ChurnRun {
             stats,
             events: slo.fault_events().len() as u64,
             fail_events: fails.len() as u64,
             recovered: fails.iter().filter(|r| r.time_to_recover.is_some()).count() as u64,
             recover_cycles: fails.iter().filter_map(|r| r.time_to_recover).sum(),
             worst_window_p999: slo.windows().iter().map(SloWindow::p999).max().unwrap_or(0),
-        }
-    });
+        })
+    })
+    .into_iter()
+    .collect::<Result<_, ExperimentError>>()?;
     let m = seeds.len() as f64;
     let points = mttrs
         .iter()

@@ -25,8 +25,8 @@
 //! packet holds buffer space on every link it spans — the
 //! characteristic coupling that makes wormhole latency
 //! distance-insensitive at low load and makes deadlock a real hazard at
-//! high load. The engine behind it is
-//! [`simulate_wormhole`](crate::simulator::simulate_wormhole), with
+//! high load. The engine behind it is [`engine::run`](crate::engine::run)
+//! with a wormhole spec, with
 //! credit-based backpressure (a flit only advances when the next buffer
 //! has a free slot) and one flit crossing per physical link per cycle.
 //!

@@ -188,8 +188,8 @@ pub enum TrafficSpec {
     /// (then the transaction drops as `retries_exhausted`). Closed-loop
     /// sources react to the network, so this variant has no finite
     /// packet list — [`generate`](TrafficSpec::generate) panics and
-    /// [`Experiment`](crate::experiment::Experiment) dispatches it to
-    /// [`simulate_request_reply`](crate::simulate_request_reply).
+    /// [`Experiment`](crate::experiment::Experiment) runs it as a
+    /// [`Workload::Closed`](crate::engine::Workload::Closed).
     RequestReply {
         /// Number of concurrent client sessions.
         clients: usize,
@@ -277,8 +277,8 @@ impl TrafficSpec {
     /// On specs that [`validate`](TrafficSpec::validate) would reject,
     /// and on [`RequestReply`](TrafficSpec::RequestReply), whose
     /// closed-loop sources react to the network and therefore have no
-    /// precomputable packet list (the experiment layer dispatches it to
-    /// [`simulate_request_reply`](crate::simulate_request_reply)).
+    /// precomputable packet list (the experiment layer runs it as a
+    /// [`Workload::Closed`](crate::engine::Workload::Closed)).
     pub fn generate(&self, n: usize, seed: u64) -> Vec<Packet> {
         match *self {
             TrafficSpec::Uniform { count, window } => gen_uniform(n, count, window, seed),

@@ -7,6 +7,10 @@
 
 use fibcube_graph::bfs::bfs_distances;
 use fibcube_network::broadcast::{broadcast_all_port, broadcast_one_port, verify_schedule};
+use fibcube_network::engine::{
+    self, simulate_faulted_reference, simulate_reference, Admission, RequestReplyLoad, RunPlan,
+    Workload,
+};
 use fibcube_network::fault::{
     fault_set_trial, ChurnEvent, ChurnTarget, ChurnTimeline, FaultSet, FaultSpec,
 };
@@ -16,19 +20,12 @@ use fibcube_network::router::{
     AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, LinkLoad, NextHopRouter,
     NoLoad, Router,
 };
-use fibcube_network::simulator::{
-    simulate, simulate_churn, simulate_collective, simulate_faulted, simulate_faulted_reference,
-    simulate_reference, simulate_request_reply, simulate_with, simulate_wormhole,
-    simulate_wormhole_faulted, RequestReplyLoad,
-};
 use fibcube_network::switching::{SwitchingSpec, PACKET_LENGTH_UNITS};
 use fibcube_network::topology::{FibonacciNet, Hypercube, Mesh, Ring, Topology};
 use fibcube_network::traffic::{Packet, TrafficSpec};
 use fibcube_network::{
-    simulate_parallel, simulate_parallel_churn, simulate_parallel_churn_observed,
-    simulate_parallel_collective, simulate_parallel_observed, simulate_parallel_request_reply,
-    simulate_parallel_wormhole, CollectiveSpec, CopyPlan, DistanceTable, Experiment,
-    ImplicitFibonacciNet, ImplicitRouter, Port, RouterSpec,
+    CollectiveSpec, CopyPlan, DistanceTable, Experiment, ImplicitFibonacciNet, ImplicitRouter,
+    Port, RouterSpec,
 };
 use proptest::prelude::*;
 
@@ -70,7 +67,13 @@ fn assert_progressive(topo: &dyn Topology, router: &dyn Router, dst: u32) {
 /// Conservation invariants of one simulation run: nothing is created,
 /// nothing delivered faster than the shortest path allows.
 fn assert_conservation(topo: &dyn Topology, packets: &[Packet], max_cycles: u64) {
-    let stats = simulate(topo, packets, max_cycles);
+    let stats = engine::run(
+        &RunPlan::new(topo, &*topo.router(), Workload::Open(packets), max_cycles),
+        1,
+        &mut NoopObserver,
+    )
+    .unwrap()
+    .stats;
     assert_eq!(stats.offered, packets.len());
     assert!(stats.delivered <= stats.offered, "{}", topo.name());
     let hist_total: u64 = stats.latency_histogram.iter().sum();
@@ -157,7 +160,10 @@ proptest! {
             let src = (src_seed % n) as u32;
             let dst = (dst_seed % n) as u32;
             let d = bfs_distances(topo.graph(), src)[dst as usize] as u64;
-            let stats = simulate(topo, &[Packet { src, dst, inject_time: 3 }], 1_000_000);
+            let pkt = [Packet { src, dst, inject_time: 3 }];
+            let router = topo.router();
+            let plan = RunPlan::new(topo, &*router, Workload::Open(&pkt), 1_000_000);
+            let stats = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
             prop_assert_eq!(stats.delivered, 1, "{}", topo.name());
             prop_assert_eq!(stats.mean_latency, d as f64, "{}", topo.name());
             prop_assert_eq!(stats.total_hops, d, "{}", topo.name());
@@ -174,7 +180,9 @@ proptest! {
             &Mesh::new(4, 4),
         ] {
             let pkts = uniform(topo.len(), count, window, seed);
-            let fast = simulate(topo, &pkts, 1_000_000);
+            let router = topo.router();
+            let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000);
+            let fast = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
             let slow = simulate_reference(topo, &pkts, 1_000_000);
             prop_assert_eq!(fast.delivered, slow.delivered, "{}", topo.name());
             prop_assert_eq!(fast.total_hops, slow.total_hops, "{}", topo.name());
@@ -182,7 +190,7 @@ proptest! {
     }
 
     #[test]
-    fn experiment_reproduces_simulate_with(count in 1usize..150, window in 0u64..80, seed in 0u64..10_000) {
+    fn experiment_reproduces_a_direct_engine_run(count in 1usize..150, window in 0u64..80, seed in 0u64..10_000) {
         // The builder surface is sugar, not semantics: for any uniform
         // workload the Experiment path must equal the raw engine call.
         for topo in [
@@ -191,7 +199,10 @@ proptest! {
             &Ring::new(11),
         ] {
             let spec = TrafficSpec::Uniform { count, window };
-            let direct = simulate_with(topo, &*topo.router(), &spec.generate(topo.len(), seed), 1_000_000);
+            let pkts = spec.generate(topo.len(), seed);
+            let router = topo.router();
+            let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000);
+            let direct = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
             let report = fibcube_network::Experiment::on(topo)
                 .traffic(spec)
                 .seed(seed)
@@ -284,7 +295,9 @@ proptest! {
             &Hypercube::new(4),
         ] {
             let pkts = mix.generate(topo.len(), seed);
-            let healthy_fast = simulate(topo, &pkts, 1_000_000);
+            let router = topo.router();
+            let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000);
+            let healthy_fast = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
             let healthy_slow = simulate_reference(topo, &pkts, 1_000_000);
             prop_assert_eq!(&healthy_fast, &healthy_slow, "healthy {}", topo.name());
 
@@ -292,8 +305,10 @@ proptest! {
                 .sample(topo.graph(), seed ^ 0xF00D)
                 .expect("fault count below node count");
             let router = topo.router();
-            let faulted_fast =
-                simulate_faulted(topo, &*router, &set, &pkts, 1_000_000, &mut NoopObserver);
+            let mask = FaultMaskingRouter::for_topology(topo, &*router, &set);
+            let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                .admission(Admission::Static(&mask));
+            let faulted_fast = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
             let faulted_slow =
                 simulate_faulted_reference(topo, &*router, &set, &pkts, 1_000_000);
             prop_assert_eq!(&faulted_fast, &faulted_slow, "faulted {}", topo.name());
@@ -410,8 +425,9 @@ proptest! {
         ] {
             let pkts = uniform(topo.len(), count, window, seed);
             let router = topo.router();
-            let stats =
-                simulate_wormhole(topo, &*router, &spec, &pkts, 5_000_000, &mut NoopObserver);
+            let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 5_000_000)
+                .switching(spec.clone());
+            let stats = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
             prop_assert_eq!(stats.offered, pkts.len(), "{}", topo.name());
             prop_assert_eq!(stats.dropped(), 0, "healthy {}", topo.name());
             prop_assert_eq!(
@@ -538,10 +554,12 @@ proptest! {
                     .expect("fault count below node count"),
             ];
             for set in &fault_sets {
-                let serial =
-                    simulate_faulted(topo, &*router, set, &pkts, 1_000_000, &mut NoopObserver);
+                let mask = FaultMaskingRouter::for_topology(topo, &*router, set);
+                let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                    .admission(Admission::Static(&mask));
+                let serial = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
                 for t in [1usize, 2, 4, 8] {
-                    let sharded = simulate_parallel(topo, &*router, set, &pkts, 1_000_000, t);
+                    let sharded = engine::run(&plan, t, &mut NoopObserver).unwrap().stats;
                     prop_assert_eq!(
                         &sharded, &serial,
                         "{} with {} faults at {t} threads",
@@ -573,7 +591,9 @@ proptest! {
         // every path is still shortest, so total hops equal the distance sum.
         let net = FibonacciNet::classical(8);
         let pkts = uniform(net.len(), count, 40, seed);
-        let stats = simulate_with(&net, &AdaptiveMinimal::new(&net), &pkts, 1_000_000);
+        let router = AdaptiveMinimal::new(&net);
+        let plan = RunPlan::new(&net, &router, Workload::Open(&pkts), 1_000_000);
+        let stats = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
         prop_assert_eq!(stats.delivered, stats.offered);
         let mut dist_sum = 0u64;
         for p in &pkts {
@@ -599,9 +619,15 @@ proptest! {
             prop_assert!(timeline.is_empty(), "zero rates must generate no events");
             let pkts = uniform(topo.len(), count, window, seed);
             let router = topo.router();
-            let churned =
-                simulate_churn(topo, &*router, &timeline, &pkts, 1_000_000, &mut NoopObserver);
-            let healthy = simulate_with(topo, &*router, &pkts, 1_000_000);
+            let plan = |admission| {
+                RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000).admission(admission)
+            };
+            let churned = engine::run(&plan(Admission::Churn(&timeline)), 1, &mut NoopObserver)
+                .unwrap()
+                .stats;
+            let healthy = engine::run(&plan(Admission::Healthy), 1, &mut NoopObserver)
+                .unwrap()
+                .stats;
             prop_assert_eq!(&churned, &healthy, "{}", topo.name());
         }
     }
@@ -622,11 +648,11 @@ proptest! {
                 ChurnTimeline::generate(topo.graph(), 0.01, 0.01, 40.0, seed, 500);
             let pkts = uniform(topo.len(), count, window, seed);
             let router = topo.router();
-            let serial =
-                simulate_churn(topo, &*router, &timeline, &pkts, 100_000, &mut NoopObserver);
+            let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 100_000)
+                .admission(Admission::Churn(&timeline));
+            let serial = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
             for t in [1usize, 2, 4, 8] {
-                let sharded =
-                    simulate_parallel_churn(topo, &*router, &timeline, &pkts, 100_000, t);
+                let sharded = engine::run(&plan, t, &mut NoopObserver).unwrap().stats;
                 prop_assert_eq!(
                     &sharded, &serial,
                     "{} with {} events at {t} threads",
@@ -727,13 +753,13 @@ proptest! {
                     .expect("fault count below node count"),
             ];
             for set in &fault_sets {
-                let serial = simulate_wormhole_faulted(
-                    topo, &*router, &spec, set, &pkts, 1_000_000, &mut NoopObserver,
-                );
+                let mask = FaultMaskingRouter::for_topology(topo, &*router, set);
+                let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                    .switching(spec.clone())
+                    .admission(Admission::Static(&mask));
+                let serial = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
                 for t in [2usize, 4, 8] {
-                    let sharded = simulate_parallel_wormhole(
-                        topo, &*router, &spec, set, &pkts, 1_000_000, t, &mut NoopObserver,
-                    );
+                    let sharded = engine::run(&plan, t, &mut NoopObserver).unwrap().stats;
                     prop_assert_eq!(
                         &sharded, &serial,
                         "wormhole {} with {} faults at {t} threads",
@@ -749,14 +775,11 @@ proptest! {
         let net = FibonacciNet::classical(8);
         let pkts = uniform(net.len(), count, window, seed);
         let adaptive = AdaptiveMinimal::new(&net);
-        let healthy = FaultSet::default();
-        let serial = simulate_wormhole_faulted(
-            &net, &adaptive, &spec, &healthy, &pkts, 1_000_000, &mut NoopObserver,
-        );
+        let plan = RunPlan::new(&net, &adaptive, Workload::Open(&pkts), 1_000_000)
+            .switching(spec.clone());
+        let serial = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
         for t in [2usize, 4, 8] {
-            let sharded = simulate_parallel_wormhole(
-                &net, &adaptive, &spec, &healthy, &pkts, 1_000_000, t, &mut NoopObserver,
-            );
+            let sharded = engine::run(&plan, t, &mut NoopObserver).unwrap().stats;
             prop_assert_eq!(&sharded, &serial, "adaptive wormhole at {} threads", t);
         }
     }
@@ -785,13 +808,11 @@ proptest! {
                 ChurnTimeline::generate(topo.graph(), 0.005, 0.005, 60.0, seed, 20_000),
             ];
             for timeline in &timelines {
-                let serial = simulate_request_reply(
-                    topo, &*router, timeline, &load, 20_000, &mut NoopObserver,
-                );
+                let plan = RunPlan::new(topo, &*router, Workload::Closed(&load), 20_000)
+                    .admission(Admission::Churn(timeline));
+                let serial = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
                 for t in [2usize, 4, 8] {
-                    let sharded = simulate_parallel_request_reply(
-                        topo, &*router, timeline, &load, 20_000, t, &mut NoopObserver,
-                    );
+                    let sharded = engine::run(&plan, t, &mut NoopObserver).unwrap().stats;
                     prop_assert_eq!(
                         &sharded, &serial,
                         "request/reply on {} with {} events at {t} threads",
@@ -818,11 +839,12 @@ proptest! {
             // Direct tree plan against the raw engines.
             let schedule = broadcast_one_port(topo, source)
                 .expect("connected healthy network always schedules");
-            let plan = CopyPlan::from_schedule(topo.graph(), &schedule, true);
-            let serial = simulate_collective(topo, &plan, 1_000_000, &mut NoopObserver);
+            let copies = CopyPlan::from_schedule(topo.graph(), &schedule, true);
+            let tree_forward = NextHopRouter::new(topo);
+            let plan = RunPlan::new(topo, &tree_forward, Workload::Copies(&copies), 1_000_000);
+            let serial = engine::run(&plan, 1, &mut NoopObserver).unwrap();
             for t in [2usize, 4, 8] {
-                let sharded =
-                    simulate_parallel_collective(topo, &plan, 1_000_000, t, &mut NoopObserver);
+                let sharded = engine::run(&plan, t, &mut NoopObserver).unwrap();
                 prop_assert_eq!(&sharded, &serial, "tree collective {} at {t} threads", topo.name());
             }
             // Faulted broadcast and the personalized exchange through the
@@ -891,14 +913,14 @@ proptest! {
                 .sample(topo.graph(), seed ^ 0xF00D)
                 .expect("fault count below node count");
 
+            let mask = FaultMaskingRouter::for_topology(topo, &*router, &set);
+            let faulted = RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                .admission(Admission::Static(&mask));
             let mut serial_obs = (LatencyHistogram::new(), LinkHeatmap::new());
-            let serial =
-                simulate_faulted(topo, &*router, &set, &pkts, 1_000_000, &mut serial_obs);
+            let serial = engine::run(&faulted, 1, &mut serial_obs).unwrap().stats;
             for t in [2usize, 4, 8] {
                 let mut obs = (LatencyHistogram::new(), LinkHeatmap::new());
-                let sharded = simulate_parallel_observed(
-                    topo, &*router, &set, &pkts, 1_000_000, t, &mut obs,
-                );
+                let sharded = engine::run(&faulted, t, &mut obs).unwrap().stats;
                 prop_assert_eq!(&sharded, &serial, "faulted {} at {t} threads", topo.name());
                 prop_assert_eq!(obs.0.histogram(), serial_obs.0.histogram());
                 prop_assert_eq!(obs.0.delivered(), serial_obs.0.delivered());
@@ -907,14 +929,13 @@ proptest! {
             }
 
             let timeline = ChurnTimeline::generate(topo.graph(), 0.01, 0.01, 40.0, seed, 500);
+            let churned = RunPlan::new(topo, &*router, Workload::Open(&pkts), 100_000)
+                .admission(Admission::Churn(&timeline));
             let mut serial_slo = SloTracker::new(100);
-            let churn_serial =
-                simulate_churn(topo, &*router, &timeline, &pkts, 100_000, &mut serial_slo);
+            let churn_serial = engine::run(&churned, 1, &mut serial_slo).unwrap().stats;
             for t in [2usize, 4, 8] {
                 let mut slo = SloTracker::new(100);
-                let sharded = simulate_parallel_churn_observed(
-                    topo, &*router, &timeline, &pkts, 100_000, t, &mut slo,
-                );
+                let sharded = engine::run(&churned, t, &mut slo).unwrap().stats;
                 prop_assert_eq!(&sharded, &churn_serial, "churned {} at {t} threads", topo.name());
                 prop_assert_eq!(slo.windows(), serial_slo.windows());
                 prop_assert_eq!(slo.fault_events(), serial_slo.fault_events());
@@ -922,15 +943,12 @@ proptest! {
             }
 
             let spec = SwitchingSpec::Wormhole { flit_size: 4, vcs: 2, buf_flits: 2 };
+            let wormhole = faulted.switching(spec);
             let mut serial_wh = (LatencyHistogram::new(), LinkHeatmap::new());
-            let wh_serial = simulate_wormhole_faulted(
-                topo, &*router, &spec, &set, &pkts, 1_000_000, &mut serial_wh,
-            );
+            let wh_serial = engine::run(&wormhole, 1, &mut serial_wh).unwrap().stats;
             for t in [2usize, 4, 8] {
                 let mut obs = (LatencyHistogram::new(), LinkHeatmap::new());
-                let sharded = simulate_parallel_wormhole(
-                    topo, &*router, &spec, &set, &pkts, 1_000_000, t, &mut obs,
-                );
+                let sharded = engine::run(&wormhole, t, &mut obs).unwrap().stats;
                 prop_assert_eq!(&sharded, &wh_serial, "wormhole {} at {t} threads", topo.name());
                 prop_assert_eq!(obs.0.histogram(), serial_wh.0.histogram());
                 prop_assert_eq!(obs.1.total_hops(), serial_wh.1.total_hops());
@@ -1025,8 +1043,25 @@ fn implicit_experiment_equals_dense_table_run_at_acceptance_scale() {
 
     let q = Hypercube::new(11);
     let pkts = mix.generate(q.len(), 2026);
-    let implicit_stats = simulate_with(&q, &ImplicitRouter::ecube(), &pkts, 1_000_000);
-    let dense_stats = simulate_with(&q, &EcubeRouter, &pkts, 1_000_000);
+    let implicit_stats = engine::run(
+        &RunPlan::new(
+            &q,
+            &ImplicitRouter::ecube(),
+            Workload::Open(&pkts),
+            1_000_000,
+        ),
+        1,
+        &mut NoopObserver,
+    )
+    .unwrap()
+    .stats;
+    let dense_stats = engine::run(
+        &RunPlan::new(&q, &EcubeRouter, Workload::Open(&pkts), 1_000_000),
+        1,
+        &mut NoopObserver,
+    )
+    .unwrap()
+    .stats;
     assert_eq!(implicit_stats, dense_stats, "Q_11");
 }
 
@@ -1052,13 +1087,29 @@ fn arena_engine_equals_reference_on_the_acceptance_pair() {
     ]);
     for topo in [&gamma as &dyn Topology, &q] {
         let pkts = mix.generate(topo.len(), 2026);
-        let fast = simulate(topo, &pkts, 1_000_000);
+        let fast = engine::run(
+            &RunPlan::new(topo, &*topo.router(), Workload::Open(&pkts), 1_000_000),
+            1,
+            &mut NoopObserver,
+        )
+        .unwrap()
+        .stats;
         let slow = simulate_reference(topo, &pkts, 1_000_000);
         assert_eq!(fast, slow, "healthy {}", topo.name());
 
         let faults = FaultSet::new([1u32, 17, 100, 901], [(0u32, 1u32)]);
         let router = topo.router();
-        let fast = simulate_faulted(topo, &*router, &faults, &pkts, 1_000_000, &mut NoopObserver);
+        let fast = {
+            let mask = FaultMaskingRouter::for_topology(topo, &*router, &faults);
+            engine::run(
+                &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                    .admission(Admission::Static(&mask)),
+                1,
+                &mut NoopObserver,
+            )
+            .unwrap()
+            .stats
+        };
         let slow = simulate_faulted_reference(topo, &*router, &faults, &pkts, 1_000_000);
         assert_eq!(fast, slow, "faulted {}", topo.name());
         assert_eq!(
@@ -1171,22 +1222,22 @@ fn degenerate_wormhole_equals_store_and_forward_on_the_acceptance_pair() {
     for topo in [&gamma as &dyn Topology, &q] {
         let pkts = mix.generate(topo.len(), 2026);
         let router = topo.router();
-        let saf = simulate_wormhole(
-            topo,
-            &*router,
-            &SwitchingSpec::StoreAndForward,
-            &pkts,
-            1_000_000,
+        let saf = engine::run(
+            &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                .switching(SwitchingSpec::StoreAndForward),
+            1,
             &mut NoopObserver,
-        );
-        let worm = simulate_wormhole(
-            topo,
-            &*router,
-            &degenerate,
-            &pkts,
-            1_000_000,
+        )
+        .unwrap()
+        .stats;
+        let worm = engine::run(
+            &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                .switching(degenerate.clone()),
+            1,
             &mut NoopObserver,
-        );
+        )
+        .unwrap()
+        .stats;
         assert_eq!(
             saf,
             worm,
@@ -1240,17 +1291,30 @@ fn degenerate_wormhole_matches_faulted_packet_set_on_the_acceptance_pair() {
         let router = topo.router();
 
         let mut saf_census = DeliveryCensus::default();
-        let saf = simulate_faulted(topo, &*router, &faults, &pkts, 1_000_000, &mut saf_census);
+        let saf = {
+            let mask = FaultMaskingRouter::for_topology(topo, &*router, &faults);
+            engine::run(
+                &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                    .admission(Admission::Static(&mask)),
+                1,
+                &mut saf_census,
+            )
+            .unwrap()
+            .stats
+        };
         let mut worm_census = DeliveryCensus::default();
-        let worm = simulate_wormhole_faulted(
-            topo,
-            &*router,
-            &degenerate,
-            &faults,
-            &pkts,
-            1_000_000,
-            &mut worm_census,
-        );
+        let worm = {
+            let mask = FaultMaskingRouter::for_topology(topo, &*router, &faults);
+            engine::run(
+                &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                    .switching(degenerate.clone())
+                    .admission(Admission::Static(&mask)),
+                1,
+                &mut worm_census,
+            )
+            .unwrap()
+            .stats
+        };
 
         assert!(
             saf.dropped() > 0,
@@ -1336,8 +1400,17 @@ fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
         let faults = FaultSet::new(dead_nodes.clone(), [(lu, lv)]);
         let pkts = mix.generate(topo.len(), 2026);
         let router = topo.router();
-        let static_run =
-            simulate_faulted(topo, &*router, &faults, &pkts, 1_000_000, &mut NoopObserver);
+        let static_run = {
+            let mask = FaultMaskingRouter::for_topology(topo, &*router, &faults);
+            engine::run(
+                &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                    .admission(Admission::Static(&mask)),
+                1,
+                &mut NoopObserver,
+            )
+            .unwrap()
+            .stats
+        };
         assert!(static_run.dropped() > 0, "faults must bite {}", topo.name());
 
         let timeline = ChurnTimeline::from_events(
@@ -1354,14 +1427,14 @@ fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
                     failed: true,
                 })),
         );
-        let churned = simulate_churn(
-            topo,
-            &*router,
-            &timeline,
-            &pkts,
-            1_000_000,
+        let churned = engine::run(
+            &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
+                .admission(Admission::Churn(&timeline)),
+            1,
             &mut NoopObserver,
-        );
+        )
+        .unwrap()
+        .stats;
         assert_eq!(
             churned,
             static_run,

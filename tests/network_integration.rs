@@ -1,10 +1,14 @@
 //! Experiments E-N1…E-N6: the interconnection-network layer end to end.
 
 use fibcube::network::broadcast::{broadcast_all_port, broadcast_one_port, verify_schedule};
+use fibcube::network::engine::{self, Admission, RequestReplyLoad, RunPlan, Workload};
 use fibcube::network::fault::{fault_sweep, FaultError};
 use fibcube::network::hamilton::{hamiltonian_path, verify_hamiltonian, HamiltonResult};
 use fibcube::network::metrics::metrics;
-use fibcube::network::{DeliveryTracker, Mesh};
+use fibcube::network::{
+    ChurnTimeline, CopyPlan, DeliveryTracker, FaultMaskingRouter, FaultSet, Mesh, NoopObserver,
+    SwitchingSpec,
+};
 use fibcube::prelude::*;
 
 #[test]
@@ -130,7 +134,14 @@ fn latency_ordering_matches_topology_quality() {
             window: 600,
         }
         .generate(t.len(), 4242);
-        simulate(t, &pkts, 500_000).mean_latency
+        engine::run(
+            &RunPlan::new(t, &*t.router(), Workload::Open(&pkts), 500_000),
+            1,
+            &mut NoopObserver,
+        )
+        .unwrap()
+        .stats
+        .mean_latency
     };
     let (lg, lq, lm, lr) = (lat(&gamma), lat(&q), lat(&mesh), lat(&ring));
     assert!(lq <= lg + 0.5, "hypercube {lq} ≲ fibonacci {lg}");
@@ -372,4 +383,90 @@ fn label_certified_routing_equals_the_table_router_end_to_end() {
             }
         }
     }
+}
+
+#[test]
+fn engine_support_table_is_typed_and_lane_independent() {
+    // Every (switching × admission × workload) cell of `engine::run` on
+    // Γ_10: an unsupported cell is its typed error; a supported cell is
+    // bit-identical at 1 and 3 lanes and conserves packets.
+    let net = FibonacciNet::classical(10);
+    let router = net.router();
+    let cap = 20_000;
+    let pkts = TrafficSpec::Uniform {
+        count: 600,
+        window: 300,
+    }
+    .generate(net.len(), 7);
+    let load = RequestReplyLoad {
+        clients: 16,
+        think: 5.0,
+        timeout: 100,
+        retries: 2,
+        seed: 7,
+    };
+    let schedule = broadcast_one_port(&net, 0).expect("Γ_10 is connected");
+    let copies = CopyPlan::from_schedule(net.graph(), &schedule, true);
+    let faults = FaultSet::new([3u32, 20, 41], [(0u32, 1u32)]);
+    let mask = FaultMaskingRouter::for_topology(&net, &*router, &faults);
+    let timeline = ChurnTimeline::generate(net.graph(), 0.002, 0.004, 300.0, 7, cap);
+    assert!(!timeline.is_empty(), "the churn cell must see events");
+    let wormhole = SwitchingSpec::Wormhole {
+        flit_size: 4,
+        vcs: 2,
+        buf_flits: 4,
+    };
+    let mut supported = 0;
+    for switching in [SwitchingSpec::StoreAndForward, wormhole] {
+        let admissions = [
+            ("healthy", Admission::Healthy),
+            ("static", Admission::Static(&mask)),
+            ("churn", Admission::Churn(&timeline)),
+        ];
+        for (a, admission) in admissions {
+            let workloads = [
+                ("open", Workload::Open(&pkts)),
+                ("closed", Workload::Closed(&load)),
+                ("tree", Workload::Copies(&copies)),
+            ];
+            for (w, workload) in workloads {
+                let cell = format!("{switching} × {a} × {w}");
+                let plan = RunPlan::new(&net, &*router, workload, cap)
+                    .switching(switching.clone())
+                    .admission(admission);
+                let expected = match (switching.is_wormhole(), a, w) {
+                    (true, _, "tree") => Some("UnsupportedCombination"),
+                    (false, "static", "tree") => Some("InvalidCollective"),
+                    (_, "churn", "tree") | (_, "static", "closed") => Some("UnsupportedDynamic"),
+                    (true, "churn", _) | (true, _, "closed") => Some("UnsupportedDynamic"),
+                    _ => None,
+                };
+                let mut tracker = DeliveryTracker::new();
+                let one = engine::run(&plan, 1, &mut tracker);
+                if let Some(kind) = expected {
+                    let err = one.expect_err(&cell);
+                    assert!(format!("{err:?}").starts_with(kind), "{cell}: {err:?}");
+                    let three = engine::run(&plan, 3, &mut NoopObserver);
+                    assert_eq!(three.expect_err(&cell), err, "{cell}");
+                    continue;
+                }
+                supported += 1;
+                let one = one.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                let three = engine::run(&plan, 3, &mut NoopObserver).expect(&cell);
+                assert_eq!(three, one, "{cell}: 3 lanes ≡ 1 lane");
+                let stats = &one.stats;
+                assert!(stats.delivered > 0, "{cell}");
+                assert_eq!(stats.delivered as u64, tracker.delivered(), "{cell}");
+                assert_eq!(stats.dropped() as u64, tracker.dropped(), "{cell}");
+                assert_eq!(stats.offered as u64, tracker.injected(), "{cell}");
+                if w == "closed" {
+                    // At most one open transaction per session at the cap.
+                    assert!(tracker.in_flight() <= load.clients as u64, "{cell}");
+                } else {
+                    assert_eq!(tracker.in_flight(), 0, "{cell}: drained under the cap");
+                }
+            }
+        }
+    }
+    assert_eq!(supported, 8, "supported cells of the table");
 }
