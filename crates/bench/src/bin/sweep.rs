@@ -5,35 +5,20 @@
 //!    timed through `Experiment::run` against the seed's full-scan
 //!    reference engine on the identical packet stream (the acceptance
 //!    speedup figure);
-//! 2. injection-rate ladders (`injection_sweep` over `RouterSpec`)
-//!    producing latency-vs-load and saturation-throughput curves per
-//!    topology and router;
-//! 3. fault-resilience grids (`fault_load_sweep`): the injection ladder
-//!    re-run under growing node-fault counts, comparing how Γ vs Q
-//!    delivered throughput degrades as processors die;
-//! 4. collective grids (`collective_sweep`): live one-port and all-port
-//!    broadcasts over {Γ, Q, Ring, Mesh} × the fault grid — completion
-//!    time and target coverage as the network loses processors;
-//! 5. the `scale` ladder: `ImplicitFibonacciNet` rungs up to Γ_30
+//! 2. five sweep sections, each a `sweep(&Experiment, &[Axis],
+//!    &SweepConfig)` grid per topology, printed by one table printer:
+//!    injection-rate ladders (latency vs load, saturation throughput),
+//!    fault-resilience grids (rates × node faults), live broadcasts over
+//!    {Γ, Q, Ring, Mesh} × node faults, store-and-forward vs wormhole
+//!    switching grids, and recovery time vs MTTR under fault churn;
+//! 3. the `scale` ladder: `ImplicitFibonacciNet` rungs up to Γ_30
 //!    (2,178,309 nodes, full mode; Γ_26 in smoke) — per rung the streamed
 //!    graph-build rate, the implicit routing state per node (gated at
 //!    64 bytes/node by a typed [`BenchError`]), and the steady-state
 //!    engine hops/sec of a live uniform-traffic run;
-//! 6. switching grids (`switching_sweep`): the injection ladder re-run
-//!    under store-and-forward vs flit-level wormhole switching (virtual
-//!    channels, credit backpressure) on Γ vs Q — how the switching model
-//!    moves the latency/saturation picture at identical offered load;
-//! 7. churn grids (`churn_sweep`): dynamic fault churn over
-//!    {Γ, Q, Ring, Mesh} across a mean-time-to-repair ladder, with the
-//!    SLO tracker reporting per-fail-event time-to-recover, recovered
-//!    fraction, and the worst windowed p99.9 tail — the
-//!    recovery-vs-MTTR picture of the robustness story;
-//! 8. `BENCH_sim.json` in the working directory — assembled from the
-//!    `Report`/`SweepCurve`/`FaultLoadGrid`/`CollectiveGrid`/
-//!    `SwitchingGrid`/`ChurnGrid` JSON trees, seeding the performance
-//!    trajectory with throughput / latency per topology at the fixed
-//!    load, the measured speedups, and the fault-resilience,
-//!    collectives, scale, switching, and churn sections.
+//! 4. `BENCH_sim.json` in the working directory — the fixed-load rows,
+//!    the measured speedups (`engine_perf`), the sweep sections and the
+//!    scale ladder.
 //!
 //! `cargo run --release -p fibcube-bench --bin sweep`
 //!
@@ -62,15 +47,11 @@ use fibcube_network::engine::{self, Admission, RequestReplyLoad, RunPlan, Worklo
 use fibcube_network::fault::{ChurnTimeline, FaultSet};
 use fibcube_network::report::JsonValue;
 use fibcube_network::router::{FaultMaskingRouter, NextHopRouter, Router};
-use fibcube_network::sweep::{
-    churn_sweep, collective_sweep, fault_load_sweep, injection_sweep, rate_ladder,
-    saturation_point, switching_sweep, ChurnGrid, CollectiveGrid, FaultLoadGrid, SweepConfig,
-    SwitchingGrid,
-};
+use fibcube_network::sweep::{rate_ladder, saturation_point, sweep, Axis, Grid, SweepConfig};
 use fibcube_network::{
     broadcast_one_port, simulate_reference, CollectiveSpec, CopyPlan, Experiment, ExperimentError,
-    FibonacciNet, Hypercube, ImplicitFibonacciNet, Mesh, NoopObserver, Port, Report, Ring,
-    RouterSpec, SweepCurve, SwitchingSpec, Topology, TrafficSpec,
+    FaultSpec, FibonacciNet, Hypercube, ImplicitFibonacciNet, Mesh, NoopObserver, Port, Report,
+    Ring, RouterSpec, SwitchingSpec, Topology, TrafficSpec,
 };
 
 struct FixedLoadRow {
@@ -187,159 +168,139 @@ fn fixed_load(t: &dyn Topology, packets: usize, window: u64) -> Result<FixedLoad
     })
 }
 
-fn print_curve(curve: &SweepCurve) {
-    println!(
-        "\n{} · router {} · {} nodes",
-        curve.topology, curve.router, curve.nodes
-    );
-    println!(
-        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "rate", "offered", "delivered", "accepted", "mean lat", "p99 lat"
-    );
-    for p in &curve.points {
-        println!(
-            "{:>8.3} {:>10.0} {:>10.0} {:>10.4} {:>10.2} {:>9.1}",
-            p.rate, p.offered, p.delivered, p.accepted_rate, p.mean_latency, p.p99_latency
-        );
+/// A JSON object's field, or `null`.
+fn field<'j>(object: &'j JsonValue, key: &str) -> &'j JsonValue {
+    match object {
+        JsonValue::Obj(pairs) => pairs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(&JsonValue::Null, |(_, v)| v),
+        _ => &JsonValue::Null,
     }
-    match saturation_point(curve, 0.95) {
-        Some(p) => println!(
-            "  saturation: rate {:.3} accepted {:.4} pkt/node/cycle (95% delivery)",
-            p.rate, p.accepted_rate
+}
+
+/// One table cell.
+fn show(value: &JsonValue) -> String {
+    match value {
+        JsonValue::Num(x) if x.is_infinite() => "∞".to_string(),
+        JsonValue::Num(x) => format!("{x:.3}"),
+        JsonValue::Null => "n/a".to_string(),
+        JsonValue::Str(s) => s.clone(),
+        other => other.to_string(),
+    }
+}
+
+/// Prints `grid` as a table: a title of its scalar header fields, then
+/// one row per point — its axis values, then the point fields named in
+/// `columns` (space-separated).
+fn print_grid(grid: &Grid, columns: &str) {
+    let json = grid.to_json_value();
+    let JsonValue::Obj(header) = &json else {
+        return;
+    };
+    let title: Vec<String> = header
+        .iter()
+        .filter(|(_, v)| !matches!(v, JsonValue::Arr(_)))
+        .map(|(k, v)| format!("{k} {}", show(v)))
+        .collect();
+    println!("\n{}", title.join(" · "));
+    let JsonValue::Arr(points) = field(&json, "points") else {
+        return;
+    };
+    // Every point leads with its axis values.
+    let Some(JsonValue::Obj(first)) = points.first() else {
+        return;
+    };
+    let axis_keys = first[..grid.axes.len()].iter().map(|(k, _)| k.as_str());
+    let keys: Vec<&str> = axis_keys.chain(columns.split_whitespace()).collect();
+    print_table(points, &keys.join(" "));
+}
+
+/// Prints the fields `keys` (space-separated) of the JSON objects `rows`
+/// as a right-aligned table.
+fn print_table(rows: &[JsonValue], keys: &str) {
+    let keys: Vec<&str> = keys.split_whitespace().collect();
+    let mut table = vec![keys.iter().map(|k| k.to_string()).collect::<Vec<_>>()];
+    table.extend(
+        rows.iter()
+            .map(|r| keys.iter().map(|k| show(field(r, k))).collect()),
+    );
+    let widths: Vec<usize> = (0..keys.len())
+        .map(|i| {
+            table
+                .iter()
+                .map(|row| row[i].chars().count())
+                .max()
+                .unwrap_or(0)
+        })
+        .collect();
+    for row in &table {
+        let cells: Vec<String> = row
+            .iter()
+            .zip(&widths)
+            .map(|(cell, &w)| format!("{cell:>w$}"))
+            .collect();
+        println!("{}", cells.join(" "));
+    }
+}
+
+/// Runs one sweep section under `title`: each experiment over its axes,
+/// each grid printed with `columns` and then passed to `check`. Returns
+/// the grids and the section's wall time in milliseconds.
+fn sweep_section<'a>(
+    title: &str,
+    runs: impl IntoIterator<Item = (Experiment<'a, dyn Topology>, Vec<Axis>)>,
+    config: &SweepConfig,
+    columns: &str,
+    check: impl Fn(&Grid),
+) -> Result<(Vec<Grid>, f64), BenchError> {
+    header(title);
+    let start = Instant::now();
+    let mut grids = Vec::new();
+    for (exp, axes) in runs {
+        let grid = sweep(&exp, &axes, config)?;
+        print_grid(&grid, columns);
+        check(&grid);
+        grids.push(grid);
+    }
+    Ok((grids, start.elapsed().as_secs_f64() * 1e3))
+}
+
+/// A `BENCH_sim.json` sweep section: the workload and its grids.
+fn section(workload: String, grids: &[Grid]) -> JsonValue {
+    JsonValue::obj([
+        ("workload", JsonValue::Str(workload)),
+        (
+            "grids",
+            JsonValue::Arr(grids.iter().map(Grid::to_json_value).collect()),
         ),
-        None => println!("  saturated below the lightest rung"),
-    }
-}
-
-fn print_collective_grid(grid: &CollectiveGrid) {
-    println!("\n{} · {} · {} nodes", grid.topology, grid.spec, grid.nodes);
-    println!(
-        "{:>7} {:>9} {:>9} {:>11} {:>12} {:>11} {:>9}",
-        "faults", "targets", "reached", "reach frac", "completion", "sched rnds", "dropped"
-    );
-    for p in &grid.points {
-        println!(
-            "{:>7} {:>9.0} {:>9.1} {:>11} {:>12.1} {:>11} {:>9.1}",
-            p.faults,
-            p.targets,
-            p.reached,
-            p.reached_fraction
-                .map_or_else(|| "n/a".to_string(), |f| format!("{:.1}%", 100.0 * f)),
-            p.completion_cycles,
-            p.schedule_rounds
-                .map_or_else(|| "n/a".to_string(), |r| format!("{r:.1}")),
-            p.dropped_dead_endpoint + p.dropped_unreachable,
-        );
-    }
-}
-
-fn print_switching_grid(grid: &SwitchingGrid) {
-    println!(
-        "\n{} · router {} · {} nodes",
-        grid.topology, grid.router, grid.nodes
-    );
-    println!(
-        "{:>8} {:<36} {:>10} {:>10} {:>10} {:>9} {:>10}",
-        "rate", "switching", "delivered", "accepted", "mean lat", "p99 lat", "makespan"
-    );
-    for p in &grid.points {
-        println!(
-            "{:>8.3} {:<36} {:>10.0} {:>10.4} {:>10.2} {:>9.1} {:>10.0}",
-            p.rate,
-            p.switching,
-            p.delivered,
-            p.accepted_rate,
-            p.mean_latency,
-            p.p99_latency,
-            p.makespan
-        );
-    }
-}
-
-fn print_churn_grid(grid: &ChurnGrid) {
-    println!(
-        "\n{} · router {} · {} nodes · rate {} · node/link churn {}/{}",
-        grid.topology, grid.router, grid.nodes, grid.rate, grid.node_rate, grid.link_rate
-    );
-    println!(
-        "{:>8} {:>7} {:>7} {:>11} {:>11} {:>10} {:>10} {:>10}",
-        "mttr", "events", "fails", "recovered", "mean TTR", "deliv frac", "died drops", "w p99.9"
-    );
-    for p in &grid.points {
-        println!(
-            "{:>8} {:>7.1} {:>7.1} {:>11} {:>11} {:>10} {:>10.1} {:>10.1}",
-            if p.mttr.is_finite() {
-                format!("{:.0}", p.mttr)
-            } else {
-                "∞".to_string()
-            },
-            p.events,
-            p.fail_events,
-            p.recovered_fraction
-                .map_or_else(|| "n/a".to_string(), |f| format!("{:.0}%", 100.0 * f)),
-            p.mean_time_to_recover
-                .map_or_else(|| "n/a".to_string(), |t| format!("{t:.0}")),
-            p.delivered_fraction
-                .map_or_else(|| "n/a".to_string(), |f| format!("{:.1}%", 100.0 * f)),
-            p.dropped_link_died + p.dropped_node_died,
-            p.worst_window_p999,
-        );
-    }
-}
-
-fn print_grid(grid: &FaultLoadGrid) {
-    println!(
-        "\n{} · router {} · {} nodes",
-        grid.topology, grid.router, grid.nodes
-    );
-    println!(
-        "{:>8} {:>7} {:>10} {:>10} {:>11} {:>11} {:>10}",
-        "rate", "faults", "offered", "delivered", "dead drops", "unreach", "deliv frac"
-    );
-    for p in &grid.points {
-        println!(
-            "{:>8.3} {:>7} {:>10.0} {:>10.0} {:>11.1} {:>11.1} {:>10}",
-            p.rate,
-            p.faults,
-            p.offered,
-            p.delivered,
-            p.dropped_dead_endpoint,
-            p.dropped_unreachable,
-            p.delivered_fraction
-                .map_or_else(|| "n/a".to_string(), |f| format!("{:.1}%", 100.0 * f))
-        );
-    }
+    ])
 }
 
 /// Per-fault-count delivered-throughput degradation at the heaviest
-/// rung, relative to the grid's own zero-fault column.
-fn degradation_rows(grid: &FaultLoadGrid) -> Vec<JsonValue> {
-    let top_rate = grid.rates.len() - 1;
-    let healthy = grid.point(top_rate, 0).accepted_rate.max(1e-12);
-    grid.fault_counts
-        .iter()
-        .enumerate()
-        .map(|(fi, &k)| {
-            let p = grid.point(top_rate, fi);
-            JsonValue::obj([
-                ("topology", JsonValue::Str(grid.topology.clone())),
-                ("faults", JsonValue::Int(k as u64)),
-                (
-                    "fault_fraction",
-                    JsonValue::Num(k as f64 / grid.nodes as f64),
-                ),
-                ("accepted_rate", JsonValue::Num(p.accepted_rate)),
-                (
-                    "relative_throughput",
-                    JsonValue::Num(p.accepted_rate / healthy),
-                ),
-                (
-                    "delivered_fraction",
-                    p.delivered_fraction.map_or(JsonValue::Null, JsonValue::Num),
-                ),
-            ])
-        })
-        .collect()
+/// rung of a rates × node-faults grid, relative to the grid's own
+/// zero-fault column.
+fn degradation_rows(grid: &Grid) -> Vec<JsonValue> {
+    let [Axis::Rates(rates), Axis::NodeFaults(counts)] = &grid.axes[..] else {
+        return Vec::new();
+    };
+    let top = |fi: usize| grid.point(&[rates.len() - 1, fi]);
+    let healthy = top(0).accepted_rate.unwrap_or(0.0).max(1e-12);
+    let row = |(fi, &k): (usize, &usize)| {
+        let (accepted, num) = (top(fi).accepted_rate.unwrap_or(0.0), JsonValue::Num);
+        JsonValue::obj([
+            ("topology", JsonValue::Str(grid.topology.clone())),
+            ("faults", JsonValue::Int(k as u64)),
+            ("fault_fraction", num(k as f64 / grid.nodes as f64)),
+            ("accepted_rate", num(accepted)),
+            ("relative_throughput", num(accepted / healthy)),
+            (
+                "delivered_fraction",
+                top(fi).delivered_fraction.map_or(JsonValue::Null, num),
+            ),
+        ])
+    };
+    counts.iter().enumerate().map(row).collect()
 }
 
 /// Per-node routing-state ceiling for the scale ladder — the acceptance
@@ -356,66 +317,12 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// One rung of the scale ladder: Γ_d built and simulated through the
-/// implicit (table-free) path, with its space and rate figures.
-struct ScaleRung {
-    d: usize,
-    topology: String,
-    nodes: usize,
-    links: usize,
-    graph_build_ms: f64,
-    build_nodes_per_sec: f64,
-    routing_state_bytes: usize,
-    routing_bytes_per_node: f64,
-    graph_bytes_per_node: f64,
-    sim_ms: f64,
-    delivered: usize,
-    hops: u64,
-    hops_per_sec: f64,
-    peak_rss_bytes: Option<u64>,
-}
-
-impl ScaleRung {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("d", JsonValue::Int(self.d as u64)),
-            ("topology", JsonValue::Str(self.topology.clone())),
-            ("nodes", JsonValue::Int(self.nodes as u64)),
-            ("links", JsonValue::Int(self.links as u64)),
-            ("graph_build_ms", JsonValue::Num(self.graph_build_ms)),
-            (
-                "build_nodes_per_sec",
-                JsonValue::Num(self.build_nodes_per_sec),
-            ),
-            (
-                "routing_state_bytes",
-                JsonValue::Int(self.routing_state_bytes as u64),
-            ),
-            (
-                "routing_bytes_per_node",
-                JsonValue::Num(self.routing_bytes_per_node),
-            ),
-            (
-                "graph_bytes_per_node",
-                JsonValue::Num(self.graph_bytes_per_node),
-            ),
-            ("sim_ms", JsonValue::Num(self.sim_ms)),
-            ("delivered", JsonValue::Int(self.delivered as u64)),
-            ("hops", JsonValue::Int(self.hops)),
-            ("hops_per_sec", JsonValue::Num(self.hops_per_sec)),
-            (
-                "peak_rss_bytes",
-                self.peak_rss_bytes.map_or(JsonValue::Null, JsonValue::Int),
-            ),
-        ])
-    }
-}
-
 /// Builds Γ_d through [`ImplicitFibonacciNet`] (streamed CSR, no
 /// labels/flip-rows/tables), gates its routing state at
 /// [`SCALE_ROUTING_BUDGET_PER_NODE`], and runs one live uniform-traffic
-/// experiment on it for the steady-state hops/sec figure.
-fn scale_rung(d: usize, packets: usize, window: u64) -> Result<ScaleRung, BenchError> {
+/// experiment on it for the steady-state hops/sec figure. Returns the
+/// rung's `scale.rungs` row: its space and rate figures.
+fn scale_rung(d: usize, packets: usize, window: u64) -> Result<JsonValue, BenchError> {
     let net = ImplicitFibonacciNet::classical(d);
     let nodes = net.len();
     let routing_state_bytes = net.routing_state_bytes();
@@ -458,22 +365,35 @@ fn scale_rung(d: usize, packets: usize, window: u64) -> Result<ScaleRung, BenchE
         });
     }
 
-    Ok(ScaleRung {
-        d,
-        topology: net.name(),
-        nodes,
-        links,
-        graph_build_ms,
-        build_nodes_per_sec: nodes as f64 / (graph_build_ms / 1e3).max(1e-12),
-        routing_state_bytes,
-        routing_bytes_per_node,
-        graph_bytes_per_node: graph_bytes as f64 / nodes as f64,
-        sim_ms,
-        delivered: stats.delivered,
-        hops: stats.total_hops,
-        hops_per_sec: stats.total_hops as f64 / (sim_ms / 1e3).max(1e-12),
-        peak_rss_bytes: peak_rss_bytes(),
-    })
+    let per_sec = |count: f64, ms: f64| JsonValue::Num(count / (ms / 1e3).max(1e-12));
+    Ok(JsonValue::obj([
+        ("d", JsonValue::Int(d as u64)),
+        ("topology", JsonValue::Str(net.name())),
+        ("nodes", JsonValue::Int(nodes as u64)),
+        ("links", JsonValue::Int(links as u64)),
+        ("graph_build_ms", JsonValue::Num(graph_build_ms)),
+        ("build_nodes_per_sec", per_sec(nodes as f64, graph_build_ms)),
+        (
+            "routing_state_bytes",
+            JsonValue::Int(routing_state_bytes as u64),
+        ),
+        (
+            "routing_bytes_per_node",
+            JsonValue::Num(routing_bytes_per_node),
+        ),
+        (
+            "graph_bytes_per_node",
+            JsonValue::Num(graph_bytes as f64 / nodes as f64),
+        ),
+        ("sim_ms", JsonValue::Num(sim_ms)),
+        ("delivered", JsonValue::Int(stats.delivered as u64)),
+        ("hops", JsonValue::Int(stats.total_hops)),
+        ("hops_per_sec", per_sec(stats.total_hops as f64, sim_ms)),
+        (
+            "peak_rss_bytes",
+            peak_rss_bytes().map_or(JsonValue::Null, JsonValue::Int),
+        ),
+    ]))
 }
 
 /// Speedup of the `threads` rung over the ladder's first (serial) rung.
@@ -525,11 +445,9 @@ fn thread_ladder<S: PartialEq>(
 
 /// Prints one thread ladder under its policy label.
 fn print_ladder(label: &str, rows: &[(usize, f64)]) {
-    let serial = rows[0].1;
     println!("\n{label}:");
-    println!("{:>8} {:>12} {:>9}", "threads", "engine ms", "speedup");
-    for &(t, ms) in rows {
-        println!("{:>8} {:>12.1} {:>8.2}×", t, ms, serial / ms.max(1e-9));
+    if let JsonValue::Arr(rows) = ladder_rows_json(rows) {
+        print_table(&rows, "threads engine_ms speedup");
     }
 }
 
@@ -694,27 +612,11 @@ fn run() -> Result<(), BenchError> {
     let (packets, window) = (5_000, 1_000);
 
     header("E-S1 — fixed-load uniform benchmark");
-    println!(
-        "{:<10} {:>6} {:>10} {:>9} {:>8} {:>10} {:>12} {:>8}",
-        "network", "nodes", "thruput", "mean lat", "p99", "engine ms", "seed-eng ms", "speedup"
-    );
     let fixed_load_start = Instant::now();
-    let mut rows = Vec::new();
-    for t in [&gamma as &dyn Topology, &q, &mesh] {
-        let row = fixed_load(t, packets, window)?;
-        println!(
-            "{:<10} {:>6} {:>10.3} {:>9.2} {:>8} {:>10.1} {:>12.1} {:>7.1}×",
-            row.report.topology,
-            row.report.nodes,
-            row.report.stats.throughput,
-            row.report.stats.mean_latency,
-            row.report.stats.p99_latency,
-            row.engine_ms,
-            row.reference_ms,
-            row.speedup()
-        );
-        rows.push(row);
-    }
+    let mut rows = [&gamma as &dyn Topology, &q, &mesh]
+        .map(|t| fixed_load(t, packets, window))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     // The acceptance pair is the cubes (Γ vs Q); the mesh row is
     // context — its long makespan keeps most nodes busy most cycles, so
     // the active-set win there is real but smaller.
@@ -742,6 +644,11 @@ fn run() -> Result<(), BenchError> {
         }
         min_speedup = cube_min(&rows);
     }
+    let perf_rows: Vec<JsonValue> = rows.iter().map(FixedLoadRow::perf_json).collect();
+    print_table(
+        &perf_rows,
+        "topology nodes engine_ms reference_ms speedup hops_per_sec",
+    );
     let fixed_load_ms = fixed_load_start.elapsed().as_secs_f64() * 1e3;
     println!("\nminimum cube-pair speedup over the seed engine: {min_speedup:.1}× (target ≥ 10×)");
 
@@ -775,7 +682,6 @@ fn run() -> Result<(), BenchError> {
         engine::run(&saf_plan, t, &mut NoopObserver)
     })?;
     print_ladder("store-and-forward", &ladder_rows);
-    let serial_ms = ladder_rows[0].1;
     let speedup_at_8 = parallel_speedup(&ladder_rows, 8);
     if parallel_asserted && speedup_at_8 < 2.0 {
         return Err(BenchError::ParallelSpeedupBelowBar {
@@ -851,169 +757,126 @@ fn run() -> Result<(), BenchError> {
     // The top-level fields keep describing the store-and-forward ladder
     // (the artifact contract CI pins); the wormhole and collective
     // ladders ride along as sub-blocks of the same shape.
-    let parallel_perf = JsonValue::obj([
-        ("topology", JsonValue::Str(gamma.name())),
-        (
-            "workload",
-            JsonValue::Str(format!(
-                "uniform {packets} packets / window {window}, seed 2026, healthy"
-            )),
-        ),
-        ("host_cpus", JsonValue::Int(host_cpus as u64)),
-        ("serial_ms", JsonValue::Num(serial_ms)),
-        ("rows", ladder_rows_json(&ladder_rows)),
-        ("speedup_at_8_threads", JsonValue::Num(speedup_at_8)),
-        ("asserted", JsonValue::Bool(parallel_asserted)),
-        (
-            "wormhole",
-            ladder_json(
-                format!("{worm_spec}, uniform 2000 packets / window 500, seed 2026"),
-                &worm_rows,
-                parallel_asserted,
-            ),
-        ),
-        (
-            "collective",
-            ladder_json(
-                "broadcast(source=0,port=one), healthy".to_string(),
-                &coll_rows,
-                false,
-            ),
-        ),
-    ]);
+    let mut parallel_perf = ladder_json(
+        format!("uniform {packets} packets / window {window}, seed 2026, healthy"),
+        &ladder_rows,
+        parallel_asserted,
+    );
+    if let JsonValue::Obj(pairs) = &mut parallel_perf {
+        let worm = format!("{worm_spec}, uniform 2000 packets / window 500, seed 2026");
+        let tree = "broadcast(source=0,port=one), healthy".to_string();
+        pairs.extend(
+            [
+                ("topology", JsonValue::Str(gamma.name())),
+                ("host_cpus", JsonValue::Int(host_cpus as u64)),
+                ("wormhole", ladder_json(worm, &worm_rows, parallel_asserted)),
+                ("collective", ladder_json(tree, &coll_rows, false)),
+            ]
+            .map(|(k, v)| (k.to_string(), v)),
+        );
+    }
     // The router borrows `gamma`, which smoke mode is about to move.
     drop(gamma_router);
 
     // Smoke mode shrinks the sweep dimensions but keeps the artifact
     // shape.
-    let (gamma, q) = if smoke {
-        (
-            FibonacciNet::classical(10), // 144 nodes
-            Hypercube::new(7),           // 128 nodes
-        )
+    let (gamma, q, ring, mesh) = if smoke {
+        // 144 and 128 nodes.
+        let (gamma, q) = (FibonacciNet::classical(10), Hypercube::new(7));
+        (gamma, q, Ring::new(24), Mesh::new(8, 8))
     } else {
-        (gamma, q)
+        (gamma, q, Ring::new(128), Mesh::new(32, 32))
+    };
+    let all: [&dyn Topology; 4] = [&gamma, &q, &ring, &mesh];
+    let seeds = 2;
+    let config = |inject_cycles, drain_cycles| SweepConfig {
+        inject_cycles,
+        drain_cycles,
+        seeds: (1..=seeds).collect(),
     };
 
-    header("E-S2 — injection-rate ladders (saturation sweeps)");
-    let sweeps_start = Instant::now();
     let rates = rate_ladder(0.32, if smoke { 4 } else { 8 });
-    let config = SweepConfig {
-        inject_cycles: if smoke { 150 } else { 250 },
-        drain_cycles: 2_500,
-        seeds: vec![1, 2],
-    };
-    let curves: Vec<SweepCurve> = [
-        injection_sweep(&gamma, RouterSpec::Canonical, &rates, &config),
-        injection_sweep(&gamma, RouterSpec::Adaptive, &rates, &config),
-        injection_sweep(&q, RouterSpec::Ecube, &rates, &config),
-        injection_sweep(&q, RouterSpec::Adaptive, &rates, &config),
-    ]
-    .into_iter()
-    .map(|c| c.expect("every requested policy is supported on its topology"))
-    .collect();
-    for curve in &curves {
-        print_curve(curve);
-    }
-    let sweeps_ms = sweeps_start.elapsed().as_secs_f64() * 1e3;
+    let policies = [
+        (&gamma as &dyn Topology, RouterSpec::Canonical),
+        (&gamma, RouterSpec::Adaptive),
+        (&q, RouterSpec::Ecube),
+        (&q, RouterSpec::Adaptive),
+    ];
+    let (curves, sweeps_ms) = sweep_section(
+        "E-S2 — injection-rate ladders (saturation sweeps)",
+        policies.map(|(t, router)| {
+            let exp = Experiment::on(t).router(router);
+            (exp, vec![Axis::Rates(rates.clone())])
+        }),
+        &config(if smoke { 150 } else { 250 }, 2_500),
+        "offered delivered accepted_rate mean_latency p99_latency",
+        |grid| match saturation_point(grid, 0.95) {
+            Some(i) => println!(
+                "  saturation: rate {:.3} accepted {:.4} pkt/node/cycle (95% delivery)",
+                rates[i],
+                grid.points[i].accepted_rate.unwrap_or(0.0)
+            ),
+            None => println!("  saturated below the lightest rung"),
+        },
+    )?;
 
-    header("E-S3 — fault-resilience grids (delivered throughput vs node faults)");
-    let grids_start = Instant::now();
     // Fault counts as fractions of the node count, so Γ and Q degrade on
     // comparable footing; adaptive routing on both — the paper's claim is
     // about rerouting headroom, not one fixed policy.
     let fault_fractions = [0.0, 0.02, 0.10, 0.25];
-    let fault_counts_of = |n: usize| -> Vec<usize> {
-        let mut counts: Vec<usize> = fault_fractions
-            .iter()
-            .map(|f| ((n as f64) * f).round() as usize)
-            .collect();
+    let faults_of = |t: &dyn Topology| {
+        let n = t.len() as f64;
+        let mut counts: Vec<usize> = fault_fractions.map(|f| (n * f).round() as usize).into();
         counts.dedup();
-        counts
+        Axis::NodeFaults(counts)
     };
     let fault_rates = if smoke {
         vec![0.05, 0.15]
     } else {
         vec![0.05, 0.20]
     };
-    let fault_config = SweepConfig {
-        inject_cycles: if smoke { 120 } else { 200 },
-        drain_cycles: 2_500,
-        seeds: vec![1, 2],
-    };
-    let grids: Vec<FaultLoadGrid> = [
-        fault_load_sweep(
-            &gamma,
-            RouterSpec::Adaptive,
-            &fault_rates,
-            &fault_counts_of(gamma.len()),
-            &fault_config,
-        ),
-        fault_load_sweep(
-            &q,
-            RouterSpec::Adaptive,
-            &fault_rates,
-            &fault_counts_of(q.len()),
-            &fault_config,
-        ),
-    ]
-    .into_iter()
-    .map(|g| g.expect("adaptive routing and survivable fault counts on both cubes"))
-    .collect();
-    for grid in &grids {
-        print_grid(grid);
-        // Well-formedness: a full cell per (rate, fault count), and the
-        // zero-fault column must never drop a packet.
-        assert_eq!(
-            grid.points.len(),
-            grid.rates.len() * grid.fault_counts.len()
-        );
-        for (ri, _) in grid.rates.iter().enumerate() {
-            let healthy = grid.point(ri, 0);
-            assert_eq!(healthy.faults, 0);
-            assert_eq!(healthy.dropped_dead_endpoint, 0.0);
-            assert_eq!(healthy.dropped_unreachable, 0.0);
-        }
-    }
+    let fault_config = config(if smoke { 120 } else { 200 }, 2_500);
+    let (grids, grids_ms) = sweep_section(
+        "E-S3 — fault-resilience grids (delivered throughput vs node faults)",
+        [&gamma as &dyn Topology, &q].map(|t| {
+            let exp = Experiment::on(t).router(RouterSpec::Adaptive);
+            (exp, vec![Axis::Rates(fault_rates.clone()), faults_of(t)])
+        }),
+        &fault_config,
+        "offered delivered dropped_dead_endpoint dropped_unreachable delivered_fraction",
+        // The zero-fault column never drops a packet.
+        |grid| {
+            for ri in 0..fault_rates.len() {
+                let healthy = grid.point(&[ri, 0]);
+                let dropped = healthy.dropped_dead_endpoint + healthy.dropped_unreachable;
+                assert_eq!(dropped, 0.0, "{}: healthy column dropped", grid.topology);
+            }
+        },
+    )?;
 
-    let grids_ms = grids_start.elapsed().as_secs_f64() * 1e3;
-
-    header("E-S4 — collectives as live workloads (broadcast completion vs node faults)");
-    let collectives_start = Instant::now();
     // Broadcast from node 0 in both port models over {Γ, Q, Ring, Mesh} ×
     // the fault-fraction grid: the live counterpart of the static
     // round-count table, degrading to the survivor component.
-    let (ring, mesh_c) = if smoke {
-        (Ring::new(24), Mesh::new(8, 8))
-    } else {
-        (Ring::new(128), Mesh::new(32, 32))
-    };
-    let collective_topos: Vec<&(dyn Topology + Sync)> = vec![&gamma, &q, &ring, &mesh_c];
-    let collective_config = SweepConfig {
-        inject_cycles: 0,
-        drain_cycles: 500_000,
-        seeds: vec![1, 2],
-    };
-    let mut collective_grids: Vec<CollectiveGrid> = Vec::new();
-    for t in &collective_topos {
-        let counts = fault_counts_of(t.len());
-        for port in [Port::One, Port::All] {
-            let spec = CollectiveSpec::Broadcast { source: 0, port };
-            let grid = collective_sweep(*t, &spec, &counts, &collective_config)
-                .expect("broadcast runs on every topology and survivable fault count");
-            // Well-formedness: the healthy column covers everything, and
-            // the one-port healthy completion equals the static oracle.
+    let collective_config = config(0, 500_000);
+    let (collective_grids, collectives_ms) = sweep_section(
+        "E-S4 — collectives as live workloads (broadcast completion vs node faults)",
+        all.into_iter().flat_map(|t| {
+            [Port::One, Port::All].map(|port| {
+                let spec = CollectiveSpec::Broadcast { source: 0, port };
+                (Experiment::on(t).collective(spec), vec![faults_of(t)])
+            })
+        }),
+        &collective_config,
+        "targets reached reached_fraction completion_cycles schedule_rounds \
+         dropped_dead_endpoint dropped_unreachable",
+        // The healthy column covers everything, and an uncontended
+        // broadcast completes in exactly the static schedule's rounds.
+        |grid| {
             let healthy = &grid.points[0];
-            assert_eq!(healthy.faults, 0);
-            assert_eq!(healthy.reached_fraction, Some(1.0));
-            if port == Port::One {
-                assert_eq!(Some(healthy.completion_cycles), healthy.schedule_rounds);
-            }
-            print_collective_grid(&grid);
-            collective_grids.push(grid);
-        }
-    }
-    let collectives_ms = collectives_start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(healthy.reached_fraction, Some(1.0), "{}", grid.topology);
+            assert_eq!(Some(healthy.makespan), healthy.schedule_rounds);
+        },
+    )?;
 
     header("E-S5 — million-node scale ladder (implicit Zeckendorf routing)");
     let scale_start = Instant::now();
@@ -1027,124 +890,77 @@ fn run() -> Result<(), BenchError> {
     } else {
         &[16, 20, 23, 26, 28, 30]
     };
-    println!(
-        "{:<7} {:>9} {:>10} {:>10} {:>12} {:>9} {:>9} {:>12} {:>10}",
-        "network",
-        "nodes",
-        "links",
-        "build ms",
-        "build n/s",
-        "rt B/n",
-        "csr B/n",
-        "hops/s",
-        "rss MB"
+    let rungs = ladder
+        .iter()
+        .map(|&d| scale_rung(d, packets, window))
+        .collect::<Result<Vec<_>, _>>()?;
+    print_table(
+        &rungs,
+        "topology nodes links graph_build_ms build_nodes_per_sec routing_bytes_per_node \
+         graph_bytes_per_node hops_per_sec peak_rss_bytes",
     );
-    let mut rungs = Vec::new();
-    for &d in ladder {
-        let rung = scale_rung(d, packets, window)?;
-        println!(
-            "{:<7} {:>9} {:>10} {:>10.1} {:>12.0} {:>9.4} {:>9.1} {:>12.0} {:>10}",
-            rung.topology,
-            rung.nodes,
-            rung.links,
-            rung.graph_build_ms,
-            rung.build_nodes_per_sec,
-            rung.routing_bytes_per_node,
-            rung.graph_bytes_per_node,
-            rung.hops_per_sec,
-            rung.peak_rss_bytes
-                .map_or_else(|| "n/a".to_string(), |b| format!("{}", b >> 20)),
-        );
-        rungs.push(rung);
-    }
     let scale_ms = scale_start.elapsed().as_secs_f64() * 1e3;
-    let top = rungs.last().expect("ladder is non-empty");
+    let top = rungs.last().map(|rung| field(rung, "d"));
     assert!(
-        top.d >= 26,
-        "scale ladder must end at Γ_26 or beyond (got Γ_{})",
-        top.d
+        matches!(top, Some(&JsonValue::Int(d)) if d >= 26),
+        "scale ladder must end at Γ_26 or beyond (got {top:?})"
     );
 
-    header("E-S6 — switching models: store-and-forward vs wormhole (flit level)");
-    let switching_start = Instant::now();
     // The same injection ladder, re-run per switching model: the flit
     // engine charges a worm `flits_per_packet` cycles of link occupancy
     // per hop, so at identical offered load the wormhole rows show the
     // serialization latency and the earlier saturation knee that the
     // packet-per-cycle SAF abstraction hides.
-    let switching_specs = vec![
-        SwitchingSpec::StoreAndForward,
-        SwitchingSpec::Wormhole {
-            flit_size: 8,
-            vcs: 2,
-            buf_flits: 4,
-        },
-        SwitchingSpec::Wormhole {
-            flit_size: 16,
-            vcs: 4,
-            buf_flits: 8,
-        },
-    ];
+    let switching_specs: Vec<SwitchingSpec> = [
+        "store_and_forward",
+        "wormhole(flit_size=8,vcs=2,buf_flits=4)",
+        "wormhole(flit_size=16,vcs=4,buf_flits=8)",
+    ]
+    .map(|spec| spec.parse().expect("valid switching spec"))
+    .into();
     let switching_rates = if smoke {
         vec![0.02, 0.08]
     } else {
         vec![0.02, 0.06, 0.12]
     };
-    let switching_config = SweepConfig {
-        inject_cycles: if smoke { 100 } else { 150 },
-        drain_cycles: 4_000,
-        seeds: vec![1, 2],
-    };
-    let switching_grids: Vec<SwitchingGrid> = [
-        switching_sweep(
-            &gamma,
-            RouterSpec::Canonical,
-            &switching_rates,
-            &switching_specs,
-            &switching_config,
-        ),
-        switching_sweep(
-            &q,
-            RouterSpec::Ecube,
-            &switching_rates,
-            &switching_specs,
-            &switching_config,
-        ),
-    ]
-    .into_iter()
-    .map(|g| g.expect("validated switching specs and supported routers on both cubes"))
-    .collect();
-    for grid in &switching_grids {
-        print_switching_grid(grid);
-        // Well-formedness: a full cell per (rate, spec), the spec column
-        // echoes parseable text, and light load delivers everything under
-        // every switching model (wormhole merely pays more latency).
-        assert_eq!(grid.points.len(), grid.rates.len() * grid.switching.len());
-        assert_eq!(grid.switching[0], "store_and_forward");
-        assert!(grid.switching[1].starts_with("wormhole(flit_size="));
-        for (si, _) in grid.switching.iter().enumerate() {
-            let light = grid.point(0, si);
+    let switching_config = config(if smoke { 100 } else { 150 }, 4_000);
+    let (switching_grids, switching_ms) = sweep_section(
+        "E-S6 — switching models: store-and-forward vs wormhole (flit level)",
+        [
+            (&gamma as &dyn Topology, RouterSpec::Canonical),
+            (&q, RouterSpec::Ecube),
+        ]
+        .map(|(t, router)| {
+            let axes = vec![
+                Axis::Rates(switching_rates.clone()),
+                Axis::Switching(switching_specs.clone()),
+            ];
+            (Experiment::on(t).router(router), axes)
+        }),
+        &switching_config,
+        "delivered accepted_rate mean_latency p99_latency makespan",
+        // Light load drains under every switching model; a worm merely
+        // pays serialization latency.
+        |grid| {
+            for si in 0..switching_specs.len() {
+                let light = grid.point(&[0, si]).delivered_fraction;
+                assert!(
+                    light > Some(0.999),
+                    "{}: light load must drain",
+                    grid.topology
+                );
+            }
+            let (saf, worm) = (grid.point(&[0, 0]), grid.point(&[0, 1]));
             assert!(
-                light.delivered_fraction > 0.999,
-                "{} {}: light load must drain",
+                worm.mean_latency > saf.mean_latency,
+                "{}: wormhole serialization must cost latency ({} vs {})",
                 grid.topology,
-                light.switching
+                worm.mean_latency,
+                saf.mean_latency
             );
-        }
-        let saf = grid.point(0, 0);
-        let worm = grid.point(0, 1);
-        assert!(
-            worm.mean_latency > saf.mean_latency,
-            "{}: wormhole serialization must cost latency ({} vs {})",
-            grid.topology,
-            worm.mean_latency,
-            saf.mean_latency
-        );
-    }
-    let switching_ms = switching_start.elapsed().as_secs_f64() * 1e3;
+        },
+    )?;
 
-    header("E-S7 — dynamic fault churn (recovery time vs MTTR, SLO-grade reporting)");
-    let churn_start = Instant::now();
     // A seeded mid-run fail/recover timeline over {Γ, Q, Ring, Mesh},
     // swept across a mean-time-to-repair ladder at fixed churn
     // intensity: the SLO tracker measures how long after each fail event
@@ -1161,42 +977,37 @@ fn run() -> Result<(), BenchError> {
     } else {
         vec![50.0, 200.0, 800.0, f64::INFINITY]
     };
-    let churn_config = SweepConfig {
-        inject_cycles: if smoke { 800 } else { 1_500 },
-        drain_cycles: 2_500,
-        seeds: vec![1, 2],
+    let churn_config = config(if smoke { 800 } else { 1_500 }, 2_500);
+    let churned = |t| {
+        Experiment::on(t)
+            .router(RouterSpec::Builtin)
+            .traffic(TrafficSpec::Bernoulli {
+                rate: 0.05,
+                cycles: churn_config.inject_cycles,
+            })
+            .faults(FaultSpec::Churn {
+                node_rate: churn_node_rate,
+                link_rate: churn_link_rate,
+                mttr: f64::INFINITY,
+            })
     };
-    let churn_topos: Vec<&(dyn Topology + Sync)> = vec![&gamma, &q, &ring, &mesh_c];
-    let mut churn_grids: Vec<ChurnGrid> = Vec::new();
-    for t in &churn_topos {
-        let grid = churn_sweep(
-            *t,
-            RouterSpec::Builtin,
-            0.05,
-            churn_node_rate,
-            churn_link_rate,
-            &churn_mttrs,
-            &churn_config,
-        )
-        .expect("the built-in router and validated churn parameters run everywhere");
-        // Well-formedness: one cell per MTTR, traffic flowed in every
-        // cell, and the infinite-MTTR cell commits no recover events.
-        assert_eq!(grid.points.len(), churn_mttrs.len());
-        let permanent = grid.points.last().expect("the MTTR ladder is non-empty");
-        assert!(permanent.mttr.is_infinite());
-        assert_eq!(permanent.events, permanent.fail_events);
-        for p in &grid.points {
-            assert!(p.offered > 0.0, "{}: churn cell offered nothing", t.name());
-            assert!(
-                p.fail_events > 0.0,
-                "{}: the run ended before any churn event committed",
-                t.name()
-            );
-        }
-        print_churn_grid(&grid);
-        churn_grids.push(grid);
-    }
-    let churn_ms = churn_start.elapsed().as_secs_f64() * 1e3;
+    let (churn_grids, churn_ms) = sweep_section(
+        "E-S7 — dynamic fault churn (recovery time vs MTTR, SLO-grade reporting)",
+        all.map(|t| (churned(t), vec![Axis::Mttrs(churn_mttrs.clone())])),
+        &churn_config,
+        "events fail_events recovered_fraction mean_time_to_recover delivered_fraction \
+         dropped_link_died dropped_node_died worst_window_p999",
+        // Traffic flowed and churn events committed in every cell, and
+        // the infinite-MTTR cell (the ladder's last) never recovers.
+        |grid| {
+            for p in &grid.points {
+                let flowed = p.offered > 0.0 && p.fail_events > Some(0.0);
+                assert!(flowed, "{}: no traffic or no fail event", grid.topology);
+            }
+            let permanent = grid.points.last().expect("the MTTR ladder is non-empty");
+            assert_eq!(permanent.events, permanent.fail_events);
+        },
+    )?;
 
     let scale = JsonValue::obj([
         (
@@ -1211,97 +1022,44 @@ fn run() -> Result<(), BenchError> {
             "routing_byte_budget_per_node",
             JsonValue::Num(SCALE_ROUTING_BUDGET_PER_NODE),
         ),
-        (
-            "rungs",
-            JsonValue::Arr(rungs.iter().map(ScaleRung::to_json_value).collect()),
-        ),
+        ("rungs", JsonValue::Arr(rungs)),
     ]);
 
-    let collectives = JsonValue::obj([
-        (
-            "workload",
-            JsonValue::Str(format!(
-                "broadcast(source=0) one-port and all-port × fault fractions \
-                 {fault_fractions:?}, {} seeds",
-                collective_config.seeds.len()
-            )),
+    let collectives = section(
+        format!(
+            "broadcast(source=0) one-port and all-port × fault fractions \
+             {fault_fractions:?}, {seeds} seeds"
         ),
-        (
-            "grids",
-            JsonValue::Arr(
-                collective_grids
-                    .iter()
-                    .map(CollectiveGrid::to_json_value)
-                    .collect(),
-            ),
+        &collective_grids,
+    );
+    let mut fault_resilience = section(
+        format!(
+            "bernoulli ladder {fault_rates:?} × fault fractions {fault_fractions:?}, \
+             adaptive routing, {seeds} seeds"
         ),
-    ]);
-
-    let fault_resilience = JsonValue::obj([
-        (
-            "workload",
-            JsonValue::Str(format!(
-                "bernoulli ladder {fault_rates:?} × fault fractions {fault_fractions:?}, \
-                 adaptive routing, {} seeds",
-                fault_config.seeds.len()
-            )),
+        &grids,
+    );
+    if let JsonValue::Obj(pairs) = &mut fault_resilience {
+        let rows = grids.iter().flat_map(degradation_rows).collect();
+        pairs.push(("degradation_at_top_rate".to_string(), JsonValue::Arr(rows)));
+    }
+    let specs: Vec<String> = switching_specs.iter().map(|s| s.to_string()).collect();
+    let switching = section(
+        format!("bernoulli ladder {switching_rates:?} × switching models {specs:?}, {seeds} seeds"),
+        &switching_grids,
+    );
+    let churn = section(
+        format!(
+            "bernoulli 0.05 × churn(node_rate={churn_node_rate},link_rate={churn_link_rate}) \
+             × mttr ladder {churn_mttrs:?}, built-in routing, {seeds} seeds"
         ),
-        (
-            "grids",
-            JsonValue::Arr(grids.iter().map(FaultLoadGrid::to_json_value).collect()),
-        ),
-        (
-            "degradation_at_top_rate",
-            JsonValue::Arr(grids.iter().flat_map(degradation_rows).collect()),
-        ),
-    ]);
-
-    let switching = JsonValue::obj([
-        (
-            "workload",
-            JsonValue::Str(format!(
-                "bernoulli ladder {switching_rates:?} × switching models \
-                 {:?}, {} seeds",
-                switching_specs
-                    .iter()
-                    .map(SwitchingSpec::to_string)
-                    .collect::<Vec<_>>(),
-                switching_config.seeds.len()
-            )),
-        ),
-        (
-            "grids",
-            JsonValue::Arr(
-                switching_grids
-                    .iter()
-                    .map(SwitchingGrid::to_json_value)
-                    .collect(),
-            ),
-        ),
-    ]);
-
-    let churn = JsonValue::obj([
-        (
-            "workload",
-            JsonValue::Str(format!(
-                "bernoulli 0.05 × churn(node_rate={churn_node_rate},link_rate={churn_link_rate}) \
-                 × mttr ladder {churn_mttrs:?}, built-in routing, {} seeds",
-                churn_config.seeds.len()
-            )),
-        ),
-        (
-            "grids",
-            JsonValue::Arr(churn_grids.iter().map(ChurnGrid::to_json_value).collect()),
-        ),
-    ]);
+        &churn_grids,
+    );
 
     // Per-topology engine throughput plus per-phase wall-clock — the
     // regression trail for the arena engine.
     let engine_perf = JsonValue::obj([
-        (
-            "fixed_load_rows",
-            JsonValue::Arr(rows.iter().map(FixedLoadRow::perf_json).collect()),
-        ),
+        ("fixed_load_rows", JsonValue::Arr(perf_rows)),
         ("min_cube_speedup", JsonValue::Num(min_speedup)),
         ("parallel", parallel_perf),
         (
@@ -1336,7 +1094,7 @@ fn run() -> Result<(), BenchError> {
         ("engine_perf", engine_perf),
         (
             "sweeps",
-            JsonValue::Arr(curves.iter().map(SweepCurve::to_json_value).collect()),
+            JsonValue::Arr(curves.iter().map(Grid::to_json_value).collect()),
         ),
         ("fault_resilience", fault_resilience),
         ("collectives", collectives),
@@ -1348,31 +1106,18 @@ fn run() -> Result<(), BenchError> {
     // The artifact contract the CI smoke step relies on: the
     // fault-resilience, engine-perf, and collectives sections exist and
     // carry their per-cell / per-row figures.
-    assert!(text.contains("\"fault_resilience\""));
-    assert!(text.contains("\"degradation_at_top_rate\""));
-    assert!(text.contains("\"delivered_fraction\""));
-    assert!(text.contains("\"engine_perf\""));
-    assert!(text.contains("\"hops_per_sec\""));
-    assert!(text.contains("\"parallel\""));
-    assert!(text.contains("\"host_cpus\""));
-    assert!(text.contains("\"serial_ms\""));
-    assert!(text.contains("\"speedup_at_8_threads\""));
-    assert!(text.contains("\"collectives\""));
-    assert!(text.contains("\"completion_cycles\""));
-    assert!(text.contains("\"reached_fraction\""));
-    assert!(text.contains("\"scale\""));
-    assert!(text.contains("\"routing_bytes_per_node\""));
-    assert!(text.contains("\"build_nodes_per_sec\""));
-    assert!(text.contains("\"switching\""));
-    assert!(text.contains("\"switching_ms\""));
-    assert!(text.contains("\"store_and_forward\""));
+    let contract = "fault_resilience degradation_at_top_rate delivered_fraction engine_perf \
+                    hops_per_sec parallel host_cpus serial_ms speedup_at_8_threads collectives \
+                    completion_cycles reached_fraction scale routing_bytes_per_node \
+                    build_nodes_per_sec switching switching_ms store_and_forward churn mttrs \
+                    mean_time_to_recover recovered_fraction worst_window_p999 dropped_link_died";
+    for key in contract.split_whitespace() {
+        assert!(
+            text.contains(&format!("\"{key}\"")),
+            "BENCH_sim.json lacks {key}"
+        );
+    }
     assert!(text.contains("\"wormhole(flit_size="));
-    assert!(text.contains("\"churn\""));
-    assert!(text.contains("\"mttrs\""));
-    assert!(text.contains("\"mean_time_to_recover\""));
-    assert!(text.contains("\"recovered_fraction\""));
-    assert!(text.contains("\"worst_window_p999\""));
-    assert!(text.contains("\"dropped_link_died\""));
     std::fs::write("BENCH_sim.json", text).expect("write BENCH_sim.json");
     println!(
         "\nwrote BENCH_sim.json (engine_perf + fault_resilience + collectives + scale \

@@ -48,9 +48,12 @@
 //! [`SimStats`](crate::engine::SimStats), and one JSON section per
 //! observer. [`run_batch`](Experiment::run_batch) fans the same
 //! configuration across many seeds on the workspace thread pool with
-//! deterministic, order-independent results — the building block the
-//! sweep grids ([`injection_sweep`](crate::sweep::injection_sweep),
-//! [`fault_load_sweep`](crate::sweep::fault_load_sweep)) are built on.
+//! deterministic, order-independent results, and
+//! [`sweep`](crate::sweep::sweep) runs it over a grid of axis values
+//! (rates, node faults, switching models, churn MTTRs) and averages
+//! each cell over the seeds. Both share `run`'s plan builder: the
+//! faults are drawn once per seed (per sweep column) and every run of
+//! that column reuses the draw and its fault-masking router.
 //!
 //! ## The observer contract
 //!
@@ -69,15 +72,13 @@
 
 use core::fmt;
 
-use fibcube_graph::parallel::par_map;
-
 use crate::broadcast::BroadcastError;
 use crate::collective::{CollectiveOutcome, CollectiveSpec, CollectiveWorkload, CopyPlan};
 use crate::engine::{self, Admission, RequestReplyLoad, RunPlan, Workload};
-use crate::fault::{ChurnTimeline, FaultError, FaultSpec};
+use crate::fault::{ChurnTimeline, FaultError, FaultSet, FaultSpec};
 use crate::observer::{NoopObserver, SimObserver};
 use crate::report::Report;
-use crate::router::{check_table_budget, FaultMaskingRouter, NextHopRouter, RouterSpec};
+use crate::router::{check_table_budget, FaultMaskingRouter, NextHopRouter, Router, RouterSpec};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficSpec};
@@ -120,13 +121,6 @@ pub enum ExperimentError {
         /// What is wrong with it.
         reason: String,
     },
-    /// A collective experiment produced a report without a
-    /// [`CollectiveOutcome`] — an internal invariant violation the sweep
-    /// layer surfaces as a typed error instead of a panic.
-    MissingCollectiveOutcome {
-        /// Name of the topology whose report lacked the outcome.
-        topology: String,
-    },
     /// The collective spec is degenerate for the target network
     /// (nonexistent source, too many multicast destinations, …).
     InvalidCollective {
@@ -147,16 +141,24 @@ pub enum ExperimentError {
     },
     /// A dynamic-path feature (fault churn, closed-loop `request_reply`
     /// traffic) was combined with a configuration the churn engine does
-    /// not model — wormhole switching or a collective workload. Both
-    /// run on the store-and-forward point-to-point engine only. A
-    /// closed loop also takes static faults only as a cycle-0 churn
-    /// timeline, never as a static fault mask.
+    /// not model — wormhole switching or a tree collective (broadcast,
+    /// multicast). Both run on the store-and-forward engine only;
+    /// `alltoallp` runs under churn as routed unicasts. A closed loop
+    /// also takes static faults only as a cycle-0 churn timeline, never
+    /// as a static fault mask.
     UnsupportedDynamic {
         /// The dynamic feature, in canonical text form
         /// (`churn(...)`, `request_reply(...)`, or a churn timeline).
         feature: String,
         /// What it was combined with, in canonical text form.
         with: String,
+    },
+    /// A [`sweep`](crate::sweep::sweep) grid is malformed: no seeds, an
+    /// axis kind given twice, two axes that both set the fault scenario,
+    /// or an axis that varies a spec the experiment does not use.
+    InvalidSweep {
+        /// What is wrong with the grid.
+        reason: String,
     },
     /// A thread budget above 1 was combined with an observer that does
     /// not implement [`SimObserver::fork`] / [`SimObserver::merge`]. The
@@ -227,11 +229,6 @@ impl fmt::Display for ExperimentError {
             ExperimentError::InvalidSwitching { spec, reason } => {
                 write!(f, "invalid switching `{spec}`: {reason}")
             }
-            ExperimentError::MissingCollectiveOutcome { topology } => write!(
-                f,
-                "collective experiment on `{topology}` reported no outcome \
-                 (internal invariant violation)"
-            ),
             ExperimentError::InvalidCollective { spec, reason } => {
                 write!(f, "invalid collective `{spec}`: {reason}")
             }
@@ -251,6 +248,7 @@ impl fmt::Display for ExperimentError {
                 "`{feature}` runs on the store-and-forward point-to-point \
                  engine only and cannot combine with `{with}`"
             ),
+            ExperimentError::InvalidSweep { reason } => write!(f, "invalid sweep: {reason}"),
             ExperimentError::UnforkableObserver { observer, threads } => write!(
                 f,
                 "observer `{observer}` does not implement \
@@ -286,14 +284,14 @@ impl std::error::Error for ExperimentError {}
 /// Defaults: [`RouterSpec::Preferred`], 1000 packets of uniform traffic
 /// over a 250-cycle window, seed 0, no cycle cap (run until drained),
 /// no observer.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Experiment<'a, T: Topology + ?Sized, O: SimObserver = NoopObserver> {
-    topology: &'a T,
+    pub(crate) topology: &'a T,
     router: RouterSpec,
-    traffic: TrafficSpec,
-    switching: SwitchingSpec,
-    collective: Option<CollectiveSpec>,
-    faults: FaultSpec,
+    pub(crate) traffic: TrafficSpec,
+    pub(crate) switching: SwitchingSpec,
+    pub(crate) collective: Option<CollectiveSpec>,
+    pub(crate) faults: FaultSpec,
     max_cycles: u64,
     seed: u64,
     threads: usize,
@@ -329,10 +327,8 @@ enum Load {
 }
 
 /// Decorrelates fault placement from the traffic stream while keeping
-/// both a pure function of the experiment seed. Shared with the sweep
-/// grids so a sweep cell draws the same faults an equally-seeded
-/// [`Experiment`] would.
-pub(crate) fn fault_seed(seed: u64) -> u64 {
+/// both a pure function of the experiment seed.
+fn fault_seed(seed: u64) -> u64 {
     seed ^ 0xFA17_5EED_0C0D_ED00
 }
 
@@ -342,23 +338,18 @@ fn collective_seed(seed: u64) -> u64 {
     seed ^ 0xC011_EC71_5EED_0001
 }
 
-/// The shared batch machinery behind [`Experiment::run_batch`] and the
-/// sweep grids: runs `count` independently built experiment cells across
-/// the workspace's scoped-thread pool
-/// ([`fibcube_graph::parallel::par_map`]) and collects their reports *in
-/// cell order* — thread scheduling never reorders results, and because
-/// every run is a pure function of its configuration the aggregate is
-/// deterministic and independent of how cells were interleaved. The
-/// first failing cell's error (in cell order) wins.
-pub(crate) fn run_cells<'a, T, F>(count: usize, build: F) -> Result<Vec<Report>, ExperimentError>
-where
-    T: Topology + Sync + ?Sized + 'a,
-    F: Fn(usize) -> Experiment<'a, T, NoopObserver> + Sync,
-{
-    par_map(count, |i| build(i).run()).into_iter().collect()
+/// The faults one run meets, drawn from the experiment's [`FaultSpec`]:
+/// the static set it materialises (empty under churn), a churn spec's
+/// event timeline, and the fault-masking router a non-empty static set
+/// routes through. A sweep column draws once and shares the result with
+/// every cell in the column.
+pub(crate) struct DrawnFaults<'r, R: Router + ?Sized> {
+    set: FaultSet,
+    churn: Option<ChurnTimeline>,
+    mask: Option<FaultMaskingRouter<'r, R>>,
 }
 
-impl<'a, T: Topology + Sync + ?Sized> Experiment<'a, T, NoopObserver> {
+impl<'a, T: Topology + ?Sized> Experiment<'a, T, NoopObserver> {
     /// Runs this configuration once per seed, fanned out across the
     /// workspace's scoped-thread pool, and returns the reports **in
     /// `seeds` order**. Each run is a pure function of `(configuration,
@@ -377,17 +368,27 @@ impl<'a, T: Topology + Sync + ?Sized> Experiment<'a, T, NoopObserver> {
     /// Errors surface like [`run`](Experiment::run)'s, with the first
     /// failing seed (in `seeds` order) winning.
     pub fn run_batch(&self, seeds: &[u64]) -> Result<Vec<Report>, ExperimentError> {
-        run_cells(seeds.len(), |i| {
-            let mut cell = Experiment::on(self.topology)
-                .router(self.router)
-                .traffic(self.traffic.clone())
-                .switching(self.switching.clone())
-                .faults(self.faults.clone())
-                .cycles(self.max_cycles)
-                .seed(seeds[i]);
-            cell.collective = self.collective.clone();
-            cell
-        })
+        let router = self.resolve_router()?;
+        let cells = std::slice::from_ref(self);
+        let runs = crate::sweep::run_grid(cells, &[0], seeds, &*router, None)?;
+        Ok(runs.into_iter().map(|run| run.report).collect())
+    }
+}
+
+impl<T: Topology + ?Sized, O: SimObserver + Clone> Clone for Experiment<'_, T, O> {
+    fn clone(&self) -> Self {
+        Experiment {
+            topology: self.topology,
+            router: self.router,
+            traffic: self.traffic.clone(),
+            switching: self.switching.clone(),
+            collective: self.collective.clone(),
+            faults: self.faults.clone(),
+            max_cycles: self.max_cycles,
+            seed: self.seed,
+            threads: self.threads,
+            observer: self.observer.clone(),
+        }
     }
 }
 
@@ -513,35 +514,42 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     /// timeline of fail events pinned to cycle 0. Unsupported
     /// combinations are typed errors from the engine's support table
     /// (see [`RunPlan`]).
-    pub fn run(mut self) -> Result<Report, ExperimentError>
+    pub fn run(self) -> Result<Report, ExperimentError>
     where
         O: Send,
     {
-        let (topology, n) = (self.topology, self.topology.len());
-        self.switching.validate()?;
-        if let (true, Some(spec)) = (self.faults.is_churn(), &self.collective) {
-            // Collectives run on the static network only — `alltoallp`
-            // included, which reaches the engine as open packets.
-            return Err(ExperimentError::UnsupportedDynamic {
-                feature: self.faults.to_string(),
-                with: spec.to_string(),
-            });
-        }
-        let fault_set = self
-            .faults
-            .sample(topology.graph(), fault_seed(self.seed))?;
-        let collective = self.collective.take();
-        let compiled = match &collective {
-            Some(spec) => {
-                Some(spec.compile(topology.graph(), &fault_set, collective_seed(self.seed))?)
-            }
-            None => {
-                self.traffic.validate(n)?;
-                None
-            }
-        };
-        let closed = compiled.is_none() && matches!(self.traffic, TrafficSpec::RequestReply { .. });
-        let timeline = match self.faults {
+        let router = self.resolve_router()?;
+        let faults = self.draw_faults(self.seed, &*router)?;
+        self.run_drawn(&faults, &*router)
+    }
+
+    /// `true` when a tree collective (broadcast or multicast, executed by
+    /// replication) replaces the traffic.
+    fn is_tree(&self) -> bool {
+        matches!(&self.collective, Some(spec) if !matches!(spec, CollectiveSpec::AllToAllPersonalized))
+    }
+
+    /// `true` when closed-loop `request_reply` sessions are the workload.
+    fn is_closed(&self) -> bool {
+        self.collective.is_none() && matches!(self.traffic, TrafficSpec::RequestReply { .. })
+    }
+
+    /// Draws the fault scenario from `seed`: the static set, a churn
+    /// spec's event timeline over `[0, cycles)`, and the mask around
+    /// `router`. Only a non-empty static set on open traffic or
+    /// `alltoallp` needs a mask: churn and closed loops mask inside the
+    /// engine, and a tree's copy plan carries its own fault set.
+    pub(crate) fn draw_faults<'r, R: Router + ?Sized>(
+        &self,
+        seed: u64,
+        router: &'r R,
+    ) -> Result<DrawnFaults<'r, R>, ExperimentError>
+    where
+        'a: 'r,
+    {
+        let g = self.topology.graph();
+        let set = self.faults.sample(g, fault_seed(seed))?;
+        let churn = match self.faults {
             FaultSpec::Churn { .. } if self.max_cycles == u64::MAX => {
                 return Err(ExperimentError::Fault(FaultError::InvalidChurn {
                     reason: "churn needs a finite cycles(..) cap to bound its event timeline"
@@ -553,24 +561,77 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
                 link_rate,
                 mttr,
             } => Some(ChurnTimeline::generate(
-                topology.graph(),
+                g,
                 node_rate,
                 link_rate,
                 mttr,
-                fault_seed(self.seed),
+                fault_seed(seed),
                 self.max_cycles,
             )),
-            _ if closed => Some(ChurnTimeline::failing_at_cycle_zero(&fault_set)),
             _ => None,
         };
-        // Tree forwarding consults no routing policy: the plan resolved
-        // every edge at compile time, so the spec is not resolved either.
-        let tree = matches!(compiled, Some(CollectiveWorkload::Tree(_)));
-        let router = if tree {
-            Box::new(NextHopRouter::new(topology))
+        let unmasked = churn.is_some() || self.is_closed() || self.is_tree();
+        let mask = if unmasked || set.is_empty() {
+            None
         } else {
-            self.router.resolve(topology)?
+            check_table_budget(self.topology.len())?;
+            Some(FaultMaskingRouter::for_topology(
+                self.topology,
+                router,
+                &set,
+            ))
         };
+        Ok(DrawnFaults { set, churn, mask })
+    }
+
+    /// The router runs of this configuration consult: the resolved
+    /// [`RouterSpec`] — or, for a tree collective, whose copy plan fixed
+    /// every edge at compile time, the topology's own rule, leaving the
+    /// spec unresolved.
+    pub(crate) fn resolve_router(
+        &self,
+    ) -> Result<Box<dyn Router + Send + Sync + 'a>, ExperimentError> {
+        if self.is_tree() {
+            Ok(Box::new(NextHopRouter::new(self.topology)))
+        } else {
+            self.router.resolve(self.topology)
+        }
+    }
+
+    /// The name a report gives `router`: `tree-forward` for a tree
+    /// collective, the fault-masking wrapper's name when `degraded`.
+    pub(crate) fn router_name<R: Router + ?Sized>(&self, router: &R, degraded: bool) -> String {
+        match () {
+            _ if self.is_tree() => "tree-forward".to_string(),
+            _ if degraded => crate::router::masked_router_name(&router.name()),
+            _ => router.name(),
+        }
+    }
+
+    /// The rest of [`run`](Experiment::run) once the faults are drawn:
+    /// compiles the workload, runs `router` through [`engine::run`]
+    /// under `faults`, and assembles the [`Report`].
+    pub(crate) fn run_drawn<R: Router + Sync + ?Sized>(
+        mut self,
+        faults: &DrawnFaults<'_, R>,
+        router: &R,
+    ) -> Result<Report, ExperimentError>
+    where
+        O: Send,
+    {
+        let (topology, n) = (self.topology, self.topology.len());
+        self.switching.validate()?;
+        let set = &faults.set;
+        let compiled = match &self.collective {
+            Some(spec) => Some(spec.compile(topology.graph(), set, collective_seed(self.seed))?),
+            None => {
+                self.traffic.validate(n)?;
+                None
+            }
+        };
+        let pinned = (self.is_closed() && faults.churn.is_none())
+            .then(|| ChurnTimeline::failing_at_cycle_zero(set));
+        let timeline = faults.churn.as_ref().or(pinned.as_ref());
         let load = match compiled {
             Some(CollectiveWorkload::Tree(plan)) => Load::Tree(plan),
             Some(CollectiveWorkload::Unicasts(packets)) => Load::Packets(packets),
@@ -590,15 +651,8 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
                 _ => Load::Packets(self.traffic.generate(n, self.seed)),
             },
         };
-        let masked = if timeline.is_none() && !tree && !fault_set.is_empty() {
-            check_table_budget(n)?;
-            Some(FaultMaskingRouter::for_topology(
-                topology, &*router, &fault_set,
-            ))
-        } else {
-            None
-        };
-        let admission = match (&timeline, &masked) {
+        let mask = faults.mask.as_ref();
+        let admission = match (timeline, mask) {
             (Some(timeline), _) => Admission::Churn(timeline),
             (None, Some(mask)) => Admission::Static(mask),
             (None, None) => Admission::Healthy,
@@ -608,21 +662,14 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
             Load::Sessions(sessions) => Workload::Closed(sessions),
             Load::Tree(plan) => Workload::Copies(plan),
         };
-        let plan = RunPlan::new(topology, &*router, workload, self.max_cycles)
+        let plan = RunPlan::new(topology, router, workload, self.max_cycles)
             .switching(self.switching.clone())
             .admission(admission);
         let out = engine::run(&plan, self.threads, &mut self.observer)?;
         // A degraded run executes the fault-masking wrapper, and the
         // report should say so rather than claim the bare policy ran.
-        let degraded = timeline
-            .as_ref()
-            .map_or(masked.is_some(), |t| !t.is_empty());
-        let router_name = match () {
-            _ if tree => "tree-forward".to_string(),
-            _ if degraded => crate::router::masked_router_name(&router.name()),
-            _ => router.name(),
-        };
-        let collective = collective.map(|spec| CollectiveOutcome {
+        let degraded = timeline.map_or(mask.is_some(), |t| !t.is_empty());
+        let collective = self.collective.as_ref().map(|spec| CollectiveOutcome {
             spec: spec.to_string(),
             targets: match &load {
                 Load::Tree(plan) => plan.targets(),
@@ -641,14 +688,14 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
             topology: topology.name(),
             nodes: n,
             router_spec: self.router.to_string(),
-            router: router_name,
+            router: self.router_name(router, degraded),
             traffic: collective
                 .as_ref()
                 .map_or_else(|| self.traffic.to_string(), |c| c.spec.clone()),
             switching: self.switching.to_string(),
             faults: self.faults.to_string(),
-            failed_nodes: fault_set.failed_nodes().len(),
-            failed_links: fault_set.failed_links().len(),
+            failed_nodes: set.failed_nodes().len(),
+            failed_links: set.failed_links().len(),
             seed: self.seed,
             max_cycles: self.max_cycles,
             stats: out.stats,
@@ -1427,6 +1474,65 @@ mod tests {
             })
             .run()
             .is_ok());
+    }
+
+    #[test]
+    fn churned_collectives_follow_the_engine_support_table() {
+        // The engine's support table alone decides: `alltoallp` runs
+        // under churn as routed unicasts, and tree collectives get the
+        // engine's typed refusal.
+        use crate::collective::{CollectiveSpec, Port};
+        let q = Hypercube::new(5);
+        let churn: FaultSpec = "churn(node_rate=0.01,link_rate=0.01,mttr=50)"
+            .parse()
+            .unwrap();
+        let report = Experiment::on(&q)
+            .collective(CollectiveSpec::AllToAllPersonalized)
+            .faults(churn.clone())
+            .cycles(5_000)
+            .seed(3)
+            .run()
+            .expect("alltoallp runs under churn");
+        let outcome = report.collective.as_ref().expect("collective outcome");
+        assert_eq!(outcome.targets, 32 * 31);
+        assert_eq!(outcome.reached, report.stats.delivered);
+        assert_eq!(report.faults, churn.to_string());
+        assert!(
+            report.router.starts_with("fault-masked("),
+            "{}",
+            report.router
+        );
+        let s = &report.stats;
+        assert_eq!(
+            s.delivered + s.dropped(),
+            s.offered,
+            "drained under the cap"
+        );
+        for tree in [
+            CollectiveSpec::Broadcast {
+                source: 0,
+                port: Port::One,
+            },
+            CollectiveSpec::Multicast {
+                source: 0,
+                count: 5,
+                port: Port::All,
+            },
+        ] {
+            let err = Experiment::on(&q)
+                .collective(tree)
+                .faults(churn.clone())
+                .cycles(5_000)
+                .run()
+                .expect_err("tree replication has no churn model");
+            match &err {
+                ExperimentError::UnsupportedDynamic { feature, with } => {
+                    assert!(feature.starts_with("churn timeline"), "{feature}");
+                    assert!(with.starts_with("copy_plan("), "{with}");
+                }
+                other => panic!("expected UnsupportedDynamic, got {other:?}"),
+            }
+        }
     }
 
     #[test]

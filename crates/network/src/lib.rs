@@ -48,12 +48,12 @@
 //!   switching with virtual channels and credit-based backpressure,
 //!   deadlock-free by construction against the topologies' order-based
 //!   channel classes;
-//! * [`sweep`] — injection-rate ladders producing saturation-throughput
-//!   and latency-vs-load curves, parallel across (rate, seed) runs, plus
-//!   the [`fault_load_sweep`] rate × fault-count resilience grid, the
-//!   [`switching_sweep`] wormhole-vs-store-and-forward comparison, and
-//!   the [`churn_sweep`] recovery-time-vs-MTTR grid under dynamic
-//!   fault churn;
+//! * [`sweep`](mod@sweep) — one [`Experiment`] over a grid of [`Axis`]
+//!   values (offered rates, node faults, switching models, churn MTTRs)
+//!   and seeds, averaged per cell into a [`Grid`] of [`Point`]s: the
+//!   latency-vs-load and saturation curves, the fault-resilience,
+//!   switching and collective grids, and recovery time vs MTTR under
+//!   dynamic fault churn;
 //! * [`traffic`] — declarative, seeded workload specs ([`TrafficSpec`]:
 //!   uniform, hot-spot, complement permutation, all-to-all, open-loop
 //!   Bernoulli, mixes — all CLI/JSON-parseable);
@@ -127,12 +127,7 @@ pub use router::{
     AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, LinkLoad, NextHopRouter,
     NextHopTable, NoLoad, Router, RouterSpec, TABLE_BYTE_BUDGET,
 };
-pub use sweep::{
-    churn_sweep, collective_sweep, fault_load_sweep, injection_sweep, injection_sweep_with,
-    rate_ladder, saturation_point, switching_sweep, ChurnGrid, ChurnPoint, CollectiveGrid,
-    CollectivePoint, FaultLoadGrid, FaultLoadPoint, LoadPoint, SweepConfig, SweepCurve,
-    SwitchingGrid, SwitchingPoint,
-};
+pub use sweep::{rate_ladder, saturation_point, sweep, Axis, Grid, Point, SweepConfig};
 pub use switching::{SwitchingSpec, VcOccupancy, PACKET_LENGTH_UNITS};
 pub use topology::{FibonacciNet, Hypercube, Mesh, Ring, RouteError, Topology};
 pub use traffic::{Packet, TrafficSpec};

@@ -1,129 +1,374 @@
-//! Injection-rate sweeps: the saturation-throughput and latency-vs-load
-//! experiments the 1993-era evaluations report per topology.
+//! Sweeps: one [`Experiment`] over a grid of axis values and seeds,
+//! averaged per cell — the saturation, fault-resilience, switching and
+//! churn comparisons the 1993-era evaluations report per topology.
 //!
-//! A sweep runs an *injection-rate ladder*: for each offered rate
-//! (packets per node per cycle) it runs one [`Experiment`] with
-//! open-loop Bernoulli traffic ([`TrafficSpec::Bernoulli`]) under a fixed
-//! [`RouterSpec`] across several seeds, in parallel on the workspace's
-//! scoped-thread pool ([`fibcube_graph::parallel`]), and averages the
-//! resulting throughput/latency into one [`LoadPoint`] per rate. The
-//! resulting curve exposes the two numbers the comparisons care about:
-//! where latency departs from the zero-load value, and the saturation
-//! throughput where accepted traffic stops tracking offered traffic.
+//! [`sweep`] takes an experiment, a list of [`Axis`] values and a
+//! [`SweepConfig`]. Each axis replaces one part of the experiment:
+//! [`Axis::Rates`] the traffic (open-loop Bernoulli over
+//! `inject_cycles`: latency vs load, and the [`saturation_point`]),
+//! [`Axis::NodeFaults`] the fault scenario (random node faults:
+//! throughput or collective coverage as processors die),
+//! [`Axis::Switching`] the switching model (wormhole vs
+//! store-and-forward), and [`Axis::Mttrs`] the repair time of the
+//! experiment's churn spec (recovery time vs MTTR).
 //!
-//! [`fault_load_sweep`] extends the ladder into a grid: every rate is
-//! additionally run under increasing node-fault counts
-//! ([`FaultSpec::Nodes`]), exposing how delivered throughput degrades as
-//! the network loses processors — the fault-resilience comparison the
-//! 1993 line makes between `Γ_n` and the hypercube.
+//! The cells are the product of the axes in row-major order (the last
+//! axis varies fastest); no axes is one cell. Every cell runs once per
+//! seed, capped at `inject_cycles + drain_cycles` cycles, and the
+//! [`Grid`] holds one [`Point`] per cell: seed means of the runs'
+//! [`SimStats`], plus the collective outcome when the experiment runs a
+//! collective, plus [`SloTracker`] recovery figures when the cell's
+//! faults are churn.
 //!
-//! [`collective_sweep`] runs the same fault grid under a *collective*
-//! workload ([`CollectiveSpec`]): per fault count it measures broadcast
-//! completion time and target coverage, the live counterpart of the
-//! static round-count tables.
+//! # Seeding contract
 //!
-//! [`switching_sweep`] crosses the injection ladder with a set of
-//! [`SwitchingSpec`]s — store-and-forward against one or more wormhole
-//! configurations — exposing where flit-level serialization and
-//! credit-based backpressure move the latency knee relative to the
-//! packet-atomic engine.
+//! Write `rung(s, i) = s ^ (i << 32)`. At seed `s`, cell `c` (its
+//! row-major index) with fault-axis index `f` (`0` without a fault
+//! axis):
 //!
-//! [`churn_sweep`] leaves the static-fault world entirely: it runs the
-//! dynamic-churn engine ([`Admission::Churn`]) across a ladder of
-//! mean-time-to-repair values with an [`SloTracker`] attached, producing
-//! the recovery-time-vs-MTTR grid — how long after each fail event the
-//! network takes to meet its delivered-fraction target again, and what
-//! the churn costs in typed drops and tail latency.
+//! * traffic and collective draws come from an experiment seeded
+//!   `rung(s, c)`;
+//! * faults — a static set or a churn timeline — are drawn as an
+//!   experiment seeded `rung(s, f)` draws them, once per
+//!   (fault value, seed) column, and a static column builds one
+//!   [`FaultMaskingRouter`](crate::router::FaultMaskingRouter) that
+//!   all its cells share.
+//!
+//! So with no axes, cell 0 at seed `s` is exactly [`Experiment::run`]
+//! at seed `s`, and growing the first axis leaves every existing cell
+//! unchanged. Columns fan out across the workspace's scoped-thread pool
+//! ([`fibcube_graph::parallel`]) and run their cells serially on one
+//! lane; results are collected in cell order, so a grid never depends
+//! on thread scheduling.
 
 use fibcube_graph::parallel::par_map;
 
-use crate::collective::{CollectiveOutcome, CollectiveSpec};
-use crate::dist::DistanceTable;
-use crate::engine::{self, Admission, RunPlan, SimStats, Workload};
-use crate::experiment::{fault_seed, run_cells, Experiment, ExperimentError};
-use crate::fault::{ChurnTimeline, FaultSpec};
-use crate::observer::{NoopObserver, SloRecovery, SloTracker, SloWindow};
-use crate::report::JsonValue;
-use crate::router::{FaultMaskingRouter, Router, RouterSpec};
+use crate::collective::CollectiveOutcome;
+use crate::engine::SimStats;
+use crate::experiment::{Experiment, ExperimentError};
+use crate::fault::FaultSpec;
+use crate::observer::{SloTracker, SloWindow};
+use crate::report::{JsonValue, Report};
+use crate::router::Router;
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::TrafficSpec;
 
-/// Aggregated simulation outcome at one offered rate.
-#[derive(Clone, Debug)]
-pub struct LoadPoint {
-    /// Offered injection rate (packets per node per cycle).
-    pub rate: f64,
+/// One dimension of a [`sweep`] grid: the values one part of the
+/// experiment takes.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Axis {
+    /// Offered injection rates (packets per node per cycle, counting
+    /// every provisioned node — dead ones still attempt injection and
+    /// drop): each replaces the traffic with
+    /// [`TrafficSpec::Bernoulli`] over `config.inject_cycles`.
+    Rates(Vec<f64>),
+    /// Node-fault counts: each replaces the fault scenario with
+    /// [`FaultSpec::Nodes`].
+    NodeFaults(Vec<usize>),
+    /// Switching models.
+    Switching(Vec<SwitchingSpec>),
+    /// Mean times to repair (cycles; `f64::INFINITY` never heals, and
+    /// serialises as `null`): each replaces the `mttr` of the
+    /// experiment's [`FaultSpec::Churn`].
+    Mttrs(Vec<f64>),
+}
+
+impl Axis {
+    fn len(&self) -> usize {
+        match self {
+            Axis::Rates(v) | Axis::Mttrs(v) => v.len(),
+            Axis::NodeFaults(v) => v.len(),
+            Axis::Switching(v) => v.len(),
+        }
+    }
+
+    /// The part of the experiment the axis replaces.
+    fn part(&self) -> &'static str {
+        match self {
+            Axis::Rates(_) => "traffic",
+            Axis::NodeFaults(_) | Axis::Mttrs(_) => "fault scenario",
+            Axis::Switching(_) => "switching model",
+        }
+    }
+
+    /// The JSON keys of the grid's value list and of one point's value.
+    fn keys(&self) -> (&'static str, &'static str) {
+        match self {
+            Axis::Rates(_) => ("rates", "rate"),
+            Axis::NodeFaults(_) => ("fault_counts", "faults"),
+            Axis::Switching(_) => ("switching", "switching"),
+            Axis::Mttrs(_) => ("mttrs", "mttr"),
+        }
+    }
+
+    fn value(&self, i: usize) -> JsonValue {
+        match self {
+            Axis::Rates(v) | Axis::Mttrs(v) => JsonValue::Num(v[i]),
+            Axis::NodeFaults(v) => JsonValue::Int(v[i] as u64),
+            Axis::Switching(v) => JsonValue::Str(v[i].to_string()),
+        }
+    }
+
+    /// Sets value `i` of this axis on `exp`.
+    fn apply<T: Topology + ?Sized>(&self, exp: &mut Experiment<'_, T>, i: usize, inject: u64) {
+        match self {
+            Axis::Rates(v) => {
+                exp.traffic = TrafficSpec::Bernoulli {
+                    rate: v[i],
+                    cycles: inject,
+                }
+            }
+            Axis::NodeFaults(v) => exp.faults = FaultSpec::Nodes { count: v[i] },
+            Axis::Switching(v) => exp.switching = v[i].clone(),
+            Axis::Mttrs(v) => {
+                if let FaultSpec::Churn { mttr, .. } = &mut exp.faults {
+                    *mttr = v[i];
+                }
+            }
+        }
+    }
+}
+
+/// The per-axis indices of row-major cell `cell`.
+fn cell_index(axes: &[Axis], mut cell: usize) -> Vec<usize> {
+    let mut index = vec![0; axes.len()];
+    for (k, axis) in axes.iter().enumerate().rev() {
+        index[k] = cell % axis.len();
+        cell /= axis.len();
+    }
+    index
+}
+
+/// Seed means of one grid cell's runs, each derived from the run's
+/// [`Report`]. Fractions are `None` when their denominator is zero
+/// (nothing offered, no targets, no fail events, nothing recovered) and
+/// serialise as JSON `null` rather than a misleading number.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Point {
     /// Mean packets offered per run.
     pub offered: f64,
     /// Mean packets delivered per run.
     pub delivered: f64,
-    /// `delivered / offered` — 1.0 until the network saturates.
-    pub delivered_fraction: f64,
-    /// Accepted rate: delivered packets per node per *injection* cycle
-    /// (directly comparable to `rate`).
-    pub accepted_rate: f64,
+    /// `delivered / offered`.
+    pub delivered_fraction: Option<f64>,
+    /// Delivered packets per node per injection cycle (comparable to an
+    /// offered rate); `None` when `inject_cycles` is 0.
+    pub accepted_rate: Option<f64>,
+    /// Mean packets dropped per run with a dead source or destination.
+    pub dropped_dead_endpoint: f64,
+    /// Mean packets dropped per run between disconnected endpoints.
+    pub dropped_unreachable: f64,
+    /// Mean packets dropped per run on a link that died under them.
+    pub dropped_link_died: f64,
+    /// Mean packets dropped per run on a node that died holding them.
+    pub dropped_node_died: f64,
     /// Mean end-to-end latency of delivered packets.
     pub mean_latency: f64,
-    /// Mean 99th-percentile latency across seeds.
+    /// Mean 99th-percentile latency.
     pub p99_latency: f64,
+    /// Mean cycles until the network drained or the cap struck (a
+    /// collective's completion time).
+    pub makespan: f64,
+    /// Collective only: mean intended recipients per run.
+    pub targets: Option<f64>,
+    /// Collective only: mean intended recipients reached per run.
+    pub reached: Option<f64>,
+    /// Collective only: `reached / targets`.
+    pub reached_fraction: Option<f64>,
+    /// Collective only: mean static schedule rounds when every run has
+    /// that oracle (full broadcasts).
+    pub schedule_rounds: Option<f64>,
+    /// Churn only: mean churn events committed per run (fail + recover).
+    pub events: Option<f64>,
+    /// Churn only: mean fail events committed per run.
+    pub fail_events: Option<f64>,
+    /// Churn only: mean of each run's worst per-window p99.9 latency.
+    pub worst_window_p999: Option<f64>,
+    /// Churn only: fraction of fail events service recovered from (see
+    /// [`SloTracker`]).
+    pub recovered_fraction: Option<f64>,
+    /// Churn only: mean cycles to recover, over the recovered fail events.
+    pub mean_time_to_recover: Option<f64>,
 }
 
-impl LoadPoint {
-    /// The point as a JSON object (for `BENCH_sim.json`-style artifacts).
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("rate", JsonValue::Num(self.rate)),
-            ("offered", JsonValue::Num(self.offered)),
-            ("delivered", JsonValue::Num(self.delivered)),
-            (
-                "delivered_fraction",
-                JsonValue::Num(self.delivered_fraction),
-            ),
-            ("accepted_rate", JsonValue::Num(self.accepted_rate)),
-            ("mean_latency", JsonValue::Num(self.mean_latency)),
-            ("p99_latency", JsonValue::Num(self.p99_latency)),
-        ])
+/// One (cell, seed) run of a grid.
+pub(crate) struct Run {
+    pub(crate) report: Report,
+    slo: Option<SloTracker>,
+}
+
+impl Point {
+    /// The seed means of one cell's `runs`; `injection` is provisioned
+    /// nodes × injection cycles.
+    fn mean(runs: &[Run], injection: f64) -> Point {
+        let m = runs.len() as f64;
+        // `None` unless every run has the figure.
+        let total = |f: &dyn Fn(&Run) -> Option<f64>| runs.iter().map(f).sum::<Option<f64>>();
+        let stat =
+            |f: fn(&SimStats) -> f64| total(&|r| Some(f(&r.report.stats))).unwrap_or(0.0) / m;
+        let outcome = |f: fn(&CollectiveOutcome) -> Option<f64>| {
+            total(&|r| r.report.collective.as_ref().and_then(f)).map(|x| x / m)
+        };
+        let slo = |f: &dyn Fn(&SloTracker) -> u64| total(&|r| r.slo.as_ref().map(|t| f(t) as f64));
+        let fails = |t: &SloTracker| t.recoveries().into_iter().filter(|r| r.failed);
+        let recovery_times = |t: &SloTracker| fails(t).filter_map(|r| r.time_to_recover);
+        let (offered, delivered) = (stat(|s| s.offered as f64), stat(|s| s.delivered as f64));
+        let targets = outcome(|o| Some(o.targets as f64));
+        let reached = outcome(|o| Some(o.reached as f64));
+        let failed = slo(&|t| fails(t).count() as u64);
+        let recovered = slo(&|t| recovery_times(t).count() as u64);
+        Point {
+            offered,
+            delivered,
+            delivered_fraction: (offered > 0.0).then(|| delivered / offered),
+            accepted_rate: (injection > 0.0).then(|| delivered / injection),
+            dropped_dead_endpoint: stat(|s| s.dropped_dead_endpoint as f64),
+            dropped_unreachable: stat(|s| s.dropped_unreachable as f64),
+            dropped_link_died: stat(|s| s.dropped_link_died as f64),
+            dropped_node_died: stat(|s| s.dropped_node_died as f64),
+            mean_latency: stat(|s| s.mean_latency),
+            p99_latency: stat(|s| s.p99_latency as f64),
+            makespan: stat(|s| s.makespan as f64),
+            targets,
+            reached,
+            reached_fraction: targets
+                .zip(reached)
+                .and_then(|(t, r)| (t > 0.0).then(|| r / t)),
+            schedule_rounds: outcome(|o| o.schedule_rounds.map(f64::from)),
+            events: slo(&|t| t.fault_events().len() as u64).map(|x| x / m),
+            fail_events: failed.map(|x| x / m),
+            worst_window_p999: slo(&|t| t.windows().iter().map(SloWindow::p999).max().unwrap_or(0))
+                .map(|x| x / m),
+            recovered_fraction: failed
+                .zip(recovered)
+                .and_then(|(f, r)| (f > 0.0).then(|| r / f)),
+            mean_time_to_recover: recovered
+                .zip(slo(&|t| recovery_times(t).sum()))
+                .and_then(|(r, c)| (r > 0.0).then(|| c / r)),
+        }
+    }
+
+    /// The point's own JSON fields; [`Grid::to_json_value`] prefixes
+    /// its axis values.
+    fn fields(&self) -> Vec<(&'static str, JsonValue)> {
+        let mut fields = vec![
+            ("offered", Some(self.offered)),
+            ("delivered", Some(self.delivered)),
+            ("delivered_fraction", self.delivered_fraction),
+            ("accepted_rate", self.accepted_rate),
+            ("dropped_dead_endpoint", Some(self.dropped_dead_endpoint)),
+            ("dropped_unreachable", Some(self.dropped_unreachable)),
+            ("dropped_link_died", Some(self.dropped_link_died)),
+            ("dropped_node_died", Some(self.dropped_node_died)),
+            ("mean_latency", Some(self.mean_latency)),
+            ("p99_latency", Some(self.p99_latency)),
+            ("makespan", Some(self.makespan)),
+        ];
+        if self.targets.is_some() {
+            fields.extend([
+                ("targets", self.targets),
+                ("reached", self.reached),
+                ("reached_fraction", self.reached_fraction),
+                ("completion_cycles", Some(self.makespan)),
+                ("schedule_rounds", self.schedule_rounds),
+            ]);
+        }
+        if self.events.is_some() {
+            fields.extend([
+                ("events", self.events),
+                ("fail_events", self.fail_events),
+                ("worst_window_p999", self.worst_window_p999),
+                ("recovered_fraction", self.recovered_fraction),
+                ("mean_time_to_recover", self.mean_time_to_recover),
+            ]);
+        }
+        let json = |x: Option<f64>| x.map_or(JsonValue::Null, JsonValue::Num);
+        fields.into_iter().map(|(k, x)| (k, json(x))).collect()
     }
 }
 
-/// A full latency-vs-load / throughput-vs-load curve for one
-/// (topology, router) pair.
-#[derive(Clone, Debug)]
-pub struct SweepCurve {
+/// The outcome of a [`sweep`]: a header describing what every cell
+/// ran, the axes, and one [`Point`] per cell in row-major order.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Grid {
     /// Topology name (`"Γ_16"`, `"Q_11"`, …).
     pub topology: String,
-    /// Router policy name.
+    /// The routing policy every cell runs (faulted cells wrap it in the
+    /// fault-masking adapter).
     pub router: String,
     /// Node count (for normalising across topologies).
     pub nodes: usize,
-    /// One point per offered rate, in ladder order.
-    pub points: Vec<LoadPoint>,
+    /// The collective every cell runs instead of traffic.
+    pub collective: Option<String>,
+    /// The offered rate of Bernoulli traffic no [`Axis::Rates`] varies.
+    pub rate: Option<f64>,
+    /// Per-cycle (node, link) failure intensities under fault churn.
+    pub churn: Option<(f64, f64)>,
+    /// Cycles per [`SloTracker`] window under churn: an eighth of the
+    /// injection phase, several windows that each still see traffic.
+    pub slo_window: Option<u64>,
+    /// The axes swept.
+    pub axes: Vec<Axis>,
+    /// One point per cell, row-major over `axes`.
+    pub points: Vec<Point>,
 }
 
-impl SweepCurve {
-    /// The curve as a JSON object, points included.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("topology", JsonValue::Str(self.topology.clone())),
-            ("router", JsonValue::Str(self.router.clone())),
-            ("nodes", JsonValue::Int(self.nodes as u64)),
-            (
-                "points",
-                JsonValue::Arr(self.points.iter().map(LoadPoint::to_json_value).collect()),
-            ),
-        ])
+impl Grid {
+    /// The point at `index` (one index per axis).
+    pub fn point(&self, index: &[usize]) -> &Point {
+        let cell = self
+            .axes
+            .iter()
+            .zip(index)
+            .fold(0, |cell, (axis, &i)| cell * axis.len() + i);
+        &self.points[cell]
     }
+
+    /// The grid as a JSON object: the header, each axis's value list,
+    /// and the points, each led by its axis values.
+    pub fn to_json_value(&self) -> JsonValue {
+        let header = [
+            ("topology", Some(JsonValue::Str(self.topology.clone()))),
+            ("router", Some(JsonValue::Str(self.router.clone()))),
+            ("nodes", Some(JsonValue::Int(self.nodes as u64))),
+            ("spec", self.collective.clone().map(JsonValue::Str)),
+            ("rate", self.rate.map(JsonValue::Num)),
+            ("node_rate", self.churn.map(|c| JsonValue::Num(c.0))),
+            ("link_rate", self.churn.map(|c| JsonValue::Num(c.1))),
+            ("slo_window", self.slo_window.map(JsonValue::Int)),
+        ];
+        let mut pairs: Vec<_> = header
+            .into_iter()
+            .filter_map(|(k, v)| Some((k, v?)))
+            .collect();
+        for axis in &self.axes {
+            let values = (0..axis.len()).map(|i| axis.value(i)).collect();
+            pairs.push((axis.keys().0, JsonValue::Arr(values)));
+        }
+        let points = self.points.iter().enumerate().map(|(cell, point)| {
+            let at = self.axes.iter().zip(cell_index(&self.axes, cell));
+            let mut fields: Vec<_> = at.map(|(axis, i)| (axis.keys().1, axis.value(i))).collect();
+            fields.extend(point.fields());
+            object(fields)
+        });
+        pairs.push(("points", JsonValue::Arr(points.collect())));
+        object(pairs)
+    }
+}
+
+fn object(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
+    JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// Sweep parameters.
 #[derive(Clone, Debug)]
 pub struct SweepConfig {
-    /// Number of cycles during which traffic is injected.
+    /// Number of cycles during which [`Axis::Rates`] traffic is injected.
     pub inject_cycles: u64,
     /// Extra cycles granted after injection stops, for queues to drain.
     pub drain_cycles: u64,
-    /// Seeds; each rung of the ladder runs once per seed.
+    /// Seeds; every cell runs once per seed.
     pub seeds: Vec<u64>,
 }
 
@@ -137,1022 +382,133 @@ impl Default for SweepConfig {
     }
 }
 
-/// Decorrelates the traffic streams of different ladder rungs.
+/// Decorrelates the draws of different cells and fault columns.
 fn rung_seed(base: u64, rung: usize) -> u64 {
     base ^ ((rung as u64) << 32)
 }
 
-/// Averages the per-(rate, seed) runs into one [`LoadPoint`] per rate.
-fn aggregate(rates: &[f64], runs: &[SimStats], n: usize, config: &SweepConfig) -> Vec<LoadPoint> {
-    let seeds = config.seeds.len();
-    rates
-        .iter()
-        .enumerate()
-        .map(|(ri, &rate)| {
-            let chunk = &runs[ri * seeds..(ri + 1) * seeds];
-            let m = chunk.len() as f64;
-            let offered = chunk.iter().map(|s| s.offered as f64).sum::<f64>() / m;
-            let delivered = chunk.iter().map(|s| s.delivered as f64).sum::<f64>() / m;
-            let mean_latency = chunk.iter().map(|s| s.mean_latency).sum::<f64>() / m;
-            let p99_latency = chunk.iter().map(|s| s.p99_latency as f64).sum::<f64>() / m;
-            LoadPoint {
-                rate,
-                offered,
-                delivered,
-                delivered_fraction: if offered > 0.0 {
-                    delivered / offered
-                } else {
-                    1.0
-                },
-                accepted_rate: delivered / (n as f64 * config.inject_cycles as f64),
-                mean_latency,
-                p99_latency,
-            }
-        })
-        .collect()
-}
-
-/// Runs the injection-rate ladder `rates` (packets/node/cycle) under the
-/// declarative `router` policy, one [`Experiment`] per (rate, seed) run,
-/// parallel across runs. The capability check happens once up front, so
-/// an unsupported policy fails fast with a typed error instead of
-/// panicking mid-sweep.
+/// Runs `exp` over the grid `axes` span, once per seed of `config`, and
+/// averages each cell into a [`Point`] (see the [module docs](self) for
+/// the axes and the seeding contract). The base experiment's seed and
+/// cycle cap are replaced by the config's seeds and
+/// `inject_cycles + drain_cycles`.
 ///
-/// Each parallel job resolves its own router instance: sharing one
-/// would serialize construction order into the sweep's cell fan-out,
-/// and a rebuild (`O(n·d)` for the canonical flip table, the most
-/// expensive case) is microseconds against the milliseconds each
-/// simulation run costs. Callers holding a concrete `Router + Sync` can
-/// share one instance across all runs via [`injection_sweep_with`].
-pub fn injection_sweep<T>(
-    topo: &T,
-    router: RouterSpec,
-    rates: &[f64],
+/// A malformed grid is an [`ExperimentError::InvalidSweep`] before any
+/// cell runs: no seeds, an axis kind given twice, both fault axes, an
+/// [`Axis::Mttrs`] without a churn fault spec, or an [`Axis::Rates`]
+/// on a collective (which replaces the traffic). Every other
+/// configuration problem is the error [`Experiment::run`] gives, from
+/// the first failing column.
+pub fn sweep<T: Topology + ?Sized>(
+    exp: &Experiment<'_, T>,
+    axes: &[Axis],
     config: &SweepConfig,
-) -> Result<SweepCurve, ExperimentError>
-where
-    T: Topology + Sync + ?Sized,
-{
-    assert!(!config.seeds.is_empty(), "sweep needs at least one seed");
-    let router_name = router.resolve(topo)?.name();
-    for &rate in rates {
-        TrafficSpec::Bernoulli {
-            rate,
-            cycles: config.inject_cycles,
-        }
-        .validate(topo.len())?;
+) -> Result<Grid, ExperimentError> {
+    let part = |k: usize| axes[k].part();
+    let repeated = (1..axes.len()).find(|&k| (0..k).any(|j| part(j) == part(k)));
+    let varies = |what: &str| axes.iter().any(|a| a.part() == what);
+    let reason = if config.seeds.is_empty() {
+        Some("a sweep needs at least one seed".to_string())
+    } else if let Some(k) = repeated {
+        Some(format!("two axes set the {}", part(k)))
+    } else if axes.iter().any(|a| matches!(a, Axis::Mttrs(_))) && !exp.faults.is_churn() {
+        Some(format!("`mttrs` needs churn faults, not `{}`", exp.faults))
+    } else if varies("traffic") && exp.collective.is_some() {
+        Some("a `rates` axis varies the traffic, which the collective replaces".to_string())
+    } else {
+        None
+    };
+    if let Some(reason) = reason {
+        return Err(ExperimentError::InvalidSweep { reason });
     }
-    let seeds = &config.seeds;
-    // The (rate, seed) cells fan out through the shared experiment batch
-    // runner — same machinery as `Experiment::run_batch`, reports in cell
-    // order regardless of thread scheduling.
-    let reports = run_cells(rates.len() * seeds.len(), |j| {
-        let rung = j / seeds.len();
-        Experiment::on(topo)
-            .router(router)
-            .traffic(TrafficSpec::Bernoulli {
-                rate: rates[rung],
-                cycles: config.inject_cycles,
-            })
-            .seed(rung_seed(seeds[j % seeds.len()], rung))
-            .cycles(config.inject_cycles + config.drain_cycles)
-    })?;
-    let runs: Vec<SimStats> = reports.into_iter().map(|r| r.stats).collect();
-    Ok(SweepCurve {
-        topology: topo.name(),
-        router: router_name,
-        nodes: topo.len(),
-        points: aggregate(rates, &runs, topo.len(), config),
+    let cap = config.inject_cycles + config.drain_cycles;
+    let base = exp.clone().cycles(cap);
+    let router = base.resolve_router()?;
+    let fault_axis = axes.iter().position(|a| a.part() == "fault scenario");
+    let cells = axes.iter().map(Axis::len).product();
+    let (mut experiments, mut fault_of) = (Vec::with_capacity(cells), Vec::with_capacity(cells));
+    for cell in 0..cells {
+        let (index, mut exp) = (cell_index(axes, cell), base.clone());
+        for (axis, &i) in axes.iter().zip(&index) {
+            axis.apply(&mut exp, i, config.inject_cycles);
+        }
+        experiments.push(exp);
+        fault_of.push(fault_axis.map_or(0, |k| index[k]));
+    }
+    let churn = match (&base.faults, fault_axis.map(|k| &axes[k])) {
+        (_, Some(Axis::NodeFaults(_))) => None,
+        (
+            &FaultSpec::Churn {
+                node_rate,
+                link_rate,
+                ..
+            },
+            _,
+        ) => Some((node_rate, link_rate)),
+        _ => None,
+    };
+    let slo_window = churn.map(|_| (config.inject_cycles / 8).max(1));
+    let runs = run_grid(&experiments, &fault_of, &config.seeds, &*router, slo_window)?;
+    let fixed_traffic = exp.collective.is_none() && !varies("traffic");
+    let nodes = exp.topology.len();
+    let injection = nodes as f64 * config.inject_cycles as f64;
+    Ok(Grid {
+        topology: exp.topology.name(),
+        router: base.router_name(&*router, false),
+        nodes,
+        collective: exp.collective.as_ref().map(ToString::to_string),
+        rate: match exp.traffic {
+            TrafficSpec::Bernoulli { rate, .. } if fixed_traffic => Some(rate),
+            _ => None,
+        },
+        churn,
+        slo_window,
+        axes: axes.to_vec(),
+        points: runs
+            .chunks(config.seeds.len())
+            .map(|runs| Point::mean(runs, injection))
+            .collect(),
     })
 }
 
-/// Like [`injection_sweep`], but under an explicit [`Router`] value —
-/// the escape hatch for policies that exist outside [`RouterSpec`]
-/// (custom experiments, research routers).
-pub fn injection_sweep_with<T, R>(
-    topo: &T,
+/// Runs every experiment of `cells` at every seed under the seeding
+/// contract, with `fault_of[c]` the fault-axis index of cell `c`, and
+/// returns the runs in (cell, seed) order. Each (fault value, seed)
+/// column draws its faults and builds its mask once, then runs its
+/// cells serially; columns fan out across the workspace pool, and the
+/// first failing column (in column order) gives the error. With
+/// `slo_window` set, every run carries an [`SloTracker`]'s figures.
+pub(crate) fn run_grid<T, R>(
+    cells: &[Experiment<'_, T>],
+    fault_of: &[usize],
+    seeds: &[u64],
     router: &R,
-    rates: &[f64],
-    config: &SweepConfig,
-) -> SweepCurve
+    slo_window: Option<u64>,
+) -> Result<Vec<Run>, ExperimentError>
 where
-    T: Topology + Sync + ?Sized,
+    T: Topology + ?Sized,
     R: Router + Sync + ?Sized,
 {
-    let n = topo.len();
-    let seeds = &config.seeds;
-    assert!(!seeds.is_empty(), "sweep needs at least one seed");
-    let runs = par_map(rates.len() * seeds.len(), |j| {
-        let rung = j / seeds.len();
-        let pkts = TrafficSpec::Bernoulli {
-            rate: rates[rung],
-            cycles: config.inject_cycles,
-        }
-        .generate(n, rung_seed(seeds[j % seeds.len()], rung));
-        let cap = config.inject_cycles + config.drain_cycles;
-        let plan = RunPlan::new(topo, router, Workload::Open(&pkts), cap);
-        engine::run(&plan, 1, &mut NoopObserver)
-            .expect("a healthy one-lane open run is always supported")
-            .stats
-    });
-    SweepCurve {
-        topology: topo.name(),
-        router: router.name(),
-        nodes: n,
-        points: aggregate(rates, &runs, n, config),
-    }
-}
-
-/// One cell of a [`fault_load_sweep`] grid: the aggregated outcome at
-/// one (offered rate, node-fault count) combination.
-#[derive(Clone, Debug)]
-pub struct FaultLoadPoint {
-    /// Offered injection rate (packets per node per cycle, counting every
-    /// provisioned node — dead ones still attempt injection and drop).
-    pub rate: f64,
-    /// Node faults injected per run.
-    pub faults: usize,
-    /// Mean packets offered per run.
-    pub offered: f64,
-    /// Mean packets delivered per run.
-    pub delivered: f64,
-    /// `delivered / offered` — the delivered-throughput degradation
-    /// measure — or `None` when the runs offered nothing (the ratio is
-    /// undefined, matching the `Option` convention of
-    /// [`FaultTrial`](crate::fault::FaultTrial)).
-    pub delivered_fraction: Option<f64>,
-    /// Mean packets dropped per run with a dead source or destination.
-    pub dropped_dead_endpoint: f64,
-    /// Mean packets dropped per run whose surviving endpoints the faults
-    /// disconnect.
-    pub dropped_unreachable: f64,
-    /// Accepted rate: delivered packets per provisioned node per
-    /// injection cycle (directly comparable to `rate`).
-    pub accepted_rate: f64,
-    /// Mean end-to-end latency of delivered packets.
-    pub mean_latency: f64,
-    /// Mean 99th-percentile latency across seeds.
-    pub p99_latency: f64,
-}
-
-impl FaultLoadPoint {
-    /// The cell as a JSON object (for `BENCH_sim.json`-style artifacts).
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("rate", JsonValue::Num(self.rate)),
-            ("faults", JsonValue::Int(self.faults as u64)),
-            ("offered", JsonValue::Num(self.offered)),
-            ("delivered", JsonValue::Num(self.delivered)),
-            (
-                "delivered_fraction",
-                match self.delivered_fraction {
-                    Some(f) => JsonValue::Num(f),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "dropped_dead_endpoint",
-                JsonValue::Num(self.dropped_dead_endpoint),
-            ),
-            (
-                "dropped_unreachable",
-                JsonValue::Num(self.dropped_unreachable),
-            ),
-            ("accepted_rate", JsonValue::Num(self.accepted_rate)),
-            ("mean_latency", JsonValue::Num(self.mean_latency)),
-            ("p99_latency", JsonValue::Num(self.p99_latency)),
-        ])
-    }
-}
-
-/// A full injection-rate × fault-count grid for one (topology, router)
-/// pair, produced by [`fault_load_sweep`]. Points are stored rate-major:
-/// all fault counts of the first rate, then the second rate, …
-#[derive(Clone, Debug)]
-pub struct FaultLoadGrid {
-    /// Topology name (`"Γ_16"`, `"Q_11"`, …).
-    pub topology: String,
-    /// Router policy name.
-    pub router: String,
-    /// Node count (for normalising across topologies).
-    pub nodes: usize,
-    /// The injection-rate ladder swept.
-    pub rates: Vec<f64>,
-    /// The node-fault counts swept.
-    pub fault_counts: Vec<usize>,
-    /// One cell per (rate, fault count), rate-major.
-    pub points: Vec<FaultLoadPoint>,
-}
-
-impl FaultLoadGrid {
-    /// The cell at `(rate index, fault index)`.
-    pub fn point(&self, rate_idx: usize, fault_idx: usize) -> &FaultLoadPoint {
-        &self.points[rate_idx * self.fault_counts.len() + fault_idx]
-    }
-
-    /// The grid as a JSON object, cells included.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("topology", JsonValue::Str(self.topology.clone())),
-            ("router", JsonValue::Str(self.router.clone())),
-            ("nodes", JsonValue::Int(self.nodes as u64)),
-            (
-                "rates",
-                JsonValue::Arr(self.rates.iter().map(|&r| JsonValue::Num(r)).collect()),
-            ),
-            (
-                "fault_counts",
-                JsonValue::Arr(
-                    self.fault_counts
-                        .iter()
-                        .map(|&k| JsonValue::Int(k as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "points",
-                JsonValue::Arr(
-                    self.points
-                        .iter()
-                        .map(FaultLoadPoint::to_json_value)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Runs the injection-rate ladder `rates` against every node-fault count
-/// in `fault_counts` — the fault-resilience grid behind the paper's
-/// graceful-degradation claims. Fault placement derives from the
-/// (fault count, seed) column alone: each column draws its
-/// [`FaultSpec::Nodes`] set once, builds one
-/// [`FaultMaskingRouter`] — including the `O(n·m)` degraded
-/// [`DistanceTable`] — and replays every rate of the ladder through it,
-/// so the table cost is paid per column rather than per
-/// (rate, fault count, seed) run. Traffic streams stay decorrelated per
-/// cell exactly as before; the columns fan out in parallel like
-/// [`injection_sweep`]. Configuration problems (unsupported router,
-/// degenerate traffic, fault counts the topology cannot express) fail
-/// fast with a typed error before anything runs.
-pub fn fault_load_sweep<T>(
-    topo: &T,
-    router: RouterSpec,
-    rates: &[f64],
-    fault_counts: &[usize],
-    config: &SweepConfig,
-) -> Result<FaultLoadGrid, ExperimentError>
-where
-    T: Topology + Sync + ?Sized,
-{
-    assert!(!config.seeds.is_empty(), "sweep needs at least one seed");
-    let router_name = router.resolve(topo)?.name();
-    for &rate in rates {
-        TrafficSpec::Bernoulli {
-            rate,
-            cycles: config.inject_cycles,
-        }
-        .validate(topo.len())?;
-    }
-    let g = topo.graph();
-    let n = topo.len();
-    let seeds = &config.seeds;
-    // One fault draw per (fault count, seed) column, sampled up front so
-    // the parallel section below is infallible — `sample` revalidates
-    // each count, keeping the fail-fast contract.
-    let mut fault_sets = Vec::with_capacity(fault_counts.len() * seeds.len());
-    for (fi, &count) in fault_counts.iter().enumerate() {
-        for &seed in seeds.iter() {
-            fault_sets.push(FaultSpec::Nodes { count }.sample(g, fault_seed(rung_seed(seed, fi)))?);
-        }
-    }
-    let cap = config.inject_cycles + config.drain_cycles;
-    // (fault count, seed) columns fan out across the workspace pool; the
-    // rate ladder replays serially inside each column against its cached
-    // masked router. Empty columns (zero faults) build no mask and run
-    // the healthy engine.
-    let runs: Vec<Vec<SimStats>> = par_map(fault_sets.len(), |j| {
-        let fi = j / seeds.len();
-        let faults = &fault_sets[j];
-        let router = router
-            .resolve(topo)
-            .expect("router capability was checked above");
-        let traffic = |ri: usize| {
-            let cell = ri * fault_counts.len() + fi;
-            TrafficSpec::Bernoulli {
-                rate: rates[ri],
-                cycles: config.inject_cycles,
-            }
-            .generate(n, rung_seed(seeds[j % seeds.len()], cell))
-        };
-        let masked = (!faults.is_empty()).then(|| {
-            let masks = faults.masks(g);
-            let dist = DistanceTable::degraded(g, &masks);
-            FaultMaskingRouter::with_table(g, &*router, faults, masks, dist)
-        });
-        let admission = masked
-            .as_ref()
-            .map_or(Admission::Healthy, Admission::Static);
-        (0..rates.len())
-            .map(|ri| {
-                let pkts = traffic(ri);
-                let plan =
-                    RunPlan::new(topo, &*router, Workload::Open(&pkts), cap).admission(admission);
-                Ok(engine::run(&plan, 1, &mut NoopObserver)?.stats)
-            })
-            .collect()
-    })
-    .into_iter()
-    .collect::<Result<_, ExperimentError>>()?;
-    let m = seeds.len() as f64;
-    let mut points = Vec::with_capacity(rates.len() * fault_counts.len());
-    for (ri, &rate) in rates.iter().enumerate() {
-        for (fi, &faults) in fault_counts.iter().enumerate() {
-            let chunk: Vec<&SimStats> = (0..seeds.len())
-                .map(|sj| &runs[fi * seeds.len() + sj][ri])
-                .collect();
-            let offered = chunk.iter().map(|s| s.offered as f64).sum::<f64>() / m;
-            let delivered = chunk.iter().map(|s| s.delivered as f64).sum::<f64>() / m;
-            points.push(FaultLoadPoint {
-                rate,
-                faults,
-                offered,
-                delivered,
-                delivered_fraction: (offered > 0.0).then(|| delivered / offered),
-                dropped_dead_endpoint: chunk
-                    .iter()
-                    .map(|s| s.dropped_dead_endpoint as f64)
-                    .sum::<f64>()
-                    / m,
-                dropped_unreachable: chunk
-                    .iter()
-                    .map(|s| s.dropped_unreachable as f64)
-                    .sum::<f64>()
-                    / m,
-                accepted_rate: delivered / (n as f64 * config.inject_cycles as f64),
-                mean_latency: chunk.iter().map(|s| s.mean_latency).sum::<f64>() / m,
-                p99_latency: chunk.iter().map(|s| s.p99_latency as f64).sum::<f64>() / m,
-            });
-        }
-    }
-    Ok(FaultLoadGrid {
-        topology: topo.name(),
-        router: router_name,
-        nodes: topo.len(),
-        rates: rates.to_vec(),
-        fault_counts: fault_counts.to_vec(),
-        points,
-    })
-}
-
-/// One cell of a [`collective_sweep`] grid: the aggregated outcome of a
-/// collective at one node-fault count.
-#[derive(Clone, Debug)]
-pub struct CollectivePoint {
-    /// Node faults injected per run.
-    pub faults: usize,
-    /// Intended recipients per run (constant across seeds for broadcast;
-    /// multicast draws may hit dead nodes, so this is the intended count
-    /// regardless of liveness).
-    pub targets: f64,
-    /// Mean intended recipients actually reached per run.
-    pub reached: f64,
-    /// `reached / targets`, or `None` when the collective had no targets.
-    pub reached_fraction: Option<f64>,
-    /// Mean completion time (cycles until the last copy was delivered).
-    pub completion_cycles: f64,
-    /// Mean static schedule rounds across seeds (`None` when the spec has
-    /// no static oracle — multicast and `alltoallp`). For a healthy
-    /// one-port broadcast this equals `completion_cycles` exactly.
-    pub schedule_rounds: Option<f64>,
-    /// Mean copies dropped per run with a dead endpoint.
-    pub dropped_dead_endpoint: f64,
-    /// Mean copies dropped per run because the faults disconnect them.
-    pub dropped_unreachable: f64,
-}
-
-impl CollectivePoint {
-    /// The cell as a JSON object (for `BENCH_sim.json`-style artifacts).
-    pub fn to_json_value(&self) -> JsonValue {
-        let opt = |x: Option<f64>| match x {
-            Some(v) => JsonValue::Num(v),
-            None => JsonValue::Null,
-        };
-        JsonValue::obj([
-            ("faults", JsonValue::Int(self.faults as u64)),
-            ("targets", JsonValue::Num(self.targets)),
-            ("reached", JsonValue::Num(self.reached)),
-            ("reached_fraction", opt(self.reached_fraction)),
-            ("completion_cycles", JsonValue::Num(self.completion_cycles)),
-            ("schedule_rounds", opt(self.schedule_rounds)),
-            (
-                "dropped_dead_endpoint",
-                JsonValue::Num(self.dropped_dead_endpoint),
-            ),
-            (
-                "dropped_unreachable",
-                JsonValue::Num(self.dropped_unreachable),
-            ),
-        ])
-    }
-}
-
-/// A collective's degradation curve over a node-fault grid for one
-/// topology, produced by [`collective_sweep`].
-#[derive(Clone, Debug)]
-pub struct CollectiveGrid {
-    /// Topology name (`"Γ_16"`, `"Q_11"`, …).
-    pub topology: String,
-    /// The [`CollectiveSpec`] swept, in canonical text form.
-    pub spec: String,
-    /// Node count.
-    pub nodes: usize,
-    /// The node-fault counts swept.
-    pub fault_counts: Vec<usize>,
-    /// One cell per fault count, in `fault_counts` order.
-    pub points: Vec<CollectivePoint>,
-}
-
-impl CollectiveGrid {
-    /// The grid as a JSON object, cells included.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("topology", JsonValue::Str(self.topology.clone())),
-            ("spec", JsonValue::Str(self.spec.clone())),
-            ("nodes", JsonValue::Int(self.nodes as u64)),
-            (
-                "fault_counts",
-                JsonValue::Arr(
-                    self.fault_counts
-                        .iter()
-                        .map(|&k| JsonValue::Int(k as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "points",
-                JsonValue::Arr(
-                    self.points
-                        .iter()
-                        .map(CollectivePoint::to_json_value)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Runs `spec` against every node-fault count in `fault_counts`, one
-/// [`Experiment`] per (fault count, seed) cell in parallel on the
-/// workspace pool — the collective-resilience grid behind the
-/// `collectives` section of `BENCH_sim.json`: how broadcast completion
-/// and coverage degrade as processors die. Fault placement and multicast
-/// destinations both derive from the per-cell seed. Configuration
-/// problems fail fast with a typed error before anything runs.
-pub fn collective_sweep<T>(
-    topo: &T,
-    spec: &CollectiveSpec,
-    fault_counts: &[usize],
-    config: &SweepConfig,
-) -> Result<CollectiveGrid, ExperimentError>
-where
-    T: Topology + Sync + ?Sized,
-{
-    assert!(!config.seeds.is_empty(), "sweep needs at least one seed");
-    spec.validate(topo.len())?;
-    for &k in fault_counts {
-        FaultSpec::Nodes { count: k }.validate(topo.graph())?;
-    }
-    let seeds = &config.seeds;
-    let reports = run_cells(fault_counts.len() * seeds.len(), |j| {
-        let fi = j / seeds.len();
-        Experiment::on(topo)
-            .collective(spec.clone())
-            .faults(FaultSpec::Nodes {
-                count: fault_counts[fi],
-            })
-            .seed(rung_seed(seeds[j % seeds.len()], fi))
-            .cycles(config.inject_cycles + config.drain_cycles)
-    })?;
-    let m = seeds.len() as f64;
-    // A collective experiment without an outcome would be an internal
-    // invariant violation; surface it as a typed error rather than a
-    // mid-aggregation panic.
-    let outcomes: Vec<&CollectiveOutcome> = reports
-        .iter()
-        .map(|r| {
-            r.collective
-                .as_ref()
-                .ok_or_else(|| ExperimentError::MissingCollectiveOutcome {
-                    topology: r.topology.clone(),
-                })
-        })
-        .collect::<Result<_, _>>()?;
-    let points = fault_counts
-        .iter()
-        .enumerate()
-        .map(|(fi, &faults)| {
-            let start = fi * seeds.len();
-            let chunk = &reports[start..start + seeds.len()];
-            let outs = &outcomes[start..start + seeds.len()];
-            let targets = outs.iter().map(|o| o.targets as f64).sum::<f64>() / m;
-            let reached = outs.iter().map(|o| o.reached as f64).sum::<f64>() / m;
-            let rounds: Vec<f64> = outs
-                .iter()
-                .filter_map(|o| o.schedule_rounds.map(|x| x as f64))
-                .collect();
-            CollectivePoint {
-                faults,
-                targets,
-                reached,
-                reached_fraction: (targets > 0.0).then(|| reached / targets),
-                completion_cycles: outs.iter().map(|o| o.completion_cycles as f64).sum::<f64>() / m,
-                schedule_rounds: (rounds.len() == chunk.len())
-                    .then(|| rounds.iter().sum::<f64>() / m),
-                dropped_dead_endpoint: chunk
-                    .iter()
-                    .map(|r| r.stats.dropped_dead_endpoint as f64)
-                    .sum::<f64>()
-                    / m,
-                dropped_unreachable: chunk
-                    .iter()
-                    .map(|r| r.stats.dropped_unreachable as f64)
-                    .sum::<f64>()
-                    / m,
-            }
-        })
-        .collect();
-    Ok(CollectiveGrid {
-        topology: topo.name(),
-        spec: spec.to_string(),
-        nodes: topo.len(),
-        fault_counts: fault_counts.to_vec(),
-        points,
-    })
-}
-
-/// One cell of a [`switching_sweep`] grid: the aggregated outcome at one
-/// (offered rate, switching model) combination.
-#[derive(Clone, Debug)]
-pub struct SwitchingPoint {
-    /// Offered injection rate (packets per node per cycle).
-    pub rate: f64,
-    /// The [`SwitchingSpec`] this cell ran under, in canonical text form.
-    pub switching: String,
-    /// Mean packets offered per run.
-    pub offered: f64,
-    /// Mean packets delivered per run.
-    pub delivered: f64,
-    /// `delivered / offered` — 1.0 until the network saturates.
-    pub delivered_fraction: f64,
-    /// Accepted rate: delivered packets per node per injection cycle
-    /// (directly comparable to `rate`).
-    pub accepted_rate: f64,
-    /// Mean end-to-end latency of delivered packets. Under wormhole this
-    /// counts head injection to tail arrival, so multi-flit packets pay
-    /// their serialization latency here.
-    pub mean_latency: f64,
-    /// Mean 99th-percentile latency across seeds.
-    pub p99_latency: f64,
-    /// Mean cycles until the network drained (or the cap struck).
-    pub makespan: f64,
-}
-
-impl SwitchingPoint {
-    /// The cell as a JSON object (for `BENCH_sim.json`-style artifacts).
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("rate", JsonValue::Num(self.rate)),
-            ("switching", JsonValue::Str(self.switching.clone())),
-            ("offered", JsonValue::Num(self.offered)),
-            ("delivered", JsonValue::Num(self.delivered)),
-            (
-                "delivered_fraction",
-                JsonValue::Num(self.delivered_fraction),
-            ),
-            ("accepted_rate", JsonValue::Num(self.accepted_rate)),
-            ("mean_latency", JsonValue::Num(self.mean_latency)),
-            ("p99_latency", JsonValue::Num(self.p99_latency)),
-            ("makespan", JsonValue::Num(self.makespan)),
-        ])
-    }
-}
-
-/// An injection-rate × switching-model grid for one (topology, router)
-/// pair, produced by [`switching_sweep`]. Points are stored rate-major:
-/// every switching model of the first rate, then the second rate, …
-#[derive(Clone, Debug)]
-pub struct SwitchingGrid {
-    /// Topology name (`"Γ_16"`, `"Q_11"`, …).
-    pub topology: String,
-    /// Router policy name.
-    pub router: String,
-    /// Node count (for normalising across topologies).
-    pub nodes: usize,
-    /// The injection-rate ladder swept.
-    pub rates: Vec<f64>,
-    /// The switching models swept, in canonical text form and sweep order.
-    pub switching: Vec<String>,
-    /// One cell per (rate, switching model), rate-major.
-    pub points: Vec<SwitchingPoint>,
-}
-
-impl SwitchingGrid {
-    /// The cell at `(rate index, switching-model index)`.
-    pub fn point(&self, rate_idx: usize, spec_idx: usize) -> &SwitchingPoint {
-        &self.points[rate_idx * self.switching.len() + spec_idx]
-    }
-
-    /// The grid as a JSON object, cells included.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("topology", JsonValue::Str(self.topology.clone())),
-            ("router", JsonValue::Str(self.router.clone())),
-            ("nodes", JsonValue::Int(self.nodes as u64)),
-            (
-                "rates",
-                JsonValue::Arr(self.rates.iter().map(|&r| JsonValue::Num(r)).collect()),
-            ),
-            (
-                "switching",
-                JsonValue::Arr(
-                    self.switching
-                        .iter()
-                        .map(|s| JsonValue::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "points",
-                JsonValue::Arr(
-                    self.points
-                        .iter()
-                        .map(SwitchingPoint::to_json_value)
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Runs the injection-rate ladder `rates` under every switching model in
-/// `specs` — the wormhole-vs-store-and-forward comparison behind the
-/// `switching` section of `BENCH_sim.json`. One [`Experiment`] per
-/// (rate, switching model, seed) run with open-loop Bernoulli traffic,
-/// parallel across runs like [`injection_sweep`]. Wormhole cells run the
-/// flit-level engine ([`SwitchingSpec::Wormhole`])
-/// with virtual channels and credit backpressure, so the grid exposes
-/// both the serialization cost at light load and the earlier saturation
-/// knee under finite flit buffering. Configuration problems (unsupported
-/// router, degenerate traffic or switching specs) fail fast with a typed
-/// error before anything runs.
-pub fn switching_sweep<T>(
-    topo: &T,
-    router: RouterSpec,
-    rates: &[f64],
-    specs: &[SwitchingSpec],
-    config: &SweepConfig,
-) -> Result<SwitchingGrid, ExperimentError>
-where
-    T: Topology + Sync + ?Sized,
-{
-    assert!(!config.seeds.is_empty(), "sweep needs at least one seed");
-    let router_name = router.resolve(topo)?.name();
-    for &rate in rates {
-        TrafficSpec::Bernoulli {
-            rate,
-            cycles: config.inject_cycles,
-        }
-        .validate(topo.len())?;
-    }
-    for spec in specs {
-        spec.validate()?;
-    }
-    let seeds = &config.seeds;
-    let per_rate = specs.len() * seeds.len();
-    // (rate, switching, seed) cells through the shared batch runner.
-    let reports = run_cells(rates.len() * per_rate, |j| {
-        let ri = j / per_rate;
-        let si = (j % per_rate) / seeds.len();
-        let cell = ri * specs.len() + si;
-        Experiment::on(topo)
-            .router(router)
-            .traffic(TrafficSpec::Bernoulli {
-                rate: rates[ri],
-                cycles: config.inject_cycles,
-            })
-            .switching(specs[si].clone())
-            .seed(rung_seed(seeds[j % seeds.len()], cell))
-            .cycles(config.inject_cycles + config.drain_cycles)
-    })?;
-    let runs: Vec<SimStats> = reports.into_iter().map(|r| r.stats).collect();
-    let m = seeds.len() as f64;
-    let mut points = Vec::with_capacity(rates.len() * specs.len());
-    for (ri, &rate) in rates.iter().enumerate() {
-        for (si, spec) in specs.iter().enumerate() {
-            let start = ri * per_rate + si * seeds.len();
-            let chunk = &runs[start..start + seeds.len()];
-            let offered = chunk.iter().map(|s| s.offered as f64).sum::<f64>() / m;
-            let delivered = chunk.iter().map(|s| s.delivered as f64).sum::<f64>() / m;
-            points.push(SwitchingPoint {
-                rate,
-                switching: spec.to_string(),
-                offered,
-                delivered,
-                delivered_fraction: if offered > 0.0 {
-                    delivered / offered
-                } else {
-                    1.0
-                },
-                accepted_rate: delivered / (topo.len() as f64 * config.inject_cycles as f64),
-                mean_latency: chunk.iter().map(|s| s.mean_latency).sum::<f64>() / m,
-                p99_latency: chunk.iter().map(|s| s.p99_latency as f64).sum::<f64>() / m,
-                makespan: chunk.iter().map(|s| s.makespan as f64).sum::<f64>() / m,
-            });
-        }
-    }
-    Ok(SwitchingGrid {
-        topology: topo.name(),
-        router: router_name,
-        nodes: topo.len(),
-        rates: rates.to_vec(),
-        switching: specs.iter().map(|s| s.to_string()).collect(),
-        points,
-    })
-}
-
-/// One cell of a [`churn_sweep`] grid: the aggregated outcome at one
-/// mean-time-to-repair value. Fractions follow the `Option` convention
-/// of [`FaultLoadPoint`]: `None` means the denominator was zero (no
-/// traffic offered, no fail events, nothing recovered), serialised as
-/// JSON `null` rather than a misleading number.
-#[derive(Clone, Debug)]
-pub struct ChurnPoint {
-    /// Mean time to repair swept at this cell (cycles;
-    /// `f64::INFINITY` = failures never heal, serialised as `null`).
-    pub mttr: f64,
-    /// Mean churn events committed per run (fail + recover).
-    pub events: f64,
-    /// Mean fail events committed per run.
-    pub fail_events: f64,
-    /// Mean packets offered per run.
-    pub offered: f64,
-    /// Mean packets delivered per run.
-    pub delivered: f64,
-    /// `delivered / offered`, or `None` when nothing was offered.
-    pub delivered_fraction: Option<f64>,
-    /// Mean packets dropped per run on a link that died under them.
-    pub dropped_link_died: f64,
-    /// Mean packets dropped per run on a node that died holding them.
-    pub dropped_node_died: f64,
-    /// Mean packets dropped per run with a dead source or destination
-    /// at injection.
-    pub dropped_dead_endpoint: f64,
-    /// Mean packets dropped per run whose endpoints the current fault
-    /// state disconnects.
-    pub dropped_unreachable: f64,
-    /// Mean end-to-end latency of delivered packets.
-    pub mean_latency: f64,
-    /// Mean 99th-percentile latency across seeds.
-    pub p99_latency: f64,
-    /// Mean (across seeds) of the worst per-window p99.9 latency the
-    /// run's [`SloTracker`] recorded — the tail during the churn, not
-    /// the whole-run tail.
-    pub worst_window_p999: f64,
-    /// Fraction of fail events after which service met
-    /// [`SLO_DELIVERED_TARGET`](crate::observer::SLO_DELIVERED_TARGET)
-    /// again before the run ended, or `None` with no fail events.
-    pub recovered_fraction: Option<f64>,
-    /// Mean cycles from a fail event to the close of the first
-    /// SLO-meeting window, over the recovered fail events — `None` when
-    /// none recovered.
-    pub mean_time_to_recover: Option<f64>,
-}
-
-impl ChurnPoint {
-    /// The cell as a JSON object (for `BENCH_sim.json`-style artifacts).
-    pub fn to_json_value(&self) -> JsonValue {
-        let opt = |x: Option<f64>| match x {
-            Some(v) => JsonValue::Num(v),
-            None => JsonValue::Null,
-        };
-        JsonValue::obj([
-            ("mttr", JsonValue::Num(self.mttr)),
-            ("events", JsonValue::Num(self.events)),
-            ("fail_events", JsonValue::Num(self.fail_events)),
-            ("offered", JsonValue::Num(self.offered)),
-            ("delivered", JsonValue::Num(self.delivered)),
-            ("delivered_fraction", opt(self.delivered_fraction)),
-            ("dropped_link_died", JsonValue::Num(self.dropped_link_died)),
-            ("dropped_node_died", JsonValue::Num(self.dropped_node_died)),
-            (
-                "dropped_dead_endpoint",
-                JsonValue::Num(self.dropped_dead_endpoint),
-            ),
-            (
-                "dropped_unreachable",
-                JsonValue::Num(self.dropped_unreachable),
-            ),
-            ("mean_latency", JsonValue::Num(self.mean_latency)),
-            ("p99_latency", JsonValue::Num(self.p99_latency)),
-            ("worst_window_p999", JsonValue::Num(self.worst_window_p999)),
-            ("recovered_fraction", opt(self.recovered_fraction)),
-            ("mean_time_to_recover", opt(self.mean_time_to_recover)),
-        ])
-    }
-}
-
-/// A recovery-vs-MTTR grid for one (topology, router) pair under
-/// dynamic fault churn, produced by [`churn_sweep`].
-#[derive(Clone, Debug)]
-pub struct ChurnGrid {
-    /// Topology name (`"Γ_16"`, `"Q_11"`, …).
-    pub topology: String,
-    /// Router policy name (the inner policy; churn wraps it in the
-    /// fault-masking adapter at run time).
-    pub router: String,
-    /// Node count.
-    pub nodes: usize,
-    /// Offered injection rate (packets per node per cycle).
-    pub rate: f64,
-    /// Per-cycle node-failure intensity of the churn process.
-    pub node_rate: f64,
-    /// Per-cycle link-failure intensity of the churn process.
-    pub link_rate: f64,
-    /// Cycles per [`SloTracker`] aggregation window (the granularity of
-    /// the recovery-time figures).
-    pub slo_window: u64,
-    /// The mean-time-to-repair ladder swept.
-    pub mttrs: Vec<f64>,
-    /// One cell per MTTR value, in `mttrs` order.
-    pub points: Vec<ChurnPoint>,
-}
-
-impl ChurnGrid {
-    /// The grid as a JSON object, cells included.
-    pub fn to_json_value(&self) -> JsonValue {
-        JsonValue::obj([
-            ("topology", JsonValue::Str(self.topology.clone())),
-            ("router", JsonValue::Str(self.router.clone())),
-            ("nodes", JsonValue::Int(self.nodes as u64)),
-            ("rate", JsonValue::Num(self.rate)),
-            ("node_rate", JsonValue::Num(self.node_rate)),
-            ("link_rate", JsonValue::Num(self.link_rate)),
-            ("slo_window", JsonValue::Int(self.slo_window)),
-            (
-                "mttrs",
-                JsonValue::Arr(self.mttrs.iter().map(|&x| JsonValue::Num(x)).collect()),
-            ),
-            (
-                "points",
-                JsonValue::Arr(self.points.iter().map(ChurnPoint::to_json_value).collect()),
-            ),
-        ])
-    }
-}
-
-/// Per-run churn outcome carried from the parallel cells to the
-/// aggregation pass.
-struct ChurnRun {
-    stats: SimStats,
-    events: u64,
-    fail_events: u64,
-    recovered: u64,
-    recover_cycles: u64,
-    worst_window_p999: u64,
-}
-
-/// Runs the dynamic-churn engine across a ladder of mean-time-to-repair
-/// values — the recovery-vs-MTTR grid behind the `churn` section of
-/// `BENCH_sim.json`. Each (MTTR, seed) cell generates a seeded
-/// [`ChurnTimeline`] at the given per-cycle node/link failure
-/// intensities, drives open-loop Bernoulli traffic at `rate` through
-/// [`engine::run`] with an [`SloTracker`] attached, and reports
-/// SLO-grade aggregates: per-fail-event time-to-recover, the fraction
-/// of fail events service recovered from, windowed worst-case tail
-/// latency, and the typed drop taxonomy (packets lost on dying
-/// links/nodes vs. rejected at injection). Cells fan out in parallel on
-/// the workspace pool; configuration problems (unsupported router,
-/// degenerate traffic or churn parameters) fail fast with a typed error
-/// before anything runs.
-pub fn churn_sweep<T>(
-    topo: &T,
-    router: RouterSpec,
-    rate: f64,
-    node_rate: f64,
-    link_rate: f64,
-    mttrs: &[f64],
-    config: &SweepConfig,
-) -> Result<ChurnGrid, ExperimentError>
-where
-    T: Topology + Sync + ?Sized,
-{
-    assert!(!config.seeds.is_empty(), "sweep needs at least one seed");
-    let router_name = router.resolve(topo)?.name();
-    TrafficSpec::Bernoulli {
-        rate,
-        cycles: config.inject_cycles,
-    }
-    .validate(topo.len())?;
-    let g = topo.graph();
-    for &mttr in mttrs {
-        FaultSpec::Churn {
-            node_rate,
-            link_rate,
-            mttr,
-        }
-        .validate(g)?;
-    }
-    let n = topo.len();
-    let seeds = &config.seeds;
-    let cap = config.inject_cycles + config.drain_cycles;
-    // Recovery times are measured at window granularity; an eighth of
-    // the injection phase keeps several windows inside it without
-    // starving each of traffic.
-    let slo_window = (config.inject_cycles / 8).max(1);
-    let runs: Vec<ChurnRun> = par_map(mttrs.len() * seeds.len(), |j| {
-        let mi = j / seeds.len();
-        let seed = rung_seed(seeds[j % seeds.len()], mi);
-        let router = router
-            .resolve(topo)
-            .expect("router capability was checked above");
-        let timeline =
-            ChurnTimeline::generate(g, node_rate, link_rate, mttrs[mi], fault_seed(seed), cap);
-        let pkts = TrafficSpec::Bernoulli {
-            rate,
-            cycles: config.inject_cycles,
-        }
-        .generate(n, seed);
-        let mut slo = SloTracker::new(slo_window);
-        let plan = RunPlan::new(topo, &*router, Workload::Open(&pkts), cap)
-            .admission(Admission::Churn(&timeline));
-        let stats = engine::run(&plan, 1, &mut slo)?.stats;
-        let fails: Vec<SloRecovery> = slo.recoveries().into_iter().filter(|r| r.failed).collect();
-        Ok(ChurnRun {
-            stats,
-            events: slo.fault_events().len() as u64,
-            fail_events: fails.len() as u64,
-            recovered: fails.iter().filter(|r| r.time_to_recover.is_some()).count() as u64,
-            recover_cycles: fails.iter().filter_map(|r| r.time_to_recover).sum(),
-            worst_window_p999: slo.windows().iter().map(SloWindow::p999).max().unwrap_or(0),
-        })
-    })
-    .into_iter()
-    .collect::<Result<_, ExperimentError>>()?;
-    let m = seeds.len() as f64;
-    let points = mttrs
-        .iter()
-        .enumerate()
-        .map(|(mi, &mttr)| {
-            let chunk = &runs[mi * seeds.len()..(mi + 1) * seeds.len()];
-            let offered = chunk.iter().map(|r| r.stats.offered as f64).sum::<f64>() / m;
-            let delivered = chunk.iter().map(|r| r.stats.delivered as f64).sum::<f64>() / m;
-            let fail_events: u64 = chunk.iter().map(|r| r.fail_events).sum();
-            let recovered: u64 = chunk.iter().map(|r| r.recovered).sum();
-            let recover_cycles: u64 = chunk.iter().map(|r| r.recover_cycles).sum();
-            let mean_drop = |f: fn(&SimStats) -> usize| {
-                chunk.iter().map(|r| f(&r.stats) as f64).sum::<f64>() / m
+    let faults = fault_of.iter().max().map_or(0, |&f| f + 1);
+    let columns = par_map(faults * seeds.len(), |j| {
+        let (f, s) = (j / seeds.len(), j % seeds.len());
+        let members: Vec<usize> = (0..cells.len()).filter(|&c| fault_of[c] == f).collect();
+        let drawn = cells[members[0]].draw_faults(rung_seed(seeds[s], f), router)?;
+        let run = |c: usize| -> Result<(usize, Run), ExperimentError> {
+            let cell = cells[c].clone().seed(rung_seed(seeds[s], c)).threads(1);
+            let mut slo = slo_window.map(SloTracker::new);
+            let report = match &mut slo {
+                Some(slo) => cell.observe(slo).run_drawn(&drawn, router)?,
+                None => cell.run_drawn(&drawn, router)?,
             };
-            ChurnPoint {
-                mttr,
-                events: chunk.iter().map(|r| r.events as f64).sum::<f64>() / m,
-                fail_events: fail_events as f64 / m,
-                offered,
-                delivered,
-                delivered_fraction: (offered > 0.0).then(|| delivered / offered),
-                dropped_link_died: mean_drop(|s| s.dropped_link_died),
-                dropped_node_died: mean_drop(|s| s.dropped_node_died),
-                dropped_dead_endpoint: mean_drop(|s| s.dropped_dead_endpoint),
-                dropped_unreachable: mean_drop(|s| s.dropped_unreachable),
-                mean_latency: chunk.iter().map(|r| r.stats.mean_latency).sum::<f64>() / m,
-                p99_latency: chunk
-                    .iter()
-                    .map(|r| r.stats.p99_latency as f64)
-                    .sum::<f64>()
-                    / m,
-                worst_window_p999: chunk
-                    .iter()
-                    .map(|r| r.worst_window_p999 as f64)
-                    .sum::<f64>()
-                    / m,
-                recovered_fraction: (fail_events > 0)
-                    .then(|| recovered as f64 / fail_events as f64),
-                mean_time_to_recover: (recovered > 0)
-                    .then(|| recover_cycles as f64 / recovered as f64),
-            }
-        })
-        .collect();
-    Ok(ChurnGrid {
-        topology: topo.name(),
-        router: router_name,
-        nodes: n,
-        rate,
-        node_rate,
-        link_rate,
-        slo_window,
-        mttrs: mttrs.to_vec(),
-        points,
-    })
+            Ok((c * seeds.len() + s, Run { report, slo }))
+        };
+        members.into_iter().map(run).collect::<Result<Vec<_>, _>>()
+    });
+    let columns = columns.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut runs: Vec<_> = columns.into_iter().flatten().collect();
+    runs.sort_unstable_by_key(|&(j, _)| j);
+    Ok(runs.into_iter().map(|(_, run)| run).collect())
 }
 
 /// A geometric-ish default ladder from light load up to `max_rate`:
@@ -1165,22 +521,22 @@ pub fn rate_ladder(max_rate: f64, rungs: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The saturation point of a curve: the last rung whose delivered
-/// fraction stays at least `threshold` (conventionally 0.95). Returns
-/// `None` when even the lightest rung saturates — and on an empty curve,
+/// The saturation rung of a rate ladder: the index of the last point
+/// whose delivered fraction stays at least `threshold` (conventionally
+/// 0.95). A point that offered nothing counts as unsaturated. Returns
+/// `None` when even the lightest rung saturates — and on an empty grid,
 /// which has no rungs at all.
-pub fn saturation_point(curve: &SweepCurve, threshold: f64) -> Option<&LoadPoint> {
-    curve
-        .points
+pub fn saturation_point(grid: &Grid, threshold: f64) -> Option<usize> {
+    grid.points
         .iter()
-        .rev()
-        .find(|p| p.delivered_fraction >= threshold)
+        .rposition(|p| p.delivered_fraction.is_none_or(|f| f >= threshold))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::CanonicalRouter;
+    use crate::collective::{CollectiveSpec, Port};
+    use crate::router::RouterSpec;
     use crate::topology::{FibonacciNet, Hypercube, Ring};
 
     fn quick_config() -> SweepConfig {
@@ -1191,14 +547,64 @@ mod tests {
         }
     }
 
+    /// `router` on `topo` over the rate ladder `rates`.
+    fn ladder<T: Topology + ?Sized>(
+        topo: &T,
+        router: RouterSpec,
+        rates: &[f64],
+        config: &SweepConfig,
+    ) -> Result<Grid, ExperimentError> {
+        let exp = Experiment::on(topo).router(router);
+        sweep(&exp, &[Axis::Rates(rates.to_vec())], config)
+    }
+
+    /// `router` on `topo` over the grid `rates` × `fault_counts`.
+    fn fault_grid<T: Topology + ?Sized>(
+        topo: &T,
+        router: RouterSpec,
+        rates: &[f64],
+        fault_counts: &[usize],
+    ) -> Result<Grid, ExperimentError> {
+        let axes = [
+            Axis::Rates(rates.to_vec()),
+            Axis::NodeFaults(fault_counts.to_vec()),
+        ];
+        sweep(&Experiment::on(topo).router(router), &axes, &quick_config())
+    }
+
+    /// Bernoulli traffic at `rate` under churn at the given intensities,
+    /// over the MTTR ladder `mttrs`.
+    fn churn_grid<T: Topology + ?Sized>(
+        topo: &T,
+        router: RouterSpec,
+        rate: f64,
+        (node_rate, link_rate): (f64, f64),
+        mttrs: &[f64],
+    ) -> Result<Grid, ExperimentError> {
+        let config = quick_config();
+        let exp = Experiment::on(topo)
+            .router(router)
+            .traffic(TrafficSpec::Bernoulli {
+                rate,
+                cycles: config.inject_cycles,
+            })
+            .faults(FaultSpec::Churn {
+                node_rate,
+                link_rate,
+                mttr: f64::INFINITY,
+            });
+        sweep(&exp, &[Axis::Mttrs(mttrs.to_vec())], &config)
+    }
+
     #[test]
     fn light_load_delivers_everything_at_distance_latency() {
         let q = Hypercube::new(5);
-        let curve = injection_sweep(&q, RouterSpec::Ecube, &[0.01], &quick_config()).unwrap();
-        assert_eq!(curve.topology, "Q_5");
-        assert_eq!(curve.router, "e-cube");
-        let p = &curve.points[0];
-        assert!(p.delivered_fraction > 0.999, "light load must not saturate");
+        let grid = ladder(&q, RouterSpec::Ecube, &[0.01], &quick_config()).unwrap();
+        assert_eq!(grid.topology, "Q_5");
+        assert_eq!(grid.router, "e-cube");
+        let p = &grid.points[0];
+        let frac = p.delivered_fraction.expect("packets were offered");
+        assert!(frac > 0.999, "light load must not saturate");
         let avg = fibcube_graph::distance::average_distance(q.graph());
         assert!(
             p.mean_latency >= avg * 0.5,
@@ -1218,10 +624,10 @@ mod tests {
         let mut config = quick_config();
         // Short drain so the saturated rungs visibly drop packets.
         config.drain_cycles = 200;
-        let curve = injection_sweep(&net, RouterSpec::Canonical, &rates, &config).unwrap();
-        assert_eq!(curve.points.len(), 4);
-        let first = &curve.points[0];
-        let last = &curve.points[curve.points.len() - 1];
+        let grid = ladder(&net, RouterSpec::Canonical, &rates, &config).unwrap();
+        assert_eq!(grid.points.len(), 4);
+        let first = &grid.points[0];
+        let last = &grid.points[grid.points.len() - 1];
         assert!(
             last.mean_latency >= first.mean_latency,
             "latency must not fall as load rises: {} vs {}",
@@ -1230,40 +636,67 @@ mod tests {
         );
         // Γ_8 (55 nodes, max degree 8) cannot accept 0.6 pkt/node/cycle of
         // uniform traffic: the top rung must saturate.
-        assert!(last.delivered_fraction < 0.95, "top rung should saturate");
-        let sat = saturation_point(&curve, 0.95);
-        if let Some(p) = sat {
-            assert!(p.rate < last.rate);
-        }
-    }
-
-    #[test]
-    fn spec_sweep_matches_explicit_router_sweep() {
-        // The declarative path must produce the same curve as handing the
-        // resolved router in directly (same seeds ⇒ same runs).
-        let net = FibonacciNet::classical(7);
-        let rates = [0.02, 0.1];
-        let config = quick_config();
-        let via_spec = injection_sweep(&net, RouterSpec::Canonical, &rates, &config).unwrap();
-        let router = CanonicalRouter::for_net(&net);
-        let via_router = injection_sweep_with(&net, &router, &rates, &config);
-        assert_eq!(via_spec.router, via_router.router);
-        for (a, b) in via_spec.points.iter().zip(&via_router.points) {
-            assert_eq!(a.delivered, b.delivered);
-            assert_eq!(a.mean_latency, b.mean_latency);
-            assert_eq!(a.p99_latency, b.p99_latency);
+        let top = last.delivered_fraction.expect("packets were offered");
+        assert!(top < 0.95, "top rung should saturate");
+        if let Some(i) = saturation_point(&grid, 0.95) {
+            assert!(rates[i] < rates[3]);
         }
     }
 
     #[test]
     fn unsupported_router_fails_the_sweep_up_front() {
         let ring = Ring::new(9);
-        let err = injection_sweep(&ring, RouterSpec::Canonical, &[0.1], &quick_config())
+        let err = ladder(&ring, RouterSpec::Canonical, &[0.1], &quick_config())
             .expect_err("no canonical routing on a ring");
         assert!(err.to_string().contains("Ring_9"), "{err}");
-        let err = injection_sweep(&ring, RouterSpec::Builtin, &[1.5], &quick_config())
+        let err = ladder(&ring, RouterSpec::Builtin, &[1.5], &quick_config())
             .expect_err("rate 1.5 is not a probability");
         assert!(err.to_string().contains("1.5"), "{err}");
+    }
+
+    #[test]
+    fn malformed_grids_are_typed_errors_before_anything_runs() {
+        let q = Hypercube::new(3);
+        let exp = Experiment::on(&q);
+        let no_seeds = SweepConfig {
+            seeds: Vec::new(),
+            ..quick_config()
+        };
+        // An empty seed list used to abort on an assertion.
+        let err = sweep(&exp, &[Axis::Rates(vec![0.1])], &no_seeds)
+            .expect_err("a sweep needs at least one seed");
+        assert!(
+            matches!(err, ExperimentError::InvalidSweep { .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("seed"), "{err}");
+        let churn = FaultSpec::Churn {
+            node_rate: 0.01,
+            link_rate: 0.0,
+            mttr: 50.0,
+        };
+        let bad = [
+            (
+                exp.clone(),
+                vec![Axis::Rates(vec![0.1]), Axis::Rates(vec![0.2])],
+            ),
+            (
+                exp.clone().faults(churn),
+                vec![Axis::NodeFaults(vec![1]), Axis::Mttrs(vec![10.0])],
+            ),
+            (exp.clone(), vec![Axis::Mttrs(vec![10.0])]),
+            (
+                exp.clone().collective(CollectiveSpec::AllToAllPersonalized),
+                vec![Axis::Rates(vec![0.1])],
+            ),
+        ];
+        for (exp, axes) in bad {
+            let err = sweep(&exp, &axes, &quick_config()).expect_err("malformed grid");
+            assert!(
+                matches!(err, ExperimentError::InvalidSweep { .. }),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1282,37 +715,34 @@ mod tests {
 
     #[test]
     fn saturation_point_of_empty_curve_is_none() {
-        let empty = SweepCurve {
+        let empty = Grid {
             topology: "Q_3".into(),
             router: "e-cube".into(),
             nodes: 8,
+            collective: None,
+            rate: None,
+            churn: None,
+            slo_window: None,
+            axes: vec![Axis::Rates(Vec::new())],
             points: Vec::new(),
         };
         assert!(saturation_point(&empty, 0.95).is_none());
-        // And an empty ladder sweeps to an empty curve without running.
+        // And an empty ladder sweeps to an empty grid without running.
         let q = Hypercube::new(3);
-        let curve = injection_sweep(&q, RouterSpec::Ecube, &[], &quick_config()).unwrap();
-        assert!(curve.points.is_empty());
-        assert!(saturation_point(&curve, 0.95).is_none());
+        let grid = ladder(&q, RouterSpec::Ecube, &[], &quick_config()).unwrap();
+        assert!(grid.points.is_empty());
+        assert!(saturation_point(&grid, 0.95).is_none());
     }
 
     #[test]
     fn fault_load_sweep_shows_graceful_degradation() {
         let net = FibonacciNet::classical(7); // 34 nodes
-        let grid = fault_load_sweep(
-            &net,
-            RouterSpec::Adaptive,
-            &[0.05],
-            &[0, 8],
-            &quick_config(),
-        )
-        .unwrap();
+        let grid = fault_grid(&net, RouterSpec::Adaptive, &[0.05], &[0, 8]).unwrap();
         assert_eq!(grid.points.len(), 2);
         assert_eq!(grid.router, "adaptive");
-        let healthy = grid.point(0, 0);
-        let degraded = grid.point(0, 1);
-        assert_eq!(healthy.faults, 0);
-        assert_eq!(degraded.faults, 8);
+        assert_eq!(grid.axes[1], Axis::NodeFaults(vec![0, 8]));
+        let healthy = grid.point(&[0, 0]);
+        let degraded = grid.point(&[0, 1]);
         // The healthy column never drops; the degraded one must (8 of 34
         // nodes dead ⇒ ~40% of uniform pairs touch a dead endpoint).
         assert_eq!(healthy.dropped_dead_endpoint, 0.0);
@@ -1326,61 +756,48 @@ mod tests {
         );
         let json = grid.to_json_value().to_string();
         assert!(json.contains("\"fault_counts\": [0, 8]"), "{json}");
+        assert!(json.contains("\"faults\": 8"), "{json}");
         assert!(json.contains("\"delivered_fraction\""), "{json}");
         // A rate-0 cell offers nothing: the fraction is undefined, not a
         // misleading 1.0 (serialised as null).
-        let idle =
-            fault_load_sweep(&net, RouterSpec::Adaptive, &[0.0], &[0], &quick_config()).unwrap();
-        assert_eq!(idle.point(0, 0).delivered_fraction, None);
+        let idle = fault_grid(&net, RouterSpec::Adaptive, &[0.0], &[0]).unwrap();
+        assert_eq!(idle.point(&[0, 0]).delivered_fraction, None);
         assert!(idle
             .to_json_value()
             .to_string()
             .contains("\"delivered_fraction\": null"));
+        // … and it still counts as unsaturated.
+        assert_eq!(saturation_point(&idle, 0.95), Some(0));
     }
 
     #[test]
     fn fault_load_sweep_rejects_bad_grids_up_front() {
         let net = FibonacciNet::classical(6); // 21 nodes
-        let err = fault_load_sweep(&net, RouterSpec::Ecube, &[0.1], &[0], &quick_config())
+        let err = fault_grid(&net, RouterSpec::Ecube, &[0.1], &[0])
             .expect_err("no e-cube on a Fibonacci net");
         assert!(matches!(err, ExperimentError::UnsupportedRouter { .. }));
-        let err = fault_load_sweep(&net, RouterSpec::Adaptive, &[0.1], &[21], &quick_config())
+        let err = fault_grid(&net, RouterSpec::Adaptive, &[0.1], &[21])
             .expect_err("failing every node is rejected");
         assert!(
             err.to_string().contains("at least one must survive"),
             "{err}"
         );
         // An empty grid runs nothing and returns no points.
-        let grid = fault_load_sweep(&net, RouterSpec::Adaptive, &[], &[], &quick_config()).unwrap();
+        let grid = fault_grid(&net, RouterSpec::Adaptive, &[], &[]).unwrap();
         assert!(grid.points.is_empty());
     }
 
     #[test]
     fn fault_load_grid_cells_are_stable_under_ladder_extension() {
-        // Satellite regression for the cached-table restructure: a
-        // column's fault draw depends only on (fault count, seed), and a
-        // cell's traffic only on its own (rate, fault) indices — so
+        // A column's fault draw depends only on (fault count, seed), and
+        // a cell's traffic only on its own (rate, fault) indices — so
         // extending the rate ladder must not perturb existing cells.
         let net = FibonacciNet::classical(7); // 34 nodes
-        let short = fault_load_sweep(
-            &net,
-            RouterSpec::Adaptive,
-            &[0.05],
-            &[0, 6],
-            &quick_config(),
-        )
-        .unwrap();
-        let long = fault_load_sweep(
-            &net,
-            RouterSpec::Adaptive,
-            &[0.05, 0.2],
-            &[0, 6],
-            &quick_config(),
-        )
-        .unwrap();
+        let short = fault_grid(&net, RouterSpec::Adaptive, &[0.05], &[0, 6]).unwrap();
+        let long = fault_grid(&net, RouterSpec::Adaptive, &[0.05, 0.2], &[0, 6]).unwrap();
         for fi in 0..2 {
-            let a = short.point(0, fi);
-            let b = long.point(0, fi);
+            let a = short.point(&[0, fi]);
+            let b = long.point(&[0, fi]);
             assert_eq!(a.offered, b.offered, "fault column {fi}");
             assert_eq!(a.delivered, b.delivered, "fault column {fi}");
             assert_eq!(a.dropped_dead_endpoint, b.dropped_dead_endpoint);
@@ -1392,36 +809,36 @@ mod tests {
     #[test]
     fn churn_sweep_reports_recovery_grid() {
         let net = FibonacciNet::classical(8); // 55 nodes
-        let grid = churn_sweep(
+        let grid = churn_grid(
             &net,
             RouterSpec::Canonical,
             0.05,
-            0.005,
-            0.005,
+            (0.005, 0.005),
             &[50.0, f64::INFINITY],
-            &quick_config(),
         )
         .unwrap();
         assert_eq!(grid.topology, "Γ_8");
         assert_eq!(grid.router, "canonical");
-        assert_eq!(grid.mttrs.len(), 2);
+        assert_eq!(grid.axes, vec![Axis::Mttrs(vec![50.0, f64::INFINITY])]);
         assert_eq!(grid.points.len(), 2);
-        assert_eq!(grid.slo_window, 15); // inject_cycles 120 / 8
+        assert_eq!(grid.slo_window, Some(15)); // inject_cycles 120 / 8
+        assert_eq!(grid.rate, Some(0.05));
+        assert_eq!(grid.churn, Some((0.005, 0.005)));
         let healing = &grid.points[0];
         let permanent = &grid.points[1];
+        let fails = |p: &Point| p.fail_events.expect("churn cells carry SLO figures");
         // ~0.005/cycle over 2120 cycles: both cells must see failures.
-        assert!(healing.fail_events > 0.0, "{}", healing.fail_events);
-        assert!(permanent.fail_events > 0.0, "{}", permanent.fail_events);
+        assert!(fails(healing) > 0.0, "{}", fails(healing));
+        assert!(fails(permanent) > 0.0, "{}", fails(permanent));
         // Finite MTTR commits recover events on top of the fails;
         // mttr = ∞ never heals, so every committed event is a fail.
+        let healing_events = healing.events.expect("churn cell");
         assert!(
-            healing.events > healing.fail_events,
-            "{} vs {}",
-            healing.events,
-            healing.fail_events
+            healing_events > fails(healing),
+            "{healing_events} vs {}",
+            fails(healing)
         );
         assert_eq!(permanent.events, permanent.fail_events);
-        assert!(permanent.mttr.is_infinite());
         // Traffic flowed and the SLO machinery produced figures.
         let frac = healing.delivered_fraction.expect("packets were offered");
         assert!(frac > 0.0 && frac <= 1.0, "{frac}");
@@ -1439,6 +856,7 @@ mod tests {
         // Infinite MTTR serialises as null, keeping the artifact valid
         // JSON.
         assert!(json.contains("\"mttrs\": [50, null]"), "{json}");
+        assert!(json.contains("\"mttr\": null"), "{json}");
     }
 
     #[test]
@@ -1446,19 +864,10 @@ mod tests {
         // node_rate = link_rate = 0 generates an empty timeline: no
         // events, nothing to recover from, full delivery at light load.
         let q = Hypercube::new(4);
-        let grid = churn_sweep(
-            &q,
-            RouterSpec::Ecube,
-            0.02,
-            0.0,
-            0.0,
-            &[100.0],
-            &quick_config(),
-        )
-        .unwrap();
+        let grid = churn_grid(&q, RouterSpec::Ecube, 0.02, (0.0, 0.0), &[100.0]).unwrap();
         let p = &grid.points[0];
-        assert_eq!(p.events, 0.0);
-        assert_eq!(p.fail_events, 0.0);
+        assert_eq!(p.events, Some(0.0));
+        assert_eq!(p.fail_events, Some(0.0));
         assert_eq!(p.recovered_fraction, None);
         assert_eq!(p.mean_time_to_recover, None);
         assert_eq!(p.dropped_link_died, 0.0);
@@ -1474,75 +883,52 @@ mod tests {
     #[test]
     fn churn_sweep_rejects_bad_grids_up_front() {
         let net = FibonacciNet::classical(6);
-        let err = churn_sweep(
-            &net,
-            RouterSpec::Canonical,
-            0.05,
-            0.001,
-            0.0,
-            &[0.0],
-            &quick_config(),
-        )
-        .expect_err("zero MTTR is degenerate");
+        let err = churn_grid(&net, RouterSpec::Canonical, 0.05, (0.001, 0.0), &[0.0])
+            .expect_err("zero MTTR is degenerate");
         assert!(err.to_string().contains("mttr"), "{err}");
-        let err = churn_sweep(
-            &net,
-            RouterSpec::Ecube,
-            0.05,
-            0.001,
-            0.0,
-            &[50.0],
-            &quick_config(),
-        )
-        .expect_err("no e-cube on a Fibonacci net");
+        let err = churn_grid(&net, RouterSpec::Ecube, 0.05, (0.001, 0.0), &[50.0])
+            .expect_err("no e-cube on a Fibonacci net");
         assert!(matches!(err, ExperimentError::UnsupportedRouter { .. }));
         // An empty MTTR ladder runs nothing.
-        let grid = churn_sweep(
-            &net,
-            RouterSpec::Canonical,
-            0.05,
-            0.001,
-            0.001,
-            &[],
-            &quick_config(),
-        )
-        .unwrap();
+        let grid = churn_grid(&net, RouterSpec::Canonical, 0.05, (0.001, 0.001), &[]).unwrap();
         assert!(grid.points.is_empty());
     }
 
     #[test]
     fn collective_sweep_degrades_coverage_not_correctness() {
-        use crate::collective::{CollectiveSpec, Port};
         let net = FibonacciNet::classical(8); // 55 nodes
-        let spec = CollectiveSpec::Broadcast {
+        let exp = Experiment::on(&net).collective(CollectiveSpec::Broadcast {
             source: 0,
             port: Port::One,
-        };
-        let grid = collective_sweep(&net, &spec, &[0, 10], &quick_config()).unwrap();
+        });
+        let grid = sweep(&exp, &[Axis::NodeFaults(vec![0, 10])], &quick_config()).unwrap();
         assert_eq!(grid.topology, "Γ_8");
-        assert_eq!(grid.spec, "broadcast(source=0,port=one)");
+        assert_eq!(
+            grid.collective.as_deref(),
+            Some("broadcast(source=0,port=one)")
+        );
         assert_eq!(grid.points.len(), 2);
         let healthy = &grid.points[0];
         let degraded = &grid.points[1];
         // Healthy column: full coverage, completion == the static rounds
         // oracle (averaged over seeds, but every seed matches exactly).
-        assert_eq!(healthy.faults, 0);
         assert_eq!(healthy.reached_fraction, Some(1.0));
         assert_eq!(healthy.dropped_dead_endpoint, 0.0);
         assert_eq!(
-            Some(healthy.completion_cycles),
+            Some(healthy.makespan),
             healthy.schedule_rounds,
             "healthy one-port completion equals the static oracle"
         );
         // Degraded column: 10 of 55 nodes dead ⇒ coverage must drop, and
         // every missing target is a typed drop.
-        assert_eq!(degraded.faults, 10);
         let frac = degraded.reached_fraction.expect("targets exist");
         assert!(frac < 1.0, "10 dead nodes must cost coverage: {frac}");
         assert!(degraded.dropped_dead_endpoint > 0.0);
         assert_eq!(
-            degraded.reached + degraded.dropped_dead_endpoint + degraded.dropped_unreachable,
-            degraded.targets,
+            degraded.reached.unwrap()
+                + degraded.dropped_dead_endpoint
+                + degraded.dropped_unreachable,
+            degraded.targets.unwrap(),
             "copy conservation survives aggregation"
         );
         let json = grid.to_json_value().to_string();
@@ -1550,40 +936,36 @@ mod tests {
             json.contains("\"spec\": \"broadcast(source=0,port=one)\""),
             "{json}"
         );
+        assert!(json.contains("\"faults\": 10"), "{json}");
         assert!(json.contains("\"completion_cycles\""), "{json}");
         assert!(json.contains("\"reached_fraction\""), "{json}");
     }
 
     #[test]
     fn collective_sweep_rejects_bad_grids_up_front() {
-        use crate::collective::{CollectiveSpec, Port};
         let net = FibonacciNet::classical(6); // 21 nodes
-        let bad_spec = CollectiveSpec::Broadcast {
-            source: 21,
-            port: Port::One,
+        let broadcast = |source, port| {
+            Experiment::on(&net).collective(CollectiveSpec::Broadcast { source, port })
         };
-        let err = collective_sweep(&net, &bad_spec, &[0], &quick_config())
+        let faults = |counts: &[usize]| [Axis::NodeFaults(counts.to_vec())];
+        let err = sweep(&broadcast(21, Port::One), &faults(&[0]), &quick_config())
             .expect_err("source outside the network");
         assert!(matches!(err, ExperimentError::InvalidCollective { .. }));
-        let spec = CollectiveSpec::Broadcast {
-            source: 0,
-            port: Port::All,
-        };
-        let err = collective_sweep(&net, &spec, &[21], &quick_config())
+        let err = sweep(&broadcast(0, Port::All), &faults(&[21]), &quick_config())
             .expect_err("failing every node is rejected");
         assert!(
             err.to_string().contains("at least one must survive"),
             "{err}"
         );
         // An empty grid runs nothing.
-        let grid = collective_sweep(&net, &spec, &[], &quick_config()).unwrap();
+        let grid = sweep(&broadcast(0, Port::All), &faults(&[]), &quick_config()).unwrap();
         assert!(grid.points.is_empty());
     }
 
     #[test]
     fn switching_sweep_compares_wormhole_to_store_and_forward() {
         let net = FibonacciNet::classical(8); // 55 nodes
-        let specs = [
+        let specs = vec![
             SwitchingSpec::StoreAndForward,
             SwitchingSpec::Wormhole {
                 flit_size: 8,
@@ -1591,32 +973,26 @@ mod tests {
                 buf_flits: 4,
             },
         ];
-        let grid = switching_sweep(
-            &net,
-            RouterSpec::Canonical,
-            &[0.02, 0.08],
-            &specs,
-            &quick_config(),
-        )
-        .unwrap();
+        let axes = [
+            Axis::Rates(vec![0.02, 0.08]),
+            Axis::Switching(specs.clone()),
+        ];
+        let exp = Experiment::on(&net).router(RouterSpec::Canonical);
+        let grid = sweep(&exp, &axes, &quick_config()).unwrap();
         assert_eq!(grid.points.len(), 4);
         assert_eq!(
-            grid.switching,
+            specs.iter().map(ToString::to_string).collect::<Vec<_>>(),
             vec![
                 "store_and_forward".to_string(),
                 "wormhole(flit_size=8,vcs=2,buf_flits=4)".to_string()
             ]
         );
-        let saf = grid.point(0, 0);
-        let worm = grid.point(0, 1);
-        assert_eq!(saf.switching, "store_and_forward");
+        let saf = grid.point(&[0, 0]);
+        let worm = grid.point(&[0, 1]);
         // Light load: both models deliver everything …
-        assert!(saf.delivered_fraction > 0.999, "{}", saf.delivered_fraction);
-        assert!(
-            worm.delivered_fraction > 0.999,
-            "{}",
-            worm.delivered_fraction
-        );
+        let frac = |p: &Point| p.delivered_fraction.expect("packets were offered");
+        assert!(frac(saf) > 0.999, "{}", frac(saf));
+        assert!(frac(worm) > 0.999, "{}", frac(worm));
         // … but a 4-flit worm pays serialization latency the
         // packet-atomic engine never sees.
         assert!(
@@ -1626,7 +1002,10 @@ mod tests {
             saf.mean_latency
         );
         let json = grid.to_json_value().to_string();
-        assert!(json.contains("\"switching\""), "{json}");
+        assert!(
+            json.contains("\"switching\": \"store_and_forward\""),
+            "{json}"
+        );
         assert!(json.contains("wormhole(flit_size=8"), "{json}");
         assert!(json.contains("\"makespan\""), "{json}");
     }
@@ -1634,25 +1013,27 @@ mod tests {
     #[test]
     fn switching_sweep_rejects_bad_specs_up_front() {
         let q = Hypercube::new(4);
+        let exp = Experiment::on(&q).router(RouterSpec::Ecube);
         let bad = SwitchingSpec::Wormhole {
             flit_size: 0,
             vcs: 1,
             buf_flits: 1,
         };
-        let err = switching_sweep(&q, RouterSpec::Ecube, &[0.05], &[bad], &quick_config())
-            .expect_err("zero flit size is degenerate");
+        let axes = [Axis::Rates(vec![0.05]), Axis::Switching(vec![bad])];
+        let err = sweep(&exp, &axes, &quick_config()).expect_err("zero flit size is degenerate");
         assert!(matches!(err, ExperimentError::InvalidSwitching { .. }));
         assert!(err.to_string().contains("switching"), "{err}");
         // An empty grid runs nothing and returns no points.
-        let grid = switching_sweep(&q, RouterSpec::Ecube, &[], &[], &quick_config()).unwrap();
+        let axes = [Axis::Rates(Vec::new()), Axis::Switching(Vec::new())];
+        let grid = sweep(&exp, &axes, &quick_config()).unwrap();
         assert!(grid.points.is_empty());
     }
 
     #[test]
     fn curve_serialises_to_json() {
         let q = Hypercube::new(3);
-        let curve = injection_sweep(&q, RouterSpec::Ecube, &[0.05], &quick_config()).unwrap();
-        let json = curve.to_json_value().to_string();
+        let grid = ladder(&q, RouterSpec::Ecube, &[0.05], &quick_config()).unwrap();
+        let json = grid.to_json_value().to_string();
         assert!(json.contains("\"topology\": \"Q_3\""), "{json}");
         assert!(json.contains("\"rate\": 0.05"), "{json}");
     }

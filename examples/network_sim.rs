@@ -8,7 +8,7 @@
 use fibcube::network::broadcast::{broadcast_all_port, broadcast_one_port};
 use fibcube::network::fault::{fault_sweep, FaultSpec};
 use fibcube::network::metrics::metrics;
-use fibcube::network::sweep::{injection_sweep, rate_ladder, saturation_point, SweepConfig};
+use fibcube::network::sweep::{rate_ladder, saturation_point, sweep, Axis, SweepConfig};
 use fibcube::network::{
     CollectiveSpec, DeliveryTracker, Experiment, LatencyHistogram, LinkHeatmap, Port, RouterSpec,
     TrafficSpec,
@@ -227,24 +227,36 @@ fn main() {
         "{:<8} {:>8} {:>10} {:>10} {:>10}",
         "network", "rate", "accepted", "mean lat", "deliv %"
     );
-    for curve in [
-        injection_sweep(&gamma10, RouterSpec::Adaptive, &rates, &config).unwrap(),
-        injection_sweep(&q7, RouterSpec::Ecube, &rates, &config).unwrap(),
+    let ladder = [Axis::Rates(rates.clone())];
+    for grid in [
+        sweep(
+            &Experiment::on(&gamma10).router(RouterSpec::Adaptive),
+            &ladder,
+            &config,
+        )
+        .unwrap(),
+        sweep(
+            &Experiment::on(&q7).router(RouterSpec::Ecube),
+            &ladder,
+            &config,
+        )
+        .unwrap(),
     ] {
-        for p in &curve.points {
+        for (rate, p) in rates.iter().zip(&grid.points) {
             println!(
                 "{:<8} {:>8.2} {:>10.4} {:>10.2} {:>9.1}%",
-                curve.topology,
-                p.rate,
-                p.accepted_rate,
+                grid.topology,
+                rate,
+                p.accepted_rate.unwrap_or(0.0),
                 p.mean_latency,
-                100.0 * p.delivered_fraction
+                100.0 * p.delivered_fraction.unwrap_or(1.0)
             );
         }
-        if let Some(p) = saturation_point(&curve, 0.95) {
+        if let Some(i) = saturation_point(&grid, 0.95) {
             println!(
                 "  {} sustains ≈{:.3} pkt/node/cycle\n",
-                curve.topology, p.accepted_rate
+                grid.topology,
+                grid.points[i].accepted_rate.unwrap_or(0.0)
             );
         }
     }

@@ -5,9 +5,10 @@ use fibcube::network::engine::{self, Admission, RequestReplyLoad, RunPlan, Workl
 use fibcube::network::fault::{fault_sweep, FaultError};
 use fibcube::network::hamilton::{hamiltonian_path, verify_hamiltonian, HamiltonResult};
 use fibcube::network::metrics::metrics;
+use fibcube::network::sweep::{sweep, Axis, SweepConfig};
 use fibcube::network::{
     ChurnTimeline, CopyPlan, DeliveryTracker, FaultMaskingRouter, FaultSet, Mesh, NoopObserver,
-    SwitchingSpec,
+    SimStats, SwitchingSpec,
 };
 use fibcube::prelude::*;
 
@@ -469,4 +470,104 @@ fn engine_support_table_is_typed_and_lane_independent() {
         }
     }
     assert_eq!(supported, 8, "supported cells of the table");
+}
+
+#[test]
+fn sweep_grid_follows_its_seeding_contract() {
+    // Cell `c` at seed `s` draws its traffic at seed `s ^ (c << 32)`, and
+    // its fault column `f` draws faults as an experiment seeded
+    // `s ^ (f << 32)` does — whose fault stream is that seed xor a fixed
+    // salt. Every point is the seed mean of those direct runs.
+    const FAULT_SALT: u64 = 0xFA17_5EED_0C0D_ED00;
+    let rung = |s: u64, i: usize| s ^ ((i as u64) << 32);
+    let net = FibonacciNet::classical(8);
+    let (rates, counts) = ([0.05, 0.2], [0usize, 6]);
+    let config = SweepConfig {
+        inject_cycles: 100,
+        drain_cycles: 1_000,
+        seeds: vec![1, 2],
+    };
+    let cap = config.inject_cycles + config.drain_cycles;
+    let exp = Experiment::on(&net).router(RouterSpec::Adaptive);
+    let axes = [
+        Axis::Rates(rates.to_vec()),
+        Axis::NodeFaults(counts.to_vec()),
+    ];
+    let grid = sweep(&exp, &axes, &config).expect("valid grid");
+    for (ri, &rate) in rates.iter().enumerate() {
+        for (fi, &count) in counts.iter().enumerate() {
+            let cell = ri * counts.len() + fi;
+            let runs: Vec<SimStats> = config
+                .seeds
+                .iter()
+                .map(|&s| {
+                    let faults = FaultSpec::Nodes { count }
+                        .sample(net.graph(), rung(s, fi) ^ FAULT_SALT)
+                        .expect("6 of 55 nodes is survivable");
+                    exp.clone()
+                        .traffic(TrafficSpec::Bernoulli {
+                            rate,
+                            cycles: config.inject_cycles,
+                        })
+                        .faults(FaultSpec::NodeList(faults.failed_nodes().to_vec()))
+                        .seed(rung(s, cell))
+                        .cycles(cap)
+                        .run()
+                        .expect("valid cell")
+                        .stats
+                })
+                .collect();
+            let mean = |f: fn(&SimStats) -> f64| runs.iter().map(f).sum::<f64>() / 2.0;
+            let p = grid.point(&[ri, fi]);
+            let what = format!("rate {rate}, {count} faults");
+            assert_eq!(p.offered, mean(|s| s.offered as f64), "{what}");
+            assert_eq!(p.delivered, mean(|s| s.delivered as f64), "{what}");
+            assert_eq!(
+                p.dropped_dead_endpoint,
+                mean(|s| s.dropped_dead_endpoint as f64),
+                "{what}"
+            );
+            assert_eq!(
+                p.dropped_unreachable,
+                mean(|s| s.dropped_unreachable as f64),
+                "{what}"
+            );
+            assert_eq!(p.mean_latency, mean(|s| s.mean_latency), "{what}");
+            assert_eq!(p.p99_latency, mean(|s| s.p99_latency as f64), "{what}");
+            assert_eq!(p.makespan, mean(|s| s.makespan as f64), "{what}");
+        }
+    }
+    assert!(
+        grid.point(&[1, 1]).dropped_dead_endpoint > 0.0,
+        "faults bite"
+    );
+
+    // No axes and one seed: the one cell is `Experiment::run` at that
+    // seed, through the same runner `run_batch` uses.
+    let faulted = exp
+        .traffic(TrafficSpec::Uniform {
+            count: 300,
+            window: 60,
+        })
+        .faults(FaultSpec::Nodes { count: 6 })
+        .cycles(cap);
+    let direct = faulted.clone().seed(9).run().expect("valid configuration");
+    let batch = faulted.run_batch(&[9]).expect("valid configuration");
+    assert_eq!(batch[0].stats, direct.stats);
+    assert_eq!(batch[0].failed_nodes, direct.failed_nodes);
+    assert_eq!(direct.failed_nodes, 6);
+    let one_seed = SweepConfig {
+        seeds: vec![9],
+        ..config
+    };
+    let grid = sweep(&faulted, &[], &one_seed).expect("valid grid");
+    let p = &grid.points[0];
+    let s = &direct.stats;
+    assert_eq!(grid.points.len(), 1);
+    assert_eq!(p.offered, s.offered as f64);
+    assert_eq!(p.delivered, s.delivered as f64);
+    assert_eq!(p.dropped_dead_endpoint, s.dropped_dead_endpoint as f64);
+    assert_eq!(p.mean_latency, s.mean_latency);
+    assert_eq!(p.p99_latency, s.p99_latency as f64);
+    assert_eq!(p.makespan, s.makespan as f64);
 }
