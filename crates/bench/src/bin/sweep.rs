@@ -37,8 +37,9 @@
 //! Pass `--check-threads N` for the standalone determinism check CI
 //! runs as a thread matrix: the Γ_16 fixed load — healthy, statically
 //! faulted, under a mid-run churn timeline, through the wormhole flit
-//! engine, and as a tree collective — serial vs `N` shard workers, full
-//! `SimStats` equality or exit 1.
+//! engine, and as a tree collective — plus a closed request/reply loop
+//! under churn and under the static fault mask, serial vs `N` shard
+//! workers, full `SimStats` equality or exit 1.
 
 use std::time::Instant;
 
@@ -130,8 +131,8 @@ fn fixed_load(t: &dyn Topology, packets: usize, window: u64) -> Result<FixedLoad
             .seed(seed)
             .cycles(cap)
             .run()
-            .expect("preferred router resolves on every topology")
     });
+    let report = report?;
     let stats = &report.stats;
     if stats.delivered != stats.offered {
         return Err(BenchError::Undrained {
@@ -352,8 +353,7 @@ fn scale_rung(d: usize, packets: usize, window: u64) -> Result<JsonValue, BenchE
         .traffic(traffic)
         .seed(2026)
         .cycles(4_000_000)
-        .run()
-        .expect("implicit canonical routing resolves on every Γ_d");
+        .run()?;
     let sim_ms = sim_start.elapsed().as_secs_f64() * 1e3;
     let stats = &report.stats;
     if stats.delivered != stats.offered {
@@ -506,11 +506,11 @@ fn check_plan<R: Router + Sync + ?Sized>(
 
 /// The `--check-threads N` mode: Γ_16 workloads — fixed load healthy,
 /// statically faulted and churned, wormhole, a tree collective, and a
-/// closed request/reply loop under churn — each run at one lane and
-/// through the sharded engine at `threads` lanes. Any divergence in the
-/// full `SimStats` (histograms included) is a typed error — the CI thread
-/// matrix turns this into a determinism gate that is independent of host
-/// speed.
+/// closed request/reply loop under churn and under the static fault
+/// mask — each run at one lane and through the sharded engine at
+/// `threads` lanes. Any divergence in the full `SimStats` (histograms
+/// included) is a typed error — the CI thread matrix turns this into a
+/// determinism gate that is independent of host speed.
 fn check_threads(threads: usize) -> Result<(), BenchError> {
     let gamma = FibonacciNet::classical(16);
     let pkts = TrafficSpec::Uniform {
@@ -574,9 +574,15 @@ fn check_threads(threads: usize) -> Result<(), BenchError> {
         retries: 3,
         seed: 2026,
     };
-    let closed = RunPlan::new(&gamma, &*router, Workload::Closed(&load), 10_000)
-        .admission(Admission::Churn(&timeline));
-    check_plan(&closed, threads, "request_reply under churn")
+    let closed = || RunPlan::new(&gamma, &*router, Workload::Closed(&load), 10_000);
+    let churned = closed().admission(Admission::Churn(&timeline));
+    check_plan(&churned, threads, "request_reply under churn")?;
+    let masked = closed().admission(Admission::Static(&mask));
+    check_plan(
+        &masked,
+        threads,
+        "request_reply under the static mask (40 faults)",
+    )
 }
 
 fn main() {

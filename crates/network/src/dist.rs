@@ -41,21 +41,11 @@ use crate::fault::{ChurnEvent, ChurnTarget, FaultMasks};
 /// corresponding row of `DistanceTable::degraded(g, masks)` built from
 /// scratch under the *post-event* masks. The proptest suite replays
 /// random event sequences and asserts exactly this after every event.
-///
-/// Each applied event advances the table's [`epoch`](DistanceTable::epoch)
-/// by one and stamps the rows it modified with the new epoch
-/// ([`row_epoch`](DistanceTable::row_epoch)), so consumers holding
-/// per-row derived state invalidate precisely the rows that changed.
 #[derive(Clone, Debug)]
 pub struct DistanceTable {
     n: usize,
     /// `dist[dst * n + src]`, row-major by destination.
     dist: Vec<u32>,
-    /// Patch epoch: 0 as built, +1 per applied churn event.
-    epoch: u64,
-    /// `row_epoch[dst]` = epoch at which the row toward `dst` last
-    /// changed (0 = untouched since construction).
-    row_epoch: Vec<u64>,
 }
 
 impl DistanceTable {
@@ -79,12 +69,7 @@ impl DistanceTable {
         for row in rows {
             dist.extend_from_slice(&row);
         }
-        Ok(DistanceTable {
-            n,
-            dist,
-            epoch: 0,
-            row_epoch: vec![0; n],
-        })
+        Ok(DistanceTable { n, dist })
     }
 
     /// All-pairs distances of the graph degraded by `masks`: BFS over
@@ -106,12 +91,7 @@ impl DistanceTable {
             }
             masked_bfs_row(g, masks, row, dst, &mut queue);
         }
-        DistanceTable {
-            n,
-            dist,
-            epoch: 0,
-            row_epoch: vec![0; n],
-        }
+        DistanceTable { n, dist }
     }
 
     /// All-pairs distances of an intact graph with an isometric hypercube
@@ -126,12 +106,7 @@ impl DistanceTable {
         for &ld in labels {
             dist.extend(labels.iter().map(|&ls| (ls ^ ld).count_ones()));
         }
-        DistanceTable {
-            n,
-            dist,
-            epoch: 0,
-            row_epoch: vec![0; n],
-        }
+        DistanceTable { n, dist }
     }
 
     /// Number of nodes the table covers.
@@ -188,20 +163,6 @@ impl DistanceTable {
         }
     }
 
-    /// Current patch epoch: 0 as built, incremented once per applied
-    /// churn event whether or not any row changed.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Epoch at which the row toward `dst` was last modified by a patch
-    /// (0 = untouched since construction). A consumer caching state
-    /// derived from that row invalidates when this advances past its
-    /// snapshot.
-    pub fn row_epoch(&self, dst: u32) -> u64 {
-        self.row_epoch[dst as usize]
-    }
-
     /// Applies one churn event incrementally. `masks` must already
     /// reflect the *post-event* liveness (the caller flips its masks
     /// first, then patches the table). See the type-level
@@ -235,7 +196,6 @@ impl DistanceTable {
             .slot_of(u, v)
             .is_some_and(|slot| masks.edge_alive(g.edge_range(u).start + slot));
         if !alive {
-            self.epoch += 1;
             return;
         }
         self.patch_rows(|row, scratch| {
@@ -252,11 +212,9 @@ impl DistanceTable {
     pub fn fail_node(&mut self, g: &CsrGraph, masks: &FaultMasks, x: u32) {
         self.patch_rows_indexed(|dst, row, scratch| {
             if dst == x {
-                let had_finite = row.iter().any(|&d| d != INFINITY);
                 row.fill(INFINITY);
-                had_finite
             } else {
-                row_fail_node(g, masks, row, x, scratch)
+                row_fail_node(g, masks, row, x, scratch);
             }
         });
     }
@@ -273,34 +231,23 @@ impl DistanceTable {
                     scratch.queue.clear();
                     masked_bfs_row(g, masks, row, x, &mut scratch.queue);
                 }
-                true
-            } else if !masks.node_alive(dst) {
-                false
-            } else {
+            } else if masks.node_alive(dst) {
                 scratch.heap.clear();
                 seed_node(g, masks, row, x, &mut scratch.heap);
-                relax_decrease(g, masks, row, &mut scratch.heap)
+                relax_decrease(g, masks, row, &mut scratch.heap);
             }
         });
     }
 
-    fn patch_rows(&mut self, mut repair: impl FnMut(&mut [u32], &mut PatchScratch) -> bool) {
+    fn patch_rows(&mut self, mut repair: impl FnMut(&mut [u32], &mut PatchScratch)) {
         self.patch_rows_indexed(|_, row, scratch| repair(row, scratch));
     }
 
-    fn patch_rows_indexed(
-        &mut self,
-        mut repair: impl FnMut(u32, &mut [u32], &mut PatchScratch) -> bool,
-    ) {
-        self.epoch += 1;
-        let epoch = self.epoch;
+    fn patch_rows_indexed(&mut self, mut repair: impl FnMut(u32, &mut [u32], &mut PatchScratch)) {
         let n = self.n;
         let mut scratch = PatchScratch::new(n);
         for dst in 0..n {
-            let row = &mut self.dist[dst * n..][..n];
-            if repair(dst as u32, row, &mut scratch) {
-                self.row_epoch[dst] = epoch;
-            }
+            repair(dst as u32, &mut self.dist[dst * n..][..n], &mut scratch);
         }
     }
 }
@@ -370,8 +317,7 @@ impl PatchScratch {
     }
 }
 
-/// Link `u–v` failed: repairs one destination row. Returns `true` when
-/// the row changed.
+/// Link `u–v` failed: repairs one destination row.
 fn row_fail_link(
     g: &CsrGraph,
     masks: &FaultMasks,
@@ -379,12 +325,12 @@ fn row_fail_link(
     u: u32,
     v: u32,
     scratch: &mut PatchScratch,
-) -> bool {
+) {
     let (du, dv) = (row[u as usize], row[v as usize]);
     if du == INFINITY || dv == INFINITY {
         // An unreachable endpoint means the link was on no shortest
         // path toward this destination.
-        return false;
+        return;
     }
     // Only the deeper endpoint can have used the link as its parent
     // edge; equal depths mean the link was on no shortest path.
@@ -393,35 +339,32 @@ fn row_fail_link(
     } else if du == dv + 1 {
         u
     } else {
-        return false;
+        return;
     };
     if has_tight_parent(g, masks, row, b, None) {
-        return false;
+        return;
     }
     scratch.begin_row();
     scratch.confirm(b);
     repair_after_loss(g, masks, row, scratch);
-    true
 }
 
-/// Node `x` failed: repairs one destination row (`dst ≠ x`). Returns
-/// `true` when the row changed.
+/// Node `x` failed: repairs one destination row (`dst ≠ x`).
 fn row_fail_node(
     g: &CsrGraph,
     masks: &FaultMasks,
     row: &mut [u32],
     x: u32,
     scratch: &mut PatchScratch,
-) -> bool {
+) {
     if row[x as usize] == INFINITY {
         // x was already unreachable toward this destination, so no
         // shortest path ran through it.
-        return false;
+        return;
     }
     scratch.begin_row();
     scratch.confirm(x);
     repair_after_loss(g, masks, row, scratch);
-    true
 }
 
 /// `true` when `x` still has an alive neighbor one hop closer to the
@@ -551,21 +494,19 @@ fn seed_node(
 }
 
 /// Decrease-only Dijkstra over alive edges from the seeded frontier.
-/// Returns `true` when any distance improved. Safe anywhere: distances
-/// only ever move down, so already-correct rows are fixpoints.
+/// Safe anywhere: distances only ever move down, so already-correct
+/// rows are fixpoints.
 fn relax_decrease(
     g: &CsrGraph,
     masks: &FaultMasks,
     row: &mut [u32],
     heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
-) -> bool {
-    let mut modified = false;
+) {
     while let Some(Reverse((d, x))) = heap.pop() {
         if row[x as usize] <= d {
             continue;
         }
         row[x as usize] = d;
-        modified = true;
         let base = g.edge_range(x).start;
         for (slot, &y) in g.neighbors(x).iter().enumerate() {
             if masks.edge_alive(base + slot) && row[y as usize] > d + 1 {
@@ -573,7 +514,6 @@ fn relax_decrease(
             }
         }
     }
-    modified
 }
 
 /// Sampled distance statistics for networks too large for an all-pairs
@@ -811,7 +751,6 @@ mod tests {
                 let masks =
                     FaultSet::new(down_nodes.iter().copied(), down_links.iter().copied()).masks(g);
                 table.apply_event(g, &masks, ev);
-                assert_eq!(table.epoch(), i as u64 + 1);
                 let scratch = DistanceTable::degraded(g, &masks);
                 for dst in 0..g.num_vertices() as u32 {
                     assert_eq!(
@@ -822,51 +761,11 @@ mod tests {
                     );
                 }
             }
-            // The full sequence is a no-op net of faults: back to healthy,
-            // and only genuinely modified rows carry a nonzero epoch...
+            // The full sequence is a no-op net of faults: back to healthy.
             let healthy = DistanceTable::healthy(g).unwrap();
             for dst in 0..g.num_vertices() as u32 {
                 assert_eq!(table.to_dst(dst), healthy.to_dst(dst));
             }
-            // ...while untouched constructions stay at epoch 0.
-            assert_eq!(healthy.epoch(), 0);
-            assert_eq!(healthy.row_epoch(0), 0);
-        }
-    }
-
-    #[test]
-    fn patch_epochs_stamp_only_modified_rows() {
-        use crate::fault::{ChurnEvent, ChurnTarget};
-
-        // Ring_8: failing link 0–1 only affects rows whose shortest
-        // paths crossed it; recovery restores them.
-        let r = Ring::new(8);
-        let g = r.graph();
-        let mut table = DistanceTable::healthy(g).unwrap();
-        let masks = FaultSet::new([], [(0u32, 1u32)]).masks(g);
-        table.apply_event(
-            g,
-            &masks,
-            &ChurnEvent {
-                cycle: 5,
-                target: ChurnTarget::Link(0, 1),
-                failed: true,
-            },
-        );
-        assert_eq!(table.epoch(), 1);
-        // On an even ring every row has some pair routed over 0–1, except
-        // none... verify against scratch and check stamps are consistent.
-        let scratch = DistanceTable::degraded(g, &masks);
-        let healthy = DistanceTable::healthy(g).unwrap();
-        for dst in 0..8u32 {
-            assert_eq!(table.to_dst(dst), scratch.to_dst(dst), "dst {dst}");
-            let changed = scratch.to_dst(dst) != healthy.to_dst(dst);
-            assert_eq!(
-                table.row_epoch(dst) == 1,
-                changed,
-                "row {dst}: epoch {} vs changed {changed}",
-                table.row_epoch(dst)
-            );
         }
     }
 

@@ -1,27 +1,30 @@
-//! The dynamic-fault (churn) store-and-forward workload: the same
-//! unified stepper as the static engine
-//! ([`run_saf`](super::core::run_saf)), with a
+//! Dynamic faults and closed-loop traffic for the store-and-forward
+//! engine: the churn fault state (`Churn`), which applies a
 //! [`ChurnTimeline`](crate::fault::ChurnTimeline) of fail/recover events
-//! applied in the event-commit stage and an optional closed-loop
-//! request/reply workload with timeout-and-retry delivery.
-//! [`run`](super::run) reaches it through
-//! [`Admission::Churn`](super::Admission::Churn) or
-//! [`Workload::Closed`](super::Workload::Closed).
+//! in the event-commit stage, and the closed-loop request/reply workload
+//! (`Sessions`) with timeout-and-retry delivery. Both plug into the
+//! unified stepper ([`run_saf`](super::core::run_saf)) through the
+//! policy traits: `Churn` is one of the three fault states next to
+//! `Healthy` and `Static`, and `Sessions` runs over any of them, as the
+//! open-loop `Unicast` does. [`run`](super::run) picks `Churn` for
+//! [`Admission::Churn`](super::Admission::Churn) with events, and
+//! `Sessions` for [`Workload::Closed`](super::Workload::Closed).
 //!
 //! ## Event semantics
 //!
 //! Events commit **between cycles**: all events with `cycle <= c` are
-//! applied at the top of cycle `c` (the [`ReplicationPolicy::
-//! commit_events`] stage), after the previous cycle's arrivals and
-//! before cycle `c`'s injections — so every admission verdict and
-//! routing decision within one cycle sees one consistent fault epoch
-//! (the stability contract of
-//! [`MaskedAdmission`](super::policy::MaskedAdmission)). Applying an event
-//! flips the [`FaultMaskingRouter`]'s masks and **incrementally patches**
-//! its distance table ([`FaultMaskingRouter::apply_event`]); packets
-//! queued on a dying link or node are flushed as typed drops
-//! ([`DropReason::LinkDied`] / [`DropReason::NodeDied`]). Deliveries at
-//! the `c + 1` arrival boundary precede deaths at cycle `c + 1`.
+//! applied at the top of cycle `c` (the event-commit stage), after the
+//! previous cycle's arrivals and before cycle `c`'s injections — so
+//! every admission verdict and routing decision within one cycle sees
+//! one consistent fault epoch (the stability contract of the fault
+//! policy). Applying an event flips the [`FaultMaskingRouter`]'s masks
+//! and **incrementally patches** its distance table
+//! ([`FaultMaskingRouter::apply_event`]); packets queued on a dying link
+//! or node are flushed as typed drops ([`DropReason::LinkDied`] /
+//! [`DropReason::NodeDied`]), and a packet whose destination died or was
+//! cut off while it was in flight drops on arrival at its next hop
+//! ([`DropReason::NodeDied`] / [`DropReason::Unreachable`]). Deliveries
+//! at the `c + 1` arrival boundary precede deaths at cycle `c + 1`.
 //!
 //! ## Routing state
 //!
@@ -43,9 +46,8 @@
 //! Each lane owns a **replica** of the masked router (table, labels and
 //! fault list), built from the same timeline and patched by the same
 //! deterministic [`FaultMaskingRouter::apply_event`] calls — so every
-//! lane's routing and admission decisions agree without any shared lock
-//! (this replaced the old worker-0 `RwLock`'d event application). Queue
-//! flushes and drop accounting are gated on node ownership; the
+//! lane's routing and admission decisions agree without any shared lock.
+//! Queue flushes and drop accounting are gated on node ownership; the
 //! closed-loop session machine is replicated the same way, with every
 //! RNG draw executing on every lane and only the owning lane touching
 //! real packets.
@@ -53,13 +55,14 @@
 //! ## Equivalence gates
 //!
 //! - An **empty timeline** runs the healthy network — the zero-churn
-//!   open-loop run is packet-for-packet identical to
+//!   run is packet-for-packet identical to
 //!   [`Admission::Healthy`](super::Admission::Healthy).
 //! - A timeline whose failures all commit at cycle 0 and never recover
 //!   is packet-for-packet identical to the static degraded run
-//!   ([`Admission::Static`](super::Admission::Static)): both route
-//!   per-hop through the same [`FaultMaskingRouter`] state, with the
-//!   same injection admission and the same cycle skeleton.
+//!   ([`Admission::Static`](super::Admission::Static)), open or closed
+//!   loop: both route per hop through the same [`FaultMaskingRouter`]
+//!   state, with the same injection admission and the same cycle
+//!   skeleton. (The static run fires no `on_fault_event`.)
 //!
 //! ## Closed-loop delivery
 //!
@@ -71,7 +74,9 @@
 //! completes when the reply returns. A reply that misses its deadline
 //! triggers a retry with seeded exponential backoff (jittered delay,
 //! doubling window, fresh destination — a failover probe); an exhausted
-//! retry budget is a typed [`DropReason::RetriesExhausted`] drop.
+//! retry budget is a typed [`DropReason::RetriesExhausted`] drop. A
+//! request the fault state refuses, or a packet stranded by churn, is
+//! lost silently, and the session's timeout observes the loss.
 //! `SimStats` counts **transactions**, not packets: `offered` is
 //! transactions started, a delivery's latency spans first request to
 //! final reply (retries included), and request/reply hops contribute to
@@ -88,10 +93,9 @@ use crate::fault::{ChurnEvent, ChurnTarget, FaultSet};
 use crate::observer::SimObserver;
 use crate::router::{FaultMaskingRouter, Router};
 use crate::topology::Topology;
-use crate::traffic::Packet;
 
 use super::core::{Core, Routing, SafMsg};
-use super::policy::{FaultPolicy, MaskedAdmission, ReplicationPolicy};
+use super::policy::{masked_verdict, FaultPolicy, ReplicationPolicy};
 use super::stats::DropReason;
 
 /// The closed-loop request/reply workload
@@ -116,96 +120,55 @@ pub struct RequestReplyLoad {
     pub seed: u64,
 }
 
-/// Traffic side of the churn workload: the open-loop time-sorted packet
-/// list (this lane's sources only), or the closed-loop session machine
-/// (replicated on every lane).
-enum Mode<'p> {
-    Open {
-        inj: Vec<&'p Packet>,
-        next_inject: usize,
-    },
-    Closed(Sessions),
-}
-
-/// The churn workload: a [`ReplicationPolicy`] owning a lane-local
-/// **replica** of the masked router, so fault events can flip its masks
-/// and patch its distance table mid-run without any cross-lane lock —
-/// every lane applies the same deterministic event stream, so the
-/// replicas never diverge.
-pub(crate) struct ChurnUnicast<'g, 'p, R: Router + ?Sized> {
+/// The churn fault state of one lane: a lane-owned **replica** of the
+/// masked router plus the event cursor, so fault events can flip its
+/// masks and patch its distance table mid-run without any cross-lane
+/// lock — every lane applies the same deterministic event stream, so
+/// the replicas never diverge.
+pub(crate) struct Churn<'g, 'p, R: Router + ?Sized> {
     router: FaultMaskingRouter<'g, R>,
     events: &'p [ChurnEvent],
     next_event: usize,
-    mode: Mode<'p>,
 }
 
-impl<'g, 'p, R: Router + ?Sized> ChurnUnicast<'g, 'p, R> {
-    /// The open-loop churn workload for one lane: injects the packets
-    /// sourced in `[lo, hi)`, time-sorted (stable — the serial order
-    /// restricted to the lane).
-    pub(crate) fn open<T: Topology + ?Sized>(
+impl<'g, 'p, R: Router + ?Sized> Churn<'g, 'p, R> {
+    /// The intact network around `inner`, with `events` still to apply.
+    pub(crate) fn new<T: Topology + ?Sized>(
         topology: &'g T,
         inner: &'g R,
         events: &'p [ChurnEvent],
-        packets: &'p [Packet],
-        lo: u32,
-        hi: u32,
-    ) -> ChurnUnicast<'g, 'p, R> {
-        let mut inj: Vec<&Packet> = packets
-            .iter()
-            .filter(|p| lo <= p.src && p.src < hi)
-            .collect();
-        inj.sort_by_key(|p| p.inject_time);
-        ChurnUnicast {
+    ) -> Churn<'g, 'p, R> {
+        Churn {
             router: FaultMaskingRouter::for_topology(topology, inner, &FaultSet::empty()),
             events,
             next_event: 0,
-            mode: Mode::Open {
-                inj,
-                next_inject: 0,
-            },
-        }
-    }
-
-    /// The closed-loop churn workload for one lane: the full session
-    /// machine, replicated identically on every lane (same seed, same
-    /// draws); the lane bounds live in the [`Core`] it runs against.
-    pub(crate) fn closed<T: Topology + ?Sized>(
-        topology: &'g T,
-        inner: &'g R,
-        events: &'p [ChurnEvent],
-        load: &RequestReplyLoad,
-    ) -> ChurnUnicast<'g, 'p, R> {
-        ChurnUnicast {
-            router: FaultMaskingRouter::for_topology(topology, inner, &FaultSet::empty()),
-            events,
-            next_event: 0,
-            mode: Mode::Closed(Sessions::new(load, topology.len() as u32)),
-        }
-    }
-
-    /// Transactions started — the closed loop's `offered` (0 for open).
-    pub(crate) fn offered(&self) -> usize {
-        match &self.mode {
-            Mode::Open { .. } => 0,
-            Mode::Closed(sessions) => sessions.offered,
         }
     }
 }
 
-impl<O, R> ReplicationPolicy<O> for ChurnUnicast<'_, '_, R>
-where
-    O: SimObserver,
-    R: Router + ?Sized,
-{
-    fn next_pending(&mut self) -> Option<u64> {
-        // Traffic actions only: pending fault events between here and
-        // the next action commit late, at the jumped-to cycle — with no
-        // packets anywhere they cannot change any statistic, only the
-        // mask state future injections see.
-        match &mut self.mode {
-            Mode::Open { inj, next_inject } => inj.get(*next_inject).map(|p| p.inject_time),
-            Mode::Closed(sessions) => sessions.next_action_cycle(),
+impl<'g, R: Router + ?Sized> FaultPolicy for Churn<'g, '_, R> {
+    type Router = FaultMaskingRouter<'g, R>;
+
+    #[inline]
+    fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
+        masked_verdict(&self.router, src, dst)
+    }
+
+    #[inline]
+    fn routing(&self) -> Routing<'_, FaultMaskingRouter<'g, R>> {
+        Routing::PerHop(&self.router)
+    }
+
+    /// The destination died while the packet was in flight, or churn
+    /// partitioned the network under it.
+    #[inline]
+    fn en_route(&self, node: u32, dst: u32) -> Option<DropReason> {
+        if !self.router.node_alive(dst) {
+            Some(DropReason::NodeDied)
+        } else if !self.router.reachable(node, dst) {
+            Some(DropReason::Unreachable)
+        } else {
+            None
         }
     }
 
@@ -215,64 +178,32 @@ where
     /// queues. Flushes only ever find packets when `event.cycle` is the
     /// current cycle — the engine fast-forwards only over empty
     /// networks.
-    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+    fn commit_events<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>, silent: bool) {
         while self.next_event < self.events.len() && self.events[self.next_event].cycle <= cycle {
             let ev = self.events[self.next_event];
             self.next_event += 1;
             self.router.apply_event(&ev);
             if ev.failed {
-                // In the closed loop, stranded packets vanish silently:
-                // the session's timeout observes the loss and the
-                // transaction-level accounting stays conserved.
-                let silent = matches!(self.mode, Mode::Closed(_));
+                let g = core.g;
+                let mut flush = |a: u32, b: u32, reason| {
+                    if let (true, Some(slot)) = (core.owns(a), g.slot_of(a, b)) {
+                        let e = g.edge_range(a).start + slot;
+                        core.flush_directed_edge(a, e, ev.cycle, reason, silent);
+                    }
+                };
                 match ev.target {
+                    // u < v, so the u→v directed edge flushes first —
+                    // ascending directed-edge order.
                     ChurnTarget::Link(u, v) => {
-                        // u < v, so the u→v directed edge flushes first —
-                        // ascending directed-edge order.
-                        for (a, b) in [(u, v), (v, u)] {
-                            if !core.owns(a) {
-                                continue;
-                            }
-                            let g = core.g;
-                            if let Some(slot) = g.slot_of(a, b) {
-                                let e = g.edge_range(a).start + slot;
-                                core.flush_directed_edge(
-                                    a,
-                                    e,
-                                    ev.cycle,
-                                    DropReason::LinkDied,
-                                    silent,
-                                );
-                            }
-                        }
+                        flush(u, v, DropReason::LinkDied);
+                        flush(v, u, DropReason::LinkDied);
                     }
                     ChurnTarget::Node(x) => {
-                        let g = core.g;
-                        if core.owns(x) {
-                            for e in g.edge_range(x) {
-                                core.flush_directed_edge(
-                                    x,
-                                    e,
-                                    ev.cycle,
-                                    DropReason::NodeDied,
-                                    silent,
-                                );
-                            }
+                        for &y in g.neighbors(x) {
+                            flush(x, y, DropReason::NodeDied);
                         }
                         for &y in g.neighbors(x) {
-                            if !core.owns(y) {
-                                continue;
-                            }
-                            if let Some(back) = g.slot_of(y, x) {
-                                let e = g.edge_range(y).start + back;
-                                core.flush_directed_edge(
-                                    y,
-                                    e,
-                                    ev.cycle,
-                                    DropReason::NodeDied,
-                                    silent,
-                                );
-                            }
+                            flush(y, x, DropReason::NodeDied);
                         }
                     }
                 }
@@ -280,74 +211,6 @@ where
             // Every lane's observer fork sees the (global) fault event;
             // the merge hook deduplicates.
             core.observer.on_fault_event(ev.cycle, ev.failed);
-        }
-    }
-
-    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>) {
-        let ChurnUnicast { router, mode, .. } = self;
-        match mode {
-            Mode::Open { inj, next_inject } => {
-                while *next_inject < inj.len() && inj[*next_inject].inject_time <= cycle {
-                    let p = inj[*next_inject];
-                    *next_inject += 1;
-                    core.observer.on_inject(cycle, p.src, p.dst);
-                    if let Some(reason) = MaskedAdmission::new(router).verdict(p.src, p.dst) {
-                        core.acc.drop_packet(reason);
-                        core.observer.on_drop(cycle, p.src, p.dst, reason);
-                        continue;
-                    }
-                    if p.src == p.dst {
-                        core.acc.deliver_instant();
-                        core.observer.on_deliver(cycle, p.dst, 0);
-                        continue;
-                    }
-                    let id = core.slab.alloc(p.dst, p.inject_time);
-                    core.route_and_enqueue(Routing::PerHop(&*router), p.src, id, p.dst);
-                }
-            }
-            Mode::Closed(sessions) => sessions.process_due(cycle, router, core),
-        }
-    }
-
-    /// The closed loop tags each departing packet with its transaction
-    /// identity (session, txn, attempt, direction) so the committing
-    /// lane can reconstruct the [`Meta`] sidecar without shared state.
-    #[inline]
-    fn depart(&mut self, _u: u32, id: u32, _slab: &PacketSlab, msg: &mut SafMsg) {
-        if let Mode::Closed(sessions) = &self.mode {
-            let m = sessions.meta[id as usize];
-            msg.inject = m.txn;
-            msg.hops = m.attempt;
-            msg.tag = m.session | if m.reply { REPLY_BIT } else { 0 };
-        }
-    }
-
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
-        let ChurnUnicast { router, mode, .. } = self;
-        match mode {
-            Mode::Open { .. } => {
-                if !core.owns(msg.node) {
-                    return;
-                }
-                if msg.node == msg.dst {
-                    core.deliver(now, msg.node, now - msg.inject);
-                } else if !router.node_alive(msg.dst) {
-                    // The destination died while the packet was in flight.
-                    core.acc.drop_packet(DropReason::NodeDied);
-                    core.observer
-                        .on_drop(now, msg.node, msg.dst, DropReason::NodeDied);
-                } else if !router.reachable(msg.node, msg.dst) {
-                    // Churn partitioned the network under the packet.
-                    core.acc.drop_packet(DropReason::Unreachable);
-                    core.observer
-                        .on_drop(now, msg.node, msg.dst, DropReason::Unreachable);
-                } else {
-                    let id = core.slab.alloc(msg.dst, msg.inject);
-                    core.slab.set_hops(id, msg.hops);
-                    core.route_and_enqueue(Routing::PerHop(&*router), msg.node, id, msg.dst);
-                }
-            }
-            Mode::Closed(sessions) => sessions.commit(now, msg, router, core),
         }
     }
 }
@@ -395,17 +258,20 @@ struct Meta {
 /// the session id.
 const REPLY_BIT: u32 = 1 << 31;
 
-/// The closed-loop session machine. All scheduling goes through one
-/// min-heap of `(cycle, seq, session)` entries; a session transition
-/// bumps its `pending_seq`, implicitly cancelling any earlier entry
-/// (e.g. the timeout of a reply that did arrive).
+/// The closed-loop workload over the fault state `F`: `clients`
+/// sessions cycling think → request → reply with timeout-and-retry
+/// delivery. All scheduling goes through one min-heap of
+/// `(cycle, seq, session)` entries; a session transition bumps its
+/// `pending_seq`, implicitly cancelling any earlier entry (e.g. the
+/// timeout of a reply that did arrive).
 ///
 /// Sharded, the whole machine is **replicated on every lane**: every
 /// heap transition and every RNG draw executes identically everywhere
 /// (so the replicas never diverge), while real packet effects —
 /// allocations, routing, drop/delivery accounting, observer events —
-/// are gated on the lane owning the acting node.
-struct Sessions {
+/// are gated on the lane owning the acting node. A scheduled cycle
+/// saturates at `u64::MAX`, which means "never" under any finite cap.
+pub(crate) struct Sessions<F> {
     rng: StdRng,
     n: u32,
     think: f64,
@@ -416,7 +282,8 @@ struct Sessions {
     seq: u64,
     meta: Vec<Meta>,
     /// Transactions started — the run's `offered`.
-    offered: usize,
+    pub(crate) offered: usize,
+    fault: F,
 }
 
 /// 53 random bits → uniform in (0, 1], so `ln` stays finite.
@@ -428,8 +295,11 @@ fn exp_draw(rng: &mut StdRng, mean: f64) -> u64 {
     (-u.ln() * mean).ceil() as u64
 }
 
-impl Sessions {
-    fn new(load: &RequestReplyLoad, n: u32) -> Sessions {
+impl<F: FaultPolicy> Sessions<F> {
+    /// The full session machine over `n` nodes, replicated identically
+    /// on every lane (same seed, same draws); the lane bounds live in
+    /// the [`Core`] it runs against.
+    pub(crate) fn new(load: &RequestReplyLoad, n: u32, fault: F) -> Sessions<F> {
         let mut s = Sessions {
             rng: StdRng::seed_from_u64(load.seed),
             n,
@@ -441,6 +311,7 @@ impl Sessions {
             seq: 0,
             meta: Vec::new(),
             offered: 0,
+            fault,
         };
         for i in 0..load.clients {
             let src = s.rng.gen_range(0..n);
@@ -497,17 +368,16 @@ impl Sessions {
     /// Injects the current attempt's request, if admission permits. A
     /// rejected attempt (dead or disconnected endpoints) is simply a
     /// lost request: the pending timeout observes it. The verdict is
-    /// evaluated on every lane (replicated router — same answer); the
+    /// evaluated on every lane (same fault epoch — same answer); the
     /// packet itself exists only at the lane owning the client.
-    fn try_inject_request<O: SimObserver, R: Router + ?Sized>(
+    fn try_inject_request<O: SimObserver>(
         &mut self,
         session: u32,
         cycle: u64,
-        router: &FaultMaskingRouter<'_, R>,
         core: &mut Core<'_, O>,
     ) {
         let s = self.sessions[session as usize];
-        if MaskedAdmission::new(router).verdict(s.src, s.dst).is_some() {
+        if self.fault.verdict(s.src, s.dst).is_some() {
             return;
         }
         if !core.owns(s.src) {
@@ -524,7 +394,22 @@ impl Sessions {
                 reply: false,
             },
         );
-        core.route_and_enqueue(Routing::PerHop(router), s.src, id, s.dst);
+        core.route_and_enqueue(self.fault.routing(), s.src, id, s.dst);
+    }
+}
+
+impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
+    fn next_pending(&mut self) -> Option<u64> {
+        // Session actions only: fault events pending between here and
+        // the next action commit late, at the jumped-to cycle — with no
+        // packets anywhere they cannot change any statistic.
+        self.next_action_cycle()
+    }
+
+    /// Stranded packets vanish silently: the session's timeout observes
+    /// the loss, and the transaction-level accounting stays conserved.
+    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+        self.fault.commit_events(cycle, core, true);
     }
 
     /// Fires every session action due at `cycle`: transaction starts,
@@ -532,12 +417,7 @@ impl Sessions {
     /// Heap order `(cycle, seq)` makes the firing order deterministic,
     /// and every lane fires every action (the RNG must advance in
     /// lockstep); only the owning lane touches packets and statistics.
-    fn process_due<O: SimObserver, R: Router + ?Sized>(
-        &mut self,
-        cycle: u64,
-        router: &FaultMaskingRouter<'_, R>,
-        core: &mut Core<'_, O>,
-    ) {
+    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>) {
         loop {
             let Some(&Reverse((due, seq, session))) = self.heap.peek() else {
                 return;
@@ -567,8 +447,8 @@ impl Sessions {
                     if core.owns(src) {
                         core.observer.on_inject(cycle, src, dst);
                     }
-                    self.try_inject_request(session, cycle, router, core);
-                    let deadline = cycle + self.window(0);
+                    self.try_inject_request(session, cycle, core);
+                    let deadline = cycle.saturating_add(self.window(0));
                     self.schedule(session, deadline, Action::Timeout);
                 }
                 Action::Timeout => {
@@ -585,7 +465,8 @@ impl Sessions {
                             core.observer
                                 .on_drop(cycle, src, dst, DropReason::RetriesExhausted);
                         }
-                        let start = cycle + 1 + exp_draw(&mut self.rng, self.think);
+                        let think = exp_draw(&mut self.rng, self.think);
+                        let start = cycle.saturating_add(1).saturating_add(think);
                         self.schedule(session, start, Action::Start);
                     } else {
                         // Seeded exponential backoff: a uniform jitter
@@ -593,20 +474,31 @@ impl Sessions {
                         self.sessions[session as usize].attempt = attempt + 1;
                         let window = self.window(attempt);
                         let delay = self.rng.gen_range(0..window.max(1));
-                        self.schedule(session, cycle + delay, Action::Retry);
+                        self.schedule(session, cycle.saturating_add(delay), Action::Retry);
                     }
                 }
                 Action::Retry => {
                     let src = self.sessions[session as usize].src;
                     let dst = self.sample_dst(src);
                     self.sessions[session as usize].dst = dst;
-                    self.try_inject_request(session, cycle, router, core);
+                    self.try_inject_request(session, cycle, core);
                     let attempt = self.sessions[session as usize].attempt;
-                    let deadline = cycle + self.window(attempt);
+                    let deadline = cycle.saturating_add(self.window(attempt));
                     self.schedule(session, deadline, Action::Timeout);
                 }
             }
         }
+    }
+
+    /// Tags each departing packet with its transaction identity
+    /// (session, txn, attempt, direction) so the committing lane can
+    /// reconstruct the [`Meta`] sidecar without shared state.
+    #[inline]
+    fn depart(&mut self, _u: u32, id: u32, _slab: &PacketSlab, msg: &mut SafMsg) {
+        let m = self.meta[id as usize];
+        msg.inject = m.txn;
+        msg.hops = m.attempt;
+        msg.tag = m.session | if m.reply { REPLY_BIT } else { 0 };
     }
 
     /// One packet committing at `msg.node`: route it onward, complete
@@ -616,13 +508,7 @@ impl Sessions {
     /// session timeout. Session-state transitions (including their RNG
     /// draws) run on **every** lane; packet and statistic effects only
     /// at the owner.
-    fn commit<O: SimObserver, R: Router + ?Sized>(
-        &mut self,
-        now: u64,
-        msg: &SafMsg,
-        router: &FaultMaskingRouter<'_, R>,
-        core: &mut Core<'_, O>,
-    ) {
+    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
         let m = Meta {
             session: msg.tag & !REPLY_BIT,
             txn: msg.inject,
@@ -636,10 +522,10 @@ impl Sessions {
             if !core.owns(msg.node) {
                 return;
             }
-            if router.node_alive(msg.dst) && router.reachable(msg.node, msg.dst) {
+            if self.fault.en_route(msg.node, msg.dst).is_none() {
                 let id = core.slab.alloc(msg.dst, now);
                 set_meta(&mut self.meta, id, m);
-                core.route_and_enqueue(Routing::PerHop(router), msg.node, id, msg.dst);
+                core.route_and_enqueue(self.fault.routing(), msg.node, id, msg.dst);
             }
             return;
         }
@@ -652,13 +538,12 @@ impl Sessions {
             // Request reached the server: turn it around as a reply, if
             // the client is still there to receive it.
             if msg.node != s.src
-                && router.node_alive(s.src)
-                && router.reachable(msg.node, s.src)
+                && self.fault.en_route(msg.node, s.src).is_none()
                 && core.owns(msg.node)
             {
                 let rid = core.slab.alloc(s.src, now);
                 set_meta(&mut self.meta, rid, Meta { reply: true, ..m });
-                core.route_and_enqueue(Routing::PerHop(router), msg.node, rid, s.src);
+                core.route_and_enqueue(self.fault.routing(), msg.node, rid, s.src);
             }
         } else {
             // Reply reached the client: the transaction completes, with
@@ -666,7 +551,7 @@ impl Sessions {
             if core.owns(msg.node) {
                 core.deliver(now, msg.node, now - s.t0);
             }
-            let start = now + exp_draw(&mut self.rng, self.think);
+            let start = now.saturating_add(exp_draw(&mut self.rng, self.think));
             self.schedule(m.session, start, Action::Start);
         }
     }

@@ -136,7 +136,7 @@ pub(crate) fn route_edge<R: Router + ?Sized>(
 /// transaction id in `inject`, its attempt number in `hops`, and its
 /// session tag in `tag` (unused and zero everywhere else).
 #[derive(Clone, Copy, Debug)]
-pub struct SafMsg {
+pub(crate) struct SafMsg {
     /// Arrival node (the popped link's target).
     pub(crate) node: u32,
     /// Final destination (unicast) / tree child (collective).
@@ -155,9 +155,8 @@ pub struct SafMsg {
 /// accumulator, and the lane's observer (the caller's `&mut O` in a
 /// serial run, a fork in a sharded one). A serial engine is exactly one
 /// `Core` spanning `[0, n)`; a sharded engine is `k` of them over
-/// contiguous node shards. The fields are crate-internal; the struct is
-/// public so the [`ReplicationPolicy`] stage signatures can name it.
-pub struct Core<'g, O: SimObserver> {
+/// contiguous node shards.
+pub(crate) struct Core<'g, O: SimObserver> {
     pub(crate) g: &'g CsrGraph,
     /// This lane owns nodes `[lo, hi)` and their output edges
     /// `[edge_lo, ..)` — all node/edge-indexed columns below are local
@@ -509,28 +508,23 @@ where
     Ok((acc.finish(offered), workloads))
 }
 
-/// The unicast workload: time-sorted injection with admission control,
-/// policy routing at every hop, delivery at the destination. A lane
-/// injects only the packets sourced in its node range.
-pub(crate) struct Unicast<'p, 't, 'f, R: Router + ?Sized, F: FaultPolicy> {
+/// The open-loop unicast workload over the fault state `F`: time-sorted
+/// injection with `F`'s admission, `F`'s routing at every hop, delivery
+/// at the destination, and (under churn) `F`'s event commit and
+/// en-route drops. A lane injects only the packets sourced in its node
+/// range.
+pub(crate) struct Unicast<'p, F> {
     inj: Vec<&'p Packet>,
     next_inject: usize,
-    routing: Routing<'t, R>,
-    admission: &'f F,
+    fault: F,
 }
 
-impl<'p, 't, 'f, R: Router + ?Sized, F: FaultPolicy> Unicast<'p, 't, 'f, R, F> {
+impl<'p, F: FaultPolicy> Unicast<'p, F> {
     /// The lane-restricted injection list: `packets` with `src` in
     /// `[lo, hi)`, time-sorted (stable, so same-cycle packets keep
     /// their generation order — the serial order restricted to the
     /// lane).
-    pub(crate) fn for_range(
-        routing: Routing<'t, R>,
-        packets: &'p [Packet],
-        lo: u32,
-        hi: u32,
-        admission: &'f F,
-    ) -> Unicast<'p, 't, 'f, R, F> {
+    pub(crate) fn for_range(packets: &'p [Packet], lo: u32, hi: u32, fault: F) -> Unicast<'p, F> {
         let mut inj: Vec<&Packet> = packets
             .iter()
             .filter(|p| lo <= p.src && p.src < hi)
@@ -539,21 +533,24 @@ impl<'p, 't, 'f, R: Router + ?Sized, F: FaultPolicy> Unicast<'p, 't, 'f, R, F> {
         Unicast {
             inj,
             next_inject: 0,
-            routing,
-            admission,
+            fault,
         }
     }
 }
 
-impl<O, R, F> ReplicationPolicy<O> for Unicast<'_, '_, '_, R, F>
-where
-    O: SimObserver,
-    R: Router + ?Sized,
-    F: FaultPolicy,
-{
+impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Unicast<'_, F> {
     #[inline]
     fn next_pending(&mut self) -> Option<u64> {
+        // Traffic only: fault events pending between here and the next
+        // injection commit late, at the jumped-to cycle — with no
+        // packets anywhere they cannot change any statistic, only the
+        // fault state future injections see.
         self.inj.get(self.next_inject).map(|p| p.inject_time)
+    }
+
+    #[inline]
+    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+        self.fault.commit_events(cycle, core, false);
     }
 
     fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>) {
@@ -561,7 +558,7 @@ where
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
             core.observer.on_inject(cycle, p.src, p.dst);
-            if let Some(reason) = self.admission.verdict(p.src, p.dst) {
+            if let Some(reason) = self.fault.verdict(p.src, p.dst) {
                 core.acc.drop_packet(reason);
                 core.observer.on_drop(cycle, p.src, p.dst, reason);
                 continue;
@@ -573,7 +570,7 @@ where
                 continue;
             }
             let id = core.slab.alloc(p.dst, p.inject_time);
-            core.route_and_enqueue(self.routing, p.src, id, p.dst);
+            core.route_and_enqueue(self.fault.routing(), p.src, id, p.dst);
         }
     }
 
@@ -587,10 +584,13 @@ where
                 "hops can never exceed latency"
             );
             core.deliver(now, msg.node, now - msg.inject);
+        } else if let Some(reason) = self.fault.en_route(msg.node, msg.dst) {
+            core.acc.drop_packet(reason);
+            core.observer.on_drop(now, msg.node, msg.dst, reason);
         } else {
             let id = core.slab.alloc(msg.dst, msg.inject);
             core.slab.set_hops(id, msg.hops);
-            core.route_and_enqueue(self.routing, msg.node, id, msg.dst);
+            core.route_and_enqueue(self.fault.routing(), msg.node, id, msg.dst);
         }
     }
 }

@@ -18,19 +18,23 @@
 //! (open packets, closed request/reply sessions, or a collective
 //! [`CopyPlan`]) and a cycle cap. [`run`] checks the plan against the
 //! support table (see [`RunPlan`]), clamps the lane count to `[1, n]`,
-//! and makes the one match over switching × admission × workload:
+//! and makes the one match over admission × workload:
 //!
-//! - an empty fault mask or churn timeline runs the healthy network;
+//! - the admission picks the fault state: `Healthy` (the run's routing
+//!   plan), `Static` (the shared fault mask) or `Churn` (a lane-owned
+//!   router replica plus the event timeline); an empty fault mask or
+//!   churn timeline runs the healthy network;
+//! - the workload picks the policy: open packets run `Unicast`, closed
+//!   request/reply sessions run `Sessions`, both over any fault state,
+//!   and a copy plan runs tree replication;
 //! - store-and-forward runs the packet core, wormhole the flit engine
-//!   (see `engine/wormhole.rs` for the flit model);
-//! - the closed loop always routes through a fault-masking router.
+//!   (see `engine/wormhole.rs` for the flit model) over the same fault
+//!   state.
 //!
 //! Inside each cell the core monomorphizes over the compile-time policy
-//! traits of [`policy`] — [`FaultPolicy`] (admit everything, or typed
-//! drops for dead/disconnected endpoints) and [`ReplicationPolicy`]
-//! (unicast routing, tree replication, churn) — plus the
-//! [`SimObserver`] event axis, so a healthy unicast run pays nothing for
-//! the axes it does not use.
+//! traits of `engine/policy.rs` — the fault policy and the replication
+//! policy — plus the [`SimObserver`] event axis, so a healthy unicast
+//! run pays nothing for the axes it does not use.
 //!
 //! ## The arena core
 //!
@@ -73,7 +77,7 @@
 mod churn;
 mod core;
 mod parallel;
-pub mod policy;
+mod policy;
 mod reference;
 pub mod stats;
 mod stepper;
@@ -82,8 +86,6 @@ mod wormhole;
 use std::fmt;
 
 pub use self::churn::RequestReplyLoad;
-pub use self::core::Core;
-pub use self::policy::{AdmitAll, FaultPolicy, MaskedAdmission, ReplicationPolicy};
 pub use self::reference::{simulate_faulted_reference, simulate_reference};
 pub use self::stats::{DropReason, LogHistogram, SimStats, DENSE_HISTOGRAM_NODE_LIMIT};
 
@@ -96,8 +98,9 @@ use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficSpec};
 
-use self::churn::ChurnUnicast;
+use self::churn::{Churn, Sessions};
 use self::core::{routing_for, run_saf, Replicate, Unicast};
+use self::policy::{FaultPolicy, Healthy, Static};
 use self::wormhole::run_wormhole;
 
 /// Which faults a run's packets meet: the admission axis of a
@@ -191,21 +194,24 @@ impl fmt::Display for Workload<'_> {
 /// | workload        | healthy  | static mask | churn  |
 /// |-----------------|----------|-------------|--------|
 /// | open packets    | SAF, WH  | SAF, WH     | SAF    |
-/// | closed sessions | SAF      | ✗           | SAF    |
+/// | closed sessions | SAF      | SAF         | SAF    |
 /// | tree copy plan  | SAF      | ✗           | ✗      |
 ///
 /// (SAF: store-and-forward, WH: wormhole.) Every other cell is a typed
-/// error: the churn engine has no flit model
+/// error: churn and the closed loop have no flit model
 /// ([`ExperimentError::UnsupportedDynamic`]), tree replication has none
-/// either ([`ExperimentError::UnsupportedCombination`]), a closed loop
-/// takes static faults as a cycle-0 churn timeline, and a copy plan
-/// carries its own fault set ([`ExperimentError::InvalidCollective`]).
-/// The closed loop also needs at least 2 nodes and a finite cycle cap
-/// ([`ExperimentError::InvalidTraffic`]), and a run that builds
-/// fault-masking routers (churn with events, or the closed loop) must
-/// fit their `4n²`-byte tables in
+/// either ([`ExperimentError::UnsupportedCombination`]), tree
+/// replication under churn is not modelled
+/// ([`ExperimentError::UnsupportedDynamic`]), and a copy plan carries
+/// its own fault set ([`ExperimentError::InvalidCollective`]). The
+/// closed loop also needs at least 2 nodes and a finite cycle cap
+/// ([`ExperimentError::InvalidTraffic`]), and a churn timeline with
+/// events, whose lanes each build a fault-masking router, must fit the
+/// router's `4n²`-byte table in
 /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
-/// ([`ExperimentError::TableTooLarge`]).
+/// ([`ExperimentError::TableTooLarge`]). A static mask comes built
+/// ([`Experiment`](crate::experiment::Experiment) checks the budget
+/// before building one).
 pub struct RunPlan<'p, T: ?Sized, R: Router + ?Sized> {
     /// The network.
     pub topology: &'p T,
@@ -277,29 +283,25 @@ impl<'p, T: Topology + ?Sized, R: Router + ?Sized> RunPlan<'p, T, R> {
                 })
             }
             (Admission::Churn(_), Workload::Copies(_), _) => return dynamic(&admission, &workload),
-            (Admission::Static(_), Workload::Closed(_), _) => {
-                return dynamic(&workload, &admission)
-            }
             (Admission::Churn(_), _, true) => return dynamic(&admission, switching),
             (_, Workload::Closed(_), true) => return dynamic(&workload, switching),
             _ => {}
         }
         let n = self.topology.len();
-        if let Workload::Closed(_) = workload {
-            let reason = if n < 2 {
-                "request/reply needs a peer to talk to (>= 2 nodes)"
-            } else if self.max_cycles == u64::MAX {
-                "closed-loop sources never drain; set a finite cycle cap"
-            } else {
-                return check_table_budget(n);
-            };
-            return Err(ExperimentError::InvalidTraffic {
+        let invalid = |reason: &str| {
+            Err(ExperimentError::InvalidTraffic {
                 spec: workload.to_string(),
                 reason: reason.to_string(),
-            });
-        }
-        match admission {
-            Admission::Churn(t) if !t.is_empty() => check_table_budget(n),
+            })
+        };
+        match (admission, workload) {
+            (_, Workload::Closed(_)) if n < 2 => {
+                invalid("request/reply needs a peer to talk to (>= 2 nodes)")
+            }
+            (_, Workload::Closed(_)) if self.max_cycles == u64::MAX => {
+                invalid("closed-loop sources never drain; set a finite cycle cap")
+            }
+            (Admission::Churn(t), _) if !t.is_empty() => check_table_budget(n),
             _ => Ok(()),
         }
     }
@@ -332,9 +334,9 @@ pub struct RunOutcome {
 /// # Errors
 ///
 /// A cell outside the support table (see [`RunPlan`]), a closed loop on
-/// fewer than 2 nodes or without a cycle cap, a masked-router table over
-/// budget, or more than one lane with an observer whose
-/// [`fork`](SimObserver::fork) returns `None`
+/// fewer than 2 nodes or without a cycle cap, a churn timeline whose
+/// masked-router table is over budget, or more than one lane with an
+/// observer whose [`fork`](SimObserver::fork) returns `None`
 /// ([`ExperimentError::UnforkableObserver`]).
 pub fn run<T, R, O>(
     plan: &RunPlan<'_, T, R>,
@@ -349,77 +351,106 @@ where
     plan.check()?;
     let lanes = lanes.clamp(1, plan.topology.len().max(1));
     let (topology, router, max_cycles) = (plan.topology, plan.router, plan.max_cycles);
-    let mut reached = None;
-    let stats = match (plan.admission, plan.workload) {
-        (Admission::Healthy, Workload::Open(packets)) => {
-            unicast(plan, router, packets, &AdmitAll, lanes, observer)?
-        }
-        (Admission::Static(mask), Workload::Open(packets)) if mask.masks().is_intact() => {
-            unicast(plan, mask.inner(), packets, &AdmitAll, lanes, observer)?
-        }
-        (Admission::Static(mask), Workload::Open(packets)) => {
-            let admission = MaskedAdmission::new(mask);
-            unicast(plan, mask, packets, &admission, lanes, observer)?
-        }
-        (Admission::Churn(t), Workload::Open(packets)) if t.is_empty() => {
-            unicast(plan, router, packets, &AdmitAll, lanes, observer)?
-        }
-        (Admission::Churn(t), Workload::Open(packets)) => {
-            let make = |lo, hi| ChurnUnicast::open(topology, router, t.events(), packets, lo, hi);
-            run_saf(topology, packets.len(), max_cycles, lanes, observer, make)?.0
-        }
-        (admission, Workload::Closed(load)) => {
-            let events = match admission {
-                Admission::Churn(t) => t.events(),
-                _ => &[],
-            };
-            let make = |_, _| ChurnUnicast::closed(topology, router, events, load);
-            let (mut stats, workloads) = run_saf(topology, 0, max_cycles, lanes, observer, make)?;
-            // Every lane replicates the session machine; lane 0's tally
-            // is the one-lane run's.
-            stats.offered = workloads[0].offered();
-            stats
-        }
-        (_, Workload::Copies(copies)) => {
+    let packets = match plan.workload {
+        Workload::Open(packets) => packets.len(),
+        Workload::Closed(_) => 0,
+        Workload::Copies(copies) => {
             let make = |_, _| Replicate::new(copies);
             let offered = copies.offered();
             let (stats, workloads) = run_saf(topology, offered, max_cycles, lanes, observer, make)?;
-            reached = Some(workloads.iter().map(|w| w.reached_targets).sum());
-            stats
+            let reached = Some(workloads.iter().map(|w| w.reached_targets).sum());
+            return Ok(RunOutcome { stats, reached });
         }
     };
-    Ok(RunOutcome { stats, reached })
+    // The admission picks the fault state, the workload the policy. An
+    // intact mask and an empty timeline run the healthy network.
+    let stats = match plan.admission {
+        Admission::Static(mask) if !mask.masks().is_intact() => {
+            routed(plan, || Static(mask), lanes, observer)?
+        }
+        Admission::Churn(t) if !t.is_empty() => {
+            let churn = || Churn::new(topology, router, t.events());
+            store_and_forward(plan, churn, lanes, observer)?
+        }
+        admission => {
+            let router = match admission {
+                Admission::Static(mask) => mask.inner(),
+                _ => router,
+            };
+            let routing = routing_for(topology, router, packets);
+            routed(plan, || Healthy(routing.as_ref()), lanes, observer)?
+        }
+    };
+    Ok(RunOutcome {
+        stats,
+        reached: None,
+    })
 }
 
-/// One open packet list under `admission`, routed by `router` through
-/// the plan's switching model.
-fn unicast<T, P, R, F, O>(
+/// Runs the plan's open or closed workload, each lane over the fault
+/// state `fault()` builds, through the plan's switching model.
+fn routed<T, P, F, O>(
     plan: &RunPlan<'_, T, P>,
-    router: &R,
-    packets: &[Packet],
-    admission: &F,
+    fault: impl Fn() -> F,
     lanes: usize,
     observer: &mut O,
 ) -> Result<SimStats, ExperimentError>
 where
     T: Topology + ?Sized,
     P: Router + ?Sized,
-    R: Router + Sync + ?Sized,
-    F: FaultPolicy + Sync,
+    F: FaultPolicy + Send + Sync,
+    O: SimObserver + Send,
+{
+    match plan.workload {
+        Workload::Open(packets) if plan.switching.is_wormhole() => {
+            let (topology, spec, max_cycles) = (plan.topology, &plan.switching, plan.max_cycles);
+            run_wormhole(
+                topology,
+                spec,
+                packets,
+                &fault(),
+                max_cycles,
+                lanes,
+                observer,
+            )
+        }
+        _ => store_and_forward(plan, fault, lanes, observer),
+    }
+}
+
+/// [`routed`] under store-and-forward — the only switching model churn
+/// runs under, so churn calls it directly.
+fn store_and_forward<T, P, F, O>(
+    plan: &RunPlan<'_, T, P>,
+    fault: impl Fn() -> F,
+    lanes: usize,
+    observer: &mut O,
+) -> Result<SimStats, ExperimentError>
+where
+    T: Topology + ?Sized,
+    P: Router + ?Sized,
+    F: FaultPolicy + Send,
     O: SimObserver + Send,
 {
     let (topology, max_cycles) = (plan.topology, plan.max_cycles);
-    let routing = routing_for(topology, router, packets.len());
-    if plan.switching.is_wormhole() {
-        let spec = &plan.switching;
-        let routing = routing.as_ref();
-        return run_wormhole(
-            topology, routing, spec, packets, admission, max_cycles, lanes, observer,
-        );
+    match plan.workload {
+        Workload::Open(packets) => {
+            let make = |lo, hi| Unicast::for_range(packets, lo, hi, fault());
+            Ok(run_saf(topology, packets.len(), max_cycles, lanes, observer, make)?.0)
+        }
+        Workload::Closed(load) => {
+            let n = topology.len() as u32;
+            let make = |_, _| Sessions::new(load, n, fault());
+            let (mut stats, workloads) = run_saf(topology, 0, max_cycles, lanes, observer, make)?;
+            // Every lane replicates the session machine; lane 0's tally
+            // is the one-lane run's.
+            stats.offered = workloads[0].offered;
+            Ok(stats)
+        }
+        Workload::Copies(_) => unreachable!("a copy plan replicates instead of routing"),
     }
-    let make = |lo, hi| Unicast::for_range(routing.as_ref(), packets, lo, hi, admission);
-    Ok(run_saf(topology, packets.len(), max_cycles, lanes, observer, make)?.0)
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,93 +5,127 @@
 //! run monomorphizes over two policy traits (plus the [`SimObserver`]
 //! event axis):
 //!
-//! - [`FaultPolicy`] — injection admission: admit everything
-//!   ([`AdmitAll`]) or drop packets whose endpoints are dead or
-//!   disconnected, with typed reasons ([`MaskedAdmission`]).
-//! - [`ReplicationPolicy`] — what happens to a packet at the far end of
-//!   a hop: unicast routing toward a destination, or tree replication at
-//!   intermediate nodes (the collective path).
+//! - [`FaultPolicy`] — the fault state a routed workload meets, picked
+//!   by the plan's admission: the healthy network ([`Healthy`]), a
+//!   shared static fault mask ([`Static`]), or a lane-owned churn
+//!   replica (`Churn`, in `engine/churn.rs`). It owns the injection
+//!   verdict and the routing view, and under churn also the event
+//!   commit and the en-route drops.
+//! - [`ReplicationPolicy`] — the workload: open-loop unicast packets,
+//!   closed-loop request/reply sessions (both generic over the fault
+//!   state), or tree replication at intermediate nodes (the collective
+//!   path).
 //!
-//! Every policy is a zero-sized or reference-carrying struct resolved at
-//! compile time, so each combination monomorphizes to its own
-//! specialized loop — a healthy run pays nothing for the fault axis.
+//! Every policy is a small struct resolved at compile time, so each
+//! combination monomorphizes to its own specialized loop — a healthy
+//! run pays nothing for the fault axis.
 
 use crate::arena::PacketSlab;
 use crate::observer::SimObserver;
 use crate::router::{FaultMaskingRouter, Router};
 
-use super::core::{Core, SafMsg};
+use super::core::{Core, Routing, SafMsg};
 use super::stats::DropReason;
 
-/// Injection-time admission policy: decides per packet whether the
-/// engine routes it or drops it with a typed reason.
+/// The fault state of a routed workload: admission, routing and (under
+/// churn) event commit. Each lane owns one value.
 ///
 /// # Invariants
 ///
 /// - `verdict` must be **pure and stable between fault-epoch
 ///   boundaries**: the same `(src, dst)` pair always gets the same
-///   answer while the fault state is unchanged (the parallel engine
-///   calls it from several threads and the serial/parallel equivalence
-///   depends on it). Policies over static fault sets ([`AdmitAll`],
-///   [`MaskedAdmission`]) are stable for the whole run; under churn the
-///   engine applies fault events only at cycle boundaries, so every
-///   verdict within one cycle sees one consistent epoch (see
-///   [`MaskedAdmission`]).
+///   answer while the fault state is unchanged (every lane evaluates
+///   it, and the serial/sharded equivalence depends on it). [`Healthy`]
+///   and [`Static`] are stable for the whole run; under churn the engine
+///   applies fault events only at cycle boundaries, so every verdict
+///   within one cycle sees one consistent epoch.
 /// - A `Some(reason)` verdict means the packet never enters the network:
 ///   it is counted under the matching typed-drop statistic at its inject
 ///   cycle and no link state changes.
-/// - Healthy runs use [`AdmitAll`], which monomorphizes the drop branch
-///   away entirely — attaching a fault policy must cost nothing when
-///   there are no faults.
-pub trait FaultPolicy {
+/// - An admitted packet stays routable under a fixed fault state, so
+///   only churn has en-route drops (`en_route`) and events to commit
+///   (`commit_events`); the defaults do nothing and monomorphize away.
+pub(crate) trait FaultPolicy {
+    /// The router the routing view borrows.
+    type Router: Router + ?Sized;
+
     /// `Some(reason)` to drop the packet at injection, `None` to route.
     fn verdict(&self, src: u32, dst: u32) -> Option<DropReason>;
+
+    /// How the current fault epoch resolves each hop.
+    fn routing(&self) -> Routing<'_, Self::Router>;
+
+    /// `Some(reason)` when a packet at `node` bound for `dst` can no
+    /// longer be routed — the fault state changed under it.
+    #[inline]
+    fn en_route(&self, node: u32, dst: u32) -> Option<DropReason> {
+        let _ = (node, dst);
+        None
+    }
+
+    /// Event-commit stage: applies the fault events due at or before
+    /// `cycle`, flushing the queues of dying links and nodes the lane
+    /// owns as typed drops (or silently, when `silent`: the closed
+    /// loop's timeouts observe the loss).
+    #[inline]
+    fn commit_events<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>, silent: bool) {
+        let _ = (cycle, core, silent);
+    }
 }
 
-/// Admits everything — monomorphizes the drop branch away entirely.
-pub struct AdmitAll;
+/// The healthy network: admits everything and routes by the run's
+/// routing plan (a precomputed table or per-hop policy calls).
+pub(crate) struct Healthy<'t, R: ?Sized>(pub(crate) Routing<'t, R>);
 
-impl FaultPolicy for AdmitAll {
+impl<R: Router + ?Sized> FaultPolicy for Healthy<'_, R> {
+    type Router = R;
+
     #[inline]
     fn verdict(&self, _src: u32, _dst: u32) -> Option<DropReason> {
         None
     }
-}
 
-/// Admission against a [`FaultMaskingRouter`]'s masks and healthy-BFS
-/// reachability: dead endpoints drop as
-/// [`DropReason::DeadEndpoint`], surviving-but-disconnected pairs as
-/// [`DropReason::Unreachable`].
-///
-/// Under churn the masks change mid-run as events apply. The churn
-/// engine applies events only at cycle boundaries, between the arrival
-/// phase and the next injection phase, and builds a fresh admission
-/// per borrow after the cycle's events commit — so every verdict in a
-/// cycle sees the same fault epoch, the weakest stability
-/// [`FaultPolicy`] permits. Such a borrow must not outlive its cycle:
-/// the next event application invalidates its verdicts.
-pub struct MaskedAdmission<'a, 'b, R: Router + ?Sized> {
-    masked: &'a FaultMaskingRouter<'b, R>,
-}
-
-impl<'a, 'b, R: Router + ?Sized> MaskedAdmission<'a, 'b, R> {
-    /// Admission checked against `masked`'s node liveness and
-    /// reachability — the same masked router the degraded run routes
-    /// through, so admitted packets are guaranteed routable.
-    pub fn new(masked: &'a FaultMaskingRouter<'b, R>) -> MaskedAdmission<'a, 'b, R> {
-        MaskedAdmission { masked }
+    #[inline]
+    fn routing(&self) -> Routing<'_, R> {
+        self.0
     }
 }
 
-impl<R: Router + ?Sized> FaultPolicy for MaskedAdmission<'_, '_, R> {
+/// A static fault set: every lane borrows the one caller-built
+/// [`FaultMaskingRouter`], routes through it, and drops packets whose
+/// endpoints are dead or disconnected at injection ([`masked_verdict`]).
+pub(crate) struct Static<'m, R: Router + ?Sized>(pub(crate) &'m FaultMaskingRouter<'m, R>);
+
+impl<'m, R: Router + ?Sized> FaultPolicy for Static<'m, R> {
+    type Router = FaultMaskingRouter<'m, R>;
+
+    #[inline]
     fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
-        if !self.masked.node_alive(src) || !self.masked.node_alive(dst) {
-            Some(DropReason::DeadEndpoint)
-        } else if src != dst && !self.masked.reachable(src, dst) {
-            Some(DropReason::Unreachable)
-        } else {
-            None
-        }
+        masked_verdict(self.0, src, dst)
+    }
+
+    #[inline]
+    fn routing(&self) -> Routing<'_, FaultMaskingRouter<'m, R>> {
+        Routing::PerHop(self.0)
+    }
+}
+
+/// Admission against a [`FaultMaskingRouter`]'s masks and reachability:
+/// dead endpoints drop as [`DropReason::DeadEndpoint`],
+/// surviving-but-disconnected pairs as [`DropReason::Unreachable`]. The
+/// same router routes the admitted packets, so they are routable.
+#[inline]
+pub(crate) fn masked_verdict<R: Router + ?Sized>(
+    masked: &FaultMaskingRouter<'_, R>,
+    src: u32,
+    dst: u32,
+) -> Option<DropReason> {
+    if !masked.node_alive(src) || !masked.node_alive(dst) {
+        Some(DropReason::DeadEndpoint)
+    } else if src != dst && !masked.reachable(src, dst) {
+        Some(DropReason::Unreachable)
+    } else {
+        None
     }
 }
 
@@ -100,11 +134,7 @@ impl<R: Router + ?Sized> FaultPolicy for MaskedAdmission<'_, '_, R> {
 /// drives against one lane's [`Core`]. A lane is a contiguous node
 /// shard — the whole network in a serial run, one of `k` shards in a
 /// sharded one — and the **same** monomorphized stage code runs either
-/// way; only the outbox protocol between stages differs. Crate-internal
-/// impls cover unicast routing, collective tree replication, and the
-/// churn/request-reply workloads — the trait is public for
-/// documentation, but a [`Core`] can only be driven from inside the
-/// crate.
+/// way; only the outbox protocol between stages differs.
 ///
 /// # Invariants (the sharding contract)
 ///
@@ -129,7 +159,7 @@ impl<R: Router + ?Sized> FaultPolicy for MaskedAdmission<'_, '_, R> {
 /// - `end_cycle` runs after all of the cycle's commits and before the
 ///   `on_cycle_end` event (the one-port collective uses it to spawn
 ///   follow-up copies that must not depart until the next cycle).
-pub trait ReplicationPolicy<O: SimObserver> {
+pub(crate) trait ReplicationPolicy<O: SimObserver> {
     /// The earliest future cycle at which this lane can add new traffic,
     /// or `None` if it never will. Drives the idle fast-forward and the
     /// drained-run termination check.

@@ -78,12 +78,11 @@ use fibcube_graph::csr::CsrGraph;
 use crate::arena::{FlitQueues, PacketSlab};
 use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
-use crate::router::Router;
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::core::{route_edge, Routing};
+use super::core::route_edge;
 use super::parallel::{fork_lanes, merge_lanes, run_pool};
 use super::policy::FaultPolicy;
 use super::stats::{SimStats, StatsAcc};
@@ -198,12 +197,11 @@ fn edge_classes<T: Topology + ?Sized>(topology: &T) -> Vec<u32> {
 /// One lane of the wormhole workload — see the [module docs](self) for
 /// the replicated-arbitration sharding model. A [`Solo`] run over
 /// `[0, n)` *is* the serial engine.
-struct WormLane<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> {
+struct WormLane<'a, F: FaultPolicy, O: SimObserver> {
     // Static, shared across lanes.
     g: &'a CsrGraph,
     edge_class: &'a [u32],
-    routing: Routing<'a, R>,
-    admission: &'a F,
+    fault: &'a F,
     vcs: usize,
     buf_flits: u64,
     fpp: u32,
@@ -245,13 +243,12 @@ struct WormLane<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> {
     replay_done: bool,
 }
 
-impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, O> {
+impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
     #[allow(clippy::too_many_arguments)]
     fn new(
         g: &'a CsrGraph,
         edge_class: &'a [u32],
-        routing: Routing<'a, R>,
-        admission: &'a F,
+        fault: &'a F,
         observer: O,
         fpp: u32,
         vcs: usize,
@@ -260,7 +257,7 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
         n: usize,
         lo: u32,
         hi: u32,
-    ) -> WormLane<'a, R, F, O> {
+    ) -> WormLane<'a, F, O> {
         let edge_lo = if hi > lo { g.edge_range(lo).start } else { 0 };
         let edge_hi = if hi > lo { g.edge_range(hi - 1).end } else { 0 };
         let links = g.num_directed_edges();
@@ -269,8 +266,7 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
         WormLane {
             g,
             edge_class,
-            routing,
-            admission,
+            fault,
             vcs,
             buf_flits,
             fpp,
@@ -322,7 +318,7 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
         let i = id as usize;
         let src = self.worm.src[i];
         let dst = self.slab.dst(id);
-        let e0 = route_edge(self.g, self.routing, &self.link_load, 0, src, dst);
+        let e0 = route_edge(self.g, self.fault.routing(), &self.link_load, 0, src, dst);
         let b0 = e0 * self.vcs;
         let multi = self.worm.flits_total[i] > 1;
         if multi && self.claimed[b0] != NO_CLAIM {
@@ -379,7 +375,7 @@ impl<'a, R: Router + ?Sized, F: FaultPolicy, O: SimObserver> WormLane<'a, R, F, 
     }
 }
 
-impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, R, F, O> {
+impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
     type Msg = WormProbe;
 
     fn queued(&self) -> u64 {
@@ -468,7 +464,7 @@ impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLa
             if own {
                 self.observer.on_inject(cycle, src, dst);
             }
-            if let Some(reason) = self.admission.verdict(src, dst) {
+            if let Some(reason) = self.fault.verdict(src, dst) {
                 if own {
                     self.acc.drop_packet(reason);
                     self.observer.on_drop(cycle, src, dst, reason);
@@ -553,7 +549,7 @@ impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLa
                 self.pop_flit(cycle, m.node, e, m.vc, f, true);
                 self.arrivals.push((f, EJECT, v));
             } else {
-                let e2 = route_edge(self.g, self.routing, &self.link_load, 0, v, dst);
+                let e2 = route_edge(self.g, self.fault.routing(), &self.link_load, 0, v, dst);
                 let c2 = self.edge_class[e2];
                 let mut lvl = self.worm.level[i];
                 if c2 <= self.worm.last_class[i] {
@@ -708,19 +704,17 @@ impl<R: Router + ?Sized, F: FaultPolicy, O: SimObserver> LaneWorkload for WormLa
 /// observer forks, merged back in ascending lane order — bit-identical
 /// [`SimStats`] and observer output at any lane count.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_wormhole<T, R, F, O>(
+pub(crate) fn run_wormhole<T, F, O>(
     topology: &T,
-    routing: Routing<'_, R>,
     spec: &SwitchingSpec,
     packets: &[Packet],
-    admission: &F,
+    fault: &F,
     max_cycles: u64,
     lanes: usize,
     observer: &mut O,
 ) -> Result<SimStats, ExperimentError>
 where
     T: Topology + ?Sized,
-    R: Router + Sync + ?Sized,
     F: FaultPolicy + Sync,
     O: SimObserver + Send,
 {
@@ -737,18 +731,18 @@ where
     let classes = edge_classes(topology);
     if lanes <= 1 {
         let mut lane = WormLane::new(
-            g, &classes, routing, admission, observer, fpp, vcs, buf_flits, packets, n, 0, n as u32,
+            g, &classes, fault, observer, fpp, vcs, buf_flits, packets, n, 0, n as u32,
         );
         run_lane(&mut lane, &Solo::default(), 0, max_cycles);
         return Ok(lane.acc.finish(packets.len()));
     }
     let forks = fork_lanes(observer, lanes)?;
-    let pool: Vec<WormLane<'_, R, F, O>> = lane_bounds(n, lanes)
+    let pool: Vec<WormLane<'_, F, O>> = lane_bounds(n, lanes)
         .into_iter()
         .zip(forks)
         .map(|((lo, hi), fork)| {
             WormLane::new(
-                g, &classes, routing, admission, fork, fpp, vcs, buf_flits, packets, n, lo, hi,
+                g, &classes, fault, fork, fpp, vcs, buf_flits, packets, n, lo, hi,
             )
         })
         .collect();

@@ -140,12 +140,12 @@ pub enum ExperimentError {
         switching: String,
     },
     /// A dynamic-path feature (fault churn, closed-loop `request_reply`
-    /// traffic) was combined with a configuration the churn engine does
-    /// not model — wormhole switching or a tree collective (broadcast,
-    /// multicast). Both run on the store-and-forward engine only;
-    /// `alltoallp` runs under churn as routed unicasts. A closed loop
-    /// also takes static faults only as a cycle-0 churn timeline, never
-    /// as a static fault mask.
+    /// traffic) was combined with a configuration the engine does not
+    /// model for it — wormhole switching, or churn under a tree
+    /// collective (broadcast, multicast). Both run on the
+    /// store-and-forward engine only; `alltoallp` runs under churn as
+    /// routed unicasts, and a closed loop runs on the healthy network,
+    /// under a static fault mask or under churn.
     UnsupportedDynamic {
         /// The dynamic feature, in canonical text form
         /// (`churn(...)`, `request_reply(...)`, or a churn timeline).
@@ -507,13 +507,11 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     /// [`collective`](Experiment::collective) replaces the traffic
     /// workload and adds its [`CollectiveOutcome`] to the report.
     ///
-    /// Fault churn and closed-loop `request_reply` traffic run on the
-    /// churn engine: a churn spec draws its event timeline from the
-    /// experiment seed over the `[0, cycles)` horizon, and a *static*
-    /// fault set under closed-loop traffic becomes the equivalent
-    /// timeline of fail events pinned to cycle 0. Unsupported
-    /// combinations are typed errors from the engine's support table
-    /// (see [`RunPlan`]).
+    /// A churn spec draws its event timeline from the experiment seed
+    /// over the `[0, cycles)` horizon; a static fault set becomes one
+    /// fault-masking router the run's packets — open or closed loop —
+    /// route through. Unsupported combinations are typed errors from
+    /// the engine's support table (see [`RunPlan`]).
     pub fn run(self) -> Result<Report, ExperimentError>
     where
         O: Send,
@@ -529,16 +527,11 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
         matches!(&self.collective, Some(spec) if !matches!(spec, CollectiveSpec::AllToAllPersonalized))
     }
 
-    /// `true` when closed-loop `request_reply` sessions are the workload.
-    fn is_closed(&self) -> bool {
-        self.collective.is_none() && matches!(self.traffic, TrafficSpec::RequestReply { .. })
-    }
-
     /// Draws the fault scenario from `seed`: the static set, a churn
     /// spec's event timeline over `[0, cycles)`, and the mask around
-    /// `router`. Only a non-empty static set on open traffic or
-    /// `alltoallp` needs a mask: churn and closed loops mask inside the
-    /// engine, and a tree's copy plan carries its own fault set.
+    /// `router`. Only a non-empty static set on routed traffic needs a
+    /// mask: churn masks inside the engine, and a tree's copy plan
+    /// carries its own fault set.
     pub(crate) fn draw_faults<'r, R: Router + ?Sized>(
         &self,
         seed: u64,
@@ -570,7 +563,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
             )),
             _ => None,
         };
-        let unmasked = churn.is_some() || self.is_closed() || self.is_tree();
+        let unmasked = churn.is_some() || self.is_tree();
         let mask = if unmasked || set.is_empty() {
             None
         } else {
@@ -629,9 +622,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
                 None
             }
         };
-        let pinned = (self.is_closed() && faults.churn.is_none())
-            .then(|| ChurnTimeline::failing_at_cycle_zero(set));
-        let timeline = faults.churn.as_ref().or(pinned.as_ref());
+        let timeline = faults.churn.as_ref();
         let load = match compiled {
             Some(CollectiveWorkload::Tree(plan)) => Load::Tree(plan),
             Some(CollectiveWorkload::Unicasts(packets)) => Load::Packets(packets),
@@ -1581,9 +1572,8 @@ mod tests {
         let wormhole: SwitchingSpec = "wormhole(flit_size=8,vcs=2,buf_flits=4)".parse().unwrap();
         let faulted = FaultSpec::Nodes { count: 3 };
         let runs = [
-            Experiment::on(&net).traffic(rr.clone()).cycles(200),
             Experiment::on(&net)
-                .traffic(rr)
+                .traffic(rr.clone())
                 .faults(faulted.clone())
                 .cycles(200),
             Experiment::on(&net)
@@ -1607,7 +1597,8 @@ mod tests {
                 other => panic!("run {i}: expected TableTooLarge, got {other:?}"),
             }
         }
-        // A healthy run of the same network still goes ahead.
+        // Healthy runs of the same network build no masked router and
+        // still go ahead, open or closed loop.
         let healthy = Experiment::on(&net)
             .traffic(TrafficSpec::Uniform {
                 count: 10,
@@ -1616,6 +1607,10 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(healthy.stats.delivered, 10);
+        let closed = Experiment::on(&net).traffic(rr).cycles(200).run().unwrap();
+        assert!(closed.stats.delivered > 0, "{:?}", closed.stats);
+        assert_eq!(closed.stats.dropped(), 0);
+        assert_eq!(closed.router, "canonical");
     }
 
     #[test]

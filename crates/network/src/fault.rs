@@ -831,22 +831,6 @@ impl ChurnTimeline {
         ChurnTimeline { events }
     }
 
-    /// The static `faults` as a timeline: every failure commits at
-    /// cycle 0 and never recovers — the closed loop's form of a static
-    /// fault set.
-    pub(crate) fn failing_at_cycle_zero(faults: &FaultSet) -> ChurnTimeline {
-        let nodes = faults.failed_nodes().iter().map(|&x| ChurnTarget::Node(x));
-        let links = faults
-            .failed_links()
-            .iter()
-            .map(|&(u, v)| ChurnTarget::Link(u, v));
-        ChurnTimeline::from_events(nodes.chain(links).map(|target| ChurnEvent {
-            cycle: 0,
-            target,
-            failed: true,
-        }))
-    }
-
     /// The events, sorted by commit cycle.
     pub fn events(&self) -> &[ChurnEvent] {
         &self.events

@@ -665,9 +665,9 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         }
     }
 
-    /// [`new`](FaultMaskingRouter::new) against a caller-provided
-    /// degraded table (which must match `graph` + `faults`), so sweeps
-    /// that revisit the same fault set skip the `O(n·m)` rebuild.
+    /// [`new`](FaultMaskingRouter::new) against a caller-built table
+    /// (which must match `graph` + `faults`): the by-BFS table of `new`,
+    /// or the closed-form start table of `for_topology`.
     pub(crate) fn with_table(
         graph: &'a CsrGraph,
         inner: &'a R,
@@ -728,8 +728,7 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
     /// certificate's fault lists), then patches the distance table
     /// *incrementally* ([`DistanceTable::apply_event`]) instead of
     /// rebuilding it — the masked-BFS work is limited to the affected
-    /// frontier, and the table's epoch tags record exactly which rows
-    /// changed.
+    /// frontier.
     pub fn apply_event(&mut self, event: &ChurnEvent) {
         match event.target {
             ChurnTarget::Node(x) => self.set_node(x, event.failed),
@@ -1220,5 +1219,73 @@ mod tests {
             CanonicalRouter::for_net(&FibonacciNet::classical(4)).name(),
             "canonical"
         );
+    }
+
+    #[test]
+    fn an_empty_mask_makes_the_inner_hop() {
+        // A fault-masking router over no faults reaches every pair and
+        // makes exactly its inner router's hop, so a healthy run may
+        // route on the inner router alone (`engine::run` does for an
+        // intact mask and for every healthy closed loop).
+        struct Hashed {
+            seed: u64,
+            node: u32,
+        }
+        impl LinkLoad for Hashed {
+            fn load(&self, slot: usize) -> usize {
+                let x = self.seed ^ ((self.node as u64) << 20) ^ slot as u64;
+                (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as usize
+            }
+        }
+        let topos: Vec<Box<dyn Topology>> = vec![
+            Box::new(FibonacciNet::classical(8)),
+            Box::new(FibonacciNet::new(8, 3)),
+            Box::new(Hypercube::new(6)),
+            Box::new(Ring::new(11)),
+            Box::new(Ring::new(12)),
+            Box::new(crate::topology::Mesh::new(5, 4)),
+            Box::new(crate::implicit::ImplicitFibonacciNet::classical(8)),
+        ];
+        let specs = [
+            RouterSpec::Preferred,
+            RouterSpec::Builtin,
+            RouterSpec::Ecube,
+            RouterSpec::Canonical,
+            RouterSpec::Adaptive,
+        ];
+        let empty = FaultSet::empty();
+        for topo in &topos {
+            let n = topo.len() as u32;
+            for spec in specs {
+                let Ok(inner) = spec.resolve(&**topo) else {
+                    continue;
+                };
+                let masks = [
+                    FaultMaskingRouter::new(topo.graph(), &*inner, &empty),
+                    FaultMaskingRouter::for_topology(&**topo, &*inner, &empty),
+                ];
+                for masked in &masks {
+                    for cur in 0..n {
+                        for dst in 0..n {
+                            let what = format!("{} {spec} {cur}→{dst}", topo.name());
+                            assert!(masked.reachable(cur, dst), "{what}");
+                            assert_eq!(
+                                masked.next_hop(cur, dst, &NoLoad),
+                                inner.next_hop(cur, dst, &NoLoad),
+                                "{what}"
+                            );
+                            for seed in 1..=3 {
+                                let load = Hashed { seed, node: cur };
+                                assert_eq!(
+                                    masked.next_hop(cur, dst, &load),
+                                    inner.next_hop(cur, dst, &load),
+                                    "{what} load {seed}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

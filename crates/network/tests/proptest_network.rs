@@ -667,7 +667,7 @@ proptest! {
         // The incremental-repair invariant (see `dist.rs`): after *every*
         // applied churn event, the patched distance table must equal a
         // from-scratch masked BFS over the current liveness masks, on all
-        // pairs — and the epoch counter must advance once per event.
+        // pairs.
         let net = FibonacciNet::classical(d);
         let g = net.graph();
         let router = net.router();
@@ -712,7 +712,6 @@ proptest! {
                     );
                 }
             }
-            prop_assert_eq!(masked.distances().epoch(), step as u64 + 1);
         }
     }
 }
@@ -1370,10 +1369,11 @@ fn degenerate_wormhole_matches_faulted_packet_set_on_the_acceptance_pair() {
 /// static fault set's nodes and links at cycle 0 and never recovers them
 /// (mttr = ∞ ⇒ no recovery events) is *packet-for-packet* identical to
 /// the static fault engine on the Γ_16 / Q_11 acceptance pair — full
-/// `SimStats` equality, histograms and typed drops included. Events
-/// commit at the cycle-0 boundary before any injection, so the churn
-/// engine sees exactly the degraded network the static engine builds up
-/// front.
+/// `SimStats` equality, histograms and typed drops included — for open
+/// traffic and for a closed request/reply loop, at one lane and at
+/// three. Events commit at the cycle-0 boundary before any injection, so
+/// the churn fault state sees exactly the degraded network the static
+/// mask holds up front.
 #[test]
 fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
     let gamma = FibonacciNet::classical(16);
@@ -1389,6 +1389,13 @@ fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
             hot_fraction: 0.3,
         },
     ]);
+    let load = RequestReplyLoad {
+        clients: 64,
+        think: 10.0,
+        timeout: 60,
+        retries: 1,
+        seed: 2026,
+    };
     let dead_nodes: Vec<u32> = (1..=60u32).map(|i| i * 31).collect();
     for topo in [&gamma as &dyn Topology, &q] {
         let g = topo.graph();
@@ -1400,19 +1407,7 @@ fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
         let faults = FaultSet::new(dead_nodes.clone(), [(lu, lv)]);
         let pkts = mix.generate(topo.len(), 2026);
         let router = topo.router();
-        let static_run = {
-            let mask = FaultMaskingRouter::for_topology(topo, &*router, &faults);
-            engine::run(
-                &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
-                    .admission(Admission::Static(&mask)),
-                1,
-                &mut NoopObserver,
-            )
-            .unwrap()
-            .stats
-        };
-        assert!(static_run.dropped() > 0, "faults must bite {}", topo.name());
-
+        let mask = FaultMaskingRouter::for_topology(topo, &*router, &faults);
         let timeline = ChurnTimeline::from_events(
             dead_nodes
                 .iter()
@@ -1427,20 +1422,31 @@ fn cycle_zero_permanent_churn_equals_the_static_fault_engine() {
                     failed: true,
                 })),
         );
-        let churned = engine::run(
-            &RunPlan::new(topo, &*router, Workload::Open(&pkts), 1_000_000)
-                .admission(Admission::Churn(&timeline)),
-            1,
-            &mut NoopObserver,
-        )
-        .unwrap()
-        .stats;
-        assert_eq!(
-            churned,
-            static_run,
-            "cycle-0 permanent churn ≡ static faults on {}",
-            topo.name()
-        );
+        let workloads = [
+            (Workload::Open(&pkts), 1_000_000),
+            (Workload::Closed(&load), 2_000),
+        ];
+        for (workload, cap) in workloads {
+            for lanes in [1usize, 3] {
+                let what = format!("{} {workload} lanes={lanes}", topo.name());
+                let run = |admission| {
+                    engine::run(
+                        &RunPlan::new(topo, &*router, workload, cap).admission(admission),
+                        lanes,
+                        &mut NoopObserver,
+                    )
+                    .unwrap()
+                    .stats
+                };
+                let static_run = run(Admission::Static(&mask));
+                assert!(static_run.dropped() > 0, "faults must bite: {what}");
+                let churned = run(Admission::Churn(&timeline));
+                assert_eq!(
+                    churned, static_run,
+                    "cycle-0 permanent churn ≡ static faults: {what}"
+                );
+            }
+        }
     }
 }
 

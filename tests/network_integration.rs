@@ -438,7 +438,7 @@ fn engine_support_table_is_typed_and_lane_independent() {
                 let expected = match (switching.is_wormhole(), a, w) {
                     (true, _, "tree") => Some("UnsupportedCombination"),
                     (false, "static", "tree") => Some("InvalidCollective"),
-                    (_, "churn", "tree") | (_, "static", "closed") => Some("UnsupportedDynamic"),
+                    (_, "churn", "tree") => Some("UnsupportedDynamic"),
                     (true, "churn", _) | (true, _, "closed") => Some("UnsupportedDynamic"),
                     _ => None,
                 };
@@ -469,7 +469,7 @@ fn engine_support_table_is_typed_and_lane_independent() {
             }
         }
     }
-    assert_eq!(supported, 8, "supported cells of the table");
+    assert_eq!(supported, 9, "supported cells of the table");
 }
 
 #[test]
@@ -570,4 +570,28 @@ fn sweep_grid_follows_its_seeding_contract() {
     assert_eq!(p.mean_latency, s.mean_latency);
     assert_eq!(p.p99_latency, s.p99_latency as f64);
     assert_eq!(p.makespan, s.makespan as f64);
+}
+
+#[test]
+fn request_reply_with_an_unbounded_timeout_never_times_out() {
+    // A `u64::MAX` reply deadline means "never": scheduling saturates
+    // instead of wrapping, so no transaction times out, retries or
+    // drops, and every session but the ones mid-transaction at the cap
+    // completes its transactions.
+    let net = FibonacciNet::classical(6);
+    let clients = 4;
+    let rr: TrafficSpec =
+        format!("request_reply(clients={clients},think=5,timeout=18446744073709551615,retries=1)")
+            .parse()
+            .expect("valid spec");
+    let report = Experiment::on(&net)
+        .traffic(rr)
+        .cycles(2_000)
+        .seed(3)
+        .run()
+        .expect("a healthy closed loop runs");
+    let s = &report.stats;
+    assert_eq!(s.dropped(), 0, "{s:?}");
+    assert!(s.offered > clients, "{s:?}");
+    assert!(s.delivered + clients >= s.offered, "{s:?}");
 }
