@@ -1,4 +1,4 @@
-//! Bench: the arena engine's two hot paths in isolation, so regressions
+//! Bench: the arena engine's hot paths in isolation, so regressions
 //! show up in the artifact without rerunning the full sweep.
 //!
 //! * `route_lookup` — per-hop policy calls vs the dense [`NextHopTable`]
@@ -6,14 +6,22 @@
 //!   trade-off);
 //! * `link_queue` — ring-buffer enqueue/dequeue at shallow depth (the
 //!   common case) and past the stride (the overflow spill/promote path),
-//!   against the `VecDeque`-per-link layout the first engine used.
+//!   against the `VecDeque`-per-link layout the first engine used;
+//! * `flit_engine` — one whole run of the flit-level wormhole engine
+//!   (Γ_12, 2 000 uniform packets, 4 flits per packet, 2 VCs of 4-flit
+//!   buffers), so a change to its forward scan or credit bookkeeping
+//!   gets a timing without the end-to-end benchmark.
 
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fibcube_network::arena::{LinkQueues, RING_STRIDE};
+use fibcube_network::engine::{self, RunPlan, Workload};
 use fibcube_network::router::{NoLoad, Router};
-use fibcube_network::{CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, Topology};
+use fibcube_network::{
+    CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, NoopObserver, SwitchingSpec, Topology,
+    TrafficSpec,
+};
 
 fn all_pairs_per_hop(t: &dyn Topology, r: &dyn Router) -> usize {
     let n = t.len() as u32;
@@ -138,5 +146,37 @@ fn bench_link_queue(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_route_lookup, bench_link_queue);
+fn bench_flit_engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("flit_engine");
+    group.sample_size(10);
+    let gamma = FibonacciNet::classical(12);
+    let router = CanonicalRouter::for_net(&gamma);
+    let pkts = TrafficSpec::Uniform {
+        count: 2_000,
+        window: 2_000,
+    }
+    .generate(gamma.len(), 1);
+    let plan = RunPlan::new(&gamma, &router, Workload::Open(&pkts), 1_000_000).switching(
+        SwitchingSpec::Wormhole {
+            flit_size: 4,
+            vcs: 2,
+            buf_flits: 4,
+        },
+    );
+    group.bench_function(BenchmarkId::new("wormhole_uniform", gamma.name()), |b| {
+        b.iter(|| {
+            let s = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
+            assert_eq!(s.delivered, s.offered);
+            std::hint::black_box(s.total_hops)
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_route_lookup,
+    bench_link_queue,
+    bench_flit_engine
+);
 criterion_main!(benches);

@@ -101,7 +101,7 @@ use crate::traffic::{Packet, TrafficSpec};
 use self::churn::{Churn, Sessions};
 use self::core::{routing_for, run_saf, Replicate, Unicast};
 use self::policy::{FaultPolicy, Healthy, Static};
-use self::wormhole::run_wormhole;
+use self::wormhole::{check_buffer_space, run_wormhole};
 
 /// Which faults a run's packets meet: the admission axis of a
 /// [`RunPlan`].
@@ -211,7 +211,10 @@ impl fmt::Display for Workload<'_> {
 /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
 /// ([`ExperimentError::TableTooLarge`]). A static mask comes built
 /// ([`Experiment`](crate::experiment::Experiment) checks the budget
-/// before building one).
+/// before building one). A wormhole spec must pass
+/// [`SwitchingSpec::validate`], and its (link × VC) buffers must fit
+/// `u32` buffer ids and [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
+/// bytes of buffer state per lane ([`ExperimentError::InvalidSwitching`]).
 pub struct RunPlan<'p, T: ?Sized, R: Router + ?Sized> {
     /// The network.
     pub topology: &'p T,
@@ -261,6 +264,8 @@ impl<'p, T: Topology + ?Sized, R: Router + ?Sized> RunPlan<'p, T, R> {
     /// [type docs](RunPlan).
     fn check(&self) -> Result<(), ExperimentError> {
         let (admission, workload, switching) = (self.admission, self.workload, &self.switching);
+        switching.validate()?;
+        check_buffer_space(self.topology, switching)?;
         let dynamic = |feature: &dyn fmt::Display, with: &dyn fmt::Display| {
             Err(ExperimentError::UnsupportedDynamic {
                 feature: feature.to_string(),
@@ -335,7 +340,8 @@ pub struct RunOutcome {
 ///
 /// A cell outside the support table (see [`RunPlan`]), a closed loop on
 /// fewer than 2 nodes or without a cycle cap, a churn timeline whose
-/// masked-router table is over budget, or more than one lane with an
+/// masked-router table is over budget, an invalid or oversized wormhole
+/// spec, or more than one lane with an
 /// observer whose [`fork`](SimObserver::fork) returns `None`
 /// ([`ExperimentError::UnforkableObserver`]).
 pub fn run<T, R, O>(
@@ -1664,6 +1670,61 @@ mod wormhole_tests {
         .stats;
         assert_eq!(capped.delivered, 0);
         assert_eq!(capped.offered, 1);
+    }
+
+    #[test]
+    fn oversized_vc_counts_are_refused_before_allocating() {
+        // Every lane sizes its buffer mirrors `links × vcs`, and buffer
+        // ids are `u32`: a VC count that overflows the ids or the byte
+        // budget is a typed error from the plan check, at any lane
+        // count, before a lane allocates anything.
+        let net = FibonacciNet::classical(10);
+        let links = net.graph().num_directed_edges();
+        let pkts = TrafficSpec::Uniform {
+            count: 200,
+            window: 50,
+        }
+        .generate(net.len(), 3);
+        let router = net.router();
+        let wormhole = |vcs| SwitchingSpec::Wormhole {
+            flit_size: 4,
+            vcs,
+            buf_flits: 4,
+        };
+        let over_budget = (crate::router::TABLE_BYTE_BUDGET / links) as u32;
+        assert!((links as u64) * (over_budget as u64) < u32::MAX as u64);
+        for (vcs, why) in [(u32::MAX, "u32 buffer ids"), (over_budget, "budget")] {
+            let plan = RunPlan::new(&net, &*router, Workload::Open(&pkts), 100_000)
+                .switching(wormhole(vcs));
+            for lanes in [1, 3] {
+                match run(&plan, lanes, &mut NoopObserver) {
+                    Err(ExperimentError::InvalidSwitching { spec, reason }) => {
+                        assert_eq!(spec, wormhole(vcs).to_string());
+                        assert!(reason.contains(why), "{reason}");
+                    }
+                    other => panic!("vcs={vcs} lanes={lanes}: {other:?}"),
+                }
+            }
+        }
+        // `Experiment` reaches the same check from the spec's text form.
+        let err = crate::experiment::Experiment::on(&net)
+            .switching(
+                "wormhole(flit_size=4,vcs=4294967295,buf_flits=4)"
+                    .parse()
+                    .unwrap(),
+            )
+            .threads(3)
+            .run()
+            .expect_err("u32::MAX VCs overflow the buffer ids");
+        assert!(
+            matches!(err, ExperimentError::InvalidSwitching { .. }),
+            "{err}"
+        );
+        // A modest VC count still runs.
+        let plan =
+            RunPlan::new(&net, &*router, Workload::Open(&pkts), 100_000).switching(wormhole(8));
+        let stats = run(&plan, 3, &mut NoopObserver).unwrap().stats;
+        assert_eq!(stats.delivered, stats.offered);
     }
 
     #[test]

@@ -41,9 +41,10 @@
 //! move depends on claims, credits and (for adaptive routers) link
 //! loads that earlier moves of the *same* cycle just changed, anywhere
 //! in the network. Instead of exchanging that state, every lane keeps a
-//! full **mirror** of it (`link_load`, per-buffer occupancy, claims,
-//! reservations, the packet slab and worm chains, the pending/stream
-//! FIFOs and the injection cursor) and updates the mirror identically:
+//! full **mirror** of it (`link_load`, one packed record of occupancy,
+//! reservations and claim per buffer, the packet slab and worm chains,
+//! the pending/stream FIFOs and the injection cursor) and updates the
+//! mirror identically:
 //!
 //! - the **begin** stage (streaming, head retries, injection) runs the
 //!   same deterministic decisions on every lane, touching real flit
@@ -51,7 +52,11 @@
 //!   the lane that owns the node;
 //! - the **propose** stage snapshots the front flit of every non-empty
 //!   (edge × VC) buffer of the lane's own active nodes — the only state
-//!   a lane alone knows — in ascending node/edge/VC order;
+//!   a lane alone knows — in ascending node/edge/VC order, visiting only
+//!   the out-edges that hold flits: each owned node keeps a one-word
+//!   slot mask of its loaded edges (set by the owner-side pushes,
+//!   cleared when a pop empties the edge), walked lowest bit first, with
+//!   the plain edge scan as the fallback on networks of degree above 64;
 //! - the **commit** stage replays the serial forward scan over the
 //!   concatenated snapshots (lane order == node order, so the replay
 //!   order *is* the serial scan order) on **every** lane, deciding each
@@ -75,9 +80,10 @@ use std::collections::VecDeque;
 
 use fibcube_graph::csr::CsrGraph;
 
-use crate::arena::{FlitQueues, PacketSlab};
+use crate::arena::{FlitQueues, PacketSlab, RING_STRIDE};
 use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
+use crate::router::TABLE_BYTE_BUDGET;
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::Packet;
@@ -93,10 +99,9 @@ const FLIT_HEAD: u64 = 1 << 56;
 /// Tail-flit flag in a packed flit record (bit 57). Single-flit packets
 /// carry both flags.
 const FLIT_TAIL: u64 = 1 << 57;
-/// No packet claims this (edge × VC) buffer.
-const NO_CLAIM: u32 = u32::MAX;
 /// Arrival-list sentinel: the flit leaves the network at its destination
-/// instead of entering a buffer.
+/// instead of entering a buffer. Buffer ids stay below it (see
+/// [`check_buffer_space`]).
 const EJECT: u32 = u32::MAX;
 /// Replay-cursor sentinel: no edge arbitrated yet this cycle.
 const NO_EDGE: u32 = u32::MAX;
@@ -138,6 +143,79 @@ pub(crate) struct WormProbe {
     vc: u32,
     /// The buffer's front flit record.
     flit: u64,
+}
+
+/// The replicated credit state of one (edge × VC) buffer, packed so a
+/// credit or claim check reads one record. The all-zero record is the
+/// idle, unclaimed buffer, so the mirror column allocates zeroed.
+#[derive(Clone, Copy, Default)]
+struct Buf {
+    /// Flits in the buffer.
+    occ: u32,
+    /// Flits granted into the buffer this cycle, landing at the arrival
+    /// boundary.
+    reserved: u32,
+    /// `id + 1` of the multi-flit packet whose worm holds the buffer; 0
+    /// when unclaimed.
+    claim: u32,
+}
+
+impl Buf {
+    /// No credit left: occupancy plus same-cycle reservations fill the
+    /// `cap`-flit buffer.
+    #[inline]
+    fn full(&self, cap: u64) -> bool {
+        self.occ as u64 + self.reserved as u64 >= cap
+    }
+
+    /// Claimed by a packet other than `id`.
+    #[inline]
+    fn held_against(&self, id: u32) -> bool {
+        self.claim != 0 && self.claim != id + 1
+    }
+
+    /// Drops `id`'s claim, if it holds one — its tail has passed.
+    #[inline]
+    fn release(&mut self, id: u32) {
+        if self.claim == id + 1 {
+            self.claim = 0;
+        }
+    }
+}
+
+/// Bytes one lane spends per (edge × VC) buffer: the mirror record plus
+/// the flit queue's ring window, front cursor and length.
+const BUF_BYTES: usize = size_of::<Buf>() + RING_STRIDE * size_of::<u64>() + 2 * size_of::<u32>();
+
+/// Refuses a wormhole spec whose (edge × VC) buffers on `topology`
+/// overflow the `u32` buffer ids or would need more than
+/// [`TABLE_BYTE_BUDGET`] bytes of buffer state per lane — before
+/// anything is allocated. Store-and-forward specs pass without touching
+/// the graph (an implicit topology builds it on first use).
+pub(crate) fn check_buffer_space<T: Topology + ?Sized>(
+    topology: &T,
+    spec: &SwitchingSpec,
+) -> Result<(), ExperimentError> {
+    let SwitchingSpec::Wormhole { vcs, .. } = *spec else {
+        return Ok(());
+    };
+    let links = topology.graph().num_directed_edges();
+    let buffers = links as u128 * vcs as u128;
+    let reason = if buffers >= EJECT as u128 {
+        format!("{links} links × {vcs} VCs = {buffers} buffers overflow the u32 buffer ids")
+    } else if buffers * BUF_BYTES as u128 > TABLE_BYTE_BUDGET as u128 {
+        format!(
+            "{links} links × {vcs} VCs need {} bytes of buffer state per lane, over the \
+             {TABLE_BYTE_BUDGET}-byte budget",
+            buffers * BUF_BYTES as u128
+        )
+    } else {
+        return Ok(());
+    };
+    Err(ExperimentError::InvalidSwitching {
+        spec: spec.to_string(),
+        reason,
+    })
 }
 
 /// Per-packet wormhole state in parallel columns indexed by slab id
@@ -217,6 +295,11 @@ struct WormLane<'a, F: FaultPolicy, O: SimObserver> {
     // Real, lane-owned state.
     queues: FlitQueues,
     occupancy: Vec<u32>,
+    /// Per-node bitmask of out-edges holding flits (`link_load[e] > 0`),
+    /// so `propose` visits exactly the loaded edges by a
+    /// `trailing_zeros` word walk. Empty — `propose` falls back to the
+    /// plain edge scan — when some degree exceeds 64.
+    slot_mask: Vec<u64>,
     on_list: Vec<bool>,
     active: Vec<u32>,
     scanned: Vec<u32>,
@@ -225,9 +308,7 @@ struct WormLane<'a, F: FaultPolicy, O: SimObserver> {
     observer: O,
     // Replicated mirrors — identical on every lane at every stage edge.
     link_load: Vec<u32>,
-    occ_b: Vec<u32>,
-    claimed: Vec<u32>,
-    reserved: Vec<u32>,
+    bufs: Vec<Buf>,
     slab: PacketSlab,
     worm: WormState,
     arrivals: Vec<(u64, u32, u32)>,
@@ -261,6 +342,8 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
         let edge_lo = if hi > lo { g.edge_range(lo).start } else { 0 };
         let edge_hi = if hi > lo { g.edge_range(hi - 1).end } else { 0 };
         let links = g.num_directed_edges();
+        let local = (hi - lo) as usize;
+        let masked_scan = g.max_degree() <= 64;
         let mut inj: Vec<&Packet> = packets.iter().collect();
         inj.sort_by_key(|p| p.inject_time);
         WormLane {
@@ -276,17 +359,16 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
             buf_lo: edge_lo * vcs,
             lead: lo == 0,
             queues: FlitQueues::new(edge_hi - edge_lo, vcs),
-            occupancy: vec![0; (hi - lo) as usize],
-            on_list: vec![false; (hi - lo) as usize],
+            occupancy: vec![0; local],
+            slot_mask: vec![0; if masked_scan { local } else { 0 }],
+            on_list: vec![false; local],
             active: Vec::new(),
             scanned: Vec::new(),
             lat_scratch: Vec::new(),
             acc: StatsAcc::for_network(n),
             observer,
             link_load: vec![0; links],
-            occ_b: vec![0; links * vcs],
-            claimed: vec![NO_CLAIM; links * vcs],
-            reserved: vec![0; links * vcs],
+            bufs: vec![Buf::default(); links * vcs],
             slab: PacketSlab::new(),
             worm: WormState::default(),
             arrivals: Vec::new(),
@@ -321,10 +403,8 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
         let e0 = route_edge(self.g, self.fault.routing(), &self.link_load, 0, src, dst);
         let b0 = e0 * self.vcs;
         let multi = self.worm.flits_total[i] > 1;
-        if multi && self.claimed[b0] != NO_CLAIM {
-            return false;
-        }
-        if self.occ_b[b0] as u64 + self.reserved[b0] as u64 >= self.buf_flits {
+        let buf = self.bufs[b0];
+        if (multi && buf.claim != 0) || buf.full(self.buf_flits) {
             return false;
         }
         self.worm.level[i] = 0;
@@ -332,33 +412,60 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
         self.worm.path[i].push(b0 as u32);
         self.worm.flits_sent[i] = 1;
         if multi {
-            self.claimed[b0] = id;
+            self.bufs[b0].claim = id + 1;
             self.streams.push(id);
         }
-        self.occ_b[b0] += 1;
-        self.link_load[e0] += 1;
-        if self.owns(src) {
-            self.queues
-                .push(b0 - self.buf_lo, flit(id, 0, true, !multi));
-            let s = (src - self.lo) as usize;
+        self.push_flit(cycle, src, e0, 0, flit(id, 0, true, !multi));
+        true
+    }
+
+    /// Moves flit `f` into VC `vc` of edge `e` out of `node`: mirror
+    /// credits on every lane; the real queue push, node occupancy, slot
+    /// mask, observer event and worklist entry on `node`'s owner.
+    fn push_flit(&mut self, cycle: u64, node: u32, e: usize, vc: usize, f: u64) {
+        let b = e * self.vcs + vc;
+        self.bufs[b].occ += 1;
+        self.link_load[e] += 1;
+        if self.owns(node) {
+            self.queues.push(b - self.buf_lo, f);
+            let s = (node - self.lo) as usize;
             self.occupancy[s] += 1;
-            self.observer.on_flit_hop(cycle, e0, 0, self.occ_b[b0]);
+            if let Some(mask) = self.slot_mask.get_mut(s) {
+                *mask |= 1 << (e - self.g.edge_range(node).start);
+            }
+            self.observer
+                .on_flit_hop(cycle, e, vc as u32, self.bufs[b].occ);
             if !self.on_list[s] {
                 self.on_list[s] = true;
-                self.active.push(src);
+                self.active.push(node);
             }
         }
-        true
+    }
+
+    /// Snapshots the front flit of each non-empty VC buffer of loaded
+    /// edge `e` out of owned node `u`, lowest VC first.
+    fn probe_edge(&self, u: u32, e: usize, out: &mut Vec<WormProbe>) {
+        for vc in 0..self.vcs {
+            let b = e * self.vcs + vc;
+            if let Some(f) = self.queues.front(b - self.buf_lo) {
+                out.push(WormProbe {
+                    node: u,
+                    edge: e as u32,
+                    vc: vc as u32,
+                    flit: f,
+                });
+            }
+        }
     }
 
     /// Removes a granted flit from its buffer: mirror decrements on
     /// every lane; the real pop (which must yield exactly the
-    /// snapshotted flit) and node occupancy, plus — for head moves
-    /// (`hop`) — the hop statistics and observer event, on the scanning
-    /// node's owner.
+    /// snapshotted flit), node occupancy and the slot mask (cleared with
+    /// the edge's last flit), plus — for head moves (`hop`) — the hop
+    /// statistics and observer event, on the scanning node's owner.
     fn pop_flit(&mut self, cycle: u64, u: u32, e: usize, vc: u32, f: u64, hop: bool) {
         let b = e * self.vcs + vc as usize;
-        self.occ_b[b] -= 1;
+        self.bufs[b].occ -= 1;
         self.link_load[e] -= 1;
         if hop {
             self.slab.record_hop(f as u32);
@@ -366,7 +473,13 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
         if self.owns(u) {
             let popped = self.queues.pop(b - self.buf_lo);
             debug_assert_eq!(popped, Some(f), "replayed flit must front its buffer");
-            self.occupancy[(u - self.lo) as usize] -= 1;
+            let s = (u - self.lo) as usize;
+            self.occupancy[s] -= 1;
+            if self.link_load[e] == 0 {
+                if let Some(mask) = self.slot_mask.get_mut(s) {
+                    *mask &= !(1 << (e - self.g.edge_range(u).start));
+                }
+            }
             if hop {
                 self.observer.on_hop(cycle, u, self.g.target(e), e);
                 self.acc.total_hops += 1;
@@ -409,33 +522,18 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
         streams.retain(|&id| {
             let i = id as usize;
             let b0 = self.worm.path[i][0] as usize;
-            if self.occ_b[b0] as u64 + self.reserved[b0] as u64 >= self.buf_flits {
+            if self.bufs[b0].full(self.buf_flits) {
                 return true;
             }
             let sent = self.worm.flits_sent[i];
             let is_tail = sent + 1 == self.worm.flits_total[i];
-            let e0 = b0 / self.vcs;
-            self.occ_b[b0] += 1;
-            self.link_load[e0] += 1;
             let src = self.worm.src[i];
-            if self.owns(src) {
-                self.queues
-                    .push(b0 - self.buf_lo, flit(id, 0, false, is_tail));
-                let s = (src - self.lo) as usize;
-                self.occupancy[s] += 1;
-                self.observer
-                    .on_flit_hop(cycle, e0, (b0 % self.vcs) as u32, self.occ_b[b0]);
-                if !self.on_list[s] {
-                    self.on_list[s] = true;
-                    self.active.push(src);
-                }
-            }
+            let f = flit(id, 0, false, is_tail);
+            self.push_flit(cycle, src, b0 / self.vcs, b0 % self.vcs, f);
             self.worm.flits_sent[i] = sent + 1;
             self.progressed = true;
             if is_tail {
-                if self.claimed[b0] == id {
-                    self.claimed[b0] = NO_CLAIM;
-                }
+                self.bufs[b0].release(id);
                 false
             } else {
                 true
@@ -491,32 +589,33 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
 
     /// Snapshots the front flit of every non-empty (edge × VC) buffer
     /// of this lane's active nodes, in ascending node/edge/VC order.
-    /// Pure reads — every mutation waits for the commit replay — so the
-    /// snapshots equal what the serial scan would read live (a scan
-    /// pops only from the buffer it is currently serving, and pushes
-    /// are deferred to the arrival boundary).
+    /// On networks of degree ≤ 64 the loaded out-edges come from the
+    /// node's slot mask, lowest bit first — the order the plain edge
+    /// scan (the fallback above degree 64) visits them in. Pure reads —
+    /// every mutation waits for the commit replay — so the snapshots
+    /// equal what the serial scan would read live (a scan pops only
+    /// from the buffer it is currently serving, and pushes are deferred
+    /// to the arrival boundary).
     fn propose(&mut self, _cycle: u64, out: &mut Vec<WormProbe>) {
         self.active.sort_unstable();
         std::mem::swap(&mut self.active, &mut self.scanned);
-        let mut k = 0;
-        while k < self.scanned.len() {
+        let masked = !self.slot_mask.is_empty();
+        for k in 0..self.scanned.len() {
             let u = self.scanned[k];
-            k += 1;
-            self.on_list[(u - self.lo) as usize] = false;
-            for e in self.g.edge_range(u) {
-                if self.link_load[e] == 0 {
-                    continue;
+            let s = (u - self.lo) as usize;
+            self.on_list[s] = false;
+            let edges = self.g.edge_range(u);
+            if masked {
+                let mut rest = self.slot_mask[s];
+                while rest != 0 {
+                    let e = edges.start + rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    debug_assert!(self.link_load[e] != 0, "mask bit implies a loaded edge");
+                    self.probe_edge(u, e, out);
                 }
-                for vc in 0..self.vcs {
-                    let b = e * self.vcs + vc;
-                    if let Some(f) = self.queues.front(b - self.buf_lo) {
-                        out.push(WormProbe {
-                            node: u,
-                            edge: e as u32,
-                            vc: vc as u32,
-                            flit: f,
-                        });
-                    }
+            } else {
+                for e in edges.filter(|&e| self.link_load[e] != 0) {
+                    self.probe_edge(u, e, out);
                 }
             }
         }
@@ -559,17 +658,15 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
                 }
                 let b2 = e2 * self.vcs + lvl as usize;
                 let multi = self.worm.flits_total[i] > 1;
-                if multi && self.claimed[b2] != NO_CLAIM && self.claimed[b2] != id {
+                let buf = &mut self.bufs[b2];
+                if (multi && buf.held_against(id)) || buf.full(self.buf_flits) {
                     return;
                 }
-                if self.occ_b[b2] as u64 + self.reserved[b2] as u64 >= self.buf_flits {
-                    return;
-                }
-                self.pop_flit(cycle, m.node, e, m.vc, f, true);
                 if multi {
-                    self.claimed[b2] = id;
+                    buf.claim = id + 1;
                 }
-                self.reserved[b2] += 1;
+                buf.reserved += 1;
+                self.pop_flit(cycle, m.node, e, m.vc, f, true);
                 self.worm.level[i] = lvl;
                 self.worm.last_class[i] = c2;
                 self.worm.path[i].push(b2 as u32);
@@ -584,11 +681,11 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
             let idx = flit_idx(f);
             if idx + 1 < self.worm.path[i].len() {
                 let b2 = self.worm.path[i][idx + 1] as usize;
-                if self.occ_b[b2] as u64 + self.reserved[b2] as u64 >= self.buf_flits {
+                if self.bufs[b2].full(self.buf_flits) {
                     return;
                 }
+                self.bufs[b2].reserved += 1;
                 self.pop_flit(cycle, m.node, e, m.vc, f, false);
-                self.reserved[b2] += 1;
                 self.arrivals.push((
                     flit(id, idx + 1, false, f & FLIT_TAIL != 0),
                     b2 as u32,
@@ -647,24 +744,11 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
                 // Body flits between head and tail vanish at dst.
             } else {
                 let b = buf as usize;
-                let e = b / self.vcs;
-                self.reserved[b] -= 1;
-                self.occ_b[b] += 1;
-                self.link_load[e] += 1;
-                if f & FLIT_TAIL != 0 && self.claimed[b] == id {
-                    self.claimed[b] = NO_CLAIM;
+                self.bufs[b].reserved -= 1;
+                if f & FLIT_TAIL != 0 {
+                    self.bufs[b].release(id);
                 }
-                if self.owns(node) {
-                    self.queues.push(b - self.buf_lo, f);
-                    let s = (node - self.lo) as usize;
-                    self.occupancy[s] += 1;
-                    self.observer
-                        .on_flit_hop(now, e, (b % self.vcs) as u32, self.occ_b[b]);
-                    if !self.on_list[s] {
-                        self.on_list[s] = true;
-                        self.active.push(node);
-                    }
-                }
+                self.push_flit(now, node, b / self.vcs, b % self.vcs, f);
             }
         }
         arrivals.clear();
@@ -721,11 +805,8 @@ where
     let SwitchingSpec::Wormhole { vcs, buf_flits, .. } = *spec else {
         unreachable!("store-and-forward specs run the packet core")
     };
-    let (fpp, vcs, buf_flits) = (
-        spec.flits_per_packet().max(1),
-        vcs.max(1) as usize,
-        buf_flits.max(1) as u64,
-    );
+    // `RunPlan::check` validated the spec: every figure is at least 1.
+    let (fpp, vcs, buf_flits) = (spec.flits_per_packet(), vcs as usize, buf_flits as u64);
     let n = topology.len();
     let g = topology.graph();
     let classes = edge_classes(topology);

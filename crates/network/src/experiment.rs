@@ -114,7 +114,9 @@ pub enum ExperimentError {
     },
     /// The switching spec is degenerate (zero flit size, zero virtual
     /// channels, zero buffer capacity) — see
-    /// [`SwitchingSpec::validate`](crate::switching::SwitchingSpec::validate).
+    /// [`SwitchingSpec::validate`](crate::switching::SwitchingSpec::validate)
+    /// — or has more (link × VC) buffers than the network's run can
+    /// address or afford (see [`RunPlan`]).
     InvalidSwitching {
         /// The offending spec, in canonical text form.
         spec: String,

@@ -256,6 +256,28 @@ impl VcOccupancy {
 }
 
 impl SimObserver for VcOccupancy {
+    fn fork(&self) -> Option<Self> {
+        Some(VcOccupancy::new())
+    }
+
+    /// Flit events partition across lanes by the buffer's owner, so
+    /// entries add and peaks take the maximum.
+    fn merge(&mut self, fork: Self) {
+        if self.flit_hops.len() < fork.flit_hops.len() {
+            self.flit_hops.resize(fork.flit_hops.len(), 0);
+            self.peak_occupancy.resize(fork.flit_hops.len(), 0);
+        }
+        for (lane, (hops, peak)) in fork
+            .flit_hops
+            .into_iter()
+            .zip(fork.peak_occupancy)
+            .enumerate()
+        {
+            self.flit_hops[lane] += hops;
+            self.peak_occupancy[lane] = self.peak_occupancy[lane].max(peak);
+        }
+    }
+
     fn on_flit_hop(&mut self, _cycle: u64, _edge: usize, vc: u32, occupancy: u32) {
         let lane = vc as usize;
         if lane >= self.flit_hops.len() {

@@ -7,8 +7,9 @@ use fibcube::network::hamilton::{hamiltonian_path, verify_hamiltonian, HamiltonR
 use fibcube::network::metrics::metrics;
 use fibcube::network::sweep::{sweep, Axis, SweepConfig};
 use fibcube::network::{
-    ChurnTimeline, CopyPlan, DeliveryTracker, FaultMaskingRouter, FaultSet, Mesh, NoopObserver,
-    SimStats, SwitchingSpec,
+    simulate_reference, AdaptiveMinimal, ChurnTimeline, CopyPlan, DeliveryTracker,
+    FaultMaskingRouter, FaultSet, LinkHeatmap, Mesh, NoopObserver, Ring, SimStats, SwitchingSpec,
+    VcOccupancy,
 };
 use fibcube::prelude::*;
 
@@ -594,4 +595,217 @@ fn request_reply_with_an_unbounded_timeout_never_times_out() {
     assert_eq!(s.dropped(), 0, "{s:?}");
     assert!(s.offered > clients, "{s:?}");
     assert!(s.delivered + clients >= s.offered, "{s:?}");
+}
+
+/// FNV-1a over a latency histogram's counts: one number that pins every
+/// bucket of the distribution.
+fn histogram_digest(hist: &[u64]) -> u64 {
+    hist.iter().fold(0xcbf2_9ce4_8422_2325, |h, &c| {
+        (h ^ c).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// The recorded outcome of one multi-flit wormhole run.
+struct FlitGolden {
+    delivered: usize,
+    makespan: u64,
+    mean_latency: f64,
+    p99_latency: u64,
+    total_hops: u64,
+    throughput: f64,
+    /// `(len, digest)` of the exact latency histogram.
+    histogram: (usize, u64),
+    /// `VcOccupancy` flit-buffer entries on VCs 0, 1, 2.
+    vc_flit_hops: [u64; 3],
+    /// `LinkHeatmap` directed links used and its hottest link.
+    links_used: usize,
+    hottest: (u32, u32, u64),
+}
+
+#[test]
+fn multi_flit_wormhole_runs_reproduce_their_golden_values() {
+    // Blocking, multi-VC wormhole runs pinned to values recorded from the
+    // plain edge-scan engine: full `SimStats`, the per-VC flit-hop counts
+    // and the link heatmap, at 1 and 3 lanes. Γ_12 under the canonical
+    // router congests its hubs (VC 0 only: canonical routes are
+    // class-ordered), adaptive Q_7 spreads over three VCs, and the
+    // ring's dateline escapes wrap routes to VC 1.
+    let gamma = FibonacciNet::classical(12);
+    let q = Hypercube::new(7);
+    let ring = Ring::new(12);
+    let canonical = gamma.router();
+    let adaptive = AdaptiveMinimal::new(&q);
+    let ring_router = ring.router();
+    let wormhole = |flit_size, vcs, buf_flits| SwitchingSpec::Wormhole {
+        flit_size,
+        vcs,
+        buf_flits,
+    };
+    let cases: [(&dyn Topology, &(dyn Router + Sync), _, _, _); 3] = [
+        (
+            &gamma,
+            &*canonical,
+            wormhole(4, 2, 4),
+            (1500, 600),
+            FlitGolden {
+                delivered: 1500,
+                makespan: 1320,
+                mean_latency: 163.552,
+                p99_latency: 1046,
+                total_hops: 7286,
+                throughput: 1.1363636363636365,
+                histogram: (0x4da, 0xbbe3_c41f_60bb_ae4d),
+                vc_flit_hops: [58288, 0, 0],
+                links_used: 1630,
+                hottest: (0, 233, 150),
+            },
+        ),
+        (
+            &q,
+            &adaptive,
+            wormhole(8, 3, 2),
+            (1200, 500),
+            FlitGolden {
+                delivered: 1200,
+                makespan: 507,
+                mean_latency: 6.804166666666666,
+                p99_latency: 12,
+                total_hops: 4177,
+                throughput: 2.366863905325444,
+                histogram: (0x14, 0x1d5b_f4b4_f48d_74e9),
+                vc_flit_hops: [6512, 6064, 4132],
+                links_used: 769,
+                hottest: (1, 0, 43),
+            },
+        ),
+        (
+            &ring,
+            &*ring_router,
+            wormhole(8, 2, 2),
+            (300, 200),
+            FlitGolden {
+                delivered: 300,
+                makespan: 561,
+                mean_latency: 100.57,
+                p99_latency: 462,
+                total_hops: 1010,
+                throughput: 0.5347593582887701,
+                histogram: (0x1e7, 0x93d8_fdce_0246_6123),
+                vc_flit_hops: [3572, 468, 0],
+                links_used: 24,
+                hottest: (9, 10, 58),
+            },
+        ),
+    ];
+    for (topo, router, spec, (count, window), gold) in cases {
+        let pkts = TrafficSpec::Uniform { count, window }.generate(topo.len(), 5);
+        let plan = RunPlan::new(topo, router, Workload::Open(&pkts), 1_000_000).switching(spec);
+        for lanes in [1, 3] {
+            let what = format!("{} {} lanes={lanes}", topo.name(), plan.switching);
+            let mut obs = (VcOccupancy::new(), LinkHeatmap::new());
+            let s = engine::run(&plan, lanes, &mut obs).expect(&what).stats;
+            assert_eq!(s.offered, count, "{what}");
+            assert_eq!(s.dropped(), 0, "{what}");
+            assert_eq!(s.delivered, gold.delivered, "{what}");
+            assert_eq!(s.makespan, gold.makespan, "{what}");
+            assert_eq!(s.mean_latency, gold.mean_latency, "{what}");
+            assert_eq!(s.p99_latency, gold.p99_latency, "{what}");
+            assert_eq!(s.total_hops, gold.total_hops, "{what}");
+            assert_eq!(s.throughput, gold.throughput, "{what}");
+            let hist = &s.latency_histogram;
+            assert_eq!(
+                (hist.len(), histogram_digest(hist)),
+                gold.histogram,
+                "{what}"
+            );
+            let (vc, heat) = &obs;
+            assert_eq!(
+                [0, 1, 2].map(|v| vc.flit_hops(v)),
+                gold.vc_flit_hops,
+                "{what}"
+            );
+            assert_eq!(vc.flit_hops(3), 0, "{what}");
+            assert_eq!(heat.total_hops(), gold.total_hops, "{what}");
+            assert_eq!(heat.links_used(), gold.links_used, "{what}");
+            assert_eq!(heat.hottest(1), vec![gold.hottest], "{what}");
+        }
+    }
+}
+
+/// A star: hub 0 linked to `leaves` leaves. With more than 64 leaves the
+/// hub's degree exceeds the engines' one-word slot masks, so both
+/// engines forward with their plain edge scans.
+struct Star {
+    graph: CsrGraph,
+}
+
+impl Star {
+    fn new(leaves: u32) -> Star {
+        let edges: Vec<(u32, u32)> = (1..=leaves).map(|leaf| (0, leaf)).collect();
+        Star {
+            graph: CsrGraph::from_edges(leaves as usize + 1, &edges),
+        }
+    }
+}
+
+impl Topology for Star {
+    fn name(&self) -> String {
+        format!("Star_{}", self.graph.num_vertices() - 1)
+    }
+
+    fn len(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    fn graph(&self) -> &CsrGraph {
+        &self.graph
+    }
+
+    fn next_hop(&self, cur: u32, dst: u32) -> Option<u32> {
+        match (cur == dst, cur) {
+            (true, _) => None,
+            (false, 0) => Some(dst),
+            (false, _) => Some(0),
+        }
+    }
+
+    fn diameter_bound(&self) -> usize {
+        2
+    }
+
+    /// Inbound links rank below outbound ones, so every leaf → hub →
+    /// leaf route climbs the class order.
+    fn channel_class(&self, u: u32, _v: u32) -> u32 {
+        u32::from(u == 0)
+    }
+}
+
+#[test]
+fn hubs_above_64_links_forward_through_the_plain_edge_scan() {
+    let star = Star::new(70);
+    assert_eq!(star.graph().max_degree(), 70);
+    let router = star.router();
+    let pkts = TrafficSpec::Uniform {
+        count: 2000,
+        window: 400,
+    }
+    .generate(star.len(), 9);
+    let reference = simulate_reference(&star, &pkts, 1_000_000);
+    let wormhole = SwitchingSpec::Wormhole {
+        flit_size: 4,
+        vcs: 2,
+        buf_flits: 4,
+    };
+    for switching in [SwitchingSpec::StoreAndForward, wormhole] {
+        let plan = RunPlan::new(&star, &*router, Workload::Open(&pkts), 1_000_000)
+            .switching(switching.clone());
+        let one = engine::run(&plan, 1, &mut NoopObserver).expect("healthy open runs");
+        let three = engine::run(&plan, 3, &mut NoopObserver).expect("healthy open runs");
+        assert_eq!(three, one, "{switching}: 3 lanes ≡ 1 lane");
+        assert_eq!(one.stats.delivered, one.stats.offered, "{switching}");
+        assert_eq!(one.stats.offered, pkts.len(), "{switching}");
+        if !switching.is_wormhole() {
+            assert_eq!(one.stats, reference, "store-and-forward ≡ reference");
+        }
+    }
 }
