@@ -150,71 +150,83 @@ impl PacketSlab {
     }
 }
 
-/// Fixed-stride ring-buffer FIFOs, one per directed link, in a single
-/// contiguous arena indexed by CSR directed-edge id. Values are
-/// [`PacketSlab`] packet ids. See the [module docs](self) for the layout
-/// rationale and the overflow (saturation) behaviour.
+/// Fixed-stride ring-buffer FIFOs, one per directed link (or per
+/// directed link × virtual channel), in a single contiguous arena
+/// indexed by queue id. Values are [`PacketSlab`] packet ids (the
+/// default `u32`) or the wormhole engine's packed `u64` flit records.
+/// See the [module docs](self) for the layout rationale and the
+/// overflow (saturation) behaviour. A wormhole buffer's advertised
+/// capacity is enforced *logically* by the engine's credit check, not
+/// by the ring allocation, so an effectively unbounded buffer costs no
+/// memory beyond the flits actually queued.
 #[derive(Clone, Debug)]
-pub struct LinkQueues {
-    /// `ring[e * RING_STRIDE + slot]` — the ring window of link `e`.
-    ring: Vec<u32>,
-    /// Front cursor of each link's ring, `0..RING_STRIDE`.
+pub struct LinkQueues<T = u32> {
+    /// `ring[e * RING_STRIDE + slot]` — the ring window of queue `e`.
+    ring: Vec<T>,
+    /// Front cursor of each queue's ring, `0..RING_STRIDE`.
     head: Vec<u32>,
-    /// Total occupancy per link (ring **plus** overflow) — also the load
-    /// figure adaptive routers see.
+    /// Total occupancy per queue (ring **plus** overflow) — also the
+    /// load figure adaptive routers see.
     len: Vec<u32>,
-    /// Spill lists for links deeper than the ring, indexed by link id.
+    /// Spill lists for queues deeper than the ring, indexed by queue id.
     /// **Lazily sized**: empty until the first spill anywhere, so light
-    /// and moderate runs never pay for `links` deque headers, while
+    /// and moderate runs never pay for the deque headers, while
     /// saturated runs pay once and then index directly (no hashing on
     /// the congested path).
-    overflow: Vec<VecDeque<u32>>,
+    overflow: Vec<VecDeque<T>>,
 }
 
-impl LinkQueues {
-    /// Empty FIFOs for `links` directed links.
-    pub fn new(links: usize) -> LinkQueues {
+impl<T: Copy + Default> LinkQueues<T> {
+    /// Empty FIFOs for `links` queues.
+    pub fn new(links: usize) -> LinkQueues<T> {
         LinkQueues {
-            ring: vec![0; links * RING_STRIDE],
+            ring: vec![T::default(); links * RING_STRIDE],
             head: vec![0; links],
             len: vec![0; links],
             overflow: Vec::new(),
         }
     }
 
-    /// Number of links.
+    /// Number of queues.
     pub fn links(&self) -> usize {
         self.len.len()
     }
 
-    /// Enqueues packet `id` on link `e`.
+    /// Enqueues `x` on queue `e`.
     #[inline]
-    pub fn push(&mut self, e: usize, id: u32) {
+    pub fn push(&mut self, e: usize, x: T) {
         let l = self.len[e] as usize;
         if l < RING_STRIDE {
             let slot = (self.head[e] as usize + l) & (RING_STRIDE - 1);
-            self.ring[e * RING_STRIDE + slot] = id;
+            self.ring[e * RING_STRIDE + slot] = x;
         } else {
             if self.overflow.is_empty() {
                 // First spill of the run: materialise the header column.
                 self.overflow = vec![VecDeque::new(); self.len.len()];
             }
-            self.overflow[e].push_back(id);
+            self.overflow[e].push_back(x);
         }
         self.len[e] = (l + 1) as u32;
     }
 
-    /// Dequeues the front packet of link `e`, or `None` when it is idle.
+    /// The front value of queue `e` without dequeuing it — what the
+    /// wormhole forward phase inspects before spending a link's cycle.
     #[inline]
-    pub fn pop(&mut self, e: usize) -> Option<u32> {
+    pub fn front(&self, e: usize) -> Option<T> {
+        (self.len[e] != 0).then(|| self.ring[e * RING_STRIDE + self.head[e] as usize])
+    }
+
+    /// Dequeues the front value of queue `e`, or `None` when it is idle.
+    #[inline]
+    pub fn pop(&mut self, e: usize) -> Option<T> {
         let l = self.len[e] as usize;
         if l == 0 {
             return None;
         }
         let head = self.head[e] as usize;
-        let id = self.ring[e * RING_STRIDE + head];
+        let x = self.ring[e * RING_STRIDE + head];
         if l > RING_STRIDE {
-            // The ring was full: the eldest spilled packet is promoted into
+            // The ring was full: the eldest spilled value is promoted into
             // the slot just vacated, which (head + RING_STRIDE ≡ head) is
             // exactly where FIFO order wants it. O(1), no shifting.
             let promoted = self.overflow[e]
@@ -224,122 +236,28 @@ impl LinkQueues {
         }
         self.head[e] = ((head + 1) & (RING_STRIDE - 1)) as u32;
         self.len[e] = (l - 1) as u32;
-        Some(id)
+        Some(x)
     }
 
-    /// Occupancy of link `e`.
+    /// Occupancy of queue `e`.
     #[inline]
     pub fn load(&self, e: usize) -> usize {
         self.len[e] as usize
     }
 
-    /// The per-link occupancy column, indexed by directed-edge id — the
-    /// slice a node-local [`LinkLoad`](crate::router::LinkLoad) view
-    /// windows into.
+    /// The per-queue occupancy column, indexed by queue id — the slice a
+    /// node-local [`LinkLoad`](crate::router::LinkLoad) view windows
+    /// into.
     #[inline]
     pub fn loads(&self) -> &[u32] {
         &self.len
     }
 }
 
-/// Fixed-stride ring-buffer flit FIFOs for the wormhole engine: one
-/// buffer per (directed link × virtual channel), in a single contiguous
-/// arena, holding packed `u64` flit records
-/// (see [`SwitchingSpec::Wormhole`](crate::switching::SwitchingSpec::Wormhole)).
-///
-/// The layout is [`LinkQueues`]' exactly — `RING_STRIDE` slots per buffer
-/// with lazily materialised overflow spill — because the capacity a
-/// wormhole buffer advertises (`buf_flits`) is enforced *logically* by the
-/// engine's credit check, not by the ring allocation: a degenerate
-/// configuration with an effectively unbounded buffer costs no memory
-/// beyond the flits actually queued.
-#[derive(Clone, Debug)]
-pub struct FlitQueues {
-    /// `ring[b * RING_STRIDE + slot]` — the ring window of buffer `b`,
-    /// where `b = edge * vcs + vc`.
-    ring: Vec<u64>,
-    /// Front cursor of each buffer's ring, `0..RING_STRIDE`.
-    head: Vec<u32>,
-    /// Total occupancy per buffer (ring **plus** overflow).
-    len: Vec<u32>,
-    /// Spill lists past the ring, lazily sized like [`LinkQueues`]'.
-    overflow: Vec<VecDeque<u64>>,
-}
-
-impl FlitQueues {
-    /// Empty flit buffers for `links` directed links × `vcs` virtual
-    /// channels. Buffer `b = edge * vcs + vc`.
-    pub fn new(links: usize, vcs: usize) -> FlitQueues {
-        let buffers = links * vcs;
-        FlitQueues {
-            ring: vec![0; buffers * RING_STRIDE],
-            head: vec![0; buffers],
-            len: vec![0; buffers],
-            overflow: Vec::new(),
-        }
-    }
-
-    /// Number of (link × VC) buffers.
-    pub fn buffers(&self) -> usize {
-        self.len.len()
-    }
-
-    /// Enqueues flit record `f` on buffer `b`.
-    #[inline]
-    pub fn push(&mut self, b: usize, f: u64) {
-        let l = self.len[b] as usize;
-        if l < RING_STRIDE {
-            let slot = (self.head[b] as usize + l) & (RING_STRIDE - 1);
-            self.ring[b * RING_STRIDE + slot] = f;
-        } else {
-            if self.overflow.is_empty() {
-                self.overflow = vec![VecDeque::new(); self.len.len()];
-            }
-            self.overflow[b].push_back(f);
-        }
-        self.len[b] = (l + 1) as u32;
-    }
-
-    /// The front flit of buffer `b` without dequeuing it — what the
-    /// wormhole forward phase inspects to decide whether the flit can
-    /// advance before spending the link's cycle on it.
-    #[inline]
-    pub fn front(&self, b: usize) -> Option<u64> {
-        if self.len[b] == 0 {
-            return None;
-        }
-        Some(self.ring[b * RING_STRIDE + self.head[b] as usize])
-    }
-
-    /// Dequeues the front flit of buffer `b`, or `None` when it is idle.
-    #[inline]
-    pub fn pop(&mut self, b: usize) -> Option<u64> {
-        let l = self.len[b] as usize;
-        if l == 0 {
-            return None;
-        }
-        let head = self.head[b] as usize;
-        let f = self.ring[b * RING_STRIDE + head];
-        if l > RING_STRIDE {
-            let promoted = self.overflow[b]
-                .pop_front()
-                .expect("occupancy beyond the stride implies a spill list");
-            self.ring[b * RING_STRIDE + head] = promoted;
-        }
-        self.head[b] = ((head + 1) & (RING_STRIDE - 1)) as u32;
-        self.len[b] = (l - 1) as u32;
-        Some(f)
-    }
-
-    /// Occupancy of buffer `b`.
-    #[inline]
-    pub fn load(&self, b: usize) -> usize {
-        self.len[b] as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::fmt::Debug;
+
     use super::*;
 
     #[test]
@@ -375,50 +293,65 @@ mod tests {
         assert_eq!(slab.next_copy(b), NO_COPY, "recycled ids chain nothing");
     }
 
-    #[test]
-    fn queues_are_fifo_within_the_ring() {
-        let mut q = LinkQueues::new(3);
+    /// The queue tests run against both element types: packet ids
+    /// (`u32`) and packed flit records (`u64`).
+    fn fifo_within_the_ring<T: Copy + Default + PartialEq + Debug + From<u32>>() {
+        let mut q = LinkQueues::<T>::new(3);
         for id in 0..RING_STRIDE as u32 {
-            q.push(1, id);
+            q.push(1, T::from(id));
         }
         assert_eq!(q.load(1), RING_STRIDE);
         assert_eq!(q.load(0), 0);
         for id in 0..RING_STRIDE as u32 {
-            assert_eq!(q.pop(1), Some(id));
+            assert_eq!(q.front(1), Some(T::from(id)), "front peeks, no dequeue");
+            assert_eq!(q.pop(1), Some(T::from(id)));
         }
+        assert_eq!(q.front(1), None);
         assert_eq!(q.pop(1), None);
     }
 
     #[test]
-    fn queues_spill_and_drain_in_order_past_the_stride() {
-        // Push 5× the stride through one link, interleaving pops, and the
-        // FIFO order must survive the ring/overflow boundary crossings.
-        let mut q = LinkQueues::new(2);
+    fn queues_are_fifo_within_the_ring() {
+        fifo_within_the_ring::<u32>();
+        fifo_within_the_ring::<u64>();
+    }
+
+    fn spill_and_drain<T: Copy + Default + PartialEq + Debug + From<u32>>() {
+        // Push 5× the stride through one queue, interleaving pops, and
+        // the FIFO order must survive the ring/overflow boundary
+        // crossings.
+        let mut q = LinkQueues::<T>::new(2);
         let total = 5 * RING_STRIDE as u32;
         let mut next_pop = 0u32;
         for id in 0..total {
-            q.push(0, id);
+            q.push(0, T::from(id));
             if id % 3 == 2 {
-                assert_eq!(q.pop(0), Some(next_pop));
+                assert_eq!(q.pop(0), Some(T::from(next_pop)));
                 next_pop += 1;
             }
         }
-        while let Some(id) = q.pop(0) {
-            assert_eq!(id, next_pop);
+        while let Some(x) = q.pop(0) {
+            assert_eq!(x, T::from(next_pop));
             next_pop += 1;
         }
         assert_eq!(next_pop, total);
         assert_eq!(q.load(0), 0);
-        // The drained link is immediately reusable.
-        q.push(0, 99);
-        assert_eq!(q.pop(0), Some(99));
+        // The drained queue is immediately reusable.
+        q.push(0, T::from(99));
+        assert_eq!(q.pop(0), Some(T::from(99)));
+    }
+
+    #[test]
+    fn queues_spill_and_drain_in_order_past_the_stride() {
+        spill_and_drain::<u32>();
+        spill_and_drain::<u64>();
     }
 
     #[test]
     fn flit_queues_front_pop_and_spill_stay_fifo() {
         // Two links × two VCs; buffer index = edge * vcs + vc.
-        let mut q = FlitQueues::new(2, 2);
-        assert_eq!(q.buffers(), 4);
+        let mut q = LinkQueues::<u64>::new(2 * 2);
+        assert_eq!(q.links(), 4);
         let b = 3; // edge 1, vc 1
         let total = 3 * RING_STRIDE as u64;
         for f in 0..total {
@@ -437,16 +370,21 @@ mod tests {
         assert_eq!(q.pop(b), Some(99));
     }
 
-    #[test]
-    fn loads_column_tracks_total_occupancy() {
-        let mut q = LinkQueues::new(4);
+    fn loads_track_total_occupancy<T: Copy + Default + PartialEq + Debug + From<u32>>() {
+        let mut q = LinkQueues::<T>::new(4);
         for id in 0..(RING_STRIDE as u32 + 3) {
-            q.push(2, id);
+            q.push(2, T::from(id));
         }
         assert_eq!(q.load(2), RING_STRIDE + 3, "overflow counts toward load");
         assert_eq!(q.loads()[2] as usize, q.load(2));
         assert_eq!(q.links(), 4);
         q.pop(2);
         assert_eq!(q.load(2), RING_STRIDE + 2);
+    }
+
+    #[test]
+    fn loads_column_tracks_total_occupancy() {
+        loads_track_total_occupancy::<u32>();
+        loads_track_total_occupancy::<u64>();
     }
 }

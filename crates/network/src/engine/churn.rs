@@ -184,9 +184,9 @@ impl<'g, R: Router + ?Sized> FaultPolicy for Churn<'g, '_, R> {
             self.next_event += 1;
             self.router.apply_event(&ev);
             if ev.failed {
-                let g = core.g;
+                let g = core.shard.g;
                 let mut flush = |a: u32, b: u32, reason| {
-                    if let (true, Some(slot)) = (core.owns(a), g.slot_of(a, b)) {
+                    if let (true, Some(slot)) = (core.shard.owns(a), g.slot_of(a, b)) {
                         let e = g.edge_range(a).start + slot;
                         core.flush_directed_edge(a, e, ev.cycle, reason, silent);
                     }
@@ -210,7 +210,7 @@ impl<'g, R: Router + ?Sized> FaultPolicy for Churn<'g, '_, R> {
             }
             // Every lane's observer fork sees the (global) fault event;
             // the merge hook deduplicates.
-            core.observer.on_fault_event(ev.cycle, ev.failed);
+            core.shard.observer.on_fault_event(ev.cycle, ev.failed);
         }
     }
 }
@@ -380,7 +380,7 @@ impl<F: FaultPolicy> Sessions<F> {
         if self.fault.verdict(s.src, s.dst).is_some() {
             return;
         }
-        if !core.owns(s.src) {
+        if !core.shard.owns(s.src) {
             return;
         }
         let id = core.slab.alloc(s.dst, cycle);
@@ -444,8 +444,8 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
                         s.dst = dst;
                     }
                     self.offered += 1;
-                    if core.owns(src) {
-                        core.observer.on_inject(cycle, src, dst);
+                    if core.shard.owns(src) {
+                        core.shard.observer.on_inject(cycle, src, dst);
                     }
                     self.try_inject_request(session, cycle, core);
                     let deadline = cycle.saturating_add(self.window(0));
@@ -460,10 +460,10 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
                         // Budget exhausted: the transaction is a typed
                         // drop, and the session thinks before retrying
                         // with a fresh transaction.
-                        if core.owns(src) {
-                            core.acc.drop_packet(DropReason::RetriesExhausted);
-                            core.observer
-                                .on_drop(cycle, src, dst, DropReason::RetriesExhausted);
+                        if core.shard.owns(src) {
+                            let reason = DropReason::RetriesExhausted;
+                            core.shard.acc.drop_packet(reason);
+                            core.shard.observer.on_drop(cycle, src, dst, reason);
                         }
                         let think = exp_draw(&mut self.rng, self.think);
                         let start = cycle.saturating_add(1).saturating_add(think);
@@ -519,7 +519,7 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
             // Mid-route: owner-only, no session transition. A packet
             // whose destination died or was partitioned away vanishes
             // silently (the pop already discounted it).
-            if !core.owns(msg.node) {
+            if !core.shard.owns(msg.node) {
                 return;
             }
             if self.fault.en_route(msg.node, msg.dst).is_none() {
@@ -539,7 +539,7 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
             // the client is still there to receive it.
             if msg.node != s.src
                 && self.fault.en_route(msg.node, s.src).is_none()
-                && core.owns(msg.node)
+                && core.shard.owns(msg.node)
             {
                 let rid = core.slab.alloc(s.src, now);
                 set_meta(&mut self.meta, rid, Meta { reply: true, ..m });
@@ -548,8 +548,8 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
         } else {
             // Reply reached the client: the transaction completes, with
             // latency measured from the transaction's first request.
-            if core.owns(msg.node) {
-                core.deliver(now, msg.node, now - s.t0);
+            if core.shard.owns(msg.node) {
+                core.shard.deliver(now, msg.node, now - s.t0);
             }
             let start = now.saturating_add(exp_draw(&mut self.rng, self.think));
             self.schedule(m.session, start, Action::Start);

@@ -1,9 +1,10 @@
-//! The store-and-forward lane: the per-lane arena state ([`Core`]) and
-//! the [`ReplicationPolicy`] workloads (unicast, collective) that
+//! The store-and-forward lane: the per-lane arena state ([`Core`]: the
+//! packet FIFOs on the lane chassis [`Shard`]) and the
+//! [`ReplicationPolicy`] workloads (unicast, collective) that
 //! specialize the unified stepper ([`super::stepper`]) into every
-//! packet-switched run. [`run_saf`] drives one [`SafLane`] under the
-//! [`Solo`] protocol, or one per node shard under the pooled protocol —
-//! the **same** stage methods either way.
+//! packet-switched run. [`run_saf`] hands one [`SafLane`] per node
+//! shard to the lane driver ([`run_lanes`]) — the **same** stage
+//! methods at any lane count.
 
 use fibcube_graph::csr::CsrGraph;
 
@@ -15,10 +16,10 @@ use crate::router::{LinkLoad, NextHopTable, Router};
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::parallel::{fork_lanes, merge_lanes, run_pool};
+use super::parallel::{run_lanes, LaneBuilder};
 use super::policy::{FaultPolicy, ReplicationPolicy};
 use super::stats::{DropReason, SimStats, StatsAcc};
-use super::stepper::{lane_bounds, run_lane, LaneWorkload, Solo};
+use super::stepper::{LaneWorkload, Scan, Shard};
 
 /// Occupancy view of one node's output links, handed to adaptive routers:
 /// a window into the [`LinkQueues`] occupancy column.
@@ -149,92 +150,21 @@ pub(crate) struct SafMsg {
     pub(crate) tag: u32,
 }
 
-/// One lane's mutable arena state: the packet slab, this lane's window
-/// of the link-FIFO arena, the per-node occupancy counters and
-/// occupied-slot bitmasks, the active worklist, the statistics
-/// accumulator, and the lane's observer (the caller's `&mut O` in a
-/// serial run, a fork in a sharded one). A serial engine is exactly one
-/// `Core` spanning `[0, n)`; a sharded engine is `k` of them over
-/// contiguous node shards.
-pub(crate) struct Core<'g, O: SimObserver> {
-    pub(crate) g: &'g CsrGraph,
-    /// This lane owns nodes `[lo, hi)` and their output edges
-    /// `[edge_lo, ..)` — all node/edge-indexed columns below are local
-    /// to that window.
-    pub(crate) lo: u32,
-    pub(crate) hi: u32,
-    pub(crate) edge_lo: usize,
+/// One store-and-forward lane's arena state: the lane chassis plus the
+/// packet slab and this lane's window of the link-FIFO arena. A one-lane
+/// run is exactly one `Core` spanning `[0, n)`; a sharded run is `k` of
+/// them over contiguous node shards.
+pub(crate) struct Core<'a, O> {
+    pub(crate) shard: Shard<'a, O>,
     pub(crate) slab: PacketSlab,
+    /// One FIFO per owned directed edge, indexed `e − edge_lo`.
     pub(crate) queues: LinkQueues,
-    /// Queued packets per owned node (drives the active worklist).
-    pub(crate) occupancy: Vec<u32>,
-    /// Per-node bitmask of output slots holding packets, so the forward
-    /// phase pops exactly the occupied queues (a `trailing_zeros` word
-    /// walk) instead of probing every out-edge of every active node.
-    /// Empty (disabled — the forward phase falls back to the plain edge
-    /// scan) in the off-design case of degrees above 64.
-    pub(crate) slot_mask: Vec<u64>,
-    pub(crate) on_list: Vec<bool>,
-    pub(crate) active: Vec<u32>,
-    pub(crate) next_active: Vec<u32>,
-    pub(crate) observer: O,
-    pub(crate) acc: StatsAcc,
-    /// Packets currently queued on this lane — the lane's share of the
-    /// global in-flight count the stepper's drain check sums.
-    pub(crate) queued: u64,
-    /// Latencies delivered this cycle, batch-accounted at `end_cycle`
-    /// through [`StatsAcc::deliver_batch`].
-    pub(crate) lat_scratch: Vec<u64>,
 }
 
-impl<'g, O: SimObserver> Core<'g, O> {
-    pub(crate) fn new(g: &'g CsrGraph, n: usize, lo: u32, hi: u32, observer: O) -> Core<'g, O> {
-        let local = (hi - lo) as usize;
-        let (edge_lo, edge_hi) = if hi > lo {
-            (g.edge_range(lo).start, g.edge_range(hi - 1).end)
-        } else {
-            (0, 0)
-        };
-        let masked_scan = g.max_degree() <= 64;
-        Core {
-            g,
-            lo,
-            hi,
-            edge_lo,
-            slab: PacketSlab::new(),
-            queues: LinkQueues::new(edge_hi - edge_lo),
-            occupancy: vec![0u32; local],
-            slot_mask: vec![0; if masked_scan { local } else { 0 }],
-            on_list: vec![false; local],
-            active: Vec::new(),
-            next_active: Vec::new(),
-            observer,
-            acc: StatsAcc::for_network(n),
-            queued: 0,
-            lat_scratch: Vec::new(),
-        }
-    }
-
-    /// Does this lane own node `v`?
-    #[inline]
-    pub(crate) fn owns(&self, v: u32) -> bool {
-        self.lo <= v && v < self.hi
-    }
-
-    /// Adds owned node `u` to the current cycle's worklist if absent.
-    #[inline]
-    pub(crate) fn worklist_add(&mut self, u: u32) {
-        let li = (u - self.lo) as usize;
-        if !self.on_list[li] {
-            self.on_list[li] = true;
-            self.active.push(u);
-        }
-    }
-
-    /// Routes packet `id` at owned node `node`, enqueues it on the
-    /// chosen output link, and fixes the occupancy/bitmask/worklist
-    /// bookkeeping — the one mutation path shared by the injection and
-    /// arrival-commit stages.
+impl<O: SimObserver> Core<'_, O> {
+    /// Routes packet `id` at owned node `node` and enqueues it on the
+    /// chosen output link — the one mutation path shared by the
+    /// injection and arrival-commit stages.
     #[inline]
     pub(crate) fn route_and_enqueue<R: Router + ?Sized>(
         &mut self,
@@ -243,63 +173,23 @@ impl<'g, O: SimObserver> Core<'g, O> {
         id: u32,
         dst: u32,
     ) {
-        let base = self.g.edge_range(node).start;
-        let e = route_edge(
-            self.g,
-            routing,
-            self.queues.loads(),
-            self.edge_lo,
-            node,
-            dst,
-        );
-        self.enqueue(node, base, e, id);
+        let (g, edge_lo) = (self.shard.g, self.shard.edge_lo);
+        let e = route_edge(g, routing, self.queues.loads(), edge_lo, node, dst);
+        self.enqueue(e, id);
     }
 
-    /// Enqueues packet `id` directly on the directed edge `e` out of
-    /// owned node `node` — the collective path, where the next-copy
-    /// table already names the edge and no routing policy is consulted.
+    /// Enqueues packet `id` on owned directed edge `e`, fixing the
+    /// chassis bookkeeping. The collective path calls it directly: its
+    /// copy plan already names the edge.
     #[inline]
-    pub(crate) fn enqueue_on_edge(&mut self, node: u32, e: usize, id: u32) {
-        let base = self.g.edge_range(node).start;
-        self.enqueue(node, base, e, id);
-    }
-
-    #[inline]
-    fn enqueue(&mut self, node: u32, base: usize, e: usize, id: u32) {
-        self.queues.push(e - self.edge_lo, id);
-        let li = (node - self.lo) as usize;
-        if let Some(mask) = self.slot_mask.get_mut(li) {
-            *mask |= 1u64 << (e - base);
-        }
-        self.occupancy[li] += 1;
-        self.queued += 1;
-        self.worklist_add(node);
-    }
-
-    /// Records one delivery at owned node `node`: the observer event
-    /// now, the latency batched for `end_cycle`'s
-    /// [`StatsAcc::deliver_batch`].
-    #[inline]
-    pub(crate) fn deliver(&mut self, now: u64, node: u32, latency: u64) {
-        self.observer.on_deliver(now, node, latency);
-        self.lat_scratch.push(latency);
-    }
-
-    /// Batch-accounts the cycle's delivered latencies.
-    #[inline]
-    pub(crate) fn flush_latencies(&mut self, now: u64) {
-        if !self.lat_scratch.is_empty() {
-            let lats = std::mem::take(&mut self.lat_scratch);
-            self.acc.deliver_batch(now, &lats);
-            self.lat_scratch = lats;
-            self.lat_scratch.clear();
-        }
+    pub(crate) fn enqueue(&mut self, e: usize, id: u32) {
+        self.queues.push(e - self.shard.edge_lo, id);
+        self.shard.push(e);
     }
 
     /// Drains the FIFO of directed edge `e` out of owned node `node` as
-    /// typed drops (or silent losses for the closed loop), fixing the
-    /// occupancy and slot-mask bookkeeping — the churn engine's
-    /// event-commit stage.
+    /// typed drops (or silent losses for the closed loop) — the churn
+    /// engine's event-commit stage.
     pub(crate) fn flush_directed_edge(
         &mut self,
         node: u32,
@@ -308,31 +198,24 @@ impl<'g, O: SimObserver> Core<'g, O> {
         reason: DropReason,
         silent: bool,
     ) {
-        let li = (node - self.lo) as usize;
-        while let Some(id) = self.queues.pop(e - self.edge_lo) {
-            self.occupancy[li] -= 1;
-            self.queued -= 1;
+        let le = e - self.shard.edge_lo;
+        while let Some(id) = self.queues.pop(le) {
+            self.shard.pop(e, self.queues.load(le) == 0);
             let dst = self.slab.dst(id);
             if !silent {
-                self.acc.drop_packet(reason);
-                self.observer.on_drop(cycle, node, dst, reason);
+                self.shard.acc.drop_packet(reason);
+                self.shard.observer.on_drop(cycle, node, dst, reason);
             }
             self.slab.release(id);
-        }
-        let base = self.g.edge_range(node).start;
-        if let Some(mask) = self.slot_mask.get_mut(li) {
-            *mask &= !(1u64 << (e - base));
         }
     }
 }
 
 /// One store-and-forward lane: the arena state plus the workload's
-/// policy hooks, wired into the unified stepper. Serial runs use one
-/// lane over `[0, n)` under [`Solo`]; sharded runs use `k` of them
-/// under the pooled protocol — the same monomorphized stage code
-/// either way.
-pub(crate) struct SafLane<'g, O: SimObserver, W> {
-    pub(crate) core: Core<'g, O>,
+/// policy hooks, wired into the unified stepper — the same
+/// monomorphized stage code at any lane count.
+pub(crate) struct SafLane<'a, O, W> {
+    pub(crate) core: Core<'a, O>,
     pub(crate) workload: W,
 }
 
@@ -341,7 +224,8 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
 
     #[inline]
     fn queued(&self) -> u64 {
-        self.core.queued
+        // The lane's share of the global in-flight count.
+        self.core.shard.queued
     }
 
     #[inline]
@@ -354,54 +238,33 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
         self.workload.inject(cycle, &mut self.core);
     }
 
-    /// The forward scan: each directed link of an active owned node
-    /// moves one packet, ascending node and edge order — so the
-    /// concatenation of lane outboxes in lane order is exactly the
-    /// serial engine's pop order. On masked-scan networks the occupied
-    /// slots are visited by a `u64` `trailing_zeros` word walk.
+    /// The forward scan: each loaded owned link moves one packet, in
+    /// ascending node and edge order — so the lane outboxes in lane
+    /// order are exactly the serial pop order. Each
+    /// packet leaves as an outbox message (`depart` fills the workload's
+    /// fields) and its slab slot is freed; the committing lane
+    /// re-allocates it, the cumulative hop count riding in the message.
     fn propose(&mut self, cycle: u64, out: &mut Vec<SafMsg>) {
         let core = &mut self.core;
-        let w = &mut self.workload;
-        core.active.sort_unstable();
-        let masked = !core.slot_mask.is_empty();
-        for i in 0..core.active.len() {
-            let u = core.active[i];
-            let li = (u - core.lo) as usize;
-            core.on_list[li] = false;
-            let base = core.g.edge_range(u).start;
-            if masked {
-                // Visit only the occupied slots, lowest slot first —
-                // the same order the plain scan forwards in.
-                let mut mask = core.slot_mask[li];
-                let mut remaining = mask;
-                while remaining != 0 {
-                    let slot = remaining.trailing_zeros() as usize;
-                    remaining &= remaining - 1;
-                    let e = base + slot;
-                    let id = core
-                        .queues
-                        .pop(e - core.edge_lo)
-                        .expect("mask bit implies a queued packet");
-                    if core.queues.load(e - core.edge_lo) == 0 {
-                        mask &= !(1u64 << slot);
-                    }
-                    pop_step(core, w, cycle, u, li, e, id, out);
-                }
-                core.slot_mask[li] = mask;
-            } else {
-                for e in core.g.edge_range(u) {
-                    if let Some(id) = core.queues.pop(e - core.edge_lo) {
-                        pop_step(core, w, cycle, u, li, e, id, out);
-                    }
-                }
-            }
-            if core.occupancy[li] > 0 {
-                core.on_list[li] = true;
-                core.next_active.push(u);
-            }
+        let mut scan = Scan::default();
+        while let Some((u, e)) = core.shard.next_loaded(&mut scan) {
+            let le = e - core.shard.edge_lo;
+            let id = core.queues.pop(le).expect("loaded edge has a packet");
+            core.shard.pop(e, core.queues.load(le) == 0);
+            let v = core.shard.g.target(e);
+            core.shard.observer.on_hop(cycle, u, v, e);
+            core.shard.acc.total_hops += 1;
+            let mut msg = SafMsg {
+                node: v,
+                dst: core.slab.dst(id),
+                inject: core.slab.inject(id),
+                hops: core.slab.hops(id) + 1,
+                tag: 0,
+            };
+            self.workload.depart(u, id, &core.slab, &mut msg);
+            core.slab.release(id);
+            out.push(msg);
         }
-        core.active.clear();
-        std::mem::swap(&mut core.active, &mut core.next_active);
     }
 
     #[inline]
@@ -411,101 +274,82 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
 
     fn end_cycle(&mut self, now: u64) {
         self.workload.end_cycle(now, &mut self.core);
-        self.core.flush_latencies(now);
+        self.core.shard.flush_latencies(now);
     }
 
     #[inline]
     fn observe(&mut self, cycle: u64, in_flight: u64) {
-        self.core.observer.on_cycle_end(cycle, in_flight as usize);
+        let observer = &mut self.core.shard.observer;
+        observer.on_cycle_end(cycle, in_flight as usize);
     }
 }
 
-/// One popped packet: the hop event, the outbox message (with the
-/// workload's `depart` hook filling workload-specific fields), and the
-/// pop-side bookkeeping. The packet's slab slot is released here — the
-/// committing lane re-allocates on arrival, with the cumulative hop
-/// count riding in the message.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn pop_step<O: SimObserver, W: ReplicationPolicy<O>>(
-    core: &mut Core<'_, O>,
-    w: &mut W,
-    cycle: u64,
-    u: u32,
-    li: usize,
-    e: usize,
-    id: u32,
-    out: &mut Vec<SafMsg>,
-) {
-    let v = core.g.target(e);
-    core.observer.on_hop(cycle, u, v, e);
-    let mut msg = SafMsg {
-        node: v,
-        dst: core.slab.dst(id),
-        inject: core.slab.inject(id),
-        hops: core.slab.hops(id) + 1,
-        tag: 0,
-    };
-    w.depart(u, id, &core.slab, &mut msg);
-    core.slab.release(id);
-    core.occupancy[li] -= 1;
-    core.queued -= 1;
-    core.acc.total_hops += 1;
-    out.push(msg);
+/// The store-and-forward lanes of one run, built by `make(lo, hi)` per
+/// node shard; retired lanes leave their workloads in `done`, in lane
+/// order.
+struct SafLanes<'g, W, F> {
+    g: &'g CsrGraph,
+    make: F,
+    done: Vec<W>,
 }
 
-/// Runs a store-and-forward workload through the unified stepper on
-/// `lanes` lanes (already clamped to `[1, n]`), building each lane's
-/// workload with `make(lo, hi)` for its node shard. One lane runs under
-/// [`Solo`] on the caller's thread with the caller's observer — no fork,
-/// no thread. More lanes run the pooled protocol, each on an observer
-/// fork, merged back in ascending lane order. Returns the finished
-/// stats and the lane workloads in lane order (which may carry run
-/// outputs, e.g. the collective's reached-target tally).
+impl<'g, O, W, F> LaneBuilder<O> for SafLanes<'g, W, F>
+where
+    O: SimObserver + Send,
+    W: ReplicationPolicy<O> + Send,
+    F: FnMut(u32, u32) -> W,
+{
+    type Lane<'o>
+        = SafLane<'o, O, W>
+    where
+        Self: 'o,
+        O: 'o;
+
+    fn build<'o>(&mut self, lo: u32, hi: u32, observer: &'o mut O) -> SafLane<'o, O, W>
+    where
+        Self: 'o,
+    {
+        // The workload first: its set-up scratch (the injection sort's
+        // buffer) is freed before the arena allocates, keeping peak RSS
+        // down.
+        let workload = (self.make)(lo, hi);
+        let shard = Shard::new(self.g, lo, hi, observer);
+        let core = Core {
+            queues: LinkQueues::new(shard.edge_hi - shard.edge_lo),
+            shard,
+            slab: PacketSlab::new(),
+        };
+        SafLane { core, workload }
+    }
+
+    fn retire(&mut self, lane: SafLane<'_, O, W>) -> StatsAcc {
+        self.done.push(lane.workload);
+        lane.core.shard.acc
+    }
+}
+
+/// Runs a store-and-forward workload through the lane driver
+/// ([`run_lanes`]), building each lane's workload with `make(lo, hi)`
+/// for its node shard. Returns the finished stats and the lane workloads
+/// in lane order (carrying outputs such as the collective's tally).
 pub(crate) fn run_saf<T, O, W, F>(
     topology: &T,
     offered: usize,
     max_cycles: u64,
     lanes: usize,
     observer: &mut O,
-    mut make: F,
+    make: F,
 ) -> Result<(SimStats, Vec<W>), ExperimentError>
 where
     T: Topology + ?Sized,
     O: SimObserver + Send,
-    W: ReplicationPolicy<O> + for<'o> ReplicationPolicy<&'o mut O> + Send,
+    W: ReplicationPolicy<O> + Send,
     F: FnMut(u32, u32) -> W,
 {
-    let n = topology.len();
-    let g = topology.graph();
-    if lanes <= 1 {
-        // The workload first: its set-up scratch (the injection sort's
-        // buffer) is freed before the arena allocates, keeping peak RSS
-        // down.
-        let workload = make(0, n as u32);
-        let mut lane = SafLane {
-            core: Core::new(g, n, 0, n as u32, observer),
-            workload,
-        };
-        run_lane(&mut lane, &Solo::default(), 0, max_cycles);
-        return Ok((lane.core.acc.finish(offered), vec![lane.workload]));
-    }
-    let forks = fork_lanes(observer, lanes)?;
-    let pool: Vec<SafLane<'_, O, W>> = lane_bounds(n, lanes)
-        .into_iter()
-        .zip(forks)
-        .map(|((lo, hi), fork)| SafLane {
-            core: Core::new(g, n, lo, hi, fork),
-            workload: make(lo, hi),
-        })
-        .collect();
-    let mut workloads = Vec::with_capacity(lanes);
-    let finished = run_pool(pool, max_cycles).into_iter().map(|lane| {
-        workloads.push(lane.workload);
-        (lane.core.observer, lane.core.acc)
-    });
-    let acc = merge_lanes(observer, finished);
-    Ok((acc.finish(offered), workloads))
+    let (g, done) = (topology.graph(), Vec::new());
+    let mut saf = SafLanes { g, make, done };
+    let acc = run_lanes(topology.len(), lanes, max_cycles, observer, &mut saf)?;
+    Ok((acc.finish(offered), saf.done))
 }
 
 /// The open-loop unicast workload over the fault state `F`: time-sorted
@@ -557,16 +401,16 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Unicast<'_, F> {
         while self.next_inject < self.inj.len() && self.inj[self.next_inject].inject_time <= cycle {
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
-            core.observer.on_inject(cycle, p.src, p.dst);
+            core.shard.observer.on_inject(cycle, p.src, p.dst);
             if let Some(reason) = self.fault.verdict(p.src, p.dst) {
-                core.acc.drop_packet(reason);
-                core.observer.on_drop(cycle, p.src, p.dst, reason);
+                core.shard.acc.drop_packet(reason);
+                core.shard.observer.on_drop(cycle, p.src, p.dst, reason);
                 continue;
             }
             if p.src == p.dst {
                 // Degenerate: counts as instantly delivered.
-                core.acc.deliver_instant();
-                core.observer.on_deliver(cycle, p.dst, 0);
+                core.shard.acc.deliver_instant();
+                core.shard.observer.on_deliver(cycle, p.dst, 0);
                 continue;
             }
             let id = core.slab.alloc(p.dst, p.inject_time);
@@ -575,7 +419,7 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Unicast<'_, F> {
     }
 
     fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
-        if !core.owns(msg.node) {
+        if !core.shard.owns(msg.node) {
             return;
         }
         if msg.node == msg.dst {
@@ -583,10 +427,10 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Unicast<'_, F> {
                 msg.hops as u64 <= now - msg.inject,
                 "hops can never exceed latency"
             );
-            core.deliver(now, msg.node, now - msg.inject);
+            core.shard.deliver(now, msg.node, now - msg.inject);
         } else if let Some(reason) = self.fault.en_route(msg.node, msg.dst) {
-            core.acc.drop_packet(reason);
-            core.observer.on_drop(now, msg.node, msg.dst, reason);
+            core.shard.acc.drop_packet(reason);
+            core.shard.observer.on_drop(now, msg.node, msg.dst, reason);
         } else {
             let id = core.slab.alloc(msg.dst, msg.inject);
             core.slab.set_hops(id, msg.hops);
@@ -626,8 +470,8 @@ fn spawn_copy<O: SimObserver>(
     if plan.one_port() && idx + 1 < plan.children_range(u).end {
         core.slab.set_next_copy(id, (idx + 1) as u32);
     }
-    core.observer.on_inject(cycle, u, child);
-    core.enqueue_on_edge(u, plan.edge(idx), id);
+    core.shard.observer.on_inject(cycle, u, child);
+    core.enqueue(plan.edge(idx), id);
 }
 
 /// The collective workload: packets are **replicated at intermediate
@@ -675,20 +519,24 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
         }
         self.started = true;
         let src = self.plan.source();
-        if !core.owns(src) {
+        if !core.shard.owns(src) {
             return;
         }
         // Cycle-0 prelude at the source's lane: type the recipients the
         // plan cannot cover, then let the source start its children.
         for &t in self.plan.dropped_dead() {
-            core.observer.on_inject(0, src, t);
-            core.acc.dropped_dead_endpoint += 1;
-            core.observer.on_drop(0, src, t, DropReason::DeadEndpoint);
+            core.shard.observer.on_inject(0, src, t);
+            core.shard.acc.dropped_dead_endpoint += 1;
+            core.shard
+                .observer
+                .on_drop(0, src, t, DropReason::DeadEndpoint);
         }
         for &t in self.plan.dropped_unreachable() {
-            core.observer.on_inject(0, src, t);
-            core.acc.dropped_unreachable += 1;
-            core.observer.on_drop(0, src, t, DropReason::Unreachable);
+            core.shard.observer.on_inject(0, src, t);
+            core.shard.acc.dropped_unreachable += 1;
+            core.shard
+                .observer
+                .on_drop(0, src, t, DropReason::Unreachable);
         }
         for idx in first_children(self.plan, src) {
             spawn_copy(self.plan, core, 0, src, idx);
@@ -707,11 +555,11 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
     /// Every copy ends exactly at its tree child — deliver it, then
     /// replicate there.
     fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
-        if !core.owns(msg.node) {
+        if !core.shard.owns(msg.node) {
             return;
         }
         debug_assert_eq!(msg.node, msg.dst, "copies travel exactly one tree edge");
-        core.deliver(now, msg.node, now - msg.inject);
+        core.shard.deliver(now, msg.node, now - msg.inject);
         if self.plan.is_target(msg.node) {
             self.reached_targets += 1;
         }

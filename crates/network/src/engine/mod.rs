@@ -17,8 +17,8 @@
 //! network, a static fault mask, or a churn timeline), a [`Workload`]
 //! (open packets, closed request/reply sessions, or a collective
 //! [`CopyPlan`]) and a cycle cap. [`run`] checks the plan against the
-//! support table (see [`RunPlan`]), clamps the lane count to `[1, n]`,
-//! and makes the one match over admission × workload:
+//! support table (see [`RunPlan`]) and makes the one match over
+//! admission × workload:
 //!
 //! - the admission picks the fault state: `Healthy` (the run's routing
 //!   plan), `Static` (the shared fault mask) or `Churn` (a lane-owned
@@ -45,9 +45,9 @@
 //! id, and every directed link owns a fixed-stride ring-buffer FIFO in
 //! one contiguous [`LinkQueues`](crate::arena::LinkQueues) arena indexed
 //! by the graph's directed-edge index, spilling to an overflow list only
-//! when a link saturates. Each cycle touches only the worklist of nodes
-//! that actually hold packets, and empty stretches between injections
-//! are skipped entirely.
+//! when a link saturates. Each cycle visits only the links that actually
+//! hold packets (a two-level occupancy bitset per lane), and empty
+//! stretches between injections are skipped entirely.
 //!
 //! Routing takes one of two monomorphized paths: when the workload
 //! amortises the build, deterministic policies are tabulated once into a
@@ -66,13 +66,15 @@
 //! Every run executes the *same* cycle stepper (`engine/stepper.rs`): a
 //! `LaneWorkload` advances through fixed stages (begin → propose →
 //! commit → end-cycle → observe → advance) under a pluggable lane
-//! `Protocol`. One lane runs under the no-sync `Solo` protocol on the
-//! caller's thread with the caller's observer — no fork, no thread
-//! spawn. More lanes run under the barrier-synchronized `Pooled`
-//! protocol (`engine/parallel.rs`), each on a [`SimObserver::fork`] —
-//! **bit-identical to the one-lane run at any lane count**, for every
-//! supported cell. The parallel module's docs lay out the outbox
-//! protocol and the determinism argument.
+//! `Protocol`, on one lane chassis (`Shard`) and through one lane
+//! driver (`run_lanes`, `engine/parallel.rs`) for both switching
+//! models. One lane runs under the no-sync `Solo` protocol on the
+//! caller's thread, borrowing the caller's observer. More lanes (at
+//! most 64) run under the barrier-synchronized `Pooled` protocol, each
+//! borrowing its own [`SimObserver::fork`] — **bit-identical to the
+//! one-lane run at any lane count**, for every supported cell. The
+//! parallel module's docs lay out the protocol and the determinism
+//! argument.
 
 mod churn;
 mod core;
@@ -323,8 +325,10 @@ pub struct RunOutcome {
     pub reached: Option<usize>,
 }
 
-/// Runs `plan` on `lanes` lanes (clamped to `[1, n]`), reporting every
-/// event to `observer` (see [`SimObserver`] for the event contract).
+/// Runs `plan` on `lanes` lanes, clamped to `[1, min(n, 64)]` — the
+/// results are bit-identical at any lane count, so the cap only bounds
+/// threads and per-lane memory — reporting every event to `observer`
+/// (see [`SimObserver`] for the event contract).
 ///
 /// One lane runs on the caller's thread with the caller's observer.
 /// More lanes shard the nodes across a scoped thread pool: each lane
@@ -355,7 +359,6 @@ where
     O: SimObserver + Send,
 {
     plan.check()?;
-    let lanes = lanes.clamp(1, plan.topology.len().max(1));
     let (topology, router, max_cycles) = (plan.topology, plan.router, plan.max_cycles);
     let packets = match plan.workload {
         Workload::Open(packets) => packets.len(),
@@ -409,16 +412,7 @@ where
 {
     match plan.workload {
         Workload::Open(packets) if plan.switching.is_wormhole() => {
-            let (topology, spec, max_cycles) = (plan.topology, &plan.switching, plan.max_cycles);
-            run_wormhole(
-                topology,
-                spec,
-                packets,
-                &fault(),
-                max_cycles,
-                lanes,
-                observer,
-            )
+            run_wormhole(plan, packets, &fault(), lanes, observer)
         }
         _ => store_and_forward(plan, fault, lanes, observer),
     }

@@ -1,5 +1,7 @@
-//! The pooled driver of the unified stepper: `k` lanes on a scoped
-//! thread pool, exchanging outbox messages under a barrier protocol.
+//! The lane driver of the unified stepper ([`run_lanes`], shared by
+//! both switching models) and its pooled protocol: `k` lanes on a
+//! scoped thread pool, exchanging outbox messages under a barrier
+//! protocol.
 //!
 //! This module contains **no cycle logic**: the per-cycle stages live on
 //! the workloads ([`LaneWorkload`]), and the one stepper driving them,
@@ -30,7 +32,7 @@ use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
 
 use super::stats::StatsAcc;
-use super::stepper::{run_lane, LaneWorkload, Protocol};
+use super::stepper::{lane_bounds, run_lane, LaneWorkload, Protocol, Solo};
 
 /// Sentinel for "no pending traffic" in the published atomic.
 const NO_PENDING: u64 = u64::MAX;
@@ -84,11 +86,10 @@ impl<M> Protocol<M> for Pooled<'_, M> {
 }
 
 /// Runs the given lanes to completion on a scoped thread pool (one OS
-/// thread per lane) and hands them back for the caller's ordered merge.
-pub(crate) fn run_pool<W>(mut lanes: Vec<W>, max_cycles: u64) -> Vec<W>
+/// thread per lane) and hands them back for the ordered merge.
+fn run_pool<W>(mut lanes: Vec<W>, max_cycles: u64) -> Vec<W>
 where
-    W: LaneWorkload + Send,
-    W::Msg: Send + Sync,
+    W: LaneWorkload<Msg: Send + Sync> + Send,
 {
     let k = lanes.len();
     let outboxes: Vec<RwLock<Vec<W::Msg>>> = (0..k).map(|_| RwLock::new(Vec::new())).collect();
@@ -112,41 +113,68 @@ where
     lanes
 }
 
-/// One [`SimObserver::fork`] per lane, or the typed
-/// [`ExperimentError::UnforkableObserver`] for an observer that opted
-/// out of sharding — checked before any lane is built.
-pub(crate) fn fork_lanes<O: SimObserver>(
-    observer: &O,
-    lanes: usize,
-) -> Result<Vec<O>, ExperimentError> {
-    (0..lanes)
-        .map(|_| {
-            observer
-                .fork()
-                .ok_or_else(|| ExperimentError::UnforkableObserver {
-                    observer: std::any::type_name::<O>().to_string(),
-                    threads: lanes,
-                })
-        })
-        .collect()
+/// One switching model's lanes, as [`run_lanes`] drives them: builds
+/// the lane of a node shard around a borrowed observer, and retires a
+/// finished lane into its statistics (keeping any other run output).
+pub(crate) trait LaneBuilder<O> {
+    /// A lane reporting to an observer borrowed for `'o`.
+    type Lane<'o>: LaneWorkload<Msg: Send + Sync> + Send
+    where
+        Self: 'o,
+        O: 'o;
+
+    /// The lane owning nodes `[lo, hi)`.
+    fn build<'o>(&mut self, lo: u32, hi: u32, observer: &'o mut O) -> Self::Lane<'o>
+    where
+        Self: 'o;
+
+    /// Retires a finished lane, returning its statistics.
+    fn retire(&mut self, lane: Self::Lane<'_>) -> StatsAcc;
 }
 
-/// Merges finished lanes back in ascending lane order: each observer
-/// fork into `observer`, each accumulator into the first — the merged
+/// The one lane driver behind both switching models, over the shards
+/// of [`lane_bounds`]. One lane runs under [`Solo`] on the caller's
+/// thread, borrowing `observer` — no fork, no thread. More lanes run on
+/// the pool, each borrowing its own [`SimObserver::fork`] (an observer
+/// that opts out is the typed [`ExperimentError::UnforkableObserver`]);
+/// forks and statistics merge back in ascending lane order, so the
 /// result equals the one-lane run's.
-pub(crate) fn merge_lanes<O: SimObserver>(
+pub(crate) fn run_lanes<O, B>(
+    n: usize,
+    lanes: usize,
+    max_cycles: u64,
     observer: &mut O,
-    lanes: impl IntoIterator<Item = (O, StatsAcc)>,
-) -> StatsAcc {
-    lanes
+    builder: &mut B,
+) -> Result<StatsAcc, ExperimentError>
+where
+    O: SimObserver + Send,
+    B: LaneBuilder<O>,
+{
+    let bounds = lane_bounds(n, lanes);
+    if let [(lo, hi)] = bounds[..] {
+        let mut lane = builder.build(lo, hi, observer);
+        run_lane(&mut lane, &Solo::default(), 0, max_cycles);
+        return Ok(builder.retire(lane));
+    }
+    let mut forks = (0..bounds.len())
+        .map(|_| O::fork(observer))
+        .collect::<Option<Vec<O>>>()
+        .ok_or_else(|| ExperimentError::UnforkableObserver {
+            observer: std::any::type_name::<O>().to_string(),
+            threads: bounds.len(),
+        })?;
+    let pool: Vec<_> = bounds
+        .iter()
+        .zip(&mut forks)
+        .map(|(&(lo, hi), fork)| builder.build(lo, hi, fork))
+        .collect();
+    let mut accs = run_pool(pool, max_cycles)
         .into_iter()
-        .map(|(fork, acc)| {
-            observer.merge(fork);
-            acc
-        })
-        .reduce(|mut acc, lane| {
-            acc.merge(lane);
-            acc
-        })
-        .expect("a pooled run has at least two lanes")
+        .map(|lane| builder.retire(lane));
+    let mut acc = accs.next().expect("a pooled run has at least two lanes");
+    accs.for_each(|lane| acc.merge(lane));
+    for fork in forks {
+        observer.merge(fork);
+    }
+    Ok(acc)
 }

@@ -146,14 +146,14 @@ pub(crate) fn masked_verdict<R: Router + ?Sized>(
 ///   (replicated deterministic state); event *effects* (queue flushes,
 ///   drop accounting) must be gated on node ownership.
 /// - `inject` may create packets only at nodes the lane owns
-///   (`Core::owns`); admission verdicts must be identical on every
+///   (`Shard::owns`); admission verdicts must be identical on every
 ///   lane that evaluates them (same fault epoch — see [`FaultPolicy`]).
 /// - `depart` observes each packet the forward scan pops **before** its
 ///   slab slot is released, and may fill the workload-overloaded
 ///   `SafMsg` fields; it must not touch link state.
 /// - `commit` is called for **every** lane's messages in ascending lane
 ///   order — the serial pop order. Real effects (delivery, re-enqueue,
-///   drop accounting) must be gated on `core.owns(msg.node)`; mirror
+///   drop accounting) must be gated on owning `msg.node`; mirror
 ///   state that every lane replicates (the request/reply session
 ///   machine) updates unconditionally and identically on every lane.
 /// - `end_cycle` runs after all of the cycle's commits and before the

@@ -31,9 +31,10 @@
 //! [`SimObserver::on_flit_hop`].
 //!
 //! Like the store-and-forward core, the cycle body lives in stage
-//! methods driven by [`run_lane`](super::stepper::run_lane): a one-lane
-//! run is the [`Solo`] monomorphization, and more lanes run the
-//! identical stages under the pooled protocol.
+//! methods driven by [`run_lane`](super::stepper::run_lane), on the same
+//! lane chassis ([`Shard`]) and lane driver ([`run_lanes`]): a one-lane
+//! run is the `Solo` monomorphization, and more lanes run the identical
+//! stages under the pooled protocol.
 //!
 //! ## Sharding model: replicated arbitration
 //!
@@ -48,15 +49,15 @@
 //!
 //! - the **begin** stage (streaming, head retries, injection) runs the
 //!   same deterministic decisions on every lane, touching real flit
-//!   queues, per-node occupancy, statistics and the observer only on
-//!   the lane that owns the node;
+//!   queues, the edge bitset, statistics and the observer only on the
+//!   lane that owns the node;
 //! - the **propose** stage snapshots the front flit of every non-empty
-//!   (edge × VC) buffer of the lane's own active nodes — the only state
-//!   a lane alone knows — in ascending node/edge/VC order, visiting only
-//!   the out-edges that hold flits: each owned node keeps a one-word
-//!   slot mask of its loaded edges (set by the owner-side pushes,
-//!   cleared when a pop empties the edge), walked lowest bit first, with
-//!   the plain edge scan as the fallback on networks of degree above 64;
+//!   (edge × VC) buffer of the lane's own out-edges — the only state a
+//!   lane alone knows — in ascending node/edge/VC order, visiting only
+//!   the out-edges that hold flits: the chassis' two-level edge bitset
+//!   marks the loaded owned edges (set by the owner-side pushes,
+//!   cleared when a pop empties the edge) and is walked lowest bit
+//!   first, at any degree;
 //! - the **commit** stage replays the serial forward scan over the
 //!   concatenated snapshots (lane order == node order, so the replay
 //!   order *is* the serial scan order) on **every** lane, deciding each
@@ -80,19 +81,20 @@ use std::collections::VecDeque;
 
 use fibcube_graph::csr::CsrGraph;
 
-use crate::arena::{FlitQueues, PacketSlab, RING_STRIDE};
+use crate::arena::{LinkQueues, PacketSlab, RING_STRIDE};
 use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
-use crate::router::TABLE_BYTE_BUDGET;
+use crate::router::{Router, TABLE_BYTE_BUDGET};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
 use super::core::route_edge;
-use super::parallel::{fork_lanes, merge_lanes, run_pool};
+use super::parallel::{run_lanes, LaneBuilder};
 use super::policy::FaultPolicy;
 use super::stats::{SimStats, StatsAcc};
-use super::stepper::{lane_bounds, run_lane, LaneWorkload, Solo};
+use super::stepper::{LaneWorkload, Scan, Shard};
+use super::RunPlan;
 
 /// Head-flit flag in a packed flit record (bit 56).
 const FLIT_HEAD: u64 = 1 << 56;
@@ -129,7 +131,7 @@ fn flit_idx(f: u64) -> usize {
 }
 
 /// One forward-scan candidate: the front flit of one (edge × VC) buffer
-/// of an active node, snapshotted at propose time. The commit replay
+/// of a loaded edge, snapshotted at propose time. The commit replay
 /// consumes these in ascending (node, edge, VC) order — the serial scan
 /// order — granting at most one move per directed edge.
 #[derive(Clone, Copy, Debug)]
@@ -273,39 +275,22 @@ fn edge_classes<T: Topology + ?Sized>(topology: &T) -> Vec<u32> {
 }
 
 /// One lane of the wormhole workload — see the [module docs](self) for
-/// the replicated-arbitration sharding model. A [`Solo`] run over
+/// the replicated-arbitration sharding model. A one-lane run over
 /// `[0, n)` *is* the serial engine.
-struct WormLane<'a, F: FaultPolicy, O: SimObserver> {
+struct WormLane<'a, F, O> {
     // Static, shared across lanes.
-    g: &'a CsrGraph,
     edge_class: &'a [u32],
     fault: &'a F,
     vcs: usize,
     buf_flits: u64,
     fpp: u32,
-    max_level: u32,
-    // Ownership: nodes `[lo, hi)`, whose out-edge buffers start at
-    // global buffer index `buf_lo`.
-    lo: u32,
-    hi: u32,
-    buf_lo: usize,
     /// Lane 0 alone reports `in_flight` through `queued()`, so the
     /// exchanged global sum equals the serial count.
     lead: bool,
-    // Real, lane-owned state.
-    queues: FlitQueues,
-    occupancy: Vec<u32>,
-    /// Per-node bitmask of out-edges holding flits (`link_load[e] > 0`),
-    /// so `propose` visits exactly the loaded edges by a
-    /// `trailing_zeros` word walk. Empty — `propose` falls back to the
-    /// plain edge scan — when some degree exceeds 64.
-    slot_mask: Vec<u64>,
-    on_list: Vec<bool>,
-    active: Vec<u32>,
-    scanned: Vec<u32>,
-    lat_scratch: Vec<u64>,
-    acc: StatsAcc,
-    observer: O,
+    // Real, lane-owned state: the chassis and one flit FIFO per owned
+    // (edge × VC) buffer, indexed `b − edge_lo · vcs`.
+    shard: Shard<'a, O>,
+    queues: LinkQueues<u64>,
     // Replicated mirrors — identical on every lane at every stage edge.
     link_load: Vec<u32>,
     bufs: Vec<Buf>,
@@ -314,7 +299,7 @@ struct WormLane<'a, F: FaultPolicy, O: SimObserver> {
     arrivals: Vec<(u64, u32, u32)>,
     pending: VecDeque<u32>,
     streams: Vec<u32>,
-    inj: Vec<&'a Packet>,
+    inj: &'a [&'a Packet],
     next_inject: usize,
     in_flight: usize,
     progressed: bool,
@@ -324,83 +309,21 @@ struct WormLane<'a, F: FaultPolicy, O: SimObserver> {
     replay_done: bool,
 }
 
-impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        g: &'a CsrGraph,
-        edge_class: &'a [u32],
-        fault: &'a F,
-        observer: O,
-        fpp: u32,
-        vcs: usize,
-        buf_flits: u64,
-        packets: &'a [Packet],
-        n: usize,
-        lo: u32,
-        hi: u32,
-    ) -> WormLane<'a, F, O> {
-        let edge_lo = if hi > lo { g.edge_range(lo).start } else { 0 };
-        let edge_hi = if hi > lo { g.edge_range(hi - 1).end } else { 0 };
-        let links = g.num_directed_edges();
-        let local = (hi - lo) as usize;
-        let masked_scan = g.max_degree() <= 64;
-        let mut inj: Vec<&Packet> = packets.iter().collect();
-        inj.sort_by_key(|p| p.inject_time);
-        WormLane {
-            g,
-            edge_class,
-            fault,
-            vcs,
-            buf_flits,
-            fpp,
-            max_level: vcs as u32 - 1,
-            lo,
-            hi,
-            buf_lo: edge_lo * vcs,
-            lead: lo == 0,
-            queues: FlitQueues::new(edge_hi - edge_lo, vcs),
-            occupancy: vec![0; local],
-            slot_mask: vec![0; if masked_scan { local } else { 0 }],
-            on_list: vec![false; local],
-            active: Vec::new(),
-            scanned: Vec::new(),
-            lat_scratch: Vec::new(),
-            acc: StatsAcc::for_network(n),
-            observer,
-            link_load: vec![0; links],
-            bufs: vec![Buf::default(); links * vcs],
-            slab: PacketSlab::new(),
-            worm: WormState::default(),
-            arrivals: Vec::new(),
-            pending: VecDeque::new(),
-            streams: Vec::new(),
-            inj,
-            next_inject: 0,
-            in_flight: 0,
-            progressed: false,
-            replay_edge: NO_EDGE,
-            replay_done: false,
-        }
-    }
-
-    #[inline]
-    fn owns(&self, node: u32) -> bool {
-        self.lo <= node && node < self.hi
-    }
-
+impl<F: FaultPolicy, O: SimObserver> WormLane<'_, F, O> {
     /// Tries to place packet `id`'s head flit into VC 0 of its first
     /// output link: routes the first hop against the mirror loads,
     /// checks the buffer's claim and credit (multi-flit packets need
     /// exclusive worm occupancy), and on success starts the packet's
     /// chain. Every decision reads replicated state, so all lanes
-    /// agree; the real queue push, occupancy, worklist and observer
+    /// agree; the real queue push, the edge's bit and the observer
     /// event happen on the source's owner only. A `false` return leaves
     /// the packet unplaced (its state untouched) for retry next cycle.
     fn try_place_head(&mut self, cycle: u64, id: u32) -> bool {
         let i = id as usize;
         let src = self.worm.src[i];
         let dst = self.slab.dst(id);
-        let e0 = route_edge(self.g, self.fault.routing(), &self.link_load, 0, src, dst);
+        let routing = self.fault.routing();
+        let e0 = route_edge(self.shard.g, routing, &self.link_load, 0, src, dst);
         let b0 = e0 * self.vcs;
         let multi = self.worm.flits_total[i] > 1;
         let buf = self.bufs[b0];
@@ -420,34 +343,27 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
     }
 
     /// Moves flit `f` into VC `vc` of edge `e` out of `node`: mirror
-    /// credits on every lane; the real queue push, node occupancy, slot
-    /// mask, observer event and worklist entry on `node`'s owner.
+    /// credits on every lane; the real queue push, the chassis
+    /// bookkeeping and the observer event on `node`'s owner.
     fn push_flit(&mut self, cycle: u64, node: u32, e: usize, vc: usize, f: u64) {
         let b = e * self.vcs + vc;
         self.bufs[b].occ += 1;
         self.link_load[e] += 1;
-        if self.owns(node) {
-            self.queues.push(b - self.buf_lo, f);
-            let s = (node - self.lo) as usize;
-            self.occupancy[s] += 1;
-            if let Some(mask) = self.slot_mask.get_mut(s) {
-                *mask |= 1 << (e - self.g.edge_range(node).start);
-            }
-            self.observer
+        if self.shard.owns(node) {
+            self.queues.push(b - self.shard.edge_lo * self.vcs, f);
+            self.shard.push(e);
+            self.shard
+                .observer
                 .on_flit_hop(cycle, e, vc as u32, self.bufs[b].occ);
-            if !self.on_list[s] {
-                self.on_list[s] = true;
-                self.active.push(node);
-            }
         }
     }
 
     /// Snapshots the front flit of each non-empty VC buffer of loaded
     /// edge `e` out of owned node `u`, lowest VC first.
     fn probe_edge(&self, u: u32, e: usize, out: &mut Vec<WormProbe>) {
+        let first = (e - self.shard.edge_lo) * self.vcs;
         for vc in 0..self.vcs {
-            let b = e * self.vcs + vc;
-            if let Some(f) = self.queues.front(b - self.buf_lo) {
+            if let Some(f) = self.queues.front(first + vc) {
                 out.push(WormProbe {
                     node: u,
                     edge: e as u32,
@@ -460,9 +376,9 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
 
     /// Removes a granted flit from its buffer: mirror decrements on
     /// every lane; the real pop (which must yield exactly the
-    /// snapshotted flit), node occupancy and the slot mask (cleared with
-    /// the edge's last flit), plus — for head moves (`hop`) — the hop
-    /// statistics and observer event, on the scanning node's owner.
+    /// snapshotted flit) and the chassis bookkeeping (the edge's bit
+    /// clears with its last flit), plus — for head moves (`hop`) — the
+    /// hop statistics and observer event, on the scanning node's owner.
     fn pop_flit(&mut self, cycle: u64, u: u32, e: usize, vc: u32, f: u64, hop: bool) {
         let b = e * self.vcs + vc as usize;
         self.bufs[b].occ -= 1;
@@ -470,19 +386,14 @@ impl<'a, F: FaultPolicy, O: SimObserver> WormLane<'a, F, O> {
         if hop {
             self.slab.record_hop(f as u32);
         }
-        if self.owns(u) {
-            let popped = self.queues.pop(b - self.buf_lo);
+        if self.shard.owns(u) {
+            let popped = self.queues.pop(b - self.shard.edge_lo * self.vcs);
             debug_assert_eq!(popped, Some(f), "replayed flit must front its buffer");
-            let s = (u - self.lo) as usize;
-            self.occupancy[s] -= 1;
-            if self.link_load[e] == 0 {
-                if let Some(mask) = self.slot_mask.get_mut(s) {
-                    *mask &= !(1 << (e - self.g.edge_range(u).start));
-                }
-            }
+            self.shard.pop(e, self.link_load[e] == 0);
             if hop {
-                self.observer.on_hop(cycle, u, self.g.target(e), e);
-                self.acc.total_hops += 1;
+                let v = self.shard.g.target(e);
+                self.shard.observer.on_hop(cycle, u, v, e);
+                self.shard.acc.total_hops += 1;
             }
         }
     }
@@ -558,21 +469,21 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
             let (src, dst) = (p.src, p.dst);
-            let own = self.owns(src);
+            let own = self.shard.owns(src);
             if own {
-                self.observer.on_inject(cycle, src, dst);
+                self.shard.observer.on_inject(cycle, src, dst);
             }
             if let Some(reason) = self.fault.verdict(src, dst) {
                 if own {
-                    self.acc.drop_packet(reason);
-                    self.observer.on_drop(cycle, src, dst, reason);
+                    self.shard.acc.drop_packet(reason);
+                    self.shard.observer.on_drop(cycle, src, dst, reason);
                 }
                 continue;
             }
             if src == dst {
                 if own {
-                    self.acc.deliver_instant();
-                    self.observer.on_deliver(cycle, dst, 0);
+                    self.shard.acc.deliver_instant();
+                    self.shard.observer.on_deliver(cycle, dst, 0);
                 }
                 continue;
             }
@@ -588,36 +499,17 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
     }
 
     /// Snapshots the front flit of every non-empty (edge × VC) buffer
-    /// of this lane's active nodes, in ascending node/edge/VC order.
-    /// On networks of degree ≤ 64 the loaded out-edges come from the
-    /// node's slot mask, lowest bit first — the order the plain edge
-    /// scan (the fallback above degree 64) visits them in. Pure reads —
-    /// every mutation waits for the commit replay — so the snapshots
-    /// equal what the serial scan would read live (a scan pops only
-    /// from the buffer it is currently serving, and pushes are deferred
-    /// to the arrival boundary).
+    /// of this lane's loaded out-edges, in ascending node/edge/VC order;
+    /// the loaded edges come from the shard's edge bitset, lowest bit
+    /// first. Pure reads — every mutation waits for the commit replay —
+    /// so the snapshots equal what the serial scan would read live (a
+    /// scan pops only from the buffer it is currently serving, and
+    /// pushes are deferred to the arrival boundary).
     fn propose(&mut self, _cycle: u64, out: &mut Vec<WormProbe>) {
-        self.active.sort_unstable();
-        std::mem::swap(&mut self.active, &mut self.scanned);
-        let masked = !self.slot_mask.is_empty();
-        for k in 0..self.scanned.len() {
-            let u = self.scanned[k];
-            let s = (u - self.lo) as usize;
-            self.on_list[s] = false;
-            let edges = self.g.edge_range(u);
-            if masked {
-                let mut rest = self.slot_mask[s];
-                while rest != 0 {
-                    let e = edges.start + rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    debug_assert!(self.link_load[e] != 0, "mask bit implies a loaded edge");
-                    self.probe_edge(u, e, out);
-                }
-            } else {
-                for e in edges.filter(|&e| self.link_load[e] != 0) {
-                    self.probe_edge(u, e, out);
-                }
-            }
+        let mut scan = Scan::default();
+        while let Some((u, e)) = self.shard.next_loaded(&mut scan) {
+            debug_assert!(self.link_load[e] != 0, "a set bit implies a loaded edge");
+            self.probe_edge(u, e, out);
         }
     }
 
@@ -642,19 +534,26 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
         let id = f as u32;
         let i = id as usize;
         if f & FLIT_HEAD != 0 {
-            let v = self.g.target(e);
+            let v = self.shard.g.target(e);
             let dst = self.slab.dst(id);
             if v == dst {
                 self.pop_flit(cycle, m.node, e, m.vc, f, true);
                 self.arrivals.push((f, EJECT, v));
             } else {
-                let e2 = route_edge(self.g, self.fault.routing(), &self.link_load, 0, v, dst);
+                let e2 = route_edge(
+                    self.shard.g,
+                    self.fault.routing(),
+                    &self.link_load,
+                    0,
+                    v,
+                    dst,
+                );
                 let c2 = self.edge_class[e2];
                 let mut lvl = self.worm.level[i];
                 if c2 <= self.worm.last_class[i] {
                     // Class order broken (a ring dateline or a fault
                     // detour): escape one VC level up.
-                    lvl = (lvl + 1).min(self.max_level);
+                    lvl = (lvl + 1).min(self.vcs as u32 - 1);
                 }
                 let b2 = e2 * self.vcs + lvl as usize;
                 let multi = self.worm.flits_total[i] > 1;
@@ -689,13 +588,13 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
                 self.arrivals.push((
                     flit(id, idx + 1, false, f & FLIT_TAIL != 0),
                     b2 as u32,
-                    self.g.target(e),
+                    self.shard.g.target(e),
                 ));
             } else if self.worm.head_ejected[i] {
                 // End of the chain with the head gone: this flit
                 // crosses the final link into the destination.
                 self.pop_flit(cycle, m.node, e, m.vc, f, false);
-                self.arrivals.push((f, EJECT, self.g.target(e)));
+                self.arrivals.push((f, EJECT, self.shard.g.target(e)));
             } else {
                 // Head still parked one buffer ahead: wait.
                 return;
@@ -705,27 +604,13 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
         self.progressed = true;
     }
 
-    /// Re-activates scanned nodes that still hold flits (before
-    /// arrivals, matching the serial order), then applies the
-    /// replicated arrival list at the `cycle + 1` boundary: flits enter
-    /// their reserved buffers or leave the network at the destination.
-    /// Mirror credits, claims and the in-flight count update on every
-    /// lane; queue pushes, worklists, observer events and the batched
-    /// latency accounting ([`StatsAcc::deliver_batch`]) fire on the
-    /// owning lane only.
+    /// Applies the replicated arrival list at the `cycle + 1` boundary:
+    /// flits enter their reserved buffers or leave the network at the
+    /// destination. Mirror credits, claims and the in-flight count
+    /// update on every lane; queue pushes, edge bits, observer events
+    /// and the batched latency accounting ([`StatsAcc::deliver_batch`])
+    /// fire on the owning lane only.
     fn end_cycle(&mut self, now: u64) {
-        let mut k = 0;
-        while k < self.scanned.len() {
-            let u = self.scanned[k];
-            k += 1;
-            let s = (u - self.lo) as usize;
-            if self.occupancy[s] > 0 {
-                self.on_list[s] = true;
-                self.active.push(u);
-            }
-        }
-        self.scanned.clear();
-
         let mut arrivals = std::mem::take(&mut self.arrivals);
         for &(f, buf, node) in &arrivals {
             let id = f as u32;
@@ -733,9 +618,8 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
                 if f & FLIT_TAIL != 0 {
                     self.in_flight -= 1;
                     let inject_time = self.slab.inject(id);
-                    if self.owns(node) {
-                        self.lat_scratch.push(now - inject_time);
-                        self.observer.on_deliver(now, node, now - inject_time);
+                    if self.shard.owns(node) {
+                        self.shard.deliver(now, node, now - inject_time);
                     }
                     self.slab.release(id);
                 } else if f & FLIT_HEAD != 0 {
@@ -753,12 +637,11 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
         }
         arrivals.clear();
         self.arrivals = arrivals;
-        self.acc.deliver_batch(now, &self.lat_scratch);
-        self.lat_scratch.clear();
+        self.shard.flush_latencies(now);
     }
 
     fn observe(&mut self, cycle: u64, in_flight: u64) {
-        self.observer.on_cycle_end(cycle, in_flight as usize);
+        self.shard.observer.on_cycle_end(cycle, in_flight as usize);
     }
 
     /// Replicates the serial deadlock handling: when nothing moved with
@@ -780,55 +663,97 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
     }
 }
 
+/// The wormhole lanes of one run: the inputs every lane copies.
+struct WormLanes<'a, F> {
+    g: &'a CsrGraph,
+    edge_class: &'a [u32],
+    fault: &'a F,
+    inj: &'a [&'a Packet],
+    fpp: u32,
+    vcs: usize,
+    buf_flits: u64,
+}
+
+impl<'a, F, O> LaneBuilder<O> for WormLanes<'a, F>
+where
+    F: FaultPolicy + Sync,
+    O: SimObserver + Send,
+{
+    type Lane<'o>
+        = WormLane<'o, F, O>
+    where
+        Self: 'o,
+        O: 'o;
+
+    fn build<'o>(&mut self, lo: u32, hi: u32, observer: &'o mut O) -> WormLane<'o, F, O>
+    where
+        Self: 'o,
+    {
+        let shard = Shard::new(self.g, lo, hi, observer);
+        let links = self.g.num_directed_edges();
+        WormLane {
+            edge_class: self.edge_class,
+            fault: self.fault,
+            vcs: self.vcs,
+            buf_flits: self.buf_flits,
+            fpp: self.fpp,
+            lead: lo == 0,
+            queues: LinkQueues::new((shard.edge_hi - shard.edge_lo) * self.vcs),
+            shard,
+            link_load: vec![0; links],
+            bufs: vec![Buf::default(); links * self.vcs],
+            slab: PacketSlab::new(),
+            worm: WormState::default(),
+            arrivals: Vec::new(),
+            pending: VecDeque::new(),
+            streams: Vec::new(),
+            inj: self.inj,
+            next_inject: 0,
+            in_flight: 0,
+            progressed: false,
+            replay_edge: NO_EDGE,
+            replay_done: false,
+        }
+    }
+
+    fn retire(&mut self, lane: WormLane<'_, F, O>) -> StatsAcc {
+        lane.shard.acc
+    }
+}
+
 /// Runs the flit-level wormhole workload of a
-/// [`SwitchingSpec::Wormhole`] spec on `lanes` lanes (already clamped to
-/// `[1, n]`). One lane covers every node under the [`Solo`] protocol, on
-/// the caller's thread with the caller's observer; more lanes run the
-/// replicated-arbitration protocol (see the [module docs](self)) on
-/// observer forks, merged back in ascending lane order — bit-identical
-/// [`SimStats`] and observer output at any lane count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_wormhole<T, F, O>(
-    topology: &T,
-    spec: &SwitchingSpec,
+/// [`SwitchingSpec::Wormhole`] spec through the lane driver
+/// ([`run_lanes`]) — replicated arbitration (see the [module docs](self)),
+/// bit-identical [`SimStats`] and observer output at any lane count.
+pub(crate) fn run_wormhole<T, P, F, O>(
+    plan: &RunPlan<'_, T, P>,
     packets: &[Packet],
     fault: &F,
-    max_cycles: u64,
     lanes: usize,
     observer: &mut O,
 ) -> Result<SimStats, ExperimentError>
 where
     T: Topology + ?Sized,
+    P: Router + ?Sized,
     F: FaultPolicy + Sync,
     O: SimObserver + Send,
 {
+    let (topology, spec) = (plan.topology, &plan.switching);
     let SwitchingSpec::Wormhole { vcs, buf_flits, .. } = *spec else {
         unreachable!("store-and-forward specs run the packet core")
     };
+    let mut inj: Vec<&Packet> = packets.iter().collect();
+    inj.sort_by_key(|p| p.inject_time);
     // `RunPlan::check` validated the spec: every figure is at least 1.
-    let (fpp, vcs, buf_flits) = (spec.flits_per_packet(), vcs as usize, buf_flits as u64);
-    let n = topology.len();
-    let g = topology.graph();
-    let classes = edge_classes(topology);
-    if lanes <= 1 {
-        let mut lane = WormLane::new(
-            g, &classes, fault, observer, fpp, vcs, buf_flits, packets, n, 0, n as u32,
-        );
-        run_lane(&mut lane, &Solo::default(), 0, max_cycles);
-        return Ok(lane.acc.finish(packets.len()));
-    }
-    let forks = fork_lanes(observer, lanes)?;
-    let pool: Vec<WormLane<'_, F, O>> = lane_bounds(n, lanes)
-        .into_iter()
-        .zip(forks)
-        .map(|((lo, hi), fork)| {
-            WormLane::new(
-                g, &classes, fault, fork, fpp, vcs, buf_flits, packets, n, lo, hi,
-            )
-        })
-        .collect();
-    let finished = run_pool(pool, max_cycles)
-        .into_iter()
-        .map(|lane| (lane.observer, lane.acc));
-    Ok(merge_lanes(observer, finished).finish(packets.len()))
+    let mut worm = WormLanes {
+        g: topology.graph(),
+        edge_class: &edge_classes(topology),
+        fault,
+        inj: &inj,
+        fpp: spec.flits_per_packet(),
+        vcs: vcs as usize,
+        buf_flits: buf_flits as u64,
+    };
+    let acc = run_lanes(topology.len(), lanes, plan.max_cycles, observer, &mut worm)?;
+    Ok(acc.finish(packets.len()))
 }

@@ -471,7 +471,9 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     /// Shards the run across `n` worker threads (default 1 — serial).
     /// The pooled engine executes the *same* stepper as the serial one
     /// and is **bit-identical** to it at any thread count, so this is
-    /// purely a throughput knob. Every configuration shards: wormhole
+    /// purely a throughput knob. The engine clamps the count to at most
+    /// 64 and at most the node count ([`engine::run`]), which by the
+    /// same identity never changes a result. Every configuration shards: wormhole
     /// switching, collectives, fault churn, closed-loop `request_reply`
     /// traffic, and attached observers (each lane runs a
     /// [`SimObserver::fork`] and the forks merge back in lane order).

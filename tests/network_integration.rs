@@ -733,8 +733,9 @@ fn multi_flit_wormhole_runs_reproduce_their_golden_values() {
 }
 
 /// A star: hub 0 linked to `leaves` leaves. With more than 64 leaves the
-/// hub's degree exceeds the engines' one-word slot masks, so both
-/// engines forward with their plain edge scans.
+/// hub's out-edges span more than one word of the lane chassis' edge
+/// bitset, so both engines' forward scans cross word boundaries at one
+/// node — the degree > 64 case, which needs no separate scan path.
 struct Star {
     graph: CsrGraph,
 }
