@@ -29,17 +29,18 @@
 //! modes. (Speedup is a same-machine ratio, so the bar is meaningful on
 //! slow CI hosts too.) The `engine_perf` section also carries a
 //! `parallel` block: the Γ_16 fixed load re-run through the sharded
-//! engine at 1/2/4/8 threads — store-and-forward, wormhole, and
-//! tree-collective ladders (bit-identical stats enforced at every rung;
-//! the ≥2× speedup bar at 8 threads is asserted only on hosts with ≥8
-//! CPUs, and the `asserted` flag records which case ran).
+//! engine at 1/2/4/8 threads — store-and-forward and tree-collective
+//! ladders (bit-identical stats enforced at every rung; the ≥2× speedup
+//! bar at 8 threads is asserted only on hosts with ≥8 CPUs, and the
+//! `asserted` flag records which case ran). Wormhole runs are always
+//! one lane, so they have no ladder.
 //!
 //! Pass `--check-threads N` for the standalone determinism check CI
 //! runs as a thread matrix: the Γ_16 fixed load — healthy, statically
 //! faulted, under a mid-run churn timeline, through the wormhole flit
 //! engine, and as a tree collective — plus a closed request/reply loop
-//! under churn and under the static fault mask, serial vs `N` shard
-//! workers, full `SimStats` equality or exit 1.
+//! under churn and under the static fault mask, serial vs an `N`-lane
+//! request, full `SimStats` equality or exit 1.
 
 use std::time::Instant;
 
@@ -507,8 +508,8 @@ fn check_plan<R: Router + Sync + ?Sized>(
 /// The `--check-threads N` mode: Γ_16 workloads — fixed load healthy,
 /// statically faulted and churned, wormhole, a tree collective, and a
 /// closed request/reply loop under churn and under the static fault
-/// mask — each run at one lane and through the sharded engine at
-/// `threads` lanes. Any divergence in the full `SimStats` (histograms
+/// mask — each run at one lane and at a request of `threads` lanes
+/// (which the wormhole plans also run as one lane). Any divergence in the full `SimStats` (histograms
 /// included) is a typed error — the CI thread matrix turns this into a
 /// determinism gate that is independent of host speed.
 fn check_threads(threads: usize) -> Result<(), BenchError> {
@@ -537,9 +538,9 @@ fn check_threads(threads: usize) -> Result<(), BenchError> {
         timeline.len()
     );
     check_plan(&churned, threads, &what)?;
-    // The wormhole configuration: the flit engine sharded under
-    // replicated arbitration, healthy and statically faulted. A smaller
-    // packet budget keeps the flit-level run CI-sized.
+    // The wormhole configuration, healthy and statically faulted: a
+    // lane request on the flit engine must give the one-lane result. A
+    // smaller packet budget keeps the flit-level run CI-sized.
     let worm_spec = SwitchingSpec::Wormhole {
         flit_size: 4,
         vcs: 2,
@@ -661,13 +662,13 @@ fn run() -> Result<(), BenchError> {
     header("E-S1b — sharded parallel engine (fixed-load thread ladders)");
     let parallel_start = Instant::now();
     // The Γ_16 fixed load re-run through the pooled stepper at 1/2/4/8
-    // shard workers, once per switching/workload policy. Two gates per
-    // ladder: every rung's SimStats must be bit-identical to the
-    // 1-thread run (determinism — enforced on every host), and on
-    // machines with ≥8 CPUs the 8-thread rung of the store-and-forward
-    // and wormhole ladders must reach ≥2× over serial (the speedup bar
-    // is meaningless on the 1-CPU containers CI sometimes lands on, so
-    // it is recorded but not asserted there).
+    // shard workers, once per workload policy. Two gates per ladder:
+    // every rung's SimStats must be bit-identical to the 1-thread run
+    // (determinism — enforced on every host), and on machines with ≥8
+    // CPUs the 8-thread rung of the store-and-forward ladder must reach
+    // ≥2× over serial (the speedup bar is meaningless on the 1-CPU
+    // containers CI sometimes lands on, so it is recorded but not
+    // asserted there).
     let host_cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     let parallel_pkts = TrafficSpec::Uniform {
         count: packets,
@@ -697,40 +698,6 @@ fn run() -> Result<(), BenchError> {
         });
     }
 
-    // The wormhole ladder: the flit engine sharded under replicated
-    // arbitration. A smaller packet budget keeps the flit-level run
-    // (flits × arbitration per cycle) comparable in wall-clock to the
-    // packet ladder above.
-    let worm_spec = SwitchingSpec::Wormhole {
-        flit_size: 4,
-        vcs: 2,
-        buf_flits: 4,
-    };
-    let worm_pkts = TrafficSpec::Uniform {
-        count: 2_000,
-        window: 500,
-    }
-    .generate(gamma.len(), 2026);
-    let worm_plan = RunPlan::new(
-        &gamma,
-        &*gamma_router,
-        Workload::Open(&worm_pkts),
-        4_000_000,
-    )
-    .switching(worm_spec.clone());
-    let worm_rows = thread_ladder(&gamma.name(), host_cpus, true, |t| {
-        engine::run(&worm_plan, t, &mut NoopObserver)
-    })?;
-    print_ladder("wormhole (flit_size=4, vcs=2, buf_flits=4)", &worm_rows);
-    let worm_speedup_at_8 = parallel_speedup(&worm_rows, 8);
-    if parallel_asserted && worm_speedup_at_8 < 2.0 {
-        return Err(BenchError::ParallelSpeedupBelowBar {
-            threads: 8,
-            speedup: worm_speedup_at_8,
-            bar: 2.0,
-        });
-    }
-
     // The collective ladder: a one-port broadcast tree executed by
     // replication. Recorded but never asserted — the whole workload is
     // n−1 copies over ~log n rounds, small enough that barrier overhead
@@ -751,8 +718,8 @@ fn run() -> Result<(), BenchError> {
     print_ladder("collective (one-port broadcast)", &coll_rows);
 
     println!(
-        "\n8-thread speedup over serial: {speedup_at_8:.2}× store-and-forward, \
-         {worm_speedup_at_8:.2}× wormhole (bar ≥ 2× {})",
+        "\n8-thread speedup over serial: {speedup_at_8:.2}× store-and-forward \
+         (bar ≥ 2× {})",
         if parallel_asserted {
             "asserted — host has ≥8 CPUs"
         } else {
@@ -761,21 +728,19 @@ fn run() -> Result<(), BenchError> {
     );
     let parallel_ms_total = parallel_start.elapsed().as_secs_f64() * 1e3;
     // The top-level fields keep describing the store-and-forward ladder
-    // (the artifact contract CI pins); the wormhole and collective
-    // ladders ride along as sub-blocks of the same shape.
+    // (the artifact contract CI pins); the collective ladder rides along
+    // as a sub-block of the same shape.
     let mut parallel_perf = ladder_json(
         format!("uniform {packets} packets / window {window}, seed 2026, healthy"),
         &ladder_rows,
         parallel_asserted,
     );
     if let JsonValue::Obj(pairs) = &mut parallel_perf {
-        let worm = format!("{worm_spec}, uniform 2000 packets / window 500, seed 2026");
         let tree = "broadcast(source=0,port=one), healthy".to_string();
         pairs.extend(
             [
                 ("topology", JsonValue::Str(gamma.name())),
                 ("host_cpus", JsonValue::Int(host_cpus as u64)),
-                ("wormhole", ladder_json(worm, &worm_rows, parallel_asserted)),
                 ("collective", ladder_json(tree, &coll_rows, false)),
             ]
             .map(|(k, v)| (k.to_string(), v)),

@@ -42,7 +42,7 @@ use crate::broadcast::{partial_all_port, partial_one_port, BroadcastSchedule};
 use crate::experiment::ExperimentError;
 use crate::fault::FaultSet;
 use crate::report::JsonValue;
-use crate::traffic::{num, parse_kv_opt, split_call, Packet, TrafficSpec};
+use crate::traffic::{check_list_size, num, parse_kv_opt, split_call, Packet, TrafficSpec};
 
 /// The port model of a tree collective: how many neighbors an informed
 /// node may forward to per cycle.
@@ -107,7 +107,9 @@ pub enum CollectiveSpec {
 
 impl CollectiveSpec {
     /// Checks the spec against a network of `n` nodes, returning a typed
-    /// error instead of a later panic.
+    /// error instead of a later panic — including the personalized
+    /// exchange's `n·(n−1)` packets when their list would exceed
+    /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET) bytes.
     pub fn validate(&self, n: usize) -> Result<(), ExperimentError> {
         let invalid = |reason: String| {
             Err(ExperimentError::InvalidCollective {
@@ -143,7 +145,9 @@ impl CollectiveSpec {
                     Ok(())
                 }
             }
-            CollectiveSpec::AllToAllPersonalized => Ok(()),
+            CollectiveSpec::AllToAllPersonalized => {
+                check_list_size(TrafficSpec::AllToAll.list_len(n)).or_else(invalid)
+            }
         }
     }
 

@@ -66,15 +66,18 @@
 //! Every run executes the *same* cycle stepper (`engine/stepper.rs`): a
 //! `LaneWorkload` advances through fixed stages (begin → propose →
 //! commit → end-cycle → observe → advance) under a pluggable lane
-//! `Protocol`, on one lane chassis (`Shard`) and through one lane
-//! driver (`run_lanes`, `engine/parallel.rs`) for both switching
-//! models. One lane runs under the no-sync `Solo` protocol on the
-//! caller's thread, borrowing the caller's observer. More lanes (at
-//! most 64) run under the barrier-synchronized `Pooled` protocol, each
-//! borrowing its own [`SimObserver::fork`] — **bit-identical to the
-//! one-lane run at any lane count**, for every supported cell. The
-//! parallel module's docs lay out the protocol and the determinism
-//! argument.
+//! `Protocol`, on one lane chassis (`Shard`) for both switching models.
+//! One lane runs under the no-sync `Solo` protocol on the caller's
+//! thread, borrowing the caller's observer. Store-and-forward runs go
+//! through the lane driver (`run_lanes`, `engine/parallel.rs`): more
+//! lanes (at most 64) run under the barrier-synchronized `Pooled`
+//! protocol, each borrowing its own [`SimObserver::fork`] —
+//! **bit-identical to the one-lane run at any lane count**, for every
+//! supported cell. The parallel module's docs lay out the protocol and
+//! the determinism argument. A wormhole run is one lane at any lane
+//! request: each flit move depends on moves granted earlier in the same
+//! cycle anywhere in the network, so shards could only replay one
+//! global arbitration (see `engine/wormhole.rs`).
 
 mod churn;
 mod core;
@@ -216,7 +219,7 @@ impl fmt::Display for Workload<'_> {
 /// before building one). A wormhole spec must pass
 /// [`SwitchingSpec::validate`], and its (link × VC) buffers must fit
 /// `u32` buffer ids and [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
-/// bytes of buffer state per lane ([`ExperimentError::InvalidSwitching`]).
+/// bytes of buffer state ([`ExperimentError::InvalidSwitching`]).
 pub struct RunPlan<'p, T: ?Sized, R: Router + ?Sized> {
     /// The network.
     pub topology: &'p T,
@@ -330,11 +333,13 @@ pub struct RunOutcome {
 /// threads and per-lane memory — reporting every event to `observer`
 /// (see [`SimObserver`] for the event contract).
 ///
-/// One lane runs on the caller's thread with the caller's observer.
-/// More lanes shard the nodes across a scoped thread pool: each lane
-/// runs a [`SimObserver::fork`] of `observer`, the forks merge back in
-/// ascending lane order, and the result — [`SimStats`], histograms and
-/// merged observer output included — equals the one-lane run's.
+/// One lane runs on the caller's thread with the caller's observer, and
+/// so does a wormhole plan at any lane request. More lanes of a
+/// store-and-forward plan shard the nodes across a scoped thread pool:
+/// each lane runs a [`SimObserver::fork`] of `observer`, the forks
+/// merge back in ascending lane order, and the result — [`SimStats`],
+/// histograms and merged observer output included — equals the
+/// one-lane run's.
 ///
 /// Generic over topology, router and observer, so concrete call sites
 /// monomorphize the hot loop and a no-op observer costs nothing; `?Sized`
@@ -345,7 +350,7 @@ pub struct RunOutcome {
 /// A cell outside the support table (see [`RunPlan`]), a closed loop on
 /// fewer than 2 nodes or without a cycle cap, a churn timeline whose
 /// masked-router table is over budget, an invalid or oversized wormhole
-/// spec, or more than one lane with an
+/// spec, or more than one store-and-forward lane with an
 /// observer whose [`fork`](SimObserver::fork) returns `None`
 /// ([`ExperimentError::UnforkableObserver`]).
 pub fn run<T, R, O>(
@@ -407,12 +412,12 @@ fn routed<T, P, F, O>(
 where
     T: Topology + ?Sized,
     P: Router + ?Sized,
-    F: FaultPolicy + Send + Sync,
+    F: FaultPolicy + Send,
     O: SimObserver + Send,
 {
     match plan.workload {
         Workload::Open(packets) if plan.switching.is_wormhole() => {
-            run_wormhole(plan, packets, &fault(), lanes, observer)
+            Ok(run_wormhole(plan, packets, &fault(), observer))
         }
         _ => store_and_forward(plan, fault, lanes, observer),
     }
@@ -1668,10 +1673,10 @@ mod wormhole_tests {
 
     #[test]
     fn oversized_vc_counts_are_refused_before_allocating() {
-        // Every lane sizes its buffer mirrors `links × vcs`, and buffer
+        // The run sizes its buffer columns `links × vcs`, and buffer
         // ids are `u32`: a VC count that overflows the ids or the byte
         // budget is a typed error from the plan check, at any lane
-        // count, before a lane allocates anything.
+        // count, before the lane allocates anything.
         let net = FibonacciNet::classical(10);
         let links = net.graph().num_directed_edges();
         let pkts = TrafficSpec::Uniform {
@@ -1719,6 +1724,49 @@ mod wormhole_tests {
             RunPlan::new(&net, &*router, Workload::Open(&pkts), 100_000).switching(wormhole(8));
         let stats = run(&plan, 3, &mut NoopObserver).unwrap().stats;
         assert_eq!(stats.delivered, stats.offered);
+    }
+
+    #[test]
+    fn wormhole_lane_requests_run_one_lane_on_the_callers_observer() {
+        // A wormhole run is one lane at any lane request, so an observer
+        // that cannot fork still follows a 4-lane request, and sees
+        // exactly what it sees at one lane.
+        #[derive(Default, PartialEq, Debug)]
+        struct Tape(Vec<(u64, u64, u64)>);
+        impl SimObserver for Tape {
+            fn on_hop(&mut self, cycle: u64, from: u32, to: u32, _edge: usize) {
+                self.0.push((cycle, from as u64, to as u64));
+            }
+            fn on_flit_hop(&mut self, cycle: u64, edge: usize, vc: u32, occupancy: u32) {
+                self.0
+                    .push((cycle, edge as u64, (vc as u64) << 32 | occupancy as u64));
+            }
+            fn on_deliver(&mut self, cycle: u64, dst: u32, latency: u64) {
+                self.0.push((cycle, dst as u64, latency));
+            }
+        }
+        let net = FibonacciNet::classical(10);
+        let pkts = TrafficSpec::Uniform {
+            count: 400,
+            window: 100,
+        }
+        .generate(net.len(), 5);
+        let router = net.router();
+        let plan = RunPlan::new(&net, &*router, Workload::Open(&pkts), 100_000).switching(
+            SwitchingSpec::Wormhole {
+                flit_size: 4,
+                vcs: 2,
+                buf_flits: 4,
+            },
+        );
+        let mut one = Tape::default();
+        let serial = run(&plan, 1, &mut one).unwrap().stats;
+        let mut four = Tape::default();
+        let pooled = run(&plan, 4, &mut four).expect("a wormhole run needs no fork");
+        assert_eq!(serial.delivered, serial.offered);
+        assert_eq!(pooled.stats, serial);
+        assert!(!one.0.is_empty());
+        assert_eq!(four, one);
     }
 
     #[test]

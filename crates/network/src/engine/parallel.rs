@@ -1,7 +1,7 @@
-//! The lane driver of the unified stepper ([`run_lanes`], shared by
-//! both switching models) and its pooled protocol: `k` lanes on a
-//! scoped thread pool, exchanging outbox messages under a barrier
-//! protocol.
+//! The lane driver of the unified stepper ([`run_lanes`], which the
+//! store-and-forward engine shards through) and its pooled protocol:
+//! `k` lanes on a scoped thread pool, exchanging outbox messages under
+//! a barrier protocol.
 //!
 //! This module contains **no cycle logic**: the per-cycle stages live on
 //! the workloads ([`LaneWorkload`]), and the one stepper driving them,
@@ -113,7 +113,7 @@ where
     lanes
 }
 
-/// One switching model's lanes, as [`run_lanes`] drives them: builds
+/// One workload's lanes, as [`run_lanes`] drives them: builds
 /// the lane of a node shard around a borrowed observer, and retires a
 /// finished lane into its statistics (keeping any other run output).
 pub(crate) trait LaneBuilder<O> {
@@ -132,7 +132,7 @@ pub(crate) trait LaneBuilder<O> {
     fn retire(&mut self, lane: Self::Lane<'_>) -> StatsAcc;
 }
 
-/// The one lane driver behind both switching models, over the shards
+/// The lane driver of the store-and-forward engine, over the shards
 /// of [`lane_bounds`]. One lane runs under [`Solo`] on the caller's
 /// thread, borrowing `observer` — no fork, no thread. More lanes run on
 /// the pool, each borrowing its own [`SimObserver::fork`] (an observer

@@ -15,7 +15,8 @@
 //!   scoped thread pool with per-lane `RwLock` outboxes, published
 //!   queue counters, and a barrier per phase boundary.
 //!
-//! Both switching models build their lanes on one chassis ([`Shard`]).
+//! Both switching models build their lanes on one chassis ([`Shard`]);
+//! a wormhole run is always one lane.
 //! Because both protocols drive the *same* stage methods in the *same*
 //! order, and every stage only reads its own lane's arena state while
 //! appending cross-lane effects to an outbox that is committed in
@@ -30,7 +31,8 @@
 //! begin     — event-commit (churn) + inject (admission, sessions,
 //!             flit streams) on this lane's own nodes
 //! propose   — forward scan over this lane's loaded links; each popped
-//!             packet/flit becomes an outbox message
+//!             packet becomes an outbox message (the one-lane flit
+//!             engine moves its flits in place and sends none)
 //! commit    — visit *all* lanes' messages in ascending lane order
 //!             (== the serial scan order); consume the ones this lane
 //!             owns, mirror the ones it must replicate
@@ -41,7 +43,7 @@
 //! ```
 //!
 //! Every decision that steers control flow — the idle fast-forward, the
-//! termination test, a wormhole deadlock jump — is taken from data that
+//! termination test, a workload's own jump or stop — is taken from data that
 //! is identical on every lane (the exchanged global counters, or state
 //! each lane replicates deterministically), so all lanes execute the
 //! same number of cycles in lockstep and no lane can block on a barrier
@@ -74,7 +76,7 @@ use super::stats::StatsAcc;
 /// - `advance` must return the same value on every lane (it may only
 ///   consult replicated or exchanged state).
 pub(crate) trait LaneWorkload {
-    /// One cross-lane effect: a packet arrival, a flit grant, a credit.
+    /// One cross-lane effect, such as a packet arrival.
     type Msg;
 
     /// Packets/flits this lane currently holds (the lockstep drain

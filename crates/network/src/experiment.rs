@@ -162,12 +162,12 @@ pub enum ExperimentError {
         /// What is wrong with the grid.
         reason: String,
     },
-    /// A thread budget above 1 was combined with an observer that does
-    /// not implement [`SimObserver::fork`] / [`SimObserver::merge`]. The
-    /// sharded engine runs one observer fork per lane and merges them
-    /// back in lane order; an observer that cannot fork cannot attach to
-    /// a sharded run. Use `threads(1)`, or implement `fork`/`merge` on
-    /// the observer.
+    /// A thread budget above 1 was combined, on a store-and-forward run,
+    /// with an observer that does not implement [`SimObserver::fork`] /
+    /// [`SimObserver::merge`]. The sharded engine runs one observer fork
+    /// per lane and merges them back in lane order; an observer that
+    /// cannot fork cannot attach to a sharded run. Use `threads(1)`, or
+    /// implement `fork`/`merge` on the observer.
     UnforkableObserver {
         /// Rust type name of the offending observer
         /// (`std::any::type_name`).
@@ -473,14 +473,16 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
     /// and is **bit-identical** to it at any thread count, so this is
     /// purely a throughput knob. The engine clamps the count to at most
     /// 64 and at most the node count ([`engine::run`]), which by the
-    /// same identity never changes a result. Every configuration shards: wormhole
-    /// switching, collectives, fault churn, closed-loop `request_reply`
-    /// traffic, and attached observers (each lane runs a
-    /// [`SimObserver::fork`] and the forks merge back in lane order).
-    /// The one configuration that cannot shard — an observer whose
-    /// `fork` returns `None` — is a typed
+    /// same identity never changes a result. Every store-and-forward
+    /// configuration shards: collectives, fault churn, closed-loop
+    /// `request_reply` traffic, and attached observers (each lane runs a
+    /// [`SimObserver::fork`] and the forks merge back in lane order);
+    /// there an observer whose `fork` returns `None` is a typed
     /// [`ExperimentError::UnforkableObserver`], never a silent serial
-    /// fallback. [`run_batch`](Experiment::run_batch) cells always run
+    /// fallback. Wormhole switching runs one lane at any thread count,
+    /// on the attached observer itself: each flit move depends on moves
+    /// granted earlier in the same cycle anywhere in the network, which
+    /// no node shard can decide alone. [`run_batch`](Experiment::run_batch) cells always run
     /// serially — the batch already parallelizes across seeds.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
@@ -716,6 +718,60 @@ mod tests {
             })
             .seed(7)
             .run()
+    }
+
+    #[test]
+    fn oversized_packet_lists_are_refused_before_generating() {
+        // Γ_19's 10 946 nodes make an all-to-all of about 120 M packets,
+        // 1.9 GB of list: refused by `validate` and by `Experiment`
+        // before anything is allocated. Γ_18's 732 MB fits the budget.
+        let (g18, g19) = (6765, 10_946);
+        let uniform = |count| TrafficSpec::Uniform { count, window: 10 };
+        let over = [
+            TrafficSpec::AllToAll,
+            uniform(usize::MAX),
+            TrafficSpec::HotSpot {
+                count: usize::MAX,
+                window: 10,
+                hot_fraction: 0.5,
+            },
+            // Each half fits; together they do not.
+            TrafficSpec::Mixed(vec![uniform(40_000_000), uniform(40_000_000)]),
+        ];
+        for spec in &over {
+            match spec.validate(g19) {
+                Err(ExperimentError::InvalidTraffic { reason, .. }) => {
+                    assert!(reason.contains("budget"), "{spec}: {reason}")
+                }
+                other => panic!("{spec}: expected InvalidTraffic, got {other:?}"),
+            }
+        }
+        assert!(uniform(40_000_000).validate(g19).is_ok());
+        assert!(TrafficSpec::AllToAll.validate(g18).is_ok());
+        let alltoallp = CollectiveSpec::AllToAllPersonalized;
+        assert!(alltoallp.validate(g18).is_ok());
+        assert!(matches!(
+            alltoallp.validate(g19),
+            Err(ExperimentError::InvalidCollective { .. })
+        ));
+
+        let net = FibonacciNet::classical(19);
+        assert_eq!(net.len(), g19);
+        for spec in over {
+            let err = Experiment::on(&net).traffic(spec).run().unwrap_err();
+            assert!(
+                matches!(err, ExperimentError::InvalidTraffic { .. }),
+                "{err}"
+            );
+        }
+        let err = Experiment::on(&net)
+            .collective(alltoallp)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, ExperimentError::InvalidCollective { .. }),
+            "{err}"
+        );
     }
 
     #[test]

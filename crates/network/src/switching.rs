@@ -260,8 +260,9 @@ impl SimObserver for VcOccupancy {
         Some(VcOccupancy::new())
     }
 
-    /// Flit events partition across lanes by the buffer's owner, so
-    /// entries add and peaks take the maximum.
+    /// Entries add and peaks take the maximum. (Wormhole runs never
+    /// fork, so a fork only ever sees store-and-forward runs, which emit
+    /// no flit events.)
     fn merge(&mut self, fork: Self) {
         if self.flit_hops.len() < fork.flit_hops.len() {
             self.flit_hops.resize(fork.flit_hops.len(), 0);

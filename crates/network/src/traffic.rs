@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::experiment::ExperimentError;
+use crate::router::TABLE_BYTE_BUDGET;
 
 /// One message to deliver.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -122,6 +123,19 @@ fn gen_all_to_all(n: usize) -> Vec<Packet> {
     packets
 }
 
+/// Refuses a packet list of `len` packets that would need more than
+/// [`TABLE_BYTE_BUDGET`] bytes, before it is allocated.
+pub(crate) fn check_list_size(len: u128) -> Result<(), String> {
+    let bytes = len * size_of::<Packet>() as u128;
+    if bytes > TABLE_BYTE_BUDGET as u128 {
+        Err(format!(
+            "{len} packets need {bytes} bytes, over the {TABLE_BYTE_BUDGET}-byte budget"
+        ))
+    } else {
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // TrafficSpec
 // ---------------------------------------------------------------------------
@@ -208,7 +222,9 @@ pub enum TrafficSpec {
 impl TrafficSpec {
     /// Checks the spec against a network of `n` nodes, returning a typed
     /// error instead of the panic [`generate`](TrafficSpec::generate)
-    /// would raise.
+    /// would raise — or the abort of allocating a packet list over
+    /// [`TABLE_BYTE_BUDGET`] bytes (counted for every variant but
+    /// Bernoulli, whose length is random).
     pub fn validate(&self, n: usize) -> Result<(), ExperimentError> {
         let invalid = |reason: String| {
             Err(ExperimentError::InvalidTraffic {
@@ -216,6 +232,9 @@ impl TrafficSpec {
                 reason,
             })
         };
+        if let Err(reason) = check_list_size(self.list_len(n)) {
+            return invalid(reason);
+        }
         match self {
             TrafficSpec::Uniform { .. } | TrafficSpec::Bernoulli { .. } if n < 2 => {
                 invalid(format!("needs at least 2 nodes, topology has {n}"))
@@ -265,6 +284,22 @@ impl TrafficSpec {
                 parts.iter().try_for_each(|p| p.validate(n))
             }
             _ => Ok(()),
+        }
+    }
+
+    /// The length of the packet list [`generate`](TrafficSpec::generate)
+    /// builds on `n` nodes, where it is known in advance: 0 for
+    /// Bernoulli traffic, whose length is random, and for the
+    /// closed-loop request/reply, which has no list.
+    pub(crate) fn list_len(&self, n: usize) -> u128 {
+        match self {
+            TrafficSpec::Uniform { count, .. } | TrafficSpec::HotSpot { count, .. } => {
+                *count as u128
+            }
+            TrafficSpec::ComplementPermutation { .. } => n as u128,
+            TrafficSpec::AllToAll => n as u128 * n.saturating_sub(1) as u128,
+            TrafficSpec::Mixed(parts) => parts.iter().map(|p| p.list_len(n)).sum(),
+            TrafficSpec::Bernoulli { .. } | TrafficSpec::RequestReply { .. } => 0,
         }
     }
 

@@ -536,8 +536,8 @@ proptest! {
         // cycle makes the run a pure function of the workload — one, two,
         // four, or eight shards produce *identical* `SimStats` (histograms
         // included), healthy and faulted, across all five topology
-        // families. Wormhole runs shard through the same pooled stepper
-        // via the builder, so thread count must be invisible there too.
+        // families. Wormhole runs take the same thread budget through the
+        // builder (and run one lane), so it must be invisible there too.
         for topo in [
             &FibonacciNet::classical(7) as &dyn Topology,
             &Hypercube::new(4),
@@ -567,9 +567,9 @@ proptest! {
                     );
                 }
             }
-            // Wormhole through the builder: a thread budget shards the
-            // flit engine under replicated arbitration — reports must be
-            // bit-identical to the serial run.
+            // Wormhole through the builder: the flit engine runs one
+            // lane at any thread budget — reports must be bit-identical
+            // to the serial run.
             let worm = |threads: usize| {
                 Experiment::on(topo)
                     .traffic(TrafficSpec::Uniform { count, window })
@@ -725,12 +725,11 @@ proptest! {
     #[test]
     fn parallel_wormhole_is_thread_count_independent(count in 1usize..60, window in 0u64..40, seed in 0u64..10_000, faults in 0usize..4) {
         // The flit-level extension of the sharded-engine determinism
-        // gate: under replicated arbitration every lane replays the
-        // global wormhole allocation in serial probe order, so one, two,
-        // four, or eight shards must produce `SimStats` identical to the
-        // serial flit engine — multi-flit packets, multiple virtual
-        // channels, healthy and statically faulted, across all five
-        // topology families.
+        // gate: a wormhole run is one lane at any lane request, so
+        // asking for one, two, four, or eight lanes must produce
+        // `SimStats` identical to the serial flit engine — multi-flit
+        // packets, multiple virtual channels, healthy and statically
+        // faulted, across all five topology families.
         let spec = SwitchingSpec::Wormhole {
             flit_size: 4,
             vcs: 1 + (seed % 3) as u32,
@@ -768,9 +767,8 @@ proptest! {
             }
         }
         // Load-adaptive routing is the hard case: its next-hop choice
-        // reads live link loads, so bit-equality holds only because the
-        // sharded commit replay routes against the same mirror state the
-        // serial scan saw.
+        // reads live link loads, which only a lane deciding every move
+        // of the cycle in scan order sees as the serial scan does.
         let net = FibonacciNet::classical(8);
         let pkts = uniform(net.len(), count, window, seed);
         let adaptive = AdaptiveMinimal::new(&net);
