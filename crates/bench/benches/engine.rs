@@ -5,8 +5,10 @@
 //!   (and the table's build cost, the other side of the precompute
 //!   trade-off);
 //! * `link_queue` — ring-buffer enqueue/dequeue at shallow depth (the
-//!   common case) and past the stride (the overflow spill/promote path),
-//!   against the `VecDeque`-per-link layout the first engine used;
+//!   common case), past the stride on every link (the spill/promote
+//!   path) and on one hot link among 4 096 shallow ones (`hotspot`, where
+//!   spill state should cost only the queue that spills), against the
+//!   `VecDeque`-per-link layout the first engine used;
 //! * `flit_engine` — one whole run of the flit-level wormhole engine
 //!   (Γ_12, 2 000 uniform packets, 4 flits per packet, 2 VCs of 4-flit
 //!   buffers), so a change to its forward scan or credit bookkeeping
@@ -82,21 +84,22 @@ fn bench_route_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-/// Work a push/pop pattern with per-link depth `depth` across `links`
-/// links for `rounds` rounds; returns a checksum so the loop cannot be
-/// optimised away.
-fn ring_pattern(links: usize, depth: usize, rounds: usize) -> u64 {
-    let mut queues = LinkQueues::new(links);
+/// Work a push/pop pattern across `depths.len()` links, link `e` filled
+/// to `depths[e]` each round, for `rounds` rounds; returns a checksum so
+/// the loop cannot be optimised away. The queues are built inside, so
+/// spill-store set-up counts too.
+fn ring_pattern(depths: &[usize], rounds: usize) -> u64 {
+    let mut queues = LinkQueues::new(depths.len());
     let mut sum = 0u64;
     let mut id = 0u32;
     for _ in 0..rounds {
-        for e in 0..links {
+        for (e, &depth) in depths.iter().enumerate() {
             for _ in 0..depth {
                 queues.push(e, id);
                 id = id.wrapping_add(1);
             }
         }
-        for e in 0..links {
+        for e in 0..depths.len() {
             while let Some(popped) = queues.pop(e) {
                 sum = sum.wrapping_add(popped as u64);
             }
@@ -106,12 +109,12 @@ fn ring_pattern(links: usize, depth: usize, rounds: usize) -> u64 {
 }
 
 /// The same pattern on the first engine's layout: one `VecDeque` per link.
-fn vecdeque_pattern(links: usize, depth: usize, rounds: usize) -> u64 {
-    let mut queues: Vec<VecDeque<u32>> = vec![VecDeque::new(); links];
+fn vecdeque_pattern(depths: &[usize], rounds: usize) -> u64 {
+    let mut queues: Vec<VecDeque<u32>> = vec![VecDeque::new(); depths.len()];
     let mut sum = 0u64;
     let mut id = 0u32;
     for _ in 0..rounds {
-        for q in queues.iter_mut() {
+        for (q, &depth) in queues.iter_mut().zip(depths) {
             for _ in 0..depth {
                 q.push_back(id);
                 id = id.wrapping_add(1);
@@ -131,16 +134,25 @@ fn bench_link_queue(c: &mut Criterion) {
     group.sample_size(10);
     const LINKS: usize = 4096;
     const ROUNDS: usize = 32;
-    // Shallow: everything stays inside the ring. Deep: 4× the stride, so
-    // every link exercises the overflow spill/promote path.
-    for (label, depth) in [("shallow", RING_STRIDE / 2), ("overflow", RING_STRIDE * 4)] {
-        let expected = ring_pattern(LINKS, depth, ROUNDS);
-        assert_eq!(vecdeque_pattern(LINKS, depth, ROUNDS), expected);
+    // Shallow: everything stays inside the ring. Overflow: 4× the
+    // stride, so every link exercises the spill/promote path. Hotspot:
+    // one link runs 16× the stride deep while the rest hold one packet,
+    // the saturated large-network pattern where only a few queues ever
+    // spill.
+    let mut hotspot = vec![1; LINKS];
+    hotspot[LINKS / 2] = RING_STRIDE * 16;
+    for (label, depths) in [
+        ("shallow", vec![RING_STRIDE / 2; LINKS]),
+        ("overflow", vec![RING_STRIDE * 4; LINKS]),
+        ("hotspot", hotspot),
+    ] {
+        let expected = ring_pattern(&depths, ROUNDS);
+        assert_eq!(vecdeque_pattern(&depths, ROUNDS), expected);
         group.bench_function(BenchmarkId::new("ring", label), |b| {
-            b.iter(|| assert_eq!(ring_pattern(LINKS, depth, ROUNDS), expected))
+            b.iter(|| assert_eq!(ring_pattern(&depths, ROUNDS), expected))
         });
         group.bench_function(BenchmarkId::new("vecdeque", label), |b| {
-            b.iter(|| assert_eq!(vecdeque_pattern(LINKS, depth, ROUNDS), expected))
+            b.iter(|| assert_eq!(vecdeque_pattern(&depths, ROUNDS), expected))
         });
     }
     group.finish();

@@ -11,25 +11,31 @@
 //! * packets live in **one** slab for the whole run and are referred to by
 //!   `u32` id everywhere (queues, arrival lists), with a freelist so ids
 //!   are recycled as packets are delivered;
-//! * every directed link owns a fixed `RING_STRIDE`-slot window of one
-//!   shared ring array, indexed by the CSR directed-edge id. Pushing and
-//!   popping a shallow queue is a couple of loads and stores with no
-//!   allocation at all; queues deeper than the stride spill their tail to
-//!   a per-link overflow list (headers only — an overflow `VecDeque`
-//!   allocates on first use, i.e. only for links that actually saturate).
+//! * every directed link owns **one record** in a single array indexed by
+//!   the CSR directed-edge id: a `RING_STRIDE`-slot ring, its front
+//!   cursor and its occupancy side by side (24 bytes for packet ids, 40
+//!   for flit records), so pushing or popping a shallow queue touches one
+//!   record and allocates nothing. Queues deeper than the stride spill
+//!   their tail to a **sparse spill store**, which holds a list only for
+//!   the queues that actually spilled (the record carries its list's
+//!   number, so no lookup hashes) and is read only when a queue's
+//!   occupancy exceeds the stride. A saturated million-link run that
+//!   spills a few dozen queues pays for a few dozen lists, not for a
+//!   header per link.
 //!
-//! The occupancy column [`LinkQueues::loads`] doubles as the live load
-//! view the adaptive routers consult, so a whole node's output occupancy
-//! sits in one or two cache lines.
+//! The occupancy in each record doubles as the live load view the
+//! adaptive routers consult, through a node-local window.
 
 use std::collections::VecDeque;
+
+use crate::router::LinkLoad;
 
 /// Per-link ring capacity (slots), a power of two. Queues only grow past
 /// this under congestion, where the simulated network is the bottleneck
 /// anyway; at light and moderate load every FIFO operation stays inside
-/// the ring. Kept small deliberately: the ring arena is `4 · stride`
-/// bytes per directed link and the engine is cache-bound, so a lean ring
-/// beats a roomy one.
+/// the ring. Kept small deliberately: every queue record carries
+/// `stride` slots and the engine is cache-bound, so a lean ring beats a
+/// roomy one.
 pub const RING_STRIDE: usize = 4;
 
 /// Sentinel for the [`PacketSlab::next_copy`] column: this packet chains
@@ -150,113 +156,176 @@ impl PacketSlab {
     }
 }
 
+/// One queue's record, `(ring, cursor, len)`: its ring window, cursor
+/// word and total occupancy (ring **plus** spill list, also the load
+/// figure adaptive routers see) side by side, so a push or pop touches
+/// one record. The cursor word holds the ring's front index in its low
+/// [`HEAD_BITS`] and, above them, the queue's spill-list number plus one
+/// (0 until the queue first spills). 24 bytes for `u32` packet ids, 40
+/// for `u64` flit records. A tuple rather than a struct because `vec!`
+/// of an all-zero tuple of integers and arrays allocates zeroed pages
+/// (the standard library special-cases it; a struct it fills element by
+/// element): queues no packet ever visits cost no resident memory.
+type Fifo<T> = ([T; RING_STRIDE], u32, u32);
+
+/// Low bits of a cursor word that index the ring's front slot.
+const HEAD_BITS: u32 = RING_STRIDE.trailing_zeros();
+/// Mask of the front index in a cursor word.
+const HEAD_MASK: u32 = RING_STRIDE as u32 - 1;
+
 /// Fixed-stride ring-buffer FIFOs, one per directed link (or per
-/// directed link × virtual channel), in a single contiguous arena
-/// indexed by queue id. Values are [`PacketSlab`] packet ids (the
-/// default `u32`) or the wormhole engine's packed `u64` flit records.
-/// See the [module docs](self) for the layout rationale and the
-/// overflow (saturation) behaviour. A wormhole buffer's advertised
+/// directed link × virtual channel), as one contiguous array of
+/// per-queue records indexed by queue id. Values are [`PacketSlab`]
+/// packet ids (the default `u32`) or the wormhole engine's packed `u64`
+/// flit records. See the [module docs](self) for the layout rationale
+/// and the spill (saturation) behaviour. A wormhole buffer's advertised
 /// capacity is enforced *logically* by the engine's credit check, not
 /// by the ring allocation, so an effectively unbounded buffer costs no
 /// memory beyond the flits actually queued.
 #[derive(Clone, Debug)]
 pub struct LinkQueues<T = u32> {
-    /// `ring[e * RING_STRIDE + slot]` — the ring window of queue `e`.
-    ring: Vec<T>,
-    /// Front cursor of each queue's ring, `0..RING_STRIDE`.
-    head: Vec<u32>,
-    /// Total occupancy per queue (ring **plus** overflow) — also the
-    /// load figure adaptive routers see.
-    len: Vec<u32>,
-    /// Spill lists for queues deeper than the ring, indexed by queue id.
-    /// **Lazily sized**: empty until the first spill anywhere, so light
-    /// and moderate runs never pay for the deque headers, while
-    /// saturated runs pay once and then index directly (no hashing on
-    /// the congested path).
-    overflow: Vec<VecDeque<T>>,
+    fifos: Vec<Fifo<T>>,
+    /// The spill lists, one per queue that has ever grown past its ring,
+    /// in order of first spill; a queue's record carries its list's
+    /// number, so reaching it needs no search. Read only when a queue's
+    /// occupancy exceeds [`RING_STRIDE`]. A drained list keeps its number
+    /// and capacity, so a congested queue that spills again reuses it.
+    spill: Vec<VecDeque<T>>,
 }
 
 impl<T: Copy + Default> LinkQueues<T> {
+    /// Bytes of one queue's record — what every queue costs before it
+    /// spills.
+    pub(crate) const QUEUE_BYTES: usize = size_of::<Fifo<T>>();
+
     /// Empty FIFOs for `links` queues.
     pub fn new(links: usize) -> LinkQueues<T> {
         LinkQueues {
-            ring: vec![T::default(); links * RING_STRIDE],
-            head: vec![0; links],
-            len: vec![0; links],
-            overflow: Vec::new(),
+            fifos: vec![Fifo::default(); links],
+            spill: Vec::new(),
         }
     }
 
     /// Number of queues.
     pub fn links(&self) -> usize {
-        self.len.len()
+        self.fifos.len()
     }
 
     /// Enqueues `x` on queue `e`.
     #[inline]
     pub fn push(&mut self, e: usize, x: T) {
-        let l = self.len[e] as usize;
+        let (ring, cursor, len) = &mut self.fifos[e];
+        let l = *len as usize;
         if l < RING_STRIDE {
-            let slot = (self.head[e] as usize + l) & (RING_STRIDE - 1);
-            self.ring[e * RING_STRIDE + slot] = x;
+            ring[((*cursor & HEAD_MASK) as usize + l) & (RING_STRIDE - 1)] = x;
         } else {
-            if self.overflow.is_empty() {
-                // First spill of the run: materialise the header column.
-                self.overflow = vec![VecDeque::new(); self.len.len()];
+            if *cursor >> HEAD_BITS == 0 {
+                *cursor |= new_spill_list(&mut self.spill) << HEAD_BITS;
             }
-            self.overflow[e].push_back(x);
+            self.spill[(*cursor >> HEAD_BITS) as usize - 1].push_back(x);
         }
-        self.len[e] = (l + 1) as u32;
+        *len += 1;
     }
 
     /// The front value of queue `e` without dequeuing it — what the
     /// wormhole forward phase inspects before spending a link's cycle.
     #[inline]
     pub fn front(&self, e: usize) -> Option<T> {
-        (self.len[e] != 0).then(|| self.ring[e * RING_STRIDE + self.head[e] as usize])
+        let (ring, cursor, len) = &self.fifos[e];
+        (*len != 0).then(|| ring[(*cursor & HEAD_MASK) as usize])
     }
 
     /// Dequeues the front value of queue `e`, or `None` when it is idle.
     #[inline]
     pub fn pop(&mut self, e: usize) -> Option<T> {
-        let l = self.len[e] as usize;
-        if l == 0 {
+        let (ring, cursor, len) = &mut self.fifos[e];
+        if *len == 0 {
             return None;
         }
-        let head = self.head[e] as usize;
-        let x = self.ring[e * RING_STRIDE + head];
-        if l > RING_STRIDE {
+        let head = (*cursor & HEAD_MASK) as usize;
+        let x = ring[head];
+        if *len as usize > RING_STRIDE {
             // The ring was full: the eldest spilled value is promoted into
             // the slot just vacated, which (head + RING_STRIDE ≡ head) is
             // exactly where FIFO order wants it. O(1), no shifting.
-            let promoted = self.overflow[e]
+            ring[head] = self.spill[(*cursor >> HEAD_BITS) as usize - 1]
                 .pop_front()
-                .expect("occupancy beyond the stride implies a spill list");
-            self.ring[e * RING_STRIDE + head] = promoted;
+                .expect("occupancy beyond the stride implies a spilled value");
         }
-        self.head[e] = ((head + 1) & (RING_STRIDE - 1)) as u32;
-        self.len[e] = (l - 1) as u32;
+        *cursor = (*cursor & !HEAD_MASK) | ((head as u32 + 1) & HEAD_MASK);
+        *len -= 1;
         Some(x)
     }
 
     /// Occupancy of queue `e`.
     #[inline]
     pub fn load(&self, e: usize) -> usize {
-        self.len[e] as usize
+        self.fifos[e].2 as usize
     }
 
-    /// The per-queue occupancy column, indexed by queue id — the slice a
-    /// node-local [`LinkLoad`](crate::router::LinkLoad) view windows
-    /// into.
+    /// Number of queues that have spilled past the ring so far — each
+    /// holds one spill list; no other queue holds any spill state.
+    pub fn spilled_queues(&self) -> usize {
+        self.spill.len()
+    }
+}
+
+/// Opens the spill list of a queue's first spill, returning the number
+/// its record carries (the list's index plus one).
+#[cold]
+fn new_spill_list<T>(spill: &mut Vec<VecDeque<T>>) -> u32 {
+    spill.push(VecDeque::new());
+    u32::try_from(spill.len())
+        .ok()
+        .filter(|&n| n <= u32::MAX >> HEAD_BITS)
+        .expect("spill-list numbers fit the cursor word")
+}
+
+/// A per-queue occupancy column, indexed by queue id: what a node-local
+/// [`NodeLoad`] window reads. The store-and-forward engine's
+/// [`LinkQueues`] and the flit engine's per-edge load column (a `[u32]`
+/// summed over every VC) both are one.
+pub(crate) trait Loads {
+    /// Occupancy of queue `q`.
+    fn queue_load(&self, q: usize) -> usize;
+}
+
+impl<T: Copy + Default> Loads for LinkQueues<T> {
     #[inline]
-    pub fn loads(&self) -> &[u32] {
-        &self.len
+    fn queue_load(&self, q: usize) -> usize {
+        self.load(q)
+    }
+}
+
+impl Loads for [u32] {
+    #[inline]
+    fn queue_load(&self, q: usize) -> usize {
+        self[q] as usize
+    }
+}
+
+/// Occupancy view of one node's output links, handed to adaptive
+/// routers: slot `s` reads queue `base + s` of the load column `loads`.
+/// Generic over the column, so the engines' hot paths stay statically
+/// dispatched up to the router call.
+pub(crate) struct NodeLoad<'a, L: ?Sized> {
+    pub(crate) loads: &'a L,
+    pub(crate) base: usize,
+}
+
+impl<L: Loads + ?Sized> LinkLoad for NodeLoad<'_, L> {
+    #[inline]
+    fn load(&self, slot: usize) -> usize {
+        self.loads.queue_load(self.base + slot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::fmt::Debug;
+
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     use super::*;
 
@@ -376,7 +445,8 @@ mod tests {
             q.push(2, T::from(id));
         }
         assert_eq!(q.load(2), RING_STRIDE + 3, "overflow counts toward load");
-        assert_eq!(q.loads()[2] as usize, q.load(2));
+        let view = NodeLoad { loads: &q, base: 1 };
+        assert_eq!(view.load(1), q.load(2), "the router's load view reads it");
         assert_eq!(q.links(), 4);
         q.pop(2);
         assert_eq!(q.load(2), RING_STRIDE + 2);
@@ -386,5 +456,96 @@ mod tests {
     fn loads_column_tracks_total_occupancy() {
         loads_track_total_occupancy::<u32>();
         loads_track_total_occupancy::<u64>();
+    }
+
+    /// Seeded random pushes and pops over many queues, checked step by
+    /// step against one `VecDeque` per queue. Pushes are biased towards
+    /// a few hot queues in bursts, so those spill and drain repeatedly.
+    fn matches_a_vecdeque_model<T: Copy + Default + PartialEq + Debug + From<u32>>(seed: u64) {
+        const QUEUES: usize = 64;
+        let mut q = LinkQueues::<T>::new(QUEUES);
+        let mut model: Vec<VecDeque<T>> = vec![VecDeque::new(); QUEUES];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut next, mut spills) = (0u32, 0usize);
+        for step in 0..40_000 {
+            // Alternate filling and draining phases of 500 steps.
+            let filling = (step / 500) % 2 == 0;
+            let e = if rng.gen_bool(0.5) {
+                rng.gen_range(0..4usize)
+            } else {
+                rng.gen_range(0..QUEUES)
+            };
+            if rng.gen_bool(if filling { 0.7 } else { 0.3 }) {
+                q.push(e, T::from(next));
+                model[e].push_back(T::from(next));
+                next += 1;
+                if model[e].len() == RING_STRIDE + 1 {
+                    spills += 1;
+                }
+            } else {
+                assert_eq!(q.pop(e), model[e].pop_front(), "step {step}, queue {e}");
+            }
+            assert_eq!(q.front(e), model[e].front().copied(), "step {step}");
+            assert_eq!(q.load(e), model[e].len(), "step {step}");
+        }
+        assert!(
+            spills > 20,
+            "only {spills} spills: the model test is too tame"
+        );
+        assert!(q.spilled_queues() >= 4, "every hot queue spilled");
+        for (e, m) in model.iter_mut().enumerate() {
+            while let Some(x) = m.pop_front() {
+                assert_eq!(q.pop(e), Some(x));
+            }
+            assert_eq!(q.pop(e), None);
+            assert_eq!(q.load(e), 0);
+        }
+    }
+
+    #[test]
+    fn queues_match_a_vecdeque_model_under_random_spills() {
+        for seed in 0..4 {
+            matches_a_vecdeque_model::<u32>(seed);
+            matches_a_vecdeque_model::<u64>(seed);
+        }
+    }
+
+    fn spill_state_is_per_spilled_queue<T: Copy + Default + PartialEq + Debug + From<u32>>() {
+        let mut q = LinkQueues::<T>::new(1 << 20);
+        let deep = 12_345;
+        for id in 0..(3 * RING_STRIDE as u32) {
+            q.push(deep, T::from(id));
+        }
+        assert_eq!(q.spilled_queues(), 1, "one queue spilled, one spill list");
+        // The queues whose record carries a spill-list number.
+        let numbered = |q: &LinkQueues<T>| -> Vec<usize> {
+            (0..q.links())
+                .filter(|&e| q.fifos[e].1 >> HEAD_BITS != 0)
+                .collect()
+        };
+        assert_eq!(numbered(&q), [deep], "the deep queue alone holds a list");
+        // Filling other rings to the brim spills nothing more.
+        for e in 0..64 {
+            for id in 0..RING_STRIDE as u32 {
+                q.push(e, T::from(id));
+            }
+        }
+        assert_eq!(q.spilled_queues(), 1);
+        // Draining and spilling the same queue again reuses its list.
+        while q.pop(deep).is_some() {}
+        for id in 0..(2 * RING_STRIDE as u32) {
+            q.push(deep, T::from(id));
+        }
+        assert_eq!(q.spilled_queues(), 1);
+        assert_eq!(numbered(&q), [deep]);
+    }
+
+    #[test]
+    fn spill_state_exists_only_for_spilled_queues() {
+        spill_state_is_per_spilled_queue::<u32>();
+        spill_state_is_per_spilled_queue::<u64>();
+        // The record is all the per-queue state: ring, cursor and length.
+        assert_eq!(LinkQueues::<u32>::QUEUE_BYTES, 24);
+        assert_eq!(LinkQueues::<u64>::QUEUE_BYTES, 40);
     }
 }

@@ -3,7 +3,7 @@
 //! [`ChurnTimeline`](crate::fault::ChurnTimeline) of fail/recover events
 //! in the event-commit stage, and the closed-loop request/reply workload
 //! (`Sessions`) with timeout-and-retry delivery. Both plug into the
-//! unified stepper ([`run_saf`](super::core::run_saf)) through the
+//! unified stepper ([`run_lanes`](super::parallel::run_lanes)) through the
 //! policy traits: `Churn` is one of the three fault states next to
 //! `Healthy` and `Static`, and `Sessions` runs over any of them, as the
 //! open-loop `Unicast` does. [`run`](super::run) picks `Churn` for

@@ -2,37 +2,22 @@
 //! packet FIFOs on the lane chassis [`Shard`]) and the
 //! [`ReplicationPolicy`] workloads (unicast, collective) that
 //! specialize the unified stepper ([`super::stepper`]) into every
-//! packet-switched run. [`run_saf`] hands one [`SafLane`] per node
-//! shard to the lane driver ([`run_lanes`]) — the **same** stage
-//! methods at any lane count.
+//! packet-switched run. The lane driver
+//! ([`run_lanes`](super::parallel::run_lanes)) builds one [`SafLane`]
+//! per node shard — the **same** stage methods at any lane count.
 
 use fibcube_graph::csr::CsrGraph;
 
-use crate::arena::{LinkQueues, PacketSlab, NO_COPY};
+use crate::arena::{LinkQueues, Loads, NodeLoad, PacketSlab, NO_COPY};
 use crate::collective::CopyPlan;
-use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
-use crate::router::{LinkLoad, NextHopTable, Router};
+use crate::router::{NextHopTable, Router};
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::parallel::{run_lanes, LaneBuilder};
 use super::policy::{FaultPolicy, ReplicationPolicy};
-use super::stats::{DropReason, SimStats, StatsAcc};
+use super::stats::DropReason;
 use super::stepper::{LaneWorkload, Scan, Shard};
-
-/// Occupancy view of one node's output links, handed to adaptive routers:
-/// a window into the [`LinkQueues`] occupancy column.
-pub(crate) struct NodeLoad<'a> {
-    pub(crate) loads: &'a [u32],
-    pub(crate) base: usize,
-}
-
-impl LinkLoad for NodeLoad<'_> {
-    fn load(&self, slot: usize) -> usize {
-        self.loads[self.base + slot] as usize
-    }
-}
 
 /// How the engine resolves each hop: a dense precomputed table (one load
 /// per hop) or per-hop policy calls (live link-load view plus a slot
@@ -100,10 +85,10 @@ where
 /// column indexed from global edge `edge_lo` (0 for a whole-network
 /// view); the returned edge id is global.
 #[inline]
-pub(crate) fn route_edge<R: Router + ?Sized>(
+pub(crate) fn route_edge<R: Router + ?Sized, L: Loads + ?Sized>(
     g: &CsrGraph,
     routing: Routing<'_, R>,
-    loads: &[u32],
+    loads: &L,
     edge_lo: usize,
     node: u32,
     dst: u32,
@@ -174,7 +159,7 @@ impl<O: SimObserver> Core<'_, O> {
         dst: u32,
     ) {
         let (g, edge_lo) = (self.shard.g, self.shard.edge_lo);
-        let e = route_edge(g, routing, self.queues.loads(), edge_lo, node, dst);
+        let e = route_edge(g, routing, &self.queues, edge_lo, node, dst);
         self.enqueue(e, id);
     }
 
@@ -217,6 +202,22 @@ impl<O: SimObserver> Core<'_, O> {
 pub(crate) struct SafLane<'a, O, W> {
     pub(crate) core: Core<'a, O>,
     pub(crate) workload: W,
+}
+
+impl<'a, O: SimObserver, W> SafLane<'a, O, W> {
+    /// The lane owning nodes `[lo, hi)` of `g`, reporting to `observer`.
+    /// The caller builds `workload` first, so its set-up scratch (the
+    /// injection sort's buffer) is freed before the arena allocates,
+    /// keeping peak RSS down.
+    pub(crate) fn new(g: &'a CsrGraph, lo: u32, hi: u32, observer: &'a mut O, workload: W) -> Self {
+        let shard = Shard::new(g, lo, hi, observer);
+        let core = Core {
+            queues: LinkQueues::new(shard.edge_hi - shard.edge_lo),
+            shard,
+            slab: PacketSlab::new(),
+        };
+        SafLane { core, workload }
+    }
 }
 
 impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W> {
@@ -282,74 +283,6 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
         let observer = &mut self.core.shard.observer;
         observer.on_cycle_end(cycle, in_flight as usize);
     }
-}
-
-/// The store-and-forward lanes of one run, built by `make(lo, hi)` per
-/// node shard; retired lanes leave their workloads in `done`, in lane
-/// order.
-struct SafLanes<'g, W, F> {
-    g: &'g CsrGraph,
-    make: F,
-    done: Vec<W>,
-}
-
-impl<'g, O, W, F> LaneBuilder<O> for SafLanes<'g, W, F>
-where
-    O: SimObserver + Send,
-    W: ReplicationPolicy<O> + Send,
-    F: FnMut(u32, u32) -> W,
-{
-    type Lane<'o>
-        = SafLane<'o, O, W>
-    where
-        Self: 'o,
-        O: 'o;
-
-    fn build<'o>(&mut self, lo: u32, hi: u32, observer: &'o mut O) -> SafLane<'o, O, W>
-    where
-        Self: 'o,
-    {
-        // The workload first: its set-up scratch (the injection sort's
-        // buffer) is freed before the arena allocates, keeping peak RSS
-        // down.
-        let workload = (self.make)(lo, hi);
-        let shard = Shard::new(self.g, lo, hi, observer);
-        let core = Core {
-            queues: LinkQueues::new(shard.edge_hi - shard.edge_lo),
-            shard,
-            slab: PacketSlab::new(),
-        };
-        SafLane { core, workload }
-    }
-
-    fn retire(&mut self, lane: SafLane<'_, O, W>) -> StatsAcc {
-        self.done.push(lane.workload);
-        lane.core.shard.acc
-    }
-}
-
-/// Runs a store-and-forward workload through the lane driver
-/// ([`run_lanes`]), building each lane's workload with `make(lo, hi)`
-/// for its node shard. Returns the finished stats and the lane workloads
-/// in lane order (carrying outputs such as the collective's tally).
-pub(crate) fn run_saf<T, O, W, F>(
-    topology: &T,
-    offered: usize,
-    max_cycles: u64,
-    lanes: usize,
-    observer: &mut O,
-    make: F,
-) -> Result<(SimStats, Vec<W>), ExperimentError>
-where
-    T: Topology + ?Sized,
-    O: SimObserver + Send,
-    W: ReplicationPolicy<O> + Send,
-    F: FnMut(u32, u32) -> W,
-{
-    let (g, done) = (topology.graph(), Vec::new());
-    let mut saf = SafLanes { g, make, done };
-    let acc = run_lanes(topology.len(), lanes, max_cycles, observer, &mut saf)?;
-    Ok((acc.finish(offered), saf.done))
 }
 
 /// The open-loop unicast workload over the fault state `F`: time-sorted

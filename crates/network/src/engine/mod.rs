@@ -104,7 +104,8 @@ use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficSpec};
 
 use self::churn::{Churn, Sessions};
-use self::core::{routing_for, run_saf, Replicate, Unicast};
+use self::core::{routing_for, Replicate, Unicast};
+use self::parallel::run_lanes;
 use self::policy::{FaultPolicy, Healthy, Static};
 use self::wormhole::{check_buffer_space, run_wormhole};
 
@@ -371,7 +372,8 @@ where
         Workload::Copies(copies) => {
             let make = |_, _| Replicate::new(copies);
             let offered = copies.offered();
-            let (stats, workloads) = run_saf(topology, offered, max_cycles, lanes, observer, make)?;
+            let (stats, workloads) =
+                run_lanes(topology, offered, max_cycles, lanes, observer, make)?;
             let reached = Some(workloads.iter().map(|w| w.reached_targets).sum());
             return Ok(RunOutcome { stats, reached });
         }
@@ -441,12 +443,12 @@ where
     match plan.workload {
         Workload::Open(packets) => {
             let make = |lo, hi| Unicast::for_range(packets, lo, hi, fault());
-            Ok(run_saf(topology, packets.len(), max_cycles, lanes, observer, make)?.0)
+            Ok(run_lanes(topology, packets.len(), max_cycles, lanes, observer, make)?.0)
         }
         Workload::Closed(load) => {
             let n = topology.len() as u32;
             let make = |_, _| Sessions::new(load, n, fault());
-            let (mut stats, workloads) = run_saf(topology, 0, max_cycles, lanes, observer, make)?;
+            let (mut stats, workloads) = run_lanes(topology, 0, max_cycles, lanes, observer, make)?;
             // Every lane replicates the session machine; lane 0's tally
             // is the one-lane run's.
             stats.offered = workloads[0].offered;

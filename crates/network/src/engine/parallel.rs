@@ -1,7 +1,7 @@
-//! The lane driver of the unified stepper ([`run_lanes`], which the
-//! store-and-forward engine shards through) and its pooled protocol:
-//! `k` lanes on a scoped thread pool, exchanging outbox messages under
-//! a barrier protocol.
+//! The lane driver of the store-and-forward engine ([`run_lanes`],
+//! which builds one [`SafLane`] per node shard) and its pooled
+//! protocol: `k` lanes on a scoped thread pool, exchanging outbox
+//! messages under a barrier protocol.
 //!
 //! This module contains **no cycle logic**: the per-cycle stages live on
 //! the workloads ([`LaneWorkload`]), and the one stepper driving them,
@@ -30,8 +30,11 @@ use std::sync::{Barrier, RwLock};
 
 use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
+use crate::topology::Topology;
 
-use super::stats::StatsAcc;
+use super::core::SafLane;
+use super::policy::ReplicationPolicy;
+use super::stats::SimStats;
 use super::stepper::{lane_bounds, run_lane, LaneWorkload, Protocol, Solo};
 
 /// Sentinel for "no pending traffic" in the published atomic.
@@ -113,48 +116,37 @@ where
     lanes
 }
 
-/// One workload's lanes, as [`run_lanes`] drives them: builds
-/// the lane of a node shard around a borrowed observer, and retires a
-/// finished lane into its statistics (keeping any other run output).
-pub(crate) trait LaneBuilder<O> {
-    /// A lane reporting to an observer borrowed for `'o`.
-    type Lane<'o>: LaneWorkload<Msg: Send + Sync> + Send
-    where
-        Self: 'o,
-        O: 'o;
-
-    /// The lane owning nodes `[lo, hi)`.
-    fn build<'o>(&mut self, lo: u32, hi: u32, observer: &'o mut O) -> Self::Lane<'o>
-    where
-        Self: 'o;
-
-    /// Retires a finished lane, returning its statistics.
-    fn retire(&mut self, lane: Self::Lane<'_>) -> StatsAcc;
-}
-
-/// The lane driver of the store-and-forward engine, over the shards
-/// of [`lane_bounds`]. One lane runs under [`Solo`] on the caller's
-/// thread, borrowing `observer` — no fork, no thread. More lanes run on
-/// the pool, each borrowing its own [`SimObserver::fork`] (an observer
-/// that opts out is the typed [`ExperimentError::UnforkableObserver`]);
+/// Runs a store-and-forward workload over the shards of
+/// [`lane_bounds`], building each lane's workload with `make(lo, hi)`
+/// for its node shard; returns the finished stats and the lane
+/// workloads in lane order (carrying outputs such as the collective's
+/// tally). One lane runs under [`Solo`] on the caller's thread,
+/// borrowing `observer` — no fork, no thread. More lanes run on the
+/// pool, each borrowing its own [`SimObserver::fork`] (an observer that
+/// opts out is the typed [`ExperimentError::UnforkableObserver`]);
 /// forks and statistics merge back in ascending lane order, so the
 /// result equals the one-lane run's.
-pub(crate) fn run_lanes<O, B>(
-    n: usize,
-    lanes: usize,
+pub(crate) fn run_lanes<T, O, W, F>(
+    topology: &T,
+    offered: usize,
     max_cycles: u64,
+    lanes: usize,
     observer: &mut O,
-    builder: &mut B,
-) -> Result<StatsAcc, ExperimentError>
+    mut make: F,
+) -> Result<(SimStats, Vec<W>), ExperimentError>
 where
+    T: Topology + ?Sized,
     O: SimObserver + Send,
-    B: LaneBuilder<O>,
+    W: ReplicationPolicy<O> + Send,
+    F: FnMut(u32, u32) -> W,
 {
-    let bounds = lane_bounds(n, lanes);
+    let g = topology.graph();
+    let bounds = lane_bounds(topology.len(), lanes);
     if let [(lo, hi)] = bounds[..] {
-        let mut lane = builder.build(lo, hi, observer);
+        let mut lane = SafLane::new(g, lo, hi, observer, make(lo, hi));
         run_lane(&mut lane, &Solo::default(), 0, max_cycles);
-        return Ok(builder.retire(lane));
+        let acc = lane.core.shard.acc;
+        return Ok((acc.finish(offered), vec![lane.workload]));
     }
     let mut forks = (0..bounds.len())
         .map(|_| O::fork(observer))
@@ -166,15 +158,17 @@ where
     let pool: Vec<_> = bounds
         .iter()
         .zip(&mut forks)
-        .map(|(&(lo, hi), fork)| builder.build(lo, hi, fork))
+        .map(|(&(lo, hi), fork)| SafLane::new(g, lo, hi, fork, make(lo, hi)))
         .collect();
-    let mut accs = run_pool(pool, max_cycles)
-        .into_iter()
-        .map(|lane| builder.retire(lane));
-    let mut acc = accs.next().expect("a pooled run has at least two lanes");
-    accs.for_each(|lane| acc.merge(lane));
+    let mut retired = run_pool(pool, max_cycles).into_iter();
+    let first = retired.next().expect("a pooled run has at least two lanes");
+    let (mut acc, mut done) = (first.core.shard.acc, vec![first.workload]);
+    for lane in retired {
+        acc.merge(lane.core.shard.acc);
+        done.push(lane.workload);
+    }
     for fork in forks {
         observer.merge(fork);
     }
-    Ok(acc)
+    Ok((acc.finish(offered), done))
 }

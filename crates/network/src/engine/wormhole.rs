@@ -53,7 +53,7 @@
 use std::collections::VecDeque;
 use std::convert::Infallible;
 
-use crate::arena::{LinkQueues, PacketSlab, RING_STRIDE};
+use crate::arena::{LinkQueues, PacketSlab};
 use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
 use crate::router::{Router, TABLE_BYTE_BUDGET};
@@ -129,8 +129,8 @@ impl Buf {
 }
 
 /// Bytes a run spends per (edge × VC) buffer: the credit record plus
-/// the flit queue's ring window, front cursor and length.
-const BUF_BYTES: usize = size_of::<Buf>() + RING_STRIDE * size_of::<u64>() + 2 * size_of::<u32>();
+/// the flit queue's record.
+const BUF_BYTES: usize = size_of::<Buf>() + LinkQueues::<u64>::QUEUE_BYTES;
 
 /// Refuses a wormhole spec whose (edge × VC) buffers on `topology`
 /// overflow the `u32` buffer ids or would need more than
@@ -260,7 +260,7 @@ impl<F: FaultPolicy, O: SimObserver> WormLane<'_, F, O> {
         let src = self.worm.src[i];
         let dst = self.slab.dst(id);
         let routing = self.fault.routing();
-        let e0 = route_edge(self.shard.g, routing, &self.link_load, 0, src, dst);
+        let e0 = route_edge(self.shard.g, routing, &self.link_load[..], 0, src, dst);
         let b0 = e0 * self.vcs;
         let multi = self.fpp > 1;
         if (multi && self.bufs[b0].claim != 0) || self.full(b0) {
@@ -325,7 +325,7 @@ impl<F: FaultPolicy, O: SimObserver> WormLane<'_, F, O> {
                 (EJECT, true)
             } else {
                 let routing = self.fault.routing();
-                let e2 = route_edge(self.shard.g, routing, &self.link_load, 0, v, dst);
+                let e2 = route_edge(self.shard.g, routing, &self.link_load[..], 0, v, dst);
                 let c2 = self.edge_class[e2];
                 let mut lvl = self.worm.level[i];
                 if c2 <= self.worm.last_class[i] {

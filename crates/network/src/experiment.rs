@@ -775,6 +775,45 @@ mod tests {
     }
 
     #[test]
+    fn oversized_bernoulli_lists_are_refused_before_generating() {
+        // Γ_16 at rate 1 for 10¹² cycles expects 2.6·10¹⁵ packets, 41 PB
+        // of list: refused before the generator presizes it.
+        let net = FibonacciNet::classical(16);
+        let n = net.len();
+        let bernoulli = |rate, cycles| TrafficSpec::Bernoulli { rate, cycles };
+        let over = [
+            bernoulli(1.0, 1_000_000_000_000),
+            bernoulli(1.0, u64::MAX),
+            // Each half fits (38.8 M packets, 620 MB); together they
+            // do not.
+            TrafficSpec::Mixed(vec![bernoulli(1.0, 15_000), bernoulli(1.0, 15_000)]),
+        ];
+        assert!(bernoulli(1.0, 15_000).validate(n).is_ok());
+        for spec in &over {
+            match spec.validate(n) {
+                Err(ExperimentError::InvalidTraffic { reason, .. }) => {
+                    assert!(reason.contains("budget"), "{spec}: {reason}")
+                }
+                other => panic!("{spec}: expected InvalidTraffic, got {other:?}"),
+            }
+        }
+        for spec in over {
+            let err = Experiment::on(&net).traffic(spec).run().unwrap_err();
+            assert!(
+                matches!(err, ExperimentError::InvalidTraffic { .. }),
+                "{err}"
+            );
+        }
+        // A modest spec still validates and runs.
+        let report = Experiment::on(&net)
+            .traffic(bernoulli(0.001, 200))
+            .run()
+            .expect("a modest Bernoulli spec runs");
+        assert!(report.stats.offered > 0);
+        assert_eq!(report.stats.delivered, report.stats.offered);
+    }
+
+    #[test]
     fn experiment_reproduces_a_direct_engine_run_on_the_acceptance_pair() {
         // Acceptance criterion: a no-op-observer experiment must match
         // a direct `engine::run` packet for packet on Γ_16 and Q_11 — same

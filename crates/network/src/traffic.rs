@@ -223,8 +223,9 @@ impl TrafficSpec {
     /// Checks the spec against a network of `n` nodes, returning a typed
     /// error instead of the panic [`generate`](TrafficSpec::generate)
     /// would raise — or the abort of allocating a packet list over
-    /// [`TABLE_BYTE_BUDGET`] bytes (counted for every variant but
-    /// Bernoulli, whose length is random).
+    /// [`TABLE_BYTE_BUDGET`] bytes (for Bernoulli traffic, whose length
+    /// is random, a list of its mean length plus four standard
+    /// deviations).
     pub fn validate(&self, n: usize) -> Result<(), ExperimentError> {
         let invalid = |reason: String| {
             Err(ExperimentError::InvalidTraffic {
@@ -288,9 +289,10 @@ impl TrafficSpec {
     }
 
     /// The length of the packet list [`generate`](TrafficSpec::generate)
-    /// builds on `n` nodes, where it is known in advance: 0 for
-    /// Bernoulli traffic, whose length is random, and for the
-    /// closed-loop request/reply, which has no list.
+    /// builds on `n` nodes, known in advance for every variant but
+    /// Bernoulli traffic, whose random length this bounds by its mean
+    /// `n·cycles·rate` plus four standard deviations. The closed-loop
+    /// request/reply has no list: 0.
     pub(crate) fn list_len(&self, n: usize) -> u128 {
         match self {
             TrafficSpec::Uniform { count, .. } | TrafficSpec::HotSpot { count, .. } => {
@@ -299,7 +301,13 @@ impl TrafficSpec {
             TrafficSpec::ComplementPermutation { .. } => n as u128,
             TrafficSpec::AllToAll => n as u128 * n.saturating_sub(1) as u128,
             TrafficSpec::Mixed(parts) => parts.iter().map(|p| p.list_len(n)).sum(),
-            TrafficSpec::Bernoulli { .. } | TrafficSpec::RequestReply { .. } => 0,
+            TrafficSpec::Bernoulli { rate, cycles } => {
+                // `as` saturates, and maps the NaN of a bad rate to 0
+                // (the rate check refuses that spec).
+                let mean = n as f64 * *cycles as f64 * rate;
+                (mean + 4.0 * mean.sqrt()).ceil() as u128
+            }
+            TrafficSpec::RequestReply { .. } => 0,
         }
     }
 
