@@ -12,14 +12,19 @@
 //! * `flit_engine` — one whole run of the flit-level wormhole engine
 //!   (Γ_12, 2 000 uniform packets, 4 flits per packet, 2 VCs of 4-flit
 //!   buffers), so a change to its forward scan or credit bookkeeping
-//!   gets a timing without the end-to-end benchmark.
+//!   gets a timing without the end-to-end benchmark;
+//! * `fault_state` — one whole store-and-forward run under a static
+//!   fault mask (Γ_12, four dead nodes, 10 000 uniform packets, one
+//!   lane), the masked admission and per-hop routing that no
+//!   end-to-end benchmark workload runs.
 
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fibcube_network::arena::{LinkQueues, RING_STRIDE};
-use fibcube_network::engine::{self, RunPlan, Workload};
-use fibcube_network::router::{NoLoad, Router};
+use fibcube_network::engine::{self, Admission, RunPlan, Workload};
+use fibcube_network::fault::FaultSet;
+use fibcube_network::router::{FaultMaskingRouter, NoLoad, Router};
 use fibcube_network::{
     CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, NoopObserver, SwitchingSpec, Topology,
     TrafficSpec,
@@ -185,10 +190,41 @@ fn bench_flit_engine(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fault_state(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fault_state");
+    group.sample_size(10);
+    let gamma = FibonacciNet::classical(12);
+    let router = CanonicalRouter::for_net(&gamma);
+    let mask =
+        FaultMaskingRouter::for_topology(&gamma, &router, &FaultSet::new([5, 77, 160, 301], []));
+    // Half the canonical router's Γ_12 saturation rate (≈ 0.027 packets
+    // per node per cycle).
+    let pkts = TrafficSpec::Uniform {
+        count: 10_000,
+        window: 2_000,
+    }
+    .generate(gamma.len(), 1);
+    let plan = RunPlan::new(&gamma, &router, Workload::Open(&pkts), 1_000_000)
+        .admission(Admission::Static(&mask));
+    group.bench_function(BenchmarkId::new("static_mask_uniform", gamma.name()), |b| {
+        b.iter(|| {
+            let s = engine::run(&plan, 1, &mut NoopObserver).unwrap().stats;
+            assert!(s.dropped_dead_endpoint > 0);
+            assert_eq!(
+                s.delivered + s.dropped_dead_endpoint + s.dropped_unreachable,
+                s.offered
+            );
+            std::hint::black_box(s.total_hops)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_route_lookup,
     bench_link_queue,
-    bench_flit_engine
+    bench_flit_engine,
+    bench_fault_state
 );
 criterion_main!(benches);

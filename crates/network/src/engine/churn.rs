@@ -1,14 +1,15 @@
 //! Dynamic faults and closed-loop traffic for the store-and-forward
-//! engine: the churn fault state (`Churn`), which applies a
-//! [`ChurnTimeline`](crate::fault::ChurnTimeline) of fail/recover events
-//! in the event-commit stage, and the closed-loop request/reply workload
-//! (`Sessions`) with timeout-and-retry delivery. Both plug into the
-//! unified stepper ([`run_lanes`](super::parallel::run_lanes)) through the
-//! policy traits: `Churn` is one of the three fault states next to
-//! `Healthy` and `Static`, and `Sessions` runs over any of them, as the
-//! open-loop `Unicast` does. [`run`](super::run) picks `Churn` for
+//! engine: the event-commit stage (`Core::commit_events`), which applies
+//! a [`ChurnTimeline`](crate::fault::ChurnTimeline) of fail/recover
+//! events through the churn arm of the lane's `FaultState` and flushes
+//! the queues they kill, and the closed-loop request/reply workload (`Sessions`) with timeout-and-retry delivery.
+//! `Sessions` plugs into the unified stepper
+//! ([`run_lanes`](super::parallel::run_lanes)) as a
+//! [`ReplicationPolicy`] and runs over any fault state, as the open-loop
+//! `Unicast` does. `FaultState::new` picks the churn arm for
 //! [`Admission::Churn`](super::Admission::Churn) with events, and
-//! `Sessions` for [`Workload::Closed`](super::Workload::Closed).
+//! [`run`](super::run) picks `Sessions` for
+//! [`Workload::Closed`](super::Workload::Closed).
 //!
 //! ## Event semantics
 //!
@@ -16,10 +17,10 @@
 //! applied at the top of cycle `c` (the event-commit stage), after the
 //! previous cycle's arrivals and before cycle `c`'s injections — so
 //! every admission verdict and routing decision within one cycle sees
-//! one consistent fault epoch (the stability contract of the fault
-//! policy). Applying an event flips the [`FaultMaskingRouter`]'s masks
+//! one consistent fault epoch (the stability contract of
+//! `FaultState`). Applying an event flips the masked router's masks
 //! and **incrementally patches** its distance table
-//! ([`FaultMaskingRouter::apply_event`]); packets queued on a dying link
+//! (`FaultMaskingRouter::apply_event`); packets queued on a dying link
 //! or node are flushed as typed drops ([`DropReason::LinkDied`] /
 //! [`DropReason::NodeDied`]), and a packet whose destination died or was
 //! cut off while it was in flight drops on arrival at its next hop
@@ -28,8 +29,9 @@
 //!
 //! ## Routing state
 //!
-//! The router is built with [`FaultMaskingRouter::for_topology`]. On a
-//! topology with [`cube_labels`](crate::topology::Topology::cube_labels)
+//! The router is built with
+//! [`FaultMaskingRouter::for_topology`](crate::router::FaultMaskingRouter::for_topology).
+//! On a topology with [`cube_labels`](crate::topology::Topology::cube_labels)
 //! (the Fibonacci cubes and `Q_d`) its fault-free start table is filled
 //! in closed form, `dist[dst][src] = popcount(l[src] ^ l[dst])`, with no
 //! BFS. Per hop, a `(cur, dst)` query is **certified** when no dead node
@@ -45,7 +47,7 @@
 //!
 //! Each lane owns a **replica** of the masked router (table, labels and
 //! fault list), built from the same timeline and patched by the same
-//! deterministic [`FaultMaskingRouter::apply_event`] calls — so every
+//! deterministic `FaultMaskingRouter::apply_event` calls — so every
 //! lane's routing and admission decisions agree without any shared lock.
 //! Queue flushes and drop accounting are gated on node ownership; the
 //! closed-loop session machine is replicated the same way, with every
@@ -60,8 +62,8 @@
 //! - A timeline whose failures all commit at cycle 0 and never recover
 //!   is packet-for-packet identical to the static degraded run
 //!   ([`Admission::Static`](super::Admission::Static)), open or closed
-//!   loop: both route per hop through the same [`FaultMaskingRouter`]
-//!   state, with the same injection admission and the same cycle
+//!   loop: both route per hop through the same
+//!   [`FaultMaskingRouter`](crate::router::FaultMaskingRouter) state, with the same injection admission and the same cycle
 //!   skeleton. (The static run fires no `on_fault_event`.)
 //!
 //! ## Closed-loop delivery
@@ -89,13 +91,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::arena::PacketSlab;
-use crate::fault::{ChurnEvent, ChurnTarget, FaultSet};
+use crate::fault::ChurnTarget;
 use crate::observer::SimObserver;
-use crate::router::{FaultMaskingRouter, Router};
-use crate::topology::Topology;
+use crate::router::Router;
 
-use super::core::{Core, Routing, SafMsg};
-use super::policy::{masked_verdict, FaultPolicy, ReplicationPolicy};
+use super::core::{Core, SafMsg};
+use super::policy::ReplicationPolicy;
 use super::stats::DropReason;
 
 /// The closed-loop request/reply workload
@@ -120,97 +121,55 @@ pub struct RequestReplyLoad {
     pub seed: u64,
 }
 
-/// The churn fault state of one lane: a lane-owned **replica** of the
-/// masked router plus the event cursor, so fault events can flip its
-/// masks and patch its distance table mid-run without any cross-lane
-/// lock — every lane applies the same deterministic event stream, so
-/// the replicas never diverge.
-pub(crate) struct Churn<'g, 'p, R: Router + ?Sized> {
-    router: FaultMaskingRouter<'g, R>,
-    events: &'p [ChurnEvent],
-    next_event: usize,
-}
-
-impl<'g, 'p, R: Router + ?Sized> Churn<'g, 'p, R> {
-    /// The intact network around `inner`, with `events` still to apply.
-    pub(crate) fn new<T: Topology + ?Sized>(
-        topology: &'g T,
-        inner: &'g R,
-        events: &'p [ChurnEvent],
-    ) -> Churn<'g, 'p, R> {
-        Churn {
-            router: FaultMaskingRouter::for_topology(topology, inner, &FaultSet::empty()),
-            events,
-            next_event: 0,
-        }
-    }
-}
-
-impl<'g, R: Router + ?Sized> FaultPolicy for Churn<'g, '_, R> {
-    type Router = FaultMaskingRouter<'g, R>;
-
-    #[inline]
-    fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
-        masked_verdict(&self.router, src, dst)
-    }
-
-    #[inline]
-    fn routing(&self) -> Routing<'_, FaultMaskingRouter<'g, R>> {
-        Routing::PerHop(&self.router)
-    }
-
-    /// The destination died while the packet was in flight, or churn
-    /// partitioned the network under it.
-    #[inline]
-    fn en_route(&self, node: u32, dst: u32) -> Option<DropReason> {
-        if !self.router.node_alive(dst) {
-            Some(DropReason::NodeDied)
-        } else if !self.router.reachable(node, dst) {
-            Some(DropReason::Unreachable)
-        } else {
-            None
-        }
-    }
-
-    /// Applies every event due at or before `cycle`, in timeline order:
-    /// router masks and distance rows on **every** lane's replica, then
-    /// the queue flushes for failures at the lanes owning the affected
-    /// queues. Flushes only ever find packets when `event.cycle` is the
+impl<O: SimObserver, R: Router + ?Sized> Core<'_, O, R> {
+    /// The event-commit stage: applies every fault event due at or
+    /// before `cycle` to the lane's fault state
+    /// (`FaultState::commit_events`), then, event by event in timeline
+    /// order, drains the queues of the dying links and nodes this lane
+    /// owns as typed drops (or silently, when `silent`) and reports the
+    /// event. Flushes only ever find packets when `event.cycle` is the
     /// current cycle — the engine fast-forwards only over empty
-    /// networks.
-    fn commit_events<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>, silent: bool) {
-        while self.next_event < self.events.len() && self.events[self.next_event].cycle <= cycle {
-            let ev = self.events[self.next_event];
-            self.next_event += 1;
-            self.router.apply_event(&ev);
-            if ev.failed {
-                let g = core.shard.g;
-                let mut flush = |a: u32, b: u32, reason| {
-                    if let (true, Some(slot)) = (core.shard.owns(a), g.slot_of(a, b)) {
-                        let e = g.edge_range(a).start + slot;
-                        core.flush_directed_edge(a, e, ev.cycle, reason, silent);
-                    }
+    /// networks. Nothing happens outside churn.
+    pub(crate) fn commit_events(&mut self, cycle: u64, silent: bool) {
+        let g = self.shard.g;
+        for ev in self.fault.commit_events(cycle) {
+            // Drains the owned queue of directed edge a→b, if any.
+            let mut flush = |a: u32, b: u32, reason| {
+                let Some(slot) = g.slot_of(a, b).filter(|_| self.shard.owns(a)) else {
+                    return;
                 };
-                match ev.target {
-                    // u < v, so the u→v directed edge flushes first —
-                    // ascending directed-edge order.
-                    ChurnTarget::Link(u, v) => {
-                        flush(u, v, DropReason::LinkDied);
-                        flush(v, u, DropReason::LinkDied);
+                let e = g.edge_range(a).start + slot;
+                let le = e - self.shard.edge_lo;
+                while let Some(id) = self.queues.pop(le) {
+                    self.shard.pop(e, self.queues.load(le) == 0);
+                    if !silent {
+                        self.shard.acc.drop_packet(reason);
+                        let dst = self.slab.dst(id);
+                        self.shard.observer.on_drop(ev.cycle, a, dst, reason);
                     }
-                    ChurnTarget::Node(x) => {
-                        for &y in g.neighbors(x) {
-                            flush(x, y, DropReason::NodeDied);
-                        }
-                        for &y in g.neighbors(x) {
-                            flush(y, x, DropReason::NodeDied);
-                        }
+                    self.slab.release(id);
+                }
+            };
+            match ev.target {
+                _ if !ev.failed => {}
+                // u < v, so the u→v directed edge flushes first —
+                // ascending directed-edge order.
+                ChurnTarget::Link(u, v) => {
+                    flush(u, v, DropReason::LinkDied);
+                    flush(v, u, DropReason::LinkDied);
+                }
+                ChurnTarget::Node(x) => {
+                    for &y in g.neighbors(x) {
+                        flush(x, y, DropReason::NodeDied);
+                    }
+                    for &y in g.neighbors(x) {
+                        flush(y, x, DropReason::NodeDied);
                     }
                 }
             }
             // Every lane's observer fork sees the (global) fault event;
             // the merge hook deduplicates.
-            core.shard.observer.on_fault_event(ev.cycle, ev.failed);
+            self.shard.observer.on_fault_event(ev.cycle, ev.failed);
         }
     }
 }
@@ -258,7 +217,7 @@ struct Meta {
 /// the session id.
 const REPLY_BIT: u32 = 1 << 31;
 
-/// The closed-loop workload over the fault state `F`: `clients`
+/// The closed-loop workload: `clients`
 /// sessions cycling think → request → reply with timeout-and-retry
 /// delivery. All scheduling goes through one min-heap of
 /// `(cycle, seq, session)` entries; a session transition bumps its
@@ -271,7 +230,7 @@ const REPLY_BIT: u32 = 1 << 31;
 /// allocations, routing, drop/delivery accounting, observer events —
 /// are gated on the lane owning the acting node. A scheduled cycle
 /// saturates at `u64::MAX`, which means "never" under any finite cap.
-pub(crate) struct Sessions<F> {
+pub(crate) struct Sessions {
     rng: StdRng,
     n: u32,
     think: f64,
@@ -283,7 +242,6 @@ pub(crate) struct Sessions<F> {
     meta: Vec<Meta>,
     /// Transactions started — the run's `offered`.
     pub(crate) offered: usize,
-    fault: F,
 }
 
 /// 53 random bits → uniform in (0, 1], so `ln` stays finite.
@@ -295,11 +253,11 @@ fn exp_draw(rng: &mut StdRng, mean: f64) -> u64 {
     (-u.ln() * mean).ceil() as u64
 }
 
-impl<F: FaultPolicy> Sessions<F> {
+impl Sessions {
     /// The full session machine over `n` nodes, replicated identically
     /// on every lane (same seed, same draws); the lane bounds live in
     /// the [`Core`] it runs against.
-    pub(crate) fn new(load: &RequestReplyLoad, n: u32, fault: F) -> Sessions<F> {
+    pub(crate) fn new(load: &RequestReplyLoad, n: u32) -> Sessions {
         let mut s = Sessions {
             rng: StdRng::seed_from_u64(load.seed),
             n,
@@ -311,7 +269,6 @@ impl<F: FaultPolicy> Sessions<F> {
             seq: 0,
             meta: Vec::new(),
             offered: 0,
-            fault,
         };
         for i in 0..load.clients {
             let src = s.rng.gen_range(0..n);
@@ -370,14 +327,14 @@ impl<F: FaultPolicy> Sessions<F> {
     /// lost request: the pending timeout observes it. The verdict is
     /// evaluated on every lane (same fault epoch — same answer); the
     /// packet itself exists only at the lane owning the client.
-    fn try_inject_request<O: SimObserver>(
+    fn try_inject_request<O: SimObserver, R: Router + ?Sized>(
         &mut self,
         session: u32,
         cycle: u64,
-        core: &mut Core<'_, O>,
+        core: &mut Core<'_, O, R>,
     ) {
         let s = self.sessions[session as usize];
-        if self.fault.verdict(s.src, s.dst).is_some() {
+        if core.fault.verdict(s.src, s.dst).is_some() {
             return;
         }
         if !core.shard.owns(s.src) {
@@ -394,11 +351,15 @@ impl<F: FaultPolicy> Sessions<F> {
                 reply: false,
             },
         );
-        core.route_and_enqueue(self.fault.routing(), s.src, id, s.dst);
+        core.route_and_enqueue(s.src, id, s.dst);
     }
 }
 
-impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
+impl<O: SimObserver, R: Router + ?Sized> ReplicationPolicy<O, R> for Sessions {
+    /// Stranded packets vanish silently: the session's timeout observes
+    /// the loss, and the transaction-level accounting stays conserved.
+    const SILENT_LOSSES: bool = true;
+
     fn next_pending(&mut self) -> Option<u64> {
         // Session actions only: fault events pending between here and
         // the next action commit late, at the jumped-to cycle — with no
@@ -406,18 +367,12 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
         self.next_action_cycle()
     }
 
-    /// Stranded packets vanish silently: the session's timeout observes
-    /// the loss, and the transaction-level accounting stays conserved.
-    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
-        self.fault.commit_events(cycle, core, true);
-    }
-
     /// Fires every session action due at `cycle`: transaction starts,
     /// reply timeouts (retry or give up), and backoff-delayed retries.
     /// Heap order `(cycle, seq)` makes the firing order deterministic,
     /// and every lane fires every action (the RNG must advance in
     /// lockstep); only the owning lane touches packets and statistics.
-    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O, R>) {
         loop {
             let Some(&Reverse((due, seq, session))) = self.heap.peek() else {
                 return;
@@ -508,7 +463,7 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
     /// session timeout. Session-state transitions (including their RNG
     /// draws) run on **every** lane; packet and statistic effects only
     /// at the owner.
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
+    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O, R>) {
         let m = Meta {
             session: msg.tag & !REPLY_BIT,
             txn: msg.inject,
@@ -522,10 +477,10 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
             if !core.shard.owns(msg.node) {
                 return;
             }
-            if self.fault.en_route(msg.node, msg.dst).is_none() {
+            if core.fault.en_route(msg.node, msg.dst).is_none() {
                 let id = core.slab.alloc(msg.dst, now);
                 set_meta(&mut self.meta, id, m);
-                core.route_and_enqueue(self.fault.routing(), msg.node, id, msg.dst);
+                core.route_and_enqueue(msg.node, id, msg.dst);
             }
             return;
         }
@@ -538,12 +493,12 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Sessions<F> {
             // Request reached the server: turn it around as a reply, if
             // the client is still there to receive it.
             if msg.node != s.src
-                && self.fault.en_route(msg.node, s.src).is_none()
+                && core.fault.en_route(msg.node, s.src).is_none()
                 && core.shard.owns(msg.node)
             {
                 let rid = core.slab.alloc(s.src, now);
                 set_meta(&mut self.meta, rid, Meta { reply: true, ..m });
-                core.route_and_enqueue(self.fault.routing(), msg.node, rid, s.src);
+                core.route_and_enqueue(msg.node, rid, s.src);
             }
         } else {
             // Reply reached the client: the transaction completes, with

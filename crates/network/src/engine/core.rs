@@ -1,119 +1,22 @@
 //! The store-and-forward lane: the per-lane arena state ([`Core`]: the
-//! packet FIFOs on the lane chassis [`Shard`]) and the
-//! [`ReplicationPolicy`] workloads (unicast, collective) that
-//! specialize the unified stepper ([`super::stepper`]) into every
-//! packet-switched run. The lane driver
+//! packet FIFOs and the lane's [`FaultState`] on the lane chassis
+//! [`Shard`]) and the [`ReplicationPolicy`] workloads (unicast,
+//! collective) that specialize the unified stepper
+//! ([`super::stepper`]) into every packet-switched run. The lane driver
 //! ([`run_lanes`](super::parallel::run_lanes)) builds one [`SafLane`]
 //! per node shard — the **same** stage methods at any lane count.
 
 use fibcube_graph::csr::CsrGraph;
 
-use crate::arena::{LinkQueues, Loads, NodeLoad, PacketSlab, NO_COPY};
+use crate::arena::{LinkQueues, PacketSlab, NO_COPY};
 use crate::collective::CopyPlan;
 use crate::observer::SimObserver;
-use crate::router::{NextHopTable, Router};
-use crate::topology::Topology;
+use crate::router::Router;
 use crate::traffic::Packet;
 
-use super::policy::{FaultPolicy, ReplicationPolicy};
+use super::policy::{FaultState, ReplicationPolicy};
 use super::stats::DropReason;
 use super::stepper::{LaneWorkload, Scan, Shard};
-
-/// How the engine resolves each hop: a dense precomputed table (one load
-/// per hop) or per-hop policy calls (live link-load view plus a slot
-/// search in the node's neighbor list — a couple of compares in one
-/// already-hot cache line, which beats any big-table lookup here).
-/// `Copy`, so every lane of a sharded run borrows the same plan.
-pub(crate) enum Routing<'t, R: ?Sized> {
-    Table(&'t NextHopTable),
-    PerHop(&'t R),
-}
-
-impl<R: ?Sized> Clone for Routing<'_, R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<R: ?Sized> Copy for Routing<'_, R> {}
-
-/// The owned result of [`routing_for`]: holds the tabulated next-hop
-/// table (when one is built) so the per-lane [`Routing`] views can all
-/// borrow it.
-pub(crate) enum RoutingPlan<'t, R: ?Sized> {
-    Table(NextHopTable),
-    PerHop(&'t R),
-}
-
-impl<'t, R: ?Sized> RoutingPlan<'t, R> {
-    pub(crate) fn as_ref(&self) -> Routing<'_, R> {
-        match self {
-            RoutingPlan::Table(t) => Routing::Table(t),
-            RoutingPlan::PerHop(r) => Routing::PerHop(r),
-        }
-    }
-}
-
-/// Picks the routing path for one run: tabulate when the expected number
-/// of route lookups (≈ `packets × diameter/2`, a proxy for packets ×
-/// average distance) amortises the `O(n²)` table build *and* the policy
-/// can be tabulated at all. See [`NextHopTable`] for the trade-off.
-/// Sharded runs call this **once** (with the global packet count) so
-/// every lane takes the same path the serial engine would.
-pub(crate) fn routing_for<'t, T, R>(
-    topology: &T,
-    router: &'t R,
-    packets: usize,
-) -> RoutingPlan<'t, R>
-where
-    T: Topology + ?Sized,
-    R: Router + ?Sized,
-{
-    let g = topology.graph();
-    let n = g.num_vertices() as u64;
-    let lookups = (packets as u64).saturating_mul((topology.diameter_bound() as u64 / 2).max(1));
-    if lookups >= n.saturating_mul(n) {
-        if let Some(table) = router.precompute(g) {
-            return RoutingPlan::Table(table);
-        }
-    }
-    RoutingPlan::PerHop(router)
-}
-
-/// Resolves the output edge for one hop — [`Core::route_and_enqueue`]'s
-/// routing half, shared with the wormhole engine (which reserves buffers
-/// instead of enqueuing packets). `loads` is the caller's link-load
-/// column indexed from global edge `edge_lo` (0 for a whole-network
-/// view); the returned edge id is global.
-#[inline]
-pub(crate) fn route_edge<R: Router + ?Sized, L: Loads + ?Sized>(
-    g: &CsrGraph,
-    routing: Routing<'_, R>,
-    loads: &L,
-    edge_lo: usize,
-    node: u32,
-    dst: u32,
-) -> usize {
-    match routing {
-        Routing::Table(table) => table
-            .next_edge(node, dst)
-            .expect("routing a packet not yet at dst"),
-        Routing::PerHop(router) => {
-            let base = g.edge_range(node).start;
-            let hop = {
-                let load = NodeLoad {
-                    loads,
-                    base: base - edge_lo,
-                };
-                router
-                    .next_hop(node, dst, &load)
-                    .expect("routing a packet not yet at dst")
-            };
-            base + g
-                .slot_of(node, hop)
-                .expect("next_hop must return a neighbor")
-        }
-    }
-}
 
 /// One cross-lane effect of the store-and-forward stepper: a packet
 /// crossing a link, committed at the far end at the `cycle + 1`
@@ -135,31 +38,26 @@ pub(crate) struct SafMsg {
     pub(crate) tag: u32,
 }
 
-/// One store-and-forward lane's arena state: the lane chassis plus the
-/// packet slab and this lane's window of the link-FIFO arena. A one-lane
-/// run is exactly one `Core` spanning `[0, n)`; a sharded run is `k` of
-/// them over contiguous node shards.
-pub(crate) struct Core<'a, O> {
+/// One store-and-forward lane's arena state: the lane chassis, the
+/// packet slab, this lane's window of the link-FIFO arena, and the fault
+/// state its packets meet. A one-lane run is exactly one `Core` spanning
+/// `[0, n)`; a sharded run is `k` of them over contiguous node shards.
+pub(crate) struct Core<'a, O, R: Router + ?Sized> {
     pub(crate) shard: Shard<'a, O>,
     pub(crate) slab: PacketSlab,
     /// One FIFO per owned directed edge, indexed `e − edge_lo`.
     pub(crate) queues: LinkQueues,
+    pub(crate) fault: FaultState<'a, R>,
 }
 
-impl<O: SimObserver> Core<'_, O> {
-    /// Routes packet `id` at owned node `node` and enqueues it on the
-    /// chosen output link — the one mutation path shared by the
-    /// injection and arrival-commit stages.
-    #[inline]
-    pub(crate) fn route_and_enqueue<R: Router + ?Sized>(
-        &mut self,
-        routing: Routing<'_, R>,
-        node: u32,
-        id: u32,
-        dst: u32,
-    ) {
+impl<O: SimObserver, R: Router + ?Sized> Core<'_, O, R> {
+    /// Routes packet `id` at owned node `node` through the fault state
+    /// and enqueues it on the chosen output link — the one mutation path
+    /// shared by the injection and arrival-commit stages.
+    #[inline(always)]
+    pub(crate) fn route_and_enqueue(&mut self, node: u32, id: u32, dst: u32) {
         let (g, edge_lo) = (self.shard.g, self.shard.edge_lo);
-        let e = route_edge(g, routing, &self.queues, edge_lo, node, dst);
+        let e = self.fault.route_edge(g, &self.queues, edge_lo, node, dst);
         self.enqueue(e, id);
     }
 
@@ -171,56 +69,46 @@ impl<O: SimObserver> Core<'_, O> {
         self.queues.push(e - self.shard.edge_lo, id);
         self.shard.push(e);
     }
-
-    /// Drains the FIFO of directed edge `e` out of owned node `node` as
-    /// typed drops (or silent losses for the closed loop) — the churn
-    /// engine's event-commit stage.
-    pub(crate) fn flush_directed_edge(
-        &mut self,
-        node: u32,
-        e: usize,
-        cycle: u64,
-        reason: DropReason,
-        silent: bool,
-    ) {
-        let le = e - self.shard.edge_lo;
-        while let Some(id) = self.queues.pop(le) {
-            self.shard.pop(e, self.queues.load(le) == 0);
-            let dst = self.slab.dst(id);
-            if !silent {
-                self.shard.acc.drop_packet(reason);
-                self.shard.observer.on_drop(cycle, node, dst, reason);
-            }
-            self.slab.release(id);
-        }
-    }
 }
 
 /// One store-and-forward lane: the arena state plus the workload's
 /// policy hooks, wired into the unified stepper — the same
 /// monomorphized stage code at any lane count.
-pub(crate) struct SafLane<'a, O, W> {
-    pub(crate) core: Core<'a, O>,
+pub(crate) struct SafLane<'a, O, W, R: Router + ?Sized> {
+    pub(crate) core: Core<'a, O, R>,
     pub(crate) workload: W,
 }
 
-impl<'a, O: SimObserver, W> SafLane<'a, O, W> {
-    /// The lane owning nodes `[lo, hi)` of `g`, reporting to `observer`.
-    /// The caller builds `workload` first, so its set-up scratch (the
-    /// injection sort's buffer) is freed before the arena allocates,
-    /// keeping peak RSS down.
-    pub(crate) fn new(g: &'a CsrGraph, lo: u32, hi: u32, observer: &'a mut O, workload: W) -> Self {
+impl<'a, O: SimObserver, W, R: Router + ?Sized> SafLane<'a, O, W, R> {
+    /// The lane owning nodes `[lo, hi)` of `g`, reporting to `observer`
+    /// and meeting `fault`. The caller builds `workload` first, so its
+    /// set-up scratch (the injection sort's buffer) is freed before the
+    /// arena allocates, keeping peak RSS down.
+    pub(crate) fn new(
+        g: &'a CsrGraph,
+        lo: u32,
+        hi: u32,
+        observer: &'a mut O,
+        workload: W,
+        fault: FaultState<'a, R>,
+    ) -> Self {
         let shard = Shard::new(g, lo, hi, observer);
         let core = Core {
             queues: LinkQueues::new(shard.edge_hi - shard.edge_lo),
             shard,
             slab: PacketSlab::new(),
+            fault,
         };
         SafLane { core, workload }
     }
 }
 
-impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W> {
+impl<O, W, R> LaneWorkload for SafLane<'_, O, W, R>
+where
+    O: SimObserver,
+    W: ReplicationPolicy<O, R>,
+    R: Router + ?Sized,
+{
     type Msg = SafMsg;
 
     #[inline]
@@ -235,7 +123,7 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
     }
 
     fn begin(&mut self, cycle: u64) {
-        self.workload.commit_events(cycle, &mut self.core);
+        self.core.commit_events(cycle, W::SILENT_LOSSES);
         self.workload.inject(cycle, &mut self.core);
     }
 
@@ -285,23 +173,21 @@ impl<O: SimObserver, W: ReplicationPolicy<O>> LaneWorkload for SafLane<'_, O, W>
     }
 }
 
-/// The open-loop unicast workload over the fault state `F`: time-sorted
-/// injection with `F`'s admission, `F`'s routing at every hop, delivery
-/// at the destination, and (under churn) `F`'s event commit and
-/// en-route drops. A lane injects only the packets sourced in its node
-/// range.
-pub(crate) struct Unicast<'p, F> {
+/// The open-loop unicast workload: time-sorted injection with the
+/// fault state's admission ([`FaultState::admit`]), its routing at every
+/// hop, delivery at the destination, and (under churn) its en-route
+/// drops. A lane injects only the packets sourced in its node range.
+pub(crate) struct Unicast<'p> {
     inj: Vec<&'p Packet>,
     next_inject: usize,
-    fault: F,
 }
 
-impl<'p, F: FaultPolicy> Unicast<'p, F> {
+impl<'p> Unicast<'p> {
     /// The lane-restricted injection list: `packets` with `src` in
     /// `[lo, hi)`, time-sorted (stable, so same-cycle packets keep
     /// their generation order — the serial order restricted to the
     /// lane).
-    pub(crate) fn for_range(packets: &'p [Packet], lo: u32, hi: u32, fault: F) -> Unicast<'p, F> {
+    pub(crate) fn for_range(packets: &'p [Packet], lo: u32, hi: u32) -> Unicast<'p> {
         let mut inj: Vec<&Packet> = packets
             .iter()
             .filter(|p| lo <= p.src && p.src < hi)
@@ -310,12 +196,11 @@ impl<'p, F: FaultPolicy> Unicast<'p, F> {
         Unicast {
             inj,
             next_inject: 0,
-            fault,
         }
     }
 }
 
-impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Unicast<'_, F> {
+impl<O: SimObserver, R: Router + ?Sized> ReplicationPolicy<O, R> for Unicast<'_> {
     #[inline]
     fn next_pending(&mut self) -> Option<u64> {
         // Traffic only: fault events pending between here and the next
@@ -325,33 +210,18 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Unicast<'_, F> {
         self.inj.get(self.next_inject).map(|p| p.inject_time)
     }
 
-    #[inline]
-    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
-        self.fault.commit_events(cycle, core, false);
-    }
-
-    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>) {
+    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O, R>) {
         while self.next_inject < self.inj.len() && self.inj[self.next_inject].inject_time <= cycle {
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
-            core.shard.observer.on_inject(cycle, p.src, p.dst);
-            if let Some(reason) = self.fault.verdict(p.src, p.dst) {
-                core.shard.acc.drop_packet(reason);
-                core.shard.observer.on_drop(cycle, p.src, p.dst, reason);
-                continue;
+            if core.fault.admit(&mut core.shard, cycle, p.src, p.dst) {
+                let id = core.slab.alloc(p.dst, p.inject_time);
+                core.route_and_enqueue(p.src, id, p.dst);
             }
-            if p.src == p.dst {
-                // Degenerate: counts as instantly delivered.
-                core.shard.acc.deliver_instant();
-                core.shard.observer.on_deliver(cycle, p.dst, 0);
-                continue;
-            }
-            let id = core.slab.alloc(p.dst, p.inject_time);
-            core.route_and_enqueue(self.fault.routing(), p.src, id, p.dst);
         }
     }
 
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
+    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O, R>) {
         if !core.shard.owns(msg.node) {
             return;
         }
@@ -361,13 +231,13 @@ impl<O: SimObserver, F: FaultPolicy> ReplicationPolicy<O> for Unicast<'_, F> {
                 "hops can never exceed latency"
             );
             core.shard.deliver(now, msg.node, now - msg.inject);
-        } else if let Some(reason) = self.fault.en_route(msg.node, msg.dst) {
+        } else if let Some(reason) = core.fault.en_route(msg.node, msg.dst) {
             core.shard.acc.drop_packet(reason);
             core.shard.observer.on_drop(now, msg.node, msg.dst, reason);
         } else {
             let id = core.slab.alloc(msg.dst, msg.inject);
             core.slab.set_hops(id, msg.hops);
-            core.route_and_enqueue(self.fault.routing(), msg.node, id, msg.dst);
+            core.route_and_enqueue(msg.node, id, msg.dst);
         }
     }
 }
@@ -391,9 +261,9 @@ fn first_children(plan: &CopyPlan, u: u32) -> std::ops::Range<usize> {
 /// cycle-0 source prelude, the replicate-on-delivery path, and the
 /// one-port sibling chain.
 #[inline]
-fn spawn_copy<O: SimObserver>(
+fn spawn_copy<O: SimObserver, R: Router + ?Sized>(
     plan: &CopyPlan,
-    core: &mut Core<'_, O>,
+    core: &mut Core<'_, O, R>,
     cycle: u64,
     u: u32,
     idx: usize,
@@ -434,7 +304,7 @@ impl<'p> Replicate<'p> {
     }
 }
 
-impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
+impl<O: SimObserver, R: Router + ?Sized> ReplicationPolicy<O, R> for Replicate<'_> {
     #[inline]
     fn next_pending(&mut self) -> Option<u64> {
         // The whole tree starts at cycle 0; after that only in-flight
@@ -446,7 +316,7 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
         }
     }
 
-    fn inject(&mut self, _cycle: u64, core: &mut Core<'_, O>) {
+    fn inject(&mut self, _cycle: u64, core: &mut Core<'_, O, R>) {
         if self.started {
             return;
         }
@@ -487,7 +357,7 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
 
     /// Every copy ends exactly at its tree child — deliver it, then
     /// replicate there.
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>) {
+    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O, R>) {
         if !core.shard.owns(msg.node) {
             return;
         }
@@ -504,7 +374,7 @@ impl<O: SimObserver> ReplicationPolicy<O> for Replicate<'_> {
     /// One-port siblings chained off copies that departed this cycle:
     /// enqueued now, so they depart next cycle — one port per node per
     /// cycle, exactly the telephone model.
-    fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O>) {
+    fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O, R>) {
         for i in 0..self.chained.len() {
             let (u, idx) = self.chained[i];
             spawn_copy(self.plan, core, now, u, idx);

@@ -20,21 +20,23 @@
 //! support table (see [`RunPlan`]) and makes the one match over
 //! admission × workload:
 //!
-//! - the admission picks the fault state: `Healthy` (the run's routing
-//!   plan), `Static` (the shared fault mask) or `Churn` (a lane-owned
-//!   router replica plus the event timeline); an empty fault mask or
-//!   churn timeline runs the healthy network;
+//! - the admission picks the fault state, one `FaultState` value per
+//!   lane (`engine/policy.rs`): the healthy network (the run's routing
+//!   table or per-hop policy calls), the shared static fault mask, or
+//!   a lane-owned router replica plus its event cursor; an intact fault
+//!   mask or an empty churn timeline runs the healthy network;
 //! - the workload picks the policy: open packets run `Unicast`, closed
 //!   request/reply sessions run `Sessions`, both over any fault state,
 //!   and a copy plan runs tree replication;
 //! - store-and-forward runs the packet core, wormhole the flit engine
-//!   (see `engine/wormhole.rs` for the flit model) over the same fault
-//!   state.
+//!   (see `engine/wormhole.rs` for the flit model); each lane owns its
+//!   fault state, and the workloads reach it through the lane.
 //!
-//! Inside each cell the core monomorphizes over the compile-time policy
-//! traits of `engine/policy.rs` — the fault policy and the replication
-//! policy — plus the [`SimObserver`] event axis, so a healthy unicast
-//! run pays nothing for the axes it does not use.
+//! The fault state is one concrete enum, matched at each admission and
+//! hop, so the lanes monomorphize only over the workload and the
+//! [`SimObserver`] event axis: each (workload × observer) cell compiles
+//! one stepper whatever faults the run meets, and a healthy run pays
+//! one predictable branch per hop for the fault axis.
 //!
 //! ## The arena core
 //!
@@ -44,12 +46,13 @@
 //! [`PacketSlab`](crate::arena::PacketSlab) and are referred to by `u32`
 //! id, and every directed link owns a fixed-stride ring-buffer FIFO in
 //! one contiguous [`LinkQueues`](crate::arena::LinkQueues) arena indexed
-//! by the graph's directed-edge index, spilling to an overflow list only
-//! when a link saturates. Each cycle visits only the links that actually
-//! hold packets (a two-level occupancy bitset per lane), and empty
-//! stretches between injections are skipped entirely.
+//! by the graph's directed-edge index; a queue deeper than its ring
+//! spills into a sparse store holding a list only for each queue that
+//! overflows. Each cycle visits only the links that actually hold
+//! packets (a two-level occupancy bitset per lane), and empty stretches
+//! between injections are skipped entirely.
 //!
-//! Routing takes one of two monomorphized paths: when the workload
+//! Healthy routing takes one of two paths: when the workload
 //! amortises the build, deterministic policies are tabulated once into a
 //! dense [`NextHopTable`](crate::router::NextHopTable)
 //! ([`Router::precompute`]) and each hop is a single load; otherwise the
@@ -88,6 +91,7 @@ pub mod stats;
 mod stepper;
 mod wormhole;
 
+use std::cell::OnceCell;
 use std::fmt;
 
 pub use self::churn::RequestReplyLoad;
@@ -98,15 +102,15 @@ use crate::collective::CopyPlan;
 use crate::experiment::ExperimentError;
 use crate::fault::ChurnTimeline;
 use crate::observer::SimObserver;
-use crate::router::{check_table_budget, FaultMaskingRouter, Router};
+use crate::router::{FaultMaskingRouter, Router};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficSpec};
 
-use self::churn::{Churn, Sessions};
-use self::core::{routing_for, Replicate, Unicast};
+use self::churn::Sessions;
+use self::core::{Replicate, Unicast};
 use self::parallel::run_lanes;
-use self::policy::{FaultPolicy, Healthy, Static};
+use self::policy::FaultState;
 use self::wormhole::{check_buffer_space, run_wormhole};
 
 /// Which faults a run's packets meet: the admission axis of a
@@ -215,9 +219,13 @@ impl fmt::Display for Workload<'_> {
 /// events, whose lanes each build a fault-masking router, must fit the
 /// router's `4n²`-byte table in
 /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
-/// ([`ExperimentError::TableTooLarge`]). A static mask comes built
-/// ([`Experiment`](crate::experiment::Experiment) checks the budget
-/// before building one). A wormhole spec must pass
+/// ([`ExperimentError::TableTooLarge`]), and every event must name
+/// nodes of the topology
+/// ([`FaultError::InvalidChurn`](crate::fault::FaultError::InvalidChurn)).
+/// A static mask comes built ([`Experiment`](crate::experiment::Experiment)
+/// checks the budget before building one), on a network with the
+/// topology's node and link counts ([`ExperimentError::TableMismatch`]).
+/// A wormhole spec must pass
 /// [`SwitchingSpec::validate`], and its (link × VC) buffers must fit
 /// `u32` buffer ids and [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
 /// bytes of buffer state ([`ExperimentError::InvalidSwitching`]).
@@ -305,15 +313,14 @@ impl<'p, T: Topology + ?Sized, R: Router + ?Sized> RunPlan<'p, T, R> {
                 reason: reason.to_string(),
             })
         };
-        match (admission, workload) {
-            (_, Workload::Closed(_)) if n < 2 => {
+        match workload {
+            Workload::Closed(_) if n < 2 => {
                 invalid("request/reply needs a peer to talk to (>= 2 nodes)")
             }
-            (_, Workload::Closed(_)) if self.max_cycles == u64::MAX => {
+            Workload::Closed(_) if self.max_cycles == u64::MAX => {
                 invalid("closed-loop sources never drain; set a finite cycle cap")
             }
-            (Admission::Churn(t), _) if !t.is_empty() => check_table_budget(n),
-            _ => Ok(()),
+            _ => FaultState::check(self),
         }
     }
 }
@@ -350,9 +357,10 @@ pub struct RunOutcome {
 ///
 /// A cell outside the support table (see [`RunPlan`]), a closed loop on
 /// fewer than 2 nodes or without a cycle cap, a churn timeline whose
-/// masked-router table is over budget, an invalid or oversized wormhole
-/// spec, or more than one store-and-forward lane with an
-/// observer whose [`fork`](SimObserver::fork) returns `None`
+/// masked-router table is over budget or whose events name nodes outside
+/// the topology, a static mask built on another network, an invalid or
+/// oversized wormhole spec, or more than one store-and-forward lane with
+/// an observer whose [`fork`](SimObserver::fork) returns `None`
 /// ([`ExperimentError::UnforkableObserver`]).
 pub fn run<T, R, O>(
     plan: &RunPlan<'_, T, R>,
@@ -365,103 +373,51 @@ where
     O: SimObserver + Send,
 {
     plan.check()?;
-    let (topology, router, max_cycles) = (plan.topology, plan.router, plan.max_cycles);
     let packets = match plan.workload {
         Workload::Open(packets) => packets.len(),
-        Workload::Closed(_) => 0,
-        Workload::Copies(copies) => {
-            let make = |_, _| Replicate::new(copies);
-            let offered = copies.offered();
-            let (stats, workloads) =
-                run_lanes(topology, offered, max_cycles, lanes, observer, make)?;
-            let reached = Some(workloads.iter().map(|w| w.reached_targets).sum());
-            return Ok(RunOutcome { stats, reached });
-        }
+        Workload::Closed(_) | Workload::Copies(_) => 0,
     };
-    // The admission picks the fault state, the workload the policy. An
-    // intact mask and an empty timeline run the healthy network.
-    let stats = match plan.admission {
-        Admission::Static(mask) if !mask.masks().is_intact() => {
-            routed(plan, || Static(mask), lanes, observer)?
-        }
-        Admission::Churn(t) if !t.is_empty() => {
-            let churn = || Churn::new(topology, router, t.events());
-            store_and_forward(plan, churn, lanes, observer)?
-        }
-        admission => {
-            let router = match admission {
-                Admission::Static(mask) => mask.inner(),
-                _ => router,
-            };
-            let routing = routing_for(topology, router, packets);
-            routed(plan, || Healthy(routing.as_ref()), lanes, observer)?
-        }
-    };
-    Ok(RunOutcome {
-        stats,
-        reached: None,
-    })
-}
-
-/// Runs the plan's open or closed workload, each lane over the fault
-/// state `fault()` builds, through the plan's switching model.
-fn routed<T, P, F, O>(
-    plan: &RunPlan<'_, T, P>,
-    fault: impl Fn() -> F,
-    lanes: usize,
-    observer: &mut O,
-) -> Result<SimStats, ExperimentError>
-where
-    T: Topology + ?Sized,
-    P: Router + ?Sized,
-    F: FaultPolicy + Send,
-    O: SimObserver + Send,
-{
-    match plan.workload {
+    // The one place the admission becomes a fault state, once per lane;
+    // the lanes of a healthy run share the one next-hop table.
+    let table = OnceCell::new();
+    let fault = || FaultState::new(plan, packets, &table);
+    let (stats, reached) = match plan.workload {
         Workload::Open(packets) if plan.switching.is_wormhole() => {
-            Ok(run_wormhole(plan, packets, &fault(), observer))
+            (run_wormhole(plan, packets, fault(), observer), None)
         }
-        _ => store_and_forward(plan, fault, lanes, observer),
-    }
-}
-
-/// [`routed`] under store-and-forward — the only switching model churn
-/// runs under, so churn calls it directly.
-fn store_and_forward<T, P, F, O>(
-    plan: &RunPlan<'_, T, P>,
-    fault: impl Fn() -> F,
-    lanes: usize,
-    observer: &mut O,
-) -> Result<SimStats, ExperimentError>
-where
-    T: Topology + ?Sized,
-    P: Router + ?Sized,
-    F: FaultPolicy + Send,
-    O: SimObserver + Send,
-{
-    let (topology, max_cycles) = (plan.topology, plan.max_cycles);
-    match plan.workload {
         Workload::Open(packets) => {
-            let make = |lo, hi| Unicast::for_range(packets, lo, hi, fault());
-            Ok(run_lanes(topology, packets.len(), max_cycles, lanes, observer, make)?.0)
+            let make = |lo, hi| Unicast::for_range(packets, lo, hi);
+            (
+                run_lanes(plan, packets.len(), lanes, observer, fault, make)?.0,
+                None,
+            )
         }
         Workload::Closed(load) => {
-            let n = topology.len() as u32;
-            let make = |_, _| Sessions::new(load, n, fault());
-            let (mut stats, workloads) = run_lanes(topology, 0, max_cycles, lanes, observer, make)?;
+            let n = plan.topology.len() as u32;
+            let make = |_, _| Sessions::new(load, n);
+            let (mut stats, workloads) = run_lanes(plan, 0, lanes, observer, fault, make)?;
             // Every lane replicates the session machine; lane 0's tally
             // is the one-lane run's.
             stats.offered = workloads[0].offered;
-            Ok(stats)
+            (stats, None)
         }
-        Workload::Copies(_) => unreachable!("a copy plan replicates instead of routing"),
-    }
+        Workload::Copies(copies) => {
+            let make = |_, _| Replicate::new(copies);
+            let offered = copies.offered();
+            let (stats, workloads) = run_lanes(plan, offered, lanes, observer, fault, make)?;
+            (
+                stats,
+                Some(workloads.iter().map(|w| w.reached_targets).sum()),
+            )
+        }
+    };
+    Ok(RunOutcome { stats, reached })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSet;
+    use crate::fault::{ChurnEvent, ChurnTarget, FaultError, FaultSet};
     use crate::observer::{LatencyHistogram, LinkHeatmap, NoopObserver, SimObserver};
     use crate::router::{
         AdaptiveMinimal, CanonicalRouter, EcubeRouter, FaultMaskingRouter, NextHopRouter,
@@ -1365,6 +1321,55 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn masks_and_timelines_of_another_network_are_typed_errors() {
+        // Γ_6 has 21 nodes and Γ_10 144; a 21-node ring has other links
+        // than Γ_6; node 500 is in none of them. Each mask indexes the
+        // network it was built on, so the plan check refuses a foreign
+        // mask or event at any lane count, before a lane reads it.
+        let (small, net, ring) = (
+            FibonacciNet::classical(6),
+            FibonacciNet::classical(10),
+            Ring::new(21),
+        );
+        for lanes in [1, 3] {
+            for faults in [FaultSet::empty(), FaultSet::new([1u32], [])] {
+                let of_small = FaultMaskingRouter::for_topology(&small, &EcubeRouter, &faults);
+                let of_ring = FaultMaskingRouter::for_topology(&ring, &EcubeRouter, &faults);
+                for (topo, mask, nodes) in
+                    [(&net, &of_small, (21, 144)), (&small, &of_ring, (21, 21))]
+                {
+                    let pkts = uniform(topo.len(), 40, 10, 1);
+                    let plan = RunPlan::new(topo, &EcubeRouter, Workload::Open(&pkts), 1_000)
+                        .admission(Admission::Static(mask));
+                    match run(&plan, lanes, &mut NoopObserver) {
+                        Err(ExperimentError::TableMismatch {
+                            table_nodes,
+                            topology_nodes,
+                        }) => assert_eq!((table_nodes, topology_nodes), nodes),
+                        other => panic!("expected TableMismatch, got {other:?}"),
+                    }
+                }
+            }
+            let pkts = uniform(net.len(), 40, 10, 1);
+            for target in [ChurnTarget::Node(500), ChurnTarget::Link(2, 500)] {
+                let timeline = ChurnTimeline::from_events([ChurnEvent {
+                    cycle: 3,
+                    target,
+                    failed: true,
+                }]);
+                let plan = RunPlan::new(&net, &EcubeRouter, Workload::Open(&pkts), 1_000)
+                    .admission(Admission::Churn(&timeline));
+                match run(&plan, lanes, &mut NoopObserver) {
+                    Err(ExperimentError::Fault(FaultError::InvalidChurn { reason })) => {
+                        assert!(reason.contains("144-node"), "{reason}")
+                    }
+                    other => panic!("expected InvalidChurn, got {other:?}"),
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1671,6 +1676,28 @@ mod wormhole_tests {
         .stats;
         assert_eq!(capped.delivered, 0);
         assert_eq!(capped.offered, 1);
+        // Under a static mask the verdict comes first: a self-addressed
+        // packet at a dead node is a typed drop, one at a live node
+        // still delivers at once, and both switching models agree.
+        let mask = FaultMaskingRouter::for_topology(&q, &EcubeRouter, &FaultSet::new([2u32], []));
+        let selfed = [2, 4].map(|v| Packet {
+            src: v,
+            dst: v,
+            inject_time: 5,
+        });
+        let faulted = |switching| {
+            let plan = RunPlan::new(&q, &EcubeRouter, Workload::Open(&selfed), 100)
+                .switching(switching)
+                .admission(Admission::Static(&mask));
+            run(&plan, 1, &mut NoopObserver).unwrap().stats
+        };
+        let saf = faulted(SwitchingSpec::StoreAndForward);
+        assert_eq!(saf.offered, 2);
+        assert_eq!(saf.dropped_dead_endpoint, 1);
+        assert_eq!(saf.delivered, 1);
+        assert_eq!(saf.mean_latency, 0.0);
+        assert_eq!(saf.makespan, 0);
+        assert_eq!(faulted(spec), saf);
     }
 
     #[test]

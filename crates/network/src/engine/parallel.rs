@@ -30,12 +30,14 @@ use std::sync::{Barrier, RwLock};
 
 use crate::experiment::ExperimentError;
 use crate::observer::SimObserver;
+use crate::router::Router;
 use crate::topology::Topology;
 
 use super::core::SafLane;
-use super::policy::ReplicationPolicy;
+use super::policy::{FaultState, ReplicationPolicy};
 use super::stats::SimStats;
 use super::stepper::{lane_bounds, run_lane, LaneWorkload, Protocol, Solo};
+use super::RunPlan;
 
 /// Sentinel for "no pending traffic" in the published atomic.
 const NO_PENDING: u64 = u64::MAX;
@@ -116,34 +118,35 @@ where
     lanes
 }
 
-/// Runs a store-and-forward workload over the shards of
-/// [`lane_bounds`], building each lane's workload with `make(lo, hi)`
-/// for its node shard; returns the finished stats and the lane
-/// workloads in lane order (carrying outputs such as the collective's
-/// tally). One lane runs under [`Solo`] on the caller's thread,
-/// borrowing `observer` — no fork, no thread. More lanes run on the
-/// pool, each borrowing its own [`SimObserver::fork`] (an observer that
-/// opts out is the typed [`ExperimentError::UnforkableObserver`]);
-/// forks and statistics merge back in ascending lane order, so the
-/// result equals the one-lane run's.
-pub(crate) fn run_lanes<T, O, W, F>(
-    topology: &T,
+/// Runs a store-and-forward workload of `plan` over the shards of
+/// [`lane_bounds`], each lane meeting the fault state `fault()` builds
+/// and running the workload `make(lo, hi)` builds for its node shard;
+/// returns the finished stats and the lane workloads in lane order
+/// (carrying outputs such as the collective's tally). One lane runs
+/// under [`Solo`] on the caller's thread, borrowing `observer` — no
+/// fork, no thread. More lanes run on the pool, each borrowing its own
+/// [`SimObserver::fork`] (an observer that opts out is the typed
+/// [`ExperimentError::UnforkableObserver`]); forks and statistics merge
+/// back in ascending lane order, so the result equals the one-lane
+/// run's.
+pub(crate) fn run_lanes<'f, T, R, O, W>(
+    plan: &RunPlan<'_, T, R>,
     offered: usize,
-    max_cycles: u64,
     lanes: usize,
     observer: &mut O,
-    mut make: F,
+    fault: impl Fn() -> FaultState<'f, R>,
+    mut make: impl FnMut(u32, u32) -> W,
 ) -> Result<(SimStats, Vec<W>), ExperimentError>
 where
     T: Topology + ?Sized,
+    R: Router + Sync + ?Sized + 'f,
     O: SimObserver + Send,
-    W: ReplicationPolicy<O> + Send,
-    F: FnMut(u32, u32) -> W,
+    W: ReplicationPolicy<O, R> + Send,
 {
-    let g = topology.graph();
-    let bounds = lane_bounds(topology.len(), lanes);
+    let (g, max_cycles) = (plan.topology.graph(), plan.max_cycles);
+    let bounds = lane_bounds(plan.topology.len(), lanes);
     if let [(lo, hi)] = bounds[..] {
-        let mut lane = SafLane::new(g, lo, hi, observer, make(lo, hi));
+        let mut lane = SafLane::new(g, lo, hi, observer, make(lo, hi), fault());
         run_lane(&mut lane, &Solo::default(), 0, max_cycles);
         let acc = lane.core.shard.acc;
         return Ok((acc.finish(offered), vec![lane.workload]));
@@ -158,7 +161,7 @@ where
     let pool: Vec<_> = bounds
         .iter()
         .zip(&mut forks)
-        .map(|(&(lo, hi), fork)| SafLane::new(g, lo, hi, fork, make(lo, hi)))
+        .map(|(&(lo, hi), fork)| SafLane::new(g, lo, hi, fork, make(lo, hi), fault()))
         .collect();
     let mut retired = run_pool(pool, max_cycles).into_iter();
     let first = retired.next().expect("a pooled run has at least two lanes");

@@ -1,132 +1,336 @@
-//! The compile-time policy traits of the unified engine core.
+//! The fault state and the workload interface of the store-and-forward
+//! lane.
 //!
-//! [`run`](super::run) picks the switching model from the plan's
-//! [`SwitchingSpec`](crate::switching::SwitchingSpec); within it, each
-//! run monomorphizes over two policy traits (plus the [`SimObserver`]
-//! event axis):
+//! - [`FaultState`] — the fault state a routed workload meets, one value
+//!   per lane, built by [`FaultState::new`] from the plan's
+//!   [`Admission`]: the healthy network (the run's [`Routing`] view), a
+//!   shared static fault mask, or a lane-owned churn replica of the
+//!   masked router plus its event cursor. It owns the injection verdict,
+//!   the hop routing, and under churn the event commit and the en-route
+//!   drops. It is one concrete enum, so each workload and lane type
+//!   compiles once per observer type, not once per fault state; the
+//!   per-hop `match` is one predictable branch.
+//! - [`ReplicationPolicy`] — the workload: open-loop unicast packets or
+//!   closed-loop request/reply sessions (both over any fault state), or
+//!   tree replication at intermediate nodes (the collective path).
 //!
-//! - [`FaultPolicy`] — the fault state a routed workload meets, picked
-//!   by the plan's admission: the healthy network ([`Healthy`]), a
-//!   shared static fault mask ([`Static`]), or a lane-owned churn
-//!   replica (`Churn`, in `engine/churn.rs`). It owns the injection
-//!   verdict and the routing view, and under churn also the event
-//!   commit and the en-route drops.
-//! - [`ReplicationPolicy`] — the workload: open-loop unicast packets,
-//!   closed-loop request/reply sessions (both generic over the fault
-//!   state), or tree replication at intermediate nodes (the collective
-//!   path).
-//!
-//! Every policy is a small struct resolved at compile time, so each
-//! combination monomorphizes to its own specialized loop — a healthy
-//! run pays nothing for the fault axis.
+//! The flit engine (`engine/wormhole.rs`) owns a `FaultState` of its own
+//! and shares its admission ([`FaultState::admit`]) and hop routing.
 
-use crate::arena::PacketSlab;
+use std::cell::OnceCell;
+
+use fibcube_graph::csr::CsrGraph;
+
+use crate::arena::{Loads, NodeLoad, PacketSlab};
+use crate::experiment::ExperimentError;
+use crate::fault::{ChurnEvent, ChurnTarget, FaultError, FaultSet};
 use crate::observer::SimObserver;
-use crate::router::{FaultMaskingRouter, Router};
+use crate::router::{check_table_budget, FaultMaskingRouter, NextHopTable, Router};
+use crate::topology::Topology;
 
-use super::core::{Core, Routing, SafMsg};
+use super::core::{Core, SafMsg};
 use super::stats::DropReason;
+use super::stepper::Shard;
+use super::{Admission, RunPlan};
 
-/// The fault state of a routed workload: admission, routing and (under
-/// churn) event commit. Each lane owns one value.
+/// How the healthy network resolves each hop: a dense precomputed table
+/// (one load per hop) or per-hop policy calls (live link-load view plus
+/// a slot search in the node's neighbor list — a couple of compares in
+/// one already-hot cache line, which beats any big-table lookup here).
+/// Every lane of a sharded run borrows the same table.
+pub(crate) enum Routing<'t, R: ?Sized> {
+    Table(&'t NextHopTable),
+    PerHop(&'t R),
+}
+
+/// The next-hop table for a healthy run, when one pays: tabulate when
+/// the expected number of route lookups (≈ `packets × diameter/2`, a
+/// proxy for packets × average distance) amortises the `O(n²)` table
+/// build *and* the policy can be tabulated at all. See [`NextHopTable`]
+/// for the trade-off. A run builds it once (with the global packet
+/// count), so every lane takes the same path.
+fn routing_for<T, R>(topology: &T, router: &R, packets: usize) -> Option<NextHopTable>
+where
+    T: Topology + ?Sized,
+    R: Router + ?Sized,
+{
+    let g = topology.graph();
+    let n = g.num_vertices() as u64;
+    let lookups = (packets as u64).saturating_mul((topology.diameter_bound() as u64 / 2).max(1));
+    (lookups >= n.saturating_mul(n))
+        .then(|| router.precompute(g))
+        .flatten()
+}
+
+/// The fault state of one lane: admission, hop routing and (under
+/// churn) event commit. It mirrors [`Admission`], with an intact mask
+/// and an empty timeline folded into the healthy arm.
 ///
 /// # Invariants
 ///
-/// - `verdict` must be **pure and stable between fault-epoch
-///   boundaries**: the same `(src, dst)` pair always gets the same
-///   answer while the fault state is unchanged (every lane evaluates
-///   it, and the serial/sharded equivalence depends on it). [`Healthy`]
-///   and [`Static`] are stable for the whole run; under churn the engine
-///   applies fault events only at cycle boundaries, so every verdict
-///   within one cycle sees one consistent epoch.
+/// - `verdict` is **pure and stable between fault-epoch boundaries**:
+///   the same `(src, dst)` pair always gets the same answer while the
+///   fault state is unchanged (every lane evaluates it, and the
+///   serial/sharded equivalence depends on it). The healthy and static
+///   arms are stable for the whole run; churn applies events only at
+///   cycle boundaries ([`commit_events`](FaultState::commit_events)),
+///   so every verdict within one cycle sees one consistent epoch.
 /// - A `Some(reason)` verdict means the packet never enters the network:
 ///   it is counted under the matching typed-drop statistic at its inject
 ///   cycle and no link state changes.
 /// - An admitted packet stays routable under a fixed fault state, so
-///   only churn has en-route drops (`en_route`) and events to commit
-///   (`commit_events`); the defaults do nothing and monomorphize away.
-pub(crate) trait FaultPolicy {
-    /// The router the routing view borrows.
-    type Router: Router + ?Sized;
+///   only churn has en-route drops and events to commit; the other arms
+///   answer `None` and commit nothing.
+pub(crate) enum FaultState<'a, R: Router + ?Sized> {
+    /// The healthy network: admits everything and routes by the run's
+    /// table or per-hop policy calls.
+    Healthy(Routing<'a, R>),
+    /// A static fault set: every lane borrows the one caller-built
+    /// [`FaultMaskingRouter`], routes through it, and drops packets
+    /// whose endpoints are dead or disconnected at injection.
+    Static(&'a FaultMaskingRouter<'a, R>),
+    /// Churn: a lane-owned **replica** of the masked router and the
+    /// cursor of the next timeline event, so events can flip its masks
+    /// and patch its distance table mid-run without any cross-lane lock
+    /// — every lane applies the same deterministic event stream, so the
+    /// replicas never diverge.
+    Churn {
+        router: FaultMaskingRouter<'a, R>,
+        events: &'a [ChurnEvent],
+        next: usize,
+    },
+}
 
-    /// `Some(reason)` to drop the packet at injection, `None` to route.
-    fn verdict(&self, src: u32, dst: u32) -> Option<DropReason>;
+impl<'a, R: Router + ?Sized> FaultState<'a, R> {
+    /// The fault state one lane of `plan` meets, picked by its
+    /// admission. An intact mask and an empty timeline run the healthy
+    /// network, through the table `table` holds once the first lane has
+    /// decided whether tabulating `packets` routes pays; a churn lane
+    /// builds its replica of the intact masked router.
+    pub(crate) fn new<T: Topology + ?Sized>(
+        plan: &RunPlan<'a, T, R>,
+        packets: usize,
+        table: &'a OnceCell<Option<NextHopTable>>,
+    ) -> Self {
+        let router = match plan.admission {
+            Admission::Static(mask) if !mask.masks().is_intact() => {
+                return FaultState::Static(mask)
+            }
+            Admission::Churn(t) if !t.is_empty() => {
+                return FaultState::Churn {
+                    router: FaultMaskingRouter::for_topology(
+                        plan.topology,
+                        plan.router,
+                        &FaultSet::empty(),
+                    ),
+                    events: t.events(),
+                    next: 0,
+                };
+            }
+            Admission::Static(mask) => mask.inner(),
+            Admission::Healthy | Admission::Churn(_) => plan.router,
+        };
+        let table = table.get_or_init(|| routing_for(plan.topology, router, packets));
+        FaultState::Healthy(
+            table
+                .as_ref()
+                .map_or(Routing::PerHop(router), Routing::Table),
+        )
+    }
 
-    /// How the current fault epoch resolves each hop.
-    fn routing(&self) -> Routing<'_, Self::Router>;
+    /// Refuses an admission [`new`](FaultState::new) could not serve: a
+    /// mask built on another graph than the topology's
+    /// ([`ExperimentError::TableMismatch`]), a churn event naming a node
+    /// outside the topology ([`FaultError::InvalidChurn`]), or a churn
+    /// replica whose `4n²`-byte table is over budget.
+    pub(crate) fn check<T: Topology + ?Sized>(
+        plan: &RunPlan<'_, T, R>,
+    ) -> Result<(), ExperimentError> {
+        let n = plan.topology.len();
+        match plan.admission {
+            Admission::Healthy => Ok(()),
+            Admission::Static(mask) => {
+                let (built, g) = (mask.graph(), plan.topology.graph());
+                if std::ptr::eq(built, g) || built == g {
+                    return Ok(());
+                }
+                Err(ExperimentError::TableMismatch {
+                    table_nodes: built.num_vertices(),
+                    topology_nodes: n,
+                })
+            }
+            Admission::Churn(t) => {
+                let outside = |ev: &&ChurnEvent| match ev.target {
+                    ChurnTarget::Node(x) => x as usize >= n,
+                    ChurnTarget::Link(u, v) => u.max(v) as usize >= n,
+                };
+                if let Some(ev) = t.events().iter().find(outside) {
+                    let reason = format!(
+                        "the event at cycle {} names {:?}, outside the {n}-node topology",
+                        ev.cycle, ev.target
+                    );
+                    return Err(ExperimentError::Fault(FaultError::InvalidChurn { reason }));
+                }
+                if t.is_empty() {
+                    Ok(())
+                } else {
+                    check_table_budget(n)
+                }
+            }
+        }
+    }
+
+    /// `Some(reason)` to drop a packet at injection, `None` to route:
+    /// against a mask, dead endpoints drop as
+    /// [`DropReason::DeadEndpoint`] and surviving-but-disconnected pairs
+    /// as [`DropReason::Unreachable`]. The same router routes the
+    /// admitted packets, so they are routable.
+    #[inline]
+    pub(crate) fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
+        let mask = match self {
+            FaultState::Healthy(_) => return None,
+            FaultState::Static(mask) => *mask,
+            FaultState::Churn { router, .. } => router,
+        };
+        if !mask.node_alive(src) || !mask.node_alive(dst) {
+            Some(DropReason::DeadEndpoint)
+        } else if src != dst && !mask.reachable(src, dst) {
+            Some(DropReason::Unreachable)
+        } else {
+            None
+        }
+    }
+
+    /// The injection stage of one open-loop packet from `src` to `dst`
+    /// at `cycle`, shared by both switching models: reports the
+    /// injection, drops the packet typed when the [`verdict`] refuses
+    /// it, and counts a self-addressed packet as instantly delivered.
+    /// `true` when the packet must enter the network.
+    ///
+    /// [`verdict`]: FaultState::verdict
+    pub(crate) fn admit<O: SimObserver>(
+        &self,
+        shard: &mut Shard<'_, O>,
+        cycle: u64,
+        src: u32,
+        dst: u32,
+    ) -> bool {
+        shard.observer.on_inject(cycle, src, dst);
+        if let Some(reason) = self.verdict(src, dst) {
+            shard.acc.drop_packet(reason);
+            shard.observer.on_drop(cycle, src, dst, reason);
+            false
+        } else if src == dst {
+            shard.acc.deliver_instant();
+            shard.observer.on_deliver(cycle, dst, 0);
+            false
+        } else {
+            true
+        }
+    }
+
+    /// Resolves the output edge of one hop from `node` toward `dst` in
+    /// the current fault epoch. `loads` is the caller's link-load column
+    /// indexed from global edge `edge_lo` (0 for a whole-network view);
+    /// the returned edge id is global. Forced inline, with [`per_hop`]:
+    /// it runs once per hop, and the default inliner left it (and
+    /// `Core::route_and_enqueue`) out of line once it matched on the
+    /// fault state; the masked arms go out of line instead.
+    #[inline(always)]
+    pub(crate) fn route_edge<L: Loads + ?Sized>(
+        &self,
+        g: &CsrGraph,
+        loads: &L,
+        edge_lo: usize,
+        node: u32,
+        dst: u32,
+    ) -> usize {
+        match self {
+            FaultState::Healthy(Routing::Table(table)) => table
+                .next_edge(node, dst)
+                .expect("routing a packet not yet at dst"),
+            FaultState::Healthy(Routing::PerHop(router)) => {
+                per_hop(*router, g, loads, edge_lo, node, dst)
+            }
+            FaultState::Static(mask) => masked_hop(mask, g, loads, edge_lo, node, dst),
+            FaultState::Churn { router, .. } => masked_hop(router, g, loads, edge_lo, node, dst),
+        }
+    }
 
     /// `Some(reason)` when a packet at `node` bound for `dst` can no
-    /// longer be routed — the fault state changed under it.
+    /// longer be routed: its destination died while it was in flight,
+    /// or churn partitioned the network under it.
     #[inline]
-    fn en_route(&self, node: u32, dst: u32) -> Option<DropReason> {
-        let _ = (node, dst);
-        None
+    pub(crate) fn en_route(&self, node: u32, dst: u32) -> Option<DropReason> {
+        let FaultState::Churn { router, .. } = self else {
+            return None;
+        };
+        if !router.node_alive(dst) {
+            Some(DropReason::NodeDied)
+        } else if !router.reachable(node, dst) {
+            Some(DropReason::Unreachable)
+        } else {
+            None
+        }
     }
 
-    /// Event-commit stage: applies the fault events due at or before
-    /// `cycle`, flushing the queues of dying links and nodes the lane
-    /// owns as typed drops (or silently, when `silent`: the closed
-    /// loop's timeouts observe the loss).
-    #[inline]
-    fn commit_events<O: SimObserver>(&mut self, cycle: u64, core: &mut Core<'_, O>, silent: bool) {
-        let _ = (cycle, core, silent);
-    }
-}
-
-/// The healthy network: admits everything and routes by the run's
-/// routing plan (a precomputed table or per-hop policy calls).
-pub(crate) struct Healthy<'t, R: ?Sized>(pub(crate) Routing<'t, R>);
-
-impl<R: Router + ?Sized> FaultPolicy for Healthy<'_, R> {
-    type Router = R;
-
-    #[inline]
-    fn verdict(&self, _src: u32, _dst: u32) -> Option<DropReason> {
-        None
-    }
-
-    #[inline]
-    fn routing(&self) -> Routing<'_, R> {
-        self.0
-    }
-}
-
-/// A static fault set: every lane borrows the one caller-built
-/// [`FaultMaskingRouter`], routes through it, and drops packets whose
-/// endpoints are dead or disconnected at injection ([`masked_verdict`]).
-pub(crate) struct Static<'m, R: Router + ?Sized>(pub(crate) &'m FaultMaskingRouter<'m, R>);
-
-impl<'m, R: Router + ?Sized> FaultPolicy for Static<'m, R> {
-    type Router = FaultMaskingRouter<'m, R>;
-
-    #[inline]
-    fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
-        masked_verdict(self.0, src, dst)
-    }
-
-    #[inline]
-    fn routing(&self) -> Routing<'_, FaultMaskingRouter<'m, R>> {
-        Routing::PerHop(self.0)
+    /// Applies every churn event due at or before `cycle` to the router
+    /// replica, in timeline order, and returns them for the lane to
+    /// flush its queues (`Core::commit_events`); empty outside churn.
+    pub(crate) fn commit_events(&mut self, cycle: u64) -> &'a [ChurnEvent] {
+        let FaultState::Churn {
+            router,
+            events,
+            next,
+        } = self
+        else {
+            return &[];
+        };
+        let start = *next;
+        while let Some(ev) = events.get(*next).filter(|ev| ev.cycle <= cycle) {
+            router.apply_event(ev);
+            *next += 1;
+        }
+        &events[start..*next]
     }
 }
 
-/// Admission against a [`FaultMaskingRouter`]'s masks and reachability:
-/// dead endpoints drop as [`DropReason::DeadEndpoint`],
-/// surviving-but-disconnected pairs as [`DropReason::Unreachable`]. The
-/// same router routes the admitted packets, so they are routable.
-#[inline]
-pub(crate) fn masked_verdict<R: Router + ?Sized>(
-    masked: &FaultMaskingRouter<'_, R>,
-    src: u32,
+/// [`per_hop`] through a fault mask, out of line so the masked
+/// router's hop rule does not bloat the healthy hop path.
+#[inline(never)]
+fn masked_hop<R: Router + ?Sized, L: Loads + ?Sized>(
+    mask: &FaultMaskingRouter<'_, R>,
+    g: &CsrGraph,
+    loads: &L,
+    edge_lo: usize,
+    node: u32,
     dst: u32,
-) -> Option<DropReason> {
-    if !masked.node_alive(src) || !masked.node_alive(dst) {
-        Some(DropReason::DeadEndpoint)
-    } else if src != dst && !masked.reachable(src, dst) {
-        Some(DropReason::Unreachable)
-    } else {
-        None
-    }
+) -> usize {
+    per_hop(mask, g, loads, edge_lo, node, dst)
+}
+
+/// One per-hop policy call against the live link loads, mapped to the
+/// global directed-edge id.
+#[inline(always)]
+fn per_hop<Q: Router + ?Sized, L: Loads + ?Sized>(
+    router: &Q,
+    g: &CsrGraph,
+    loads: &L,
+    edge_lo: usize,
+    node: u32,
+    dst: u32,
+) -> usize {
+    let base = g.edge_range(node).start;
+    let load = NodeLoad {
+        loads,
+        base: base - edge_lo,
+    };
+    let hop = router
+        .next_hop(node, dst, &load)
+        .expect("routing a packet not yet at dst");
+    base + g
+        .slot_of(node, hop)
+        .expect("next_hop must return a neighbor")
 }
 
 /// The workload half of the store-and-forward engine: the per-cycle
@@ -141,13 +345,13 @@ pub(crate) fn masked_verdict<R: Router + ?Sized>(
 /// - `next_pending` feeds the lockstep idle-skip/termination decision:
 ///   min-folded over lanes it must equal the serial engine's
 ///   next-traffic cycle. It must not touch arena state.
-/// - `commit_events` (the churn event-commit stage) runs first each
-///   executed cycle. Event *decisions* must be lane-invariant
-///   (replicated deterministic state); event *effects* (queue flushes,
-///   drop accounting) must be gated on node ownership.
+/// - The lane commits the due fault events (`Core::commit_events`)
+///   before `inject`, each executed cycle. Event *decisions* are
+///   lane-invariant (replicated deterministic state); event *effects*
+///   (queue flushes, drop accounting) are gated on node ownership.
 /// - `inject` may create packets only at nodes the lane owns
-///   (`Shard::owns`); admission verdicts must be identical on every
-///   lane that evaluates them (same fault epoch — see [`FaultPolicy`]).
+///   (`Shard::owns`); admission verdicts are identical on every lane
+///   that evaluates them (same fault epoch — see [`FaultState`]).
 /// - `depart` observes each packet the forward scan pops **before** its
 ///   slab slot is released, and may fill the workload-overloaded
 ///   `SafMsg` fields; it must not touch link state.
@@ -159,20 +363,18 @@ pub(crate) fn masked_verdict<R: Router + ?Sized>(
 /// - `end_cycle` runs after all of the cycle's commits and before the
 ///   `on_cycle_end` event (the one-port collective uses it to spawn
 ///   follow-up copies that must not depart until the next cycle).
-pub(crate) trait ReplicationPolicy<O: SimObserver> {
+pub(crate) trait ReplicationPolicy<O: SimObserver, R: Router + ?Sized> {
+    /// Packets on a dying link or node vanish without a typed drop: the
+    /// closed loop's timeouts observe the loss instead.
+    const SILENT_LOSSES: bool = false;
+
     /// The earliest future cycle at which this lane can add new traffic,
     /// or `None` if it never will. Drives the idle fast-forward and the
     /// drained-run termination check.
     fn next_pending(&mut self) -> Option<u64>;
 
-    /// Event-commit stage: applies due fault/repair events (churn).
-    /// Default: no events.
-    fn commit_events(&mut self, cycle: u64, core: &mut Core<'_, O>) {
-        let _ = (cycle, core);
-    }
-
     /// Injection stage: admits due traffic at this lane's own nodes.
-    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O>);
+    fn inject(&mut self, cycle: u64, core: &mut Core<'_, O, R>);
 
     /// Pop-time hook: fills workload-specific `SafMsg` fields before
     /// the slab slot is released. Default: the unicast fields stand.
@@ -182,11 +384,11 @@ pub(crate) trait ReplicationPolicy<O: SimObserver> {
 
     /// Arrival-commit stage: one message, presented to every lane in
     /// the serial pop order at the `cycle + 1` boundary.
-    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O>);
+    fn commit(&mut self, now: u64, msg: &SafMsg, core: &mut Core<'_, O, R>);
 
     /// End-of-cycle stage, after every commit of cycle `now` resolved.
     /// Default: nothing deferred.
-    fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O>) {
+    fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O, R>) {
         let _ = (now, core);
     }
 }

@@ -61,8 +61,7 @@ use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::Packet;
 
-use super::core::route_edge;
-use super::policy::FaultPolicy;
+use super::policy::FaultState;
 use super::stats::SimStats;
 use super::stepper::{run_lane, LaneWorkload, Scan, Shard, Solo};
 use super::RunPlan;
@@ -216,9 +215,9 @@ fn edge_classes<T: Topology + ?Sized>(topology: &T) -> Vec<u32> {
 
 /// The one lane of a wormhole run, over every node — see the
 /// [module docs](self).
-struct WormLane<'a, F, O> {
+struct WormLane<'a, O, R: Router + ?Sized> {
     edge_class: &'a [u32],
-    fault: &'a F,
+    fault: FaultState<'a, R>,
     vcs: usize,
     buf_flits: u64,
     fpp: u32,
@@ -241,7 +240,7 @@ struct WormLane<'a, F, O> {
     progressed: bool,
 }
 
-impl<F: FaultPolicy, O: SimObserver> WormLane<'_, F, O> {
+impl<O: SimObserver, R: Router + ?Sized> WormLane<'_, O, R> {
     /// No credit left in buffer `b`: queued flits plus same-cycle
     /// reservations fill its `buf_flits`.
     #[inline]
@@ -259,8 +258,9 @@ impl<F: FaultPolicy, O: SimObserver> WormLane<'_, F, O> {
         let i = id as usize;
         let src = self.worm.src[i];
         let dst = self.slab.dst(id);
-        let routing = self.fault.routing();
-        let e0 = route_edge(self.shard.g, routing, &self.link_load[..], 0, src, dst);
+        let e0 = self
+            .fault
+            .route_edge(self.shard.g, &self.link_load[..], 0, src, dst);
         let b0 = e0 * self.vcs;
         let multi = self.fpp > 1;
         if (multi && self.bufs[b0].claim != 0) || self.full(b0) {
@@ -324,8 +324,9 @@ impl<F: FaultPolicy, O: SimObserver> WormLane<'_, F, O> {
             if v == dst {
                 (EJECT, true)
             } else {
-                let routing = self.fault.routing();
-                let e2 = route_edge(self.shard.g, routing, &self.link_load[..], 0, v, dst);
+                let e2 = self
+                    .fault
+                    .route_edge(self.shard.g, &self.link_load[..], 0, v, dst);
                 let c2 = self.edge_class[e2];
                 let mut lvl = self.worm.level[i];
                 if c2 <= self.worm.last_class[i] {
@@ -373,7 +374,7 @@ impl<F: FaultPolicy, O: SimObserver> WormLane<'_, F, O> {
     }
 }
 
-impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
+impl<O: SimObserver, R: Router + ?Sized> LaneWorkload for WormLane<'_, O, R> {
     /// The one lane decides every move itself: nothing crosses lanes.
     type Msg = Infallible;
 
@@ -424,25 +425,16 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
             }
         }
 
-        // Inject everything due this cycle (same admission and
-        // self-addressed handling as the store-and-forward engine).
+        // Inject everything due this cycle, through the admission the
+        // store-and-forward engine uses.
         while self.next_inject < self.inj.len() && self.inj[self.next_inject].inject_time <= cycle {
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
-            let (src, dst) = (p.src, p.dst);
-            self.shard.observer.on_inject(cycle, src, dst);
-            if let Some(reason) = self.fault.verdict(src, dst) {
-                self.shard.acc.drop_packet(reason);
-                self.shard.observer.on_drop(cycle, src, dst, reason);
+            if !self.fault.admit(&mut self.shard, cycle, p.src, p.dst) {
                 continue;
             }
-            if src == dst {
-                self.shard.acc.deliver_instant();
-                self.shard.observer.on_deliver(cycle, dst, 0);
-                continue;
-            }
-            let id = self.slab.alloc(dst, p.inject_time);
-            self.worm.reset(id, src);
+            let id = self.slab.alloc(p.dst, p.inject_time);
+            self.worm.reset(id, p.src);
             self.in_flight += 1;
             if self.try_place_head(cycle, id) {
                 self.progressed = true;
@@ -528,18 +520,18 @@ impl<F: FaultPolicy, O: SimObserver> LaneWorkload for WormLane<'_, F, O> {
 }
 
 /// Runs the flit-level wormhole workload of a
-/// [`SwitchingSpec::Wormhole`] spec as one lane over every node on the
-/// caller's thread and observer (see the [module docs](self)).
-pub(crate) fn run_wormhole<T, P, F, O>(
-    plan: &RunPlan<'_, T, P>,
+/// [`SwitchingSpec::Wormhole`] spec as one lane over every node, meeting
+/// `fault`, on the caller's thread and observer (see the
+/// [module docs](self)).
+pub(crate) fn run_wormhole<T, R, O>(
+    plan: &RunPlan<'_, T, R>,
     packets: &[Packet],
-    fault: &F,
+    fault: FaultState<'_, R>,
     observer: &mut O,
 ) -> SimStats
 where
     T: Topology + ?Sized,
-    P: Router + ?Sized,
-    F: FaultPolicy,
+    R: Router + ?Sized,
     O: SimObserver,
 {
     let (topology, spec) = (plan.topology, &plan.switching);

@@ -197,7 +197,9 @@ pub enum ExperimentError {
     },
     /// A caller-supplied cached [`DistanceTable`](crate::dist::DistanceTable)
     /// covers a different node count than the topology it was paired
-    /// with (see [`metrics_with`](crate::metrics::metrics_with)).
+    /// with (see [`metrics_with`](crate::metrics::metrics_with)), or a
+    /// static fault mask ([`Admission::Static`](crate::engine::Admission))
+    /// was built on another graph than the topology's.
     TableMismatch {
         /// Nodes the cached table covers.
         table_nodes: usize,
@@ -265,6 +267,14 @@ impl fmt::Display for ExperimentError {
                 "dense O(n²) table over {nodes} nodes needs {bytes} bytes, \
                  over the {} byte budget — use implicit routing / sampled metrics",
                 crate::router::TABLE_BYTE_BUDGET
+            ),
+            ExperimentError::TableMismatch {
+                table_nodes,
+                topology_nodes,
+            } if table_nodes == topology_nodes => write!(
+                f,
+                "cached table was built on another {table_nodes}-node network — \
+                 rebuild the table for this network"
             ),
             ExperimentError::TableMismatch {
                 table_nodes,
@@ -811,6 +821,21 @@ mod tests {
             .expect("a modest Bernoulli spec runs");
         assert!(report.stats.offered > 0);
         assert_eq!(report.stats.delivered, report.stats.offered);
+    }
+
+    #[test]
+    fn bernoulli_trial_counts_are_refused_before_generating() {
+        // Rate 0 for 10¹³ cycles is an empty list, but its generator
+        // would draw 2.6·10¹⁶ trials on Γ_16: a typed error, not a
+        // spinning run.
+        let net = FibonacciNet::classical(16);
+        let spec: TrafficSpec = "bernoulli(rate=0,cycles=10000000000000)".parse().unwrap();
+        match Experiment::on(&net).traffic(spec).cycles(10).run() {
+            Err(ExperimentError::InvalidTraffic { reason, .. }) => {
+                assert!(reason.contains("trial budget"), "{reason}")
+            }
+            other => panic!("expected InvalidTraffic, got {other:?}"),
+        }
     }
 
     #[test]

@@ -724,6 +724,11 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         self.inner
     }
 
+    /// The healthy graph the masks and the table were built on.
+    pub(crate) fn graph(&self) -> &'a CsrGraph {
+        self.graph
+    }
+
     /// Applies one churn event: flips the liveness masks (and the label
     /// certificate's fault lists), then patches the distance table
     /// *incrementally* ([`DistanceTable::apply_event`]) instead of

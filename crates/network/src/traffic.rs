@@ -123,6 +123,12 @@ fn gen_all_to_all(n: usize) -> Vec<Packet> {
     packets
 }
 
+/// The most Bernoulli trials a spec may ask of its generator, which
+/// draws every trial whatever the rate: about 3.4 ns each on a 2-vCPU
+/// x86-64 host, so ~15 s at the budget. The largest shipped spec (a
+/// test's `bernoulli(rate=1,cycles=15000)` on Γ_16) draws 38.8 M.
+const BERNOULLI_TRIAL_BUDGET: u128 = 1 << 32;
+
 /// Refuses a packet list of `len` packets that would need more than
 /// [`TABLE_BYTE_BUDGET`] bytes, before it is allocated.
 pub(crate) fn check_list_size(len: u128) -> Result<(), String> {
@@ -225,7 +231,10 @@ impl TrafficSpec {
     /// would raise — or the abort of allocating a packet list over
     /// [`TABLE_BYTE_BUDGET`] bytes (for Bernoulli traffic, whose length
     /// is random, a list of its mean length plus four standard
-    /// deviations).
+    /// deviations). Bernoulli traffic draws one trial per node and cycle
+    /// whatever its rate, so its `n · cycles` trials, summed over a mix,
+    /// must also stay within a budget of 2³² (about 15 s of drawing on a
+    /// 2-vCPU x86-64 host).
     pub fn validate(&self, n: usize) -> Result<(), ExperimentError> {
         let invalid = |reason: String| {
             Err(ExperimentError::InvalidTraffic {
@@ -235,6 +244,13 @@ impl TrafficSpec {
         };
         if let Err(reason) = check_list_size(self.list_len(n)) {
             return invalid(reason);
+        }
+        let trials = self.bernoulli_trials(n);
+        if trials > BERNOULLI_TRIAL_BUDGET {
+            return invalid(format!(
+                "{trials} Bernoulli trials (nodes × cycles) exceed the \
+                 {BERNOULLI_TRIAL_BUDGET}-trial budget"
+            ));
         }
         match self {
             TrafficSpec::Uniform { .. } | TrafficSpec::Bernoulli { .. } if n < 2 => {
@@ -308,6 +324,16 @@ impl TrafficSpec {
                 (mean + 4.0 * mean.sqrt()).ceil() as u128
             }
             TrafficSpec::RequestReply { .. } => 0,
+        }
+    }
+
+    /// The trials [`generate`](TrafficSpec::generate) draws on `n`
+    /// nodes for Bernoulli traffic: one per node and cycle.
+    fn bernoulli_trials(&self, n: usize) -> u128 {
+        match self {
+            TrafficSpec::Bernoulli { cycles, .. } => n as u128 * *cycles as u128,
+            TrafficSpec::Mixed(parts) => parts.iter().map(|p| p.bernoulli_trials(n)).sum(),
+            _ => 0,
         }
     }
 
@@ -802,6 +828,32 @@ mod tests {
         .validate(8)
         .is_err());
         assert!(TrafficSpec::AllToAll.validate(1).is_ok());
+    }
+
+    #[test]
+    fn bernoulli_trials_are_bounded_whatever_the_rate() {
+        // Γ_16 has 2 584 nodes: 10¹³ cycles at rate 0 is an empty list
+        // but 2.6·10¹⁶ trials. The budget counts trials, so it also
+        // sums over a mix whose parts fit one by one.
+        let n = 2584;
+        let bernoulli = |rate, cycles| TrafficSpec::Bernoulli { rate, cycles };
+        let half = BERNOULLI_TRIAL_BUDGET as u64 / n as u64 / 2 + 1;
+        for spec in [
+            bernoulli(0.0, 10_000_000_000_000),
+            bernoulli(0.0, u64::MAX),
+            TrafficSpec::Mixed(vec![bernoulli(0.0, half), bernoulli(0.0, half)]),
+        ] {
+            match spec.validate(n) {
+                Err(ExperimentError::InvalidTraffic { reason, .. }) => {
+                    assert!(reason.contains("trial budget"), "{spec}: {reason}")
+                }
+                other => panic!("{spec}: expected InvalidTraffic, got {other:?}"),
+            }
+        }
+        assert!(bernoulli(0.0, half).validate(n).is_ok());
+        assert!(bernoulli(0.0, BERNOULLI_TRIAL_BUDGET as u64 / n as u64)
+            .validate(n)
+            .is_ok());
     }
 
     #[test]
