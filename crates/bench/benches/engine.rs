@@ -16,14 +16,18 @@
 //! * `fault_state` — one whole store-and-forward run under a static
 //!   fault mask (Γ_12, four dead nodes, 10 000 uniform packets, one
 //!   lane), the masked admission and per-hop routing that no
-//!   end-to-end benchmark workload runs.
+//!   end-to-end benchmark workload runs;
+//! * `dist` — the masked router's incremental distance-table repair
+//!   alone: a scripted sequence of node and link failures and
+//!   recoveries on Γ_14, applied through `apply_event` and ending back
+//!   at the intact network, so every iteration repeats the same work.
 
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fibcube_network::arena::{LinkQueues, RING_STRIDE};
 use fibcube_network::engine::{self, Admission, RunPlan, Workload};
-use fibcube_network::fault::FaultSet;
+use fibcube_network::fault::{ChurnEvent, ChurnTarget, FaultSet};
 use fibcube_network::router::{FaultMaskingRouter, NoLoad, Router};
 use fibcube_network::{
     CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, NoopObserver, SwitchingSpec, Topology,
@@ -220,11 +224,54 @@ fn bench_fault_state(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_dist_repair(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dist");
+    group.sample_size(10);
+    let gamma = FibonacciNet::classical(14);
+    let router = CanonicalRouter::for_net(&gamma);
+    let mut mask = FaultMaskingRouter::for_topology(&gamma, &router, &FaultSet::empty());
+    let g = gamma.graph();
+    let link = |k: usize| {
+        let (u, v) = g.edges().nth(k).expect("Γ_14 has this many links");
+        ChurnTarget::Link(u, v)
+    };
+    let event = |target, failed| ChurnEvent {
+        cycle: 0,
+        target,
+        failed,
+    };
+    // Interleaved failures, then recoveries in another order; the net
+    // effect is no fault at all.
+    let (a, b) = (link(40), link(700));
+    let (x, y) = (ChurnTarget::Node(77), ChurnTarget::Node(301));
+    let script = [
+        event(a, true),
+        event(x, true),
+        event(b, true),
+        event(y, true),
+        event(x, false),
+        event(a, false),
+        event(y, false),
+        event(b, false),
+    ];
+    group.bench_function(BenchmarkId::new("repair_events", gamma.name()), |bench| {
+        bench.iter(|| {
+            for ev in &script {
+                mask.apply_event(ev);
+            }
+            assert!(mask.node_alive(77) && mask.node_alive(301));
+            std::hint::black_box(mask.distances().distance(0, 1))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_route_lookup,
     bench_link_queue,
     bench_flit_engine,
-    bench_fault_state
+    bench_fault_state,
+    bench_dist_repair
 );
 criterion_main!(benches);

@@ -6,9 +6,9 @@
 //! and the live fault-masking router
 //! ([`FaultMaskingRouter`](crate::router::FaultMaskingRouter)). Each used
 //! to run its own BFS sweeps (the router even lazily, behind a `RefCell`).
-//! [`DistanceTable`] is the one shared form: a flat `n × n` matrix built
-//! once per `(graph, fault set)` and threaded through wherever distances
-//! are consulted.
+//! [`DistanceTable`] is the one shared form: a flat `n × n` matrix of
+//! two-byte distances, built once per `(graph, fault set)` and threaded
+//! through wherever distances are consulted.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -19,11 +19,39 @@ use fibcube_graph::parallel::par_map;
 
 use crate::experiment::ExperimentError;
 use crate::fault::{ChurnEvent, ChurnTarget, FaultMasks};
+use crate::router::{check_table_budget, max_table_nodes};
+
+/// The stored distance of an unreachable (or dead) pair in a
+/// [`DistanceTable`] row ([`DistanceTable::to_dst`]). The table's byte
+/// budget admits at most 23 170 nodes, so a finite distance (at most
+/// `n − 1`) never equals it.
+pub const UNREACHED: u16 = u16::MAX;
+
+/// Bytes per stored distance.
+const ENTRY_BYTES: usize = std::mem::size_of::<u16>();
+
+const _: () = assert!(max_table_nodes(ENTRY_BYTES) - 1 < UNREACHED as usize);
+
+/// A BFS distance narrowed to the table's entry width.
+#[inline]
+fn narrow(d: u32) -> u16 {
+    if d == INFINITY {
+        UNREACHED
+    } else {
+        debug_assert!(
+            d < UNREACHED as u32,
+            "the byte budget bounds every distance"
+        );
+        d as u16
+    }
+}
 
 /// Flat all-pairs hop-distance matrix over a graph (optionally degraded
-/// by a fault set). Rows are indexed by destination; `INFINITY` marks
-/// unreachable (or dead) pairs. Undirected graphs make the matrix
-/// symmetric, so "row toward `dst`" and "row from `src`" coincide.
+/// by a fault set), two bytes per pair. Rows are indexed by destination;
+/// [`UNREACHED`] marks unreachable (or dead) pairs in a row, and the
+/// scalar queries answer those pairs with [`INFINITY`]. Undirected graphs
+/// make the matrix symmetric, so "row toward `dst`" and "row from `src`"
+/// coincide.
 ///
 /// # Incremental repair
 ///
@@ -45,25 +73,32 @@ use crate::fault::{ChurnEvent, ChurnTarget, FaultMasks};
 pub struct DistanceTable {
     n: usize,
     /// `dist[dst * n + src]`, row-major by destination.
-    dist: Vec<u32>,
+    dist: Vec<u16>,
 }
 
 impl DistanceTable {
+    /// Refuses an `n`-node table whose `2n²` bytes would exceed
+    /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET) (at
+    /// n ≥ 23 171).
+    pub(crate) fn check_budget(n: usize) -> Result<(), ExperimentError> {
+        check_table_budget(n, ENTRY_BYTES)
+    }
+
     /// All-pairs distances of the intact graph — one BFS per source,
     /// parallel across sources on the workspace thread pool.
     ///
-    /// Refuses with [`ExperimentError::TableTooLarge`] when the `4n²`-byte
+    /// Refuses with [`ExperimentError::TableTooLarge`] when the `2n²`-byte
     /// matrix would exceed
     /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET); use
     /// [`DistanceSample`] for estimates on larger networks.
     pub fn healthy(g: &CsrGraph) -> Result<DistanceTable, ExperimentError> {
         let n = g.num_vertices();
-        crate::router::check_table_budget(n)?;
+        DistanceTable::check_budget(n)?;
         let rows = par_map(n, |s| {
             let mut row = vec![INFINITY; n];
             let mut scratch = BfsScratch::new(n);
             bfs_into(g, s as u32, &mut row, &mut scratch);
-            row
+            row.into_iter().map(narrow).collect::<Vec<u16>>()
         });
         let mut dist = Vec::with_capacity(n * n);
         for row in rows {
@@ -74,15 +109,28 @@ impl DistanceTable {
 
     /// All-pairs distances of the graph degraded by `masks`: BFS over
     /// surviving links only, so dead nodes (and nodes the faults cut off)
-    /// read [`INFINITY`] everywhere, including toward themselves when
-    /// dead.
+    /// read [`UNREACHED`] in every row ([`INFINITY`] through
+    /// [`distance`](DistanceTable::distance)), including toward
+    /// themselves when dead.
     ///
     /// Runs serially: its callers (the fault-masking router inside sweep
     /// workers) are already fanned out across the thread pool, so nesting
     /// another fan-out here would oversubscribe it.
+    ///
+    /// # Panics
+    ///
+    /// On 65 535 nodes or more, where a distance could reach the
+    /// two-byte sentinel. Such a table (over 8 GB) is far past the
+    /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET) that the
+    /// engine and [`Experiment`](crate::experiment::Experiment) check
+    /// before they build a masked router.
     pub fn degraded(g: &CsrGraph, masks: &FaultMasks) -> DistanceTable {
         let n = g.num_vertices();
-        let mut dist = vec![INFINITY; n * n];
+        assert!(
+            n < UNREACHED as usize,
+            "{n} nodes overflow two-byte distances"
+        );
+        let mut dist = vec![UNREACHED; n * n];
         let mut queue: Vec<u32> = Vec::with_capacity(n);
         for dst in 0..n as u32 {
             let row = &mut dist[dst as usize * n..][..n];
@@ -104,7 +152,7 @@ impl DistanceTable {
         let n = labels.len();
         let mut dist = Vec::with_capacity(n * n);
         for &ld in labels {
-            dist.extend(labels.iter().map(|&ls| (ls ^ ld).count_ones()));
+            dist.extend(labels.iter().map(|&ls| (ls ^ ld).count_ones() as u16));
         }
         DistanceTable { n, dist }
     }
@@ -117,14 +165,18 @@ impl DistanceTable {
     /// Hop distance between `u` and `v` ([`INFINITY`] when disconnected).
     #[inline]
     pub fn distance(&self, u: u32, v: u32) -> u32 {
-        self.dist[v as usize * self.n + u as usize]
+        match self.dist[v as usize * self.n + u as usize] {
+            UNREACHED => INFINITY,
+            d => d as u32,
+        }
     }
 
     /// The full distance row toward `dst` — `row[src]` is the distance
-    /// from `src`. This is the hot-path view the fault-masking router
-    /// indexes per hop.
+    /// from `src`, [`UNREACHED`] when `src` cannot reach `dst` (or
+    /// either is dead). This is the hot-path view the fault-masking
+    /// router indexes per hop.
     #[inline]
-    pub fn to_dst(&self, dst: u32) -> &[u32] {
+    pub fn to_dst(&self, dst: u32) -> &[u16] {
         &self.dist[dst as usize * self.n..][..self.n]
     }
 
@@ -141,7 +193,12 @@ impl DistanceTable {
         if self.n == 0 {
             return None;
         }
-        self.dist.iter().copied().filter(|&d| d != INFINITY).max()
+        self.dist
+            .iter()
+            .copied()
+            .filter(|&d| d != UNREACHED)
+            .max()
+            .map(u32::from)
     }
 
     /// Mean distance over connected ordered pairs (`u ≠ v`), the expected
@@ -151,7 +208,7 @@ impl DistanceTable {
         let mut sum = 0u64;
         let mut pairs = 0u64;
         for &d in &self.dist {
-            if d != 0 && d != INFINITY {
+            if d != 0 && d != UNREACHED {
                 sum += d as u64;
                 pairs += 1;
             }
@@ -206,13 +263,13 @@ impl DistanceTable {
     }
 
     /// Patches the table for the failure of node `x` (`masks` already
-    /// post-event): `x`'s own row goes all-[`INFINITY`]; every other row
+    /// post-event): `x`'s own row goes all-[`UNREACHED`]; every other row
     /// orphan-propagates from `x` exactly as if all its incident links
     /// died at once.
     pub fn fail_node(&mut self, g: &CsrGraph, masks: &FaultMasks, x: u32) {
         self.patch_rows_indexed(|dst, row, scratch| {
             if dst == x {
-                row.fill(INFINITY);
+                row.fill(UNREACHED);
             } else {
                 row_fail_node(g, masks, row, x, scratch);
             }
@@ -226,7 +283,7 @@ impl DistanceTable {
     pub fn recover_node(&mut self, g: &CsrGraph, masks: &FaultMasks, x: u32) {
         self.patch_rows_indexed(|dst, row, scratch| {
             if dst == x {
-                row.fill(INFINITY);
+                row.fill(UNREACHED);
                 if masks.node_alive(x) {
                     scratch.queue.clear();
                     masked_bfs_row(g, masks, row, x, &mut scratch.queue);
@@ -239,11 +296,11 @@ impl DistanceTable {
         });
     }
 
-    fn patch_rows(&mut self, mut repair: impl FnMut(&mut [u32], &mut PatchScratch)) {
+    fn patch_rows(&mut self, mut repair: impl FnMut(&mut [u16], &mut PatchScratch)) {
         self.patch_rows_indexed(|_, row, scratch| repair(row, scratch));
     }
 
-    fn patch_rows_indexed(&mut self, mut repair: impl FnMut(u32, &mut [u32], &mut PatchScratch)) {
+    fn patch_rows_indexed(&mut self, mut repair: impl FnMut(u32, &mut [u16], &mut PatchScratch)) {
         let n = self.n;
         let mut scratch = PatchScratch::new(n);
         for dst in 0..n {
@@ -252,13 +309,13 @@ impl DistanceTable {
     }
 }
 
-/// Masked BFS from `root` into `row` (which must be all-[`INFINITY`]),
+/// Masked BFS from `root` into `row` (which must be all-[`UNREACHED`]),
 /// reusing `queue` as scratch. The single-row unit both
 /// [`DistanceTable::degraded`] and the node-recovery patch build on.
 fn masked_bfs_row(
     g: &CsrGraph,
     masks: &FaultMasks,
-    row: &mut [u32],
+    row: &mut [u16],
     root: u32,
     queue: &mut Vec<u32>,
 ) {
@@ -272,7 +329,7 @@ fn masked_bfs_row(
         let next = row[u as usize] + 1;
         let base = g.edge_range(u).start;
         for (slot, &v) in g.neighbors(u).iter().enumerate() {
-            if masks.edge_alive(base + slot) && row[v as usize] == INFINITY {
+            if masks.edge_alive(base + slot) && row[v as usize] == UNREACHED {
                 row[v as usize] = next;
                 queue.push(v);
             }
@@ -285,7 +342,7 @@ fn masked_bfs_row(
 struct PatchScratch {
     mark: Vec<u64>,
     generation: u64,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    heap: BinaryHeap<Reverse<(u16, u32)>>,
     orphans: Vec<u32>,
     queue: Vec<u32>,
 }
@@ -321,13 +378,13 @@ impl PatchScratch {
 fn row_fail_link(
     g: &CsrGraph,
     masks: &FaultMasks,
-    row: &mut [u32],
+    row: &mut [u16],
     u: u32,
     v: u32,
     scratch: &mut PatchScratch,
 ) {
     let (du, dv) = (row[u as usize], row[v as usize]);
-    if du == INFINITY || dv == INFINITY {
+    if du == UNREACHED || dv == UNREACHED {
         // An unreachable endpoint means the link was on no shortest
         // path toward this destination.
         return;
@@ -353,11 +410,11 @@ fn row_fail_link(
 fn row_fail_node(
     g: &CsrGraph,
     masks: &FaultMasks,
-    row: &mut [u32],
+    row: &mut [u16],
     x: u32,
     scratch: &mut PatchScratch,
 ) {
-    if row[x as usize] == INFINITY {
+    if row[x as usize] == UNREACHED {
         // x was already unreachable toward this destination, so no
         // shortest path ran through it.
         return;
@@ -373,7 +430,7 @@ fn row_fail_node(
 fn has_tight_parent(
     g: &CsrGraph,
     masks: &FaultMasks,
-    row: &[u32],
+    row: &[u16],
     x: u32,
     scratch: Option<&PatchScratch>,
 ) -> bool {
@@ -382,7 +439,7 @@ fn has_tight_parent(
     g.neighbors(x).iter().enumerate().any(|(slot, &w)| {
         masks.edge_alive(base + slot)
             && scratch.is_none_or(|s| !s.is_orphan(w))
-            && row[w as usize] != INFINITY
+            && row[w as usize] != UNREACHED
             && row[w as usize] + 1 == d
     })
 }
@@ -392,7 +449,7 @@ fn has_tight_parent(
 /// longer supported (ascending old-distance order makes parent status
 /// final before children are judged), invalidates the orphan region,
 /// and re-relaxes it from its intact boundary.
-fn repair_after_loss(g: &CsrGraph, masks: &FaultMasks, row: &mut [u32], s: &mut PatchScratch) {
+fn repair_after_loss(g: &CsrGraph, masks: &FaultMasks, row: &mut [u16], s: &mut PatchScratch) {
     // Phase 1: orphan propagation. Children of an orphan are judged by
     // whether any non-orphan tight parent survives; over-enqueueing is
     // harmless (candidates with a surviving parent are rejected), which
@@ -412,7 +469,7 @@ fn repair_after_loss(g: &CsrGraph, masks: &FaultMasks, row: &mut [u32], s: &mut 
     }
     // Phase 2: the orphan region loses its old distances.
     for i in 0..s.orphans.len() {
-        row[s.orphans[i] as usize] = INFINITY;
+        row[s.orphans[i] as usize] = UNREACHED;
     }
     // Phase 3: seed every orphan from its intact (non-orphan) boundary
     // and re-relax, decrease-only, within the orphan region.
@@ -422,13 +479,13 @@ fn repair_after_loss(g: &CsrGraph, masks: &FaultMasks, row: &mut [u32], s: &mut 
             continue;
         }
         let base = g.edge_range(x).start;
-        let mut best = INFINITY;
+        let mut best = UNREACHED;
         for (slot, &w) in g.neighbors(x).iter().enumerate() {
-            if masks.edge_alive(base + slot) && !s.is_orphan(w) && row[w as usize] != INFINITY {
+            if masks.edge_alive(base + slot) && !s.is_orphan(w) && row[w as usize] != UNREACHED {
                 best = best.min(row[w as usize] + 1);
             }
         }
-        if best != INFINITY {
+        if best != UNREACHED {
             s.heap.push(Reverse((best, x)));
         }
     }
@@ -452,10 +509,10 @@ fn repair_after_loss(g: &CsrGraph, masks: &FaultMasks, row: &mut [u32], s: &mut 
 /// rejected by the tight-parent check, while mask-filtering here would
 /// miss the children of a freshly dead node (its incident edges are
 /// already masked).
-fn enqueue_children(g: &CsrGraph, row: &[u32], x: u32, s: &mut PatchScratch) {
+fn enqueue_children(g: &CsrGraph, row: &[u16], x: u32, s: &mut PatchScratch) {
     let d = row[x as usize];
     for &y in g.neighbors(x) {
-        if row[y as usize] != INFINITY && row[y as usize] == d + 1 && !s.is_orphan(y) {
+        if row[y as usize] != UNREACHED && row[y as usize] == d + 1 && !s.is_orphan(y) {
             s.heap.push(Reverse((row[y as usize], y)));
         }
     }
@@ -463,11 +520,11 @@ fn enqueue_children(g: &CsrGraph, row: &[u32], x: u32, s: &mut PatchScratch) {
 
 /// Seeds a decrease-only relaxation with the improvement a recovered
 /// link `u–v` offers (at most one endpoint can improve).
-fn seed_link(row: &[u32], u: u32, v: u32, heap: &mut BinaryHeap<Reverse<(u32, u32)>>) {
+fn seed_link(row: &[u16], u: u32, v: u32, heap: &mut BinaryHeap<Reverse<(u16, u32)>>) {
     let (du, dv) = (row[u as usize], row[v as usize]);
-    if du != INFINITY && (dv == INFINITY || du + 1 < dv) {
+    if du != UNREACHED && (dv == UNREACHED || du + 1 < dv) {
         heap.push(Reverse((du + 1, v)));
-    } else if dv != INFINITY && (du == INFINITY || dv + 1 < du) {
+    } else if dv != UNREACHED && (du == UNREACHED || dv + 1 < du) {
         heap.push(Reverse((dv + 1, u)));
     }
 }
@@ -477,14 +534,14 @@ fn seed_link(row: &[u32], u: u32, v: u32, heap: &mut BinaryHeap<Reverse<(u32, u3
 fn seed_node(
     g: &CsrGraph,
     masks: &FaultMasks,
-    row: &[u32],
+    row: &[u16],
     x: u32,
-    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
+    heap: &mut BinaryHeap<Reverse<(u16, u32)>>,
 ) {
     let base = g.edge_range(x).start;
-    let mut best = INFINITY;
+    let mut best = UNREACHED;
     for (slot, &w) in g.neighbors(x).iter().enumerate() {
-        if masks.edge_alive(base + slot) && row[w as usize] != INFINITY {
+        if masks.edge_alive(base + slot) && row[w as usize] != UNREACHED {
             best = best.min(row[w as usize] + 1);
         }
     }
@@ -499,8 +556,8 @@ fn seed_node(
 fn relax_decrease(
     g: &CsrGraph,
     masks: &FaultMasks,
-    row: &mut [u32],
-    heap: &mut BinaryHeap<Reverse<(u32, u32)>>,
+    row: &mut [u16],
+    heap: &mut BinaryHeap<Reverse<(u16, u32)>>,
 ) {
     while let Some(Reverse((d, x))) = heap.pop() {
         if row[x as usize] <= d {
@@ -631,7 +688,10 @@ mod tests {
             assert_eq!(table.nodes(), topo.len());
             for dst in 0..topo.len() as u32 {
                 let bfs = bfs_distances(g, dst);
-                assert_eq!(table.to_dst(dst), &bfs[..], "{} dst {dst}", topo.name());
+                let row: Vec<u32> = (0..topo.len() as u32)
+                    .map(|src| table.distance(src, dst))
+                    .collect();
+                assert_eq!(row, bfs, "{} dst {dst}", topo.name());
                 for src in 0..topo.len() as u32 {
                     assert_eq!(table.distance(src, dst), bfs[src as usize]);
                 }
@@ -767,6 +827,79 @@ mod tests {
                 assert_eq!(table.to_dst(dst), healthy.to_dst(dst));
             }
         }
+    }
+
+    /// Asserts that every `distance()` answer of `table` equals a BFS on
+    /// the subgraph `set` leaves of `g` (`INFINITY` at dead nodes).
+    fn assert_matches_bfs(table: &DistanceTable, g: &CsrGraph, set: &FaultSet, what: &str) {
+        let (healthy, survivors) = set.healthy_subgraph(g);
+        let mut new_id = vec![u32::MAX; g.num_vertices()];
+        for (i, &v) in survivors.iter().enumerate() {
+            new_id[v as usize] = i as u32;
+        }
+        for dst in 0..g.num_vertices() as u32 {
+            let bfs = (new_id[dst as usize] != u32::MAX)
+                .then(|| bfs_distances(&healthy, new_id[dst as usize]));
+            for src in 0..g.num_vertices() as u32 {
+                let expected = match (&bfs, new_id[src as usize]) {
+                    (Some(row), i) if i != u32::MAX => row[i as usize],
+                    _ => INFINITY,
+                };
+                assert_eq!(table.distance(src, dst), expected, "{what}: {src} → {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_byte_rows_hold_distances_past_one_byte() {
+        use crate::fault::{ChurnEvent, ChurnTarget};
+
+        // A 3 000-node ring cut at one link is a 3 000-node path, with
+        // distances up to 2 999: more than one byte holds.
+        let ring = Ring::new(3_000);
+        let g = ring.graph();
+        let cut = FaultSet::new([], [(0u32, 1u32)]);
+        let degraded = DistanceTable::degraded(g, &cut.masks(g));
+        assert_eq!(degraded.distance(0, 1), 2_999);
+        assert_eq!(degraded.diameter(), Some(2_999));
+        assert_matches_bfs(&degraded, g, &cut, "degraded");
+
+        // The same faults reached by fail/recover events on the healthy
+        // table, checked against BFS after every event.
+        let e = |target, failed| ChurnEvent {
+            cycle: 0,
+            target,
+            failed,
+        };
+        let steps = [
+            (
+                e(ChurnTarget::Link(0, 1), true),
+                FaultSet::new([], [(0u32, 1u32)]),
+            ),
+            (
+                e(ChurnTarget::Node(1_500), true),
+                FaultSet::new([1_500u32], [(0u32, 1u32)]),
+            ),
+            (
+                e(ChurnTarget::Link(0, 1), false),
+                FaultSet::new([1_500u32], []),
+            ),
+            (e(ChurnTarget::Node(1_500), false), FaultSet::empty()),
+        ];
+        let mut table = DistanceTable::healthy(g).unwrap();
+        for (i, (event, set)) in steps.iter().enumerate() {
+            table.apply_event(g, &set.masks(g), event);
+            assert_matches_bfs(&table, g, set, &format!("event {i} ({event:?})"));
+        }
+    }
+
+    #[test]
+    fn the_largest_admitted_table_keeps_the_sentinel_free() {
+        let n = max_table_nodes(ENTRY_BYTES);
+        assert_eq!(n, 23_170);
+        assert!(DistanceTable::check_budget(n).is_ok());
+        assert!(DistanceTable::check_budget(n + 1).is_err());
+        assert!(((n - 1) as u32) < UNREACHED as u32);
     }
 
     #[test]

@@ -31,7 +31,10 @@
 //!
 //! The router is built with
 //! [`FaultMaskingRouter::for_topology`](crate::router::FaultMaskingRouter::for_topology).
-//! On a topology with [`cube_labels`](crate::topology::Topology::cube_labels)
+//! Its distance table holds two bytes per pair (`2n²` bytes: 13.4 MB on
+//! Γ_16, 627 MB on Γ_20, the largest Fibonacci cube within the table
+//! budget). On a topology with
+//! [`cube_labels`](crate::topology::Topology::cube_labels)
 //! (the Fibonacci cubes and `Q_d`) its fault-free start table is filled
 //! in closed form, `dist[dst][src] = popcount(l[src] ^ l[dst])`, with no
 //! BFS. Per hop, a `(cur, dst)` query is **certified** when no dead node
@@ -42,6 +45,11 @@
 //! alone, making exactly the table's decision. The table is read as
 //! before for uncertified pairs, for every pair while more than a fixed
 //! number of faults are live, and on topologies without labels.
+//!
+//! A packet in flight asks once per hop (`FaultState::forward`): one
+//! certificate scan of the fault list, or one read of the destination's
+//! table row, decides both whether it drops (destination dead, or cut
+//! off) and which link it takes.
 //!
 //! ## Sharding
 //!
@@ -324,9 +332,10 @@ impl Sessions {
 
     /// Injects the current attempt's request, if admission permits. A
     /// rejected attempt (dead or disconnected endpoints) is simply a
-    /// lost request: the pending timeout observes it. The verdict is
-    /// evaluated on every lane (same fault epoch — same answer); the
-    /// packet itself exists only at the lane owning the client.
+    /// lost request: the pending timeout observes it. Only the lane
+    /// owning the client asks the fault state
+    /// ([`first_hop`](super::policy::FaultState::first_hop): the verdict
+    /// and the first hop in one query), and the packet exists only there.
     fn try_inject_request<O: SimObserver, R: Router + ?Sized>(
         &mut self,
         session: u32,
@@ -334,12 +343,13 @@ impl Sessions {
         core: &mut Core<'_, O, R>,
     ) {
         let s = self.sessions[session as usize];
-        if core.fault.verdict(s.src, s.dst).is_some() {
-            return;
-        }
         if !core.shard.owns(s.src) {
             return;
         }
+        let (g, edge_lo) = (core.shard.g, core.shard.edge_lo);
+        let Ok(e) = core.fault.first_hop(g, &core.queues, edge_lo, s.src, s.dst) else {
+            return;
+        };
         let id = core.slab.alloc(s.dst, cycle);
         set_meta(
             &mut self.meta,
@@ -351,7 +361,7 @@ impl Sessions {
                 reply: false,
             },
         );
-        core.route_and_enqueue(s.src, id, s.dst);
+        core.enqueue(e, id);
     }
 }
 
@@ -477,10 +487,10 @@ impl<O: SimObserver, R: Router + ?Sized> ReplicationPolicy<O, R> for Sessions {
             if !core.shard.owns(msg.node) {
                 return;
             }
-            if core.fault.en_route(msg.node, msg.dst).is_none() {
+            if let Ok(e) = core.forward(msg.node, msg.dst) {
                 let id = core.slab.alloc(msg.dst, now);
                 set_meta(&mut self.meta, id, m);
-                core.route_and_enqueue(msg.node, id, msg.dst);
+                core.enqueue(e, id);
             }
             return;
         }
@@ -491,14 +501,14 @@ impl<O: SimObserver, R: Router + ?Sized> ReplicationPolicy<O, R> for Sessions {
         }
         if !m.reply {
             // Request reached the server: turn it around as a reply, if
-            // the client is still there to receive it.
-            if msg.node != s.src
-                && core.fault.en_route(msg.node, s.src).is_none()
-                && core.shard.owns(msg.node)
-            {
-                let rid = core.slab.alloc(s.src, now);
-                set_meta(&mut self.meta, rid, Meta { reply: true, ..m });
-                core.route_and_enqueue(msg.node, rid, s.src);
+            // the client is still there to receive it. Only the owning
+            // lane asks the fault state.
+            if msg.node != s.src && core.shard.owns(msg.node) {
+                if let Ok(e) = core.forward(msg.node, s.src) {
+                    let rid = core.slab.alloc(s.src, now);
+                    set_meta(&mut self.meta, rid, Meta { reply: true, ..m });
+                    core.enqueue(e, rid);
+                }
             }
         } else {
             // Reply reached the client: the transaction completes, with

@@ -51,14 +51,15 @@ pub(crate) struct Core<'a, O, R: Router + ?Sized> {
 }
 
 impl<O: SimObserver, R: Router + ?Sized> Core<'_, O, R> {
-    /// Routes packet `id` at owned node `node` through the fault state
-    /// and enqueues it on the chosen output link — the one mutation path
-    /// shared by the injection and arrival-commit stages.
+    /// The output edge of an in-flight packet at owned node `node` bound
+    /// for `dst` (`node ≠ dst`), or the reason churn stranded it
+    /// ([`FaultState::forward`]). The caller allocates the packet once
+    /// the hop is known and [`enqueue`](Core::enqueue)s it; an injection
+    /// asks [`FaultState::first_hop`] instead.
     #[inline(always)]
-    pub(crate) fn route_and_enqueue(&mut self, node: u32, id: u32, dst: u32) {
+    pub(crate) fn forward(&self, node: u32, dst: u32) -> Result<usize, DropReason> {
         let (g, edge_lo) = (self.shard.g, self.shard.edge_lo);
-        let e = self.fault.route_edge(g, &self.queues, edge_lo, node, dst);
-        self.enqueue(e, id);
+        self.fault.forward(g, &self.queues, edge_lo, node, dst)
     }
 
     /// Enqueues packet `id` on owned directed edge `e`, fixing the
@@ -214,9 +215,15 @@ impl<O: SimObserver, R: Router + ?Sized> ReplicationPolicy<O, R> for Unicast<'_>
         while self.next_inject < self.inj.len() && self.inj[self.next_inject].inject_time <= cycle {
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
-            if core.fault.admit(&mut core.shard, cycle, p.src, p.dst) {
+            let (g, edge_lo, queues) = (core.shard.g, core.shard.edge_lo, &core.queues);
+            let admitted = core
+                .fault
+                .admit(&mut core.shard, cycle, p.src, p.dst, |fault| {
+                    fault.first_hop(g, queues, edge_lo, p.src, p.dst)
+                });
+            if let Some(e) = admitted {
                 let id = core.slab.alloc(p.dst, p.inject_time);
-                core.route_and_enqueue(p.src, id, p.dst);
+                core.enqueue(e, id);
             }
         }
     }
@@ -231,13 +238,18 @@ impl<O: SimObserver, R: Router + ?Sized> ReplicationPolicy<O, R> for Unicast<'_>
                 "hops can never exceed latency"
             );
             core.shard.deliver(now, msg.node, now - msg.inject);
-        } else if let Some(reason) = core.fault.en_route(msg.node, msg.dst) {
-            core.shard.acc.drop_packet(reason);
-            core.shard.observer.on_drop(now, msg.node, msg.dst, reason);
-        } else {
-            let id = core.slab.alloc(msg.dst, msg.inject);
-            core.slab.set_hops(id, msg.hops);
-            core.route_and_enqueue(msg.node, id, msg.dst);
+            return;
+        }
+        match core.forward(msg.node, msg.dst) {
+            Ok(e) => {
+                let id = core.slab.alloc(msg.dst, msg.inject);
+                core.slab.set_hops(id, msg.hops);
+                core.enqueue(e, id);
+            }
+            Err(reason) => {
+                core.shard.acc.drop_packet(reason);
+                core.shard.observer.on_drop(now, msg.node, msg.dst, reason);
+            }
         }
     }
 }

@@ -217,10 +217,10 @@ impl fmt::Display for Workload<'_> {
 /// closed loop also needs at least 2 nodes and a finite cycle cap
 /// ([`ExperimentError::InvalidTraffic`]), and a churn timeline with
 /// events, whose lanes each build a fault-masking router, must fit the
-/// router's `4n²`-byte table in
+/// router's `2n²`-byte distance table in
 /// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
-/// ([`ExperimentError::TableTooLarge`]), and every event must name
-/// nodes of the topology
+/// ([`ExperimentError::TableTooLarge`]: Γ_20 fits, Γ_21 does not), and
+/// every event must name nodes, and links, of the topology
 /// ([`FaultError::InvalidChurn`](crate::fault::FaultError::InvalidChurn)).
 /// A static mask comes built ([`Experiment`](crate::experiment::Experiment)
 /// checks the budget before building one), on a network with the
@@ -358,9 +358,10 @@ pub struct RunOutcome {
 /// A cell outside the support table (see [`RunPlan`]), a closed loop on
 /// fewer than 2 nodes or without a cycle cap, a churn timeline whose
 /// masked-router table is over budget or whose events name nodes outside
-/// the topology, a static mask built on another network, an invalid or
-/// oversized wormhole spec, or more than one store-and-forward lane with
-/// an observer whose [`fork`](SimObserver::fork) returns `None`
+/// the topology or links it does not have, a static mask built on
+/// another network, an invalid or oversized wormhole spec, or more than
+/// one store-and-forward lane with an observer whose
+/// [`fork`](SimObserver::fork) returns `None`
 /// ([`ExperimentError::UnforkableObserver`]).
 pub fn run<T, R, O>(
     plan: &RunPlan<'_, T, R>,
@@ -1367,6 +1368,48 @@ mod tests {
                     }
                     other => panic!("expected InvalidChurn, got {other:?}"),
                 }
+            }
+            // Nodes 0 and 100 are both in Γ_10 but not adjacent: a link
+            // event between them names no link of the network.
+            assert!(!net.graph().has_edge(0, 100));
+            let timeline = ChurnTimeline::from_events([ChurnEvent {
+                cycle: 3,
+                target: ChurnTarget::Link(0, 100),
+                failed: true,
+            }]);
+            let plan = RunPlan::new(&net, &EcubeRouter, Workload::Open(&pkts), 1_000)
+                .admission(Admission::Churn(&timeline));
+            match run(&plan, lanes, &mut NoopObserver) {
+                Err(ExperimentError::Fault(FaultError::InvalidChurn { reason })) => {
+                    assert!(reason.contains("not a link of the 144-node"), "{reason}")
+                }
+                other => panic!("expected InvalidChurn, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn churn_fits_the_distance_budget_through_gamma_20() {
+        // A churn lane's masked router keeps a two-byte distance table:
+        // Γ_20 (17 711 nodes, 627 MB) fits the budget and Γ_21 (28 657
+        // nodes, 1.64 GB) does not. Only the plan check runs here.
+        for (d, fits) in [(20, true), (21, false)] {
+            let net = FibonacciNet::classical(d);
+            let n = net.len();
+            let (u, v) = net.graph().edges().next().unwrap();
+            let timeline = ChurnTimeline::from_events([ChurnEvent {
+                cycle: 3,
+                target: ChurnTarget::Link(u, v),
+                failed: true,
+            }]);
+            let plan = RunPlan::new(&net, &EcubeRouter, Workload::Open(&[]), 200)
+                .admission(Admission::Churn(&timeline));
+            match plan.check() {
+                Ok(()) if fits => {}
+                Err(ExperimentError::TableTooLarge { nodes, bytes }) if !fits => {
+                    assert_eq!((nodes, bytes), (n, (n as u128) * (n as u128) * 2))
+                }
+                other => panic!("Γ_{d}: got {other:?}"),
             }
         }
     }

@@ -7,9 +7,10 @@
 //!   shared static fault mask, or a lane-owned churn replica of the
 //!   masked router plus its event cursor. It owns the injection verdict,
 //!   the hop routing, and under churn the event commit and the en-route
-//!   drops. It is one concrete enum, so each workload and lane type
-//!   compiles once per observer type, not once per fault state; the
-//!   per-hop `match` is one predictable branch.
+//!   drops, which one hop query decides together with the hop. It is one
+//!   concrete enum, so each workload and lane type compiles once per
+//!   observer type, not once per fault state; the per-hop `match` is one
+//!   predictable branch.
 //! - [`ReplicationPolicy`] — the workload: open-loop unicast packets or
 //!   closed-loop request/reply sessions (both over any fault state), or
 //!   tree replication at intermediate nodes (the collective path).
@@ -22,10 +23,11 @@ use std::cell::OnceCell;
 use fibcube_graph::csr::CsrGraph;
 
 use crate::arena::{Loads, NodeLoad, PacketSlab};
+use crate::dist::DistanceTable;
 use crate::experiment::ExperimentError;
 use crate::fault::{ChurnEvent, ChurnTarget, FaultError, FaultSet};
 use crate::observer::SimObserver;
-use crate::router::{check_table_budget, FaultMaskingRouter, NextHopTable, Router};
+use crate::router::{FaultMaskingRouter, NextHopTable, Router};
 use crate::topology::Topology;
 
 use super::core::{Core, SafMsg};
@@ -68,19 +70,20 @@ where
 ///
 /// # Invariants
 ///
-/// - `verdict` is **pure and stable between fault-epoch boundaries**:
-///   the same `(src, dst)` pair always gets the same answer while the
-///   fault state is unchanged (every lane evaluates it, and the
-///   serial/sharded equivalence depends on it). The healthy and static
+/// - `verdict` (and `first_hop` / `forward`, which decide it together
+///   with the hop) is **pure and stable between fault-epoch
+///   boundaries**: the same `(src, dst)` pair always gets the same
+///   answer while the fault state is unchanged, whichever lane asks
+///   (the serial/sharded equivalence depends on it). The healthy and static
 ///   arms are stable for the whole run; churn applies events only at
 ///   cycle boundaries ([`commit_events`](FaultState::commit_events)),
 ///   so every verdict within one cycle sees one consistent epoch.
-/// - A `Some(reason)` verdict means the packet never enters the network:
+/// - An `Err(reason)` verdict means the packet never enters the network:
 ///   it is counted under the matching typed-drop statistic at its inject
 ///   cycle and no link state changes.
 /// - An admitted packet stays routable under a fixed fault state, so
 ///   only churn has en-route drops and events to commit; the other arms
-///   answer `None` and commit nothing.
+///   never refuse a `forward` and commit nothing.
 pub(crate) enum FaultState<'a, R: Router + ?Sized> {
     /// The healthy network: admits everything and routes by the run's
     /// table or per-hop policy calls.
@@ -141,8 +144,10 @@ impl<'a, R: Router + ?Sized> FaultState<'a, R> {
     /// Refuses an admission [`new`](FaultState::new) could not serve: a
     /// mask built on another graph than the topology's
     /// ([`ExperimentError::TableMismatch`]), a churn event naming a node
-    /// outside the topology ([`FaultError::InvalidChurn`]), or a churn
-    /// replica whose `4n²`-byte table is over budget.
+    /// outside the topology or a "link" between two nodes that are not
+    /// adjacent ([`FaultError::InvalidChurn`]), or a churn replica whose
+    /// `2n²`-byte distance table is over budget
+    /// ([`ExperimentError::TableTooLarge`]: Γ_20 fits, Γ_21 does not).
     pub(crate) fn check<T: Topology + ?Sized>(
         plan: &RunPlan<'_, T, R>,
     ) -> Result<(), ExperimentError> {
@@ -160,82 +165,129 @@ impl<'a, R: Router + ?Sized> FaultState<'a, R> {
                 })
             }
             Admission::Churn(t) => {
-                let outside = |ev: &&ChurnEvent| match ev.target {
-                    ChurnTarget::Node(x) => x as usize >= n,
-                    ChurnTarget::Link(u, v) => u.max(v) as usize >= n,
+                let g = plan.topology.graph();
+                let invalid = |ev: &ChurnEvent| match ev.target {
+                    ChurnTarget::Node(x) if x as usize >= n => Some("outside"),
+                    ChurnTarget::Link(u, v) if u.max(v) as usize >= n => Some("outside"),
+                    ChurnTarget::Link(u, v) if g.slot_of(u, v).is_none() => Some("not a link of"),
+                    _ => None,
                 };
-                if let Some(ev) = t.events().iter().find(outside) {
-                    let reason = format!(
-                        "the event at cycle {} names {:?}, outside the {n}-node topology",
-                        ev.cycle, ev.target
-                    );
-                    return Err(ExperimentError::Fault(FaultError::InvalidChurn { reason }));
+                for ev in t.events() {
+                    if let Some(what) = invalid(ev) {
+                        let reason = format!(
+                            "the event at cycle {} names {:?}, {what} the {n}-node topology",
+                            ev.cycle, ev.target
+                        );
+                        return Err(ExperimentError::Fault(FaultError::InvalidChurn { reason }));
+                    }
                 }
                 if t.is_empty() {
                     Ok(())
                 } else {
-                    check_table_budget(n)
+                    DistanceTable::check_budget(n)
                 }
             }
         }
     }
 
-    /// `Some(reason)` to drop a packet at injection, `None` to route:
+    /// `Err(reason)` to drop a packet at injection, `Ok` to route:
     /// against a mask, dead endpoints drop as
     /// [`DropReason::DeadEndpoint`] and surviving-but-disconnected pairs
     /// as [`DropReason::Unreachable`]. The same router routes the
     /// admitted packets, so they are routable.
     #[inline]
-    pub(crate) fn verdict(&self, src: u32, dst: u32) -> Option<DropReason> {
+    pub(crate) fn verdict(&self, src: u32, dst: u32) -> Result<(), DropReason> {
         let mask = match self {
-            FaultState::Healthy(_) => return None,
+            FaultState::Healthy(_) => return Ok(()),
             FaultState::Static(mask) => *mask,
             FaultState::Churn { router, .. } => router,
         };
         if !mask.node_alive(src) || !mask.node_alive(dst) {
-            Some(DropReason::DeadEndpoint)
+            Err(DropReason::DeadEndpoint)
         } else if src != dst && !mask.reachable(src, dst) {
-            Some(DropReason::Unreachable)
+            Err(DropReason::Unreachable)
         } else {
-            None
+            Ok(())
         }
     }
 
     /// The injection stage of one open-loop packet from `src` to `dst`
     /// at `cycle`, shared by both switching models: reports the
-    /// injection, drops the packet typed when the [`verdict`] refuses
-    /// it, and counts a self-addressed packet as instantly delivered.
-    /// `true` when the packet must enter the network.
+    /// injection, counts a self-addressed packet as instantly delivered
+    /// (unless the [`verdict`] refuses it), and lets `enter` decide any
+    /// other packet — the flit engine passes the verdict itself, the
+    /// packet engine [`first_hop`], which also picks the output edge.
+    /// A refused packet drops typed; an admitted one returns `enter`'s
+    /// value and must enter the network.
     ///
     /// [`verdict`]: FaultState::verdict
-    pub(crate) fn admit<O: SimObserver>(
+    /// [`first_hop`]: FaultState::first_hop
+    pub(crate) fn admit<O: SimObserver, T>(
         &self,
         shard: &mut Shard<'_, O>,
         cycle: u64,
         src: u32,
         dst: u32,
-    ) -> bool {
+        enter: impl FnOnce(&Self) -> Result<T, DropReason>,
+    ) -> Option<T> {
         shard.observer.on_inject(cycle, src, dst);
-        if let Some(reason) = self.verdict(src, dst) {
-            shard.acc.drop_packet(reason);
-            shard.observer.on_drop(cycle, src, dst, reason);
-            false
-        } else if src == dst {
-            shard.acc.deliver_instant();
-            shard.observer.on_deliver(cycle, dst, 0);
-            false
+        let entered = if src == dst {
+            self.verdict(src, dst).map(|()| None)
         } else {
-            true
+            enter(self).map(Some)
+        };
+        match entered {
+            Ok(Some(admitted)) => Some(admitted),
+            Ok(None) => {
+                shard.acc.deliver_instant();
+                shard.observer.on_deliver(cycle, dst, 0);
+                None
+            }
+            Err(reason) => {
+                shard.acc.drop_packet(reason);
+                shard.observer.on_drop(cycle, src, dst, reason);
+                None
+            }
         }
     }
 
-    /// Resolves the output edge of one hop from `node` toward `dst` in
-    /// the current fault epoch. `loads` is the caller's link-load column
-    /// indexed from global edge `edge_lo` (0 for a whole-network view);
-    /// the returned edge id is global. Forced inline, with [`per_hop`]:
-    /// it runs once per hop, and the default inliner left it (and
-    /// `Core::route_and_enqueue`) out of line once it matched on the
-    /// fault state; the masked arms go out of line instead.
+    /// Resolves the output edge of one hop from `node` toward `dst`
+    /// (`node ≠ dst`) in the current fault epoch, or says why the packet
+    /// can no longer be routed: under churn its destination may have
+    /// died ([`DropReason::NodeDied`]) or been cut off from `node`
+    /// ([`DropReason::Unreachable`]) since it was admitted; the other
+    /// fault states never strand an admitted packet. Under a mask one
+    /// masked-router query decides the drop and the hop together.
+    /// `loads` is the caller's link-load column indexed from global edge
+    /// `edge_lo` (0 for a whole-network view); the returned edge id is
+    /// global. Forced inline, with [`per_hop`]: it runs once per hop,
+    /// and the default inliner left it (and the packet engine's callers)
+    /// out of line once it matched on the fault state; the masked arms
+    /// go out of line instead.
+    #[inline(always)]
+    pub(crate) fn forward<L: Loads + ?Sized>(
+        &self,
+        g: &CsrGraph,
+        loads: &L,
+        edge_lo: usize,
+        node: u32,
+        dst: u32,
+    ) -> Result<usize, DropReason> {
+        match self {
+            FaultState::Healthy(Routing::Table(table)) => Ok(table
+                .next_edge(node, dst)
+                .expect("routing a packet not yet at dst")),
+            FaultState::Healthy(Routing::PerHop(router)) => {
+                Ok(per_hop(*router, g, loads, edge_lo, node, dst))
+            }
+            FaultState::Static(mask) => masked_hop(mask, g, loads, edge_lo, node, dst),
+            FaultState::Churn { router, .. } => masked_hop(router, g, loads, edge_lo, node, dst),
+        }
+    }
+
+    /// [`forward`](FaultState::forward) for a packet known to be
+    /// routable: just admitted, in the flit engine (which never runs
+    /// churn), or under a fault state that never strands one.
     #[inline(always)]
     pub(crate) fn route_edge<L: Loads + ?Sized>(
         &self,
@@ -245,33 +297,29 @@ impl<'a, R: Router + ?Sized> FaultState<'a, R> {
         node: u32,
         dst: u32,
     ) -> usize {
-        match self {
-            FaultState::Healthy(Routing::Table(table)) => table
-                .next_edge(node, dst)
-                .expect("routing a packet not yet at dst"),
-            FaultState::Healthy(Routing::PerHop(router)) => {
-                per_hop(*router, g, loads, edge_lo, node, dst)
-            }
-            FaultState::Static(mask) => masked_hop(mask, g, loads, edge_lo, node, dst),
-            FaultState::Churn { router, .. } => masked_hop(router, g, loads, edge_lo, node, dst),
-        }
+        self.forward(g, loads, edge_lo, node, dst)
+            .expect("admitted packets are routable")
     }
 
-    /// `Some(reason)` when a packet at `node` bound for `dst` can no
-    /// longer be routed: its destination died while it was in flight,
-    /// or churn partitioned the network under it.
-    #[inline]
-    pub(crate) fn en_route(&self, node: u32, dst: u32) -> Option<DropReason> {
-        let FaultState::Churn { router, .. } = self else {
-            return None;
-        };
-        if !router.node_alive(dst) {
-            Some(DropReason::NodeDied)
-        } else if !router.reachable(node, dst) {
-            Some(DropReason::Unreachable)
-        } else {
-            None
-        }
+    /// The [`verdict`](FaultState::verdict) and the output edge of a
+    /// packet injected at `src` for `dst` (`src ≠ dst`) from one
+    /// [`forward`](FaultState::forward) query: the masked router's hop
+    /// query doubles as the reachability check, so the fault list is
+    /// scanned once, and only a refused packet asks the verdict for its
+    /// drop reason.
+    #[inline(always)]
+    pub(crate) fn first_hop<L: Loads + ?Sized>(
+        &self,
+        g: &CsrGraph,
+        loads: &L,
+        edge_lo: usize,
+        src: u32,
+        dst: u32,
+    ) -> Result<usize, DropReason> {
+        self.forward(g, loads, edge_lo, src, dst).map_err(|_| {
+            self.verdict(src, dst)
+                .expect_err("a refused hop has a verdict")
+        })
     }
 
     /// Applies every churn event due at or before `cycle` to the router
@@ -295,8 +343,10 @@ impl<'a, R: Router + ?Sized> FaultState<'a, R> {
     }
 }
 
-/// [`per_hop`] through a fault mask, out of line so the masked
-/// router's hop rule does not bloat the healthy hop path.
+/// One masked-router query (`FaultMaskingRouter::hop_or_drop`)
+/// against the live link loads, mapped to the global directed-edge id;
+/// out of line so the masked hop rule does not bloat the healthy hop
+/// path.
 #[inline(never)]
 fn masked_hop<R: Router + ?Sized, L: Loads + ?Sized>(
     mask: &FaultMaskingRouter<'_, R>,
@@ -305,8 +355,16 @@ fn masked_hop<R: Router + ?Sized, L: Loads + ?Sized>(
     edge_lo: usize,
     node: u32,
     dst: u32,
-) -> usize {
-    per_hop(mask, g, loads, edge_lo, node, dst)
+) -> Result<usize, DropReason> {
+    let base = g.edge_range(node).start;
+    let load = NodeLoad {
+        loads,
+        base: base - edge_lo,
+    };
+    let hop = mask.hop_or_drop(node, dst, &load)?;
+    Ok(base
+        + g.slot_of(node, hop)
+            .expect("next_hop must return a neighbor"))
 }
 
 /// One per-hop policy call against the live link loads, mapped to the

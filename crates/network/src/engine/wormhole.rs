@@ -430,7 +430,12 @@ impl<O: SimObserver, R: Router + ?Sized> LaneWorkload for WormLane<'_, O, R> {
         while self.next_inject < self.inj.len() && self.inj[self.next_inject].inject_time <= cycle {
             let p = self.inj[self.next_inject];
             self.next_inject += 1;
-            if !self.fault.admit(&mut self.shard, cycle, p.src, p.dst) {
+            let admitted = self
+                .fault
+                .admit(&mut self.shard, cycle, p.src, p.dst, |fault| {
+                    fault.verdict(p.src, p.dst)
+                });
+            if admitted.is_none() {
                 continue;
             }
             let id = self.slab.alloc(p.dst, p.inject_time);

@@ -78,7 +78,7 @@ use crate::engine::{self, Admission, RequestReplyLoad, RunPlan, Workload};
 use crate::fault::{ChurnTimeline, FaultError, FaultSet, FaultSpec};
 use crate::observer::{NoopObserver, SimObserver};
 use crate::report::Report;
-use crate::router::{check_table_budget, FaultMaskingRouter, NextHopRouter, Router, RouterSpec};
+use crate::router::{FaultMaskingRouter, NextHopRouter, Router, RouterSpec};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
 use crate::traffic::{Packet, TrafficSpec};
@@ -583,7 +583,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
         let mask = if unmasked || set.is_empty() {
             None
         } else {
-            check_table_budget(self.topology.len())?;
+            crate::dist::DistanceTable::check_budget(self.topology.len())?;
             Some(FaultMaskingRouter::for_topology(
                 self.topology,
                 router,
@@ -1680,7 +1680,7 @@ mod tests {
     #[test]
     fn masked_runs_over_the_table_budget_are_refused_before_allocating() {
         // Γ_21 has 28 657 nodes: a masked router's distance table would
-        // need 3.28 GB. Every path that builds one must refuse with the
+        // need 1.64 GB. Every path that builds one must refuse with the
         // typed error instead of aborting on the allocation.
         let net = FibonacciNet::classical(21);
         let rr: TrafficSpec = "request_reply(clients=8,think=20,timeout=200,retries=3)"
@@ -1716,7 +1716,7 @@ mod tests {
             match exp.run() {
                 Err(ExperimentError::TableTooLarge { nodes, bytes }) => {
                     assert_eq!(nodes, 28_657, "run {i}");
-                    assert_eq!(bytes, 28_657u128 * 28_657 * 4, "run {i}");
+                    assert_eq!(bytes, 28_657u128 * 28_657 * 2, "run {i}");
                 }
                 other => panic!("run {i}: expected TableTooLarge, got {other:?}"),
             }

@@ -30,9 +30,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use fibcube_graph::bfs::INFINITY;
 use fibcube_graph::csr::{CsrGraph, GraphBuilder};
 
+use crate::dist::UNREACHED;
 use crate::topology::Topology;
 use crate::traffic::{num, parse_kv, split_call, split_mix};
 
@@ -915,10 +915,10 @@ fn fault_set_trial_with(
             }
             pairs += 1;
             let d_after = after_row[v as usize];
-            if d_after != INFINITY {
+            if d_after != UNREACHED {
                 reachable += 1;
                 let d_before = before_row[v as usize];
-                if d_before != 0 && d_before != INFINITY {
+                if d_before != 0 && d_before != UNREACHED {
                     dilation_sum += d_after as f64 / d_before as f64;
                     dilation_count += 1;
                 }
@@ -1325,7 +1325,8 @@ mod tests {
     #[test]
     fn oversized_static_analyses_are_typed_errors() {
         // Satellite: `fault_set_trial`/`fault_sweep` used to `expect` on
-        // the table budget. 20 000 isolated nodes → 1.6 GB dense table.
+        // the table budget. 23 171 isolated nodes → a 1.07 GB dense
+        // two-byte table, the smallest count over the 1 GiB budget.
         struct Big(CsrGraph);
         impl Topology for Big {
             fn name(&self) -> String {
@@ -1341,7 +1342,7 @@ mod tests {
                 None
             }
         }
-        let big = Big(CsrGraph::empty(20_000));
+        let big = Big(CsrGraph::empty(23_171));
         let err = fault_set_trial(&big, &FaultSet::empty()).unwrap_err();
         assert!(matches!(err, FaultError::TableTooLarge { .. }), "{err}");
         assert!(err.to_string().contains("byte budget"), "{err}");

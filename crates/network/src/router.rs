@@ -36,7 +36,8 @@ use core::str::FromStr;
 use fibcube_graph::csr::{CsrGraph, SlotTable};
 use fibcube_words::word::Word;
 
-use crate::dist::DistanceTable;
+use crate::dist::{DistanceTable, UNREACHED};
+use crate::engine::DropReason;
 use crate::experiment::ExperimentError;
 use crate::fault::{ChurnEvent, ChurnTarget, FaultMasks, FaultSet};
 use crate::topology::{FibonacciNet, Hypercube, Topology};
@@ -205,16 +206,25 @@ pub struct NextHopTable {
 
 /// Ceiling on any dense `O(n²)` table allocation ([`NextHopTable`],
 /// [`DistanceTable`]): 1 GiB, enough for every shipped small topology
-/// (`4n²` bytes crosses it at n ≈ 16 384) while refusing the terabyte
-/// tables a Γ_30-scale network would imply. Builders return
-/// [`ExperimentError::TableTooLarge`] instead of attempting the
-/// allocation; `Router::precompute` degrades to per-hop (implicit)
-/// routing.
+/// while refusing the terabyte tables a Γ_30-scale network would imply.
+/// A table is charged by its entry width: the `4n²` bytes of a
+/// [`NextHopTable`] cross the budget at n = 16 385, the `2n²` bytes of a
+/// [`DistanceTable`] at n = 23 171 (Γ_20's 17 711 nodes fit, Γ_21's
+/// 28 657 do not). Builders return [`ExperimentError::TableTooLarge`]
+/// instead of attempting the allocation; `Router::precompute` degrades
+/// to per-hop (implicit) routing.
 pub const TABLE_BYTE_BUDGET: usize = 1 << 30;
 
-/// Checks an `n × n × 4`-byte dense table against [`TABLE_BYTE_BUDGET`].
-pub(crate) fn check_table_budget(n: usize) -> Result<(), ExperimentError> {
-    let bytes = (n as u128) * (n as u128) * 4;
+/// The largest `n` whose `n × n` table of `width`-byte entries fits
+/// [`TABLE_BYTE_BUDGET`].
+pub(crate) const fn max_table_nodes(width: usize) -> usize {
+    (TABLE_BYTE_BUDGET / width).isqrt()
+}
+
+/// Checks an `n × n` dense table of `width`-byte entries against
+/// [`TABLE_BYTE_BUDGET`].
+pub(crate) fn check_table_budget(n: usize, width: usize) -> Result<(), ExperimentError> {
+    let bytes = (n as u128) * (n as u128) * width as u128;
     if bytes > TABLE_BYTE_BUDGET as u128 {
         Err(ExperimentError::TableTooLarge { nodes: n, bytes })
     } else {
@@ -226,15 +236,17 @@ impl NextHopTable {
     /// Tabulates `next` (a `(cur, dst) → neighbor` rule, `None` meaning
     /// "arrived") over all ordered pairs of `g`'s nodes.
     ///
-    /// Refuses with [`ExperimentError::TableTooLarge`] when the `4n²`-byte
-    /// table would exceed [`TABLE_BYTE_BUDGET`] — callers fall back to
-    /// per-hop (implicit) routing rather than allocating multiple GiB.
+    /// Refuses with [`ExperimentError::TableTooLarge`] when the table,
+    /// four bytes per entry (`4n²` bytes), would exceed
+    /// [`TABLE_BYTE_BUDGET`], that is above 16 384 nodes — callers fall
+    /// back to per-hop (implicit) routing rather than allocating multiple
+    /// GiB.
     pub fn build(
         g: &CsrGraph,
         mut next: impl FnMut(u32, u32) -> Option<u32>,
     ) -> Result<NextHopTable, ExperimentError> {
         let n = g.num_vertices();
-        check_table_budget(n)?;
+        check_table_budget(n, std::mem::size_of::<u32>())?;
         let slots = SlotTable::new(g);
         let mut edges = vec![INVALID; n * n];
         for cur in 0..n as u32 {
@@ -496,7 +508,7 @@ impl<T: Topology + ?Sized> Router for NextHopRouter<'_, T> {
 ///
 /// # Distance table and label certificate
 ///
-/// Healthy-subgraph distances live in a [`DistanceTable`] (`4n²` bytes)
+/// Healthy-subgraph distances live in a [`DistanceTable`] (`2n²` bytes)
 /// built eagerly at construction and patched incrementally under churn
 /// ([`apply_event`](FaultMaskingRouter::apply_event)), so the per-hop
 /// path needs no interior mutability and the router is `Send + Sync`.
@@ -524,6 +536,11 @@ impl<T: Topology + ?Sized> Router for NextHopRouter<'_, T> {
 ///   faults are live (past which scanning the fault list costs more than
 ///   the table read it saves), read the table exactly as `new` does.
 ///
+/// Either way a hop asks once: the engine's per-hop query certifies the
+/// pair (one scan of the live-fault list) or reads the destination's
+/// table row (one read), and from that one answer decides both whether
+/// the packet can still arrive and which link it takes.
+///
 /// Every hop strictly decreases the healthy distance, so routes on the
 /// degraded network remain livelock-free; packets whose destination is
 /// unreachable must be dropped by the engine *before* routing
@@ -543,7 +560,7 @@ pub struct FaultMaskingRouter<'a, R: Router + ?Sized> {
     /// resurrect a link that failed on its own. The composite mask is
     /// `node_dead(u) || node_dead(v) || link_down[e]`.
     link_down: Vec<bool>,
-    /// Healthy-subgraph distances toward every destination (`INFINITY`
+    /// Healthy-subgraph distances toward every destination (`UNREACHED`
     /// marks unreachable or dead nodes), shared-form
     /// [`DistanceTable`], built once up front and patched incrementally
     /// under churn ([`apply_event`](FaultMaskingRouter::apply_event)).
@@ -556,8 +573,8 @@ pub struct FaultMaskingRouter<'a, R: Router + ?Sized> {
 /// query reads the table. A certified query scans the whole fault list,
 /// and with more faults fewer queries certify, so past some count the
 /// scan costs more than the table reads it saves. Measured on Γ_16
-/// (2 584 nodes, 26.7 MB table) with 512 request/reply clients for
-/// 10 000 cycles under static node and link faults, median of 11
+/// (2 584 nodes, with a four-byte 26.7 MB table) with 512 request/reply
+/// clients for 10 000 cycles under static node and link faults, median of 11
 /// interleaved pairs on a 2-vCPU x86-64 host: certifying is 1.2× faster
 /// at 2–8 faults and 1.05–1.1× at 12–16, breaks even near 20, and is
 /// 0.84× at 48. The bound sits just below that crossover.
@@ -745,6 +762,45 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         self.dist.apply_event(self.graph, &self.masks, event);
     }
 
+    /// The hop from `cur` toward `dst` (`cur ≠ dst`) in the current fault
+    /// state, or why there is none: [`DropReason::NodeDied`] when `dst`
+    /// is dead, else [`DropReason::Unreachable`] when the faults cut
+    /// `cur` off from it. The pair is certified once (one scan of the
+    /// live-fault list) or, uncertified, its table row is read once; the
+    /// same answer decides reachability and the hop.
+    #[inline]
+    pub(crate) fn hop_or_drop(
+        &self,
+        cur: u32,
+        dst: u32,
+        load: &dyn LinkLoad,
+    ) -> Result<u32, DropReason> {
+        debug_assert_ne!(cur, dst, "a packet at its destination has no hop");
+        if let Some(cert) = &self.cert {
+            if let Some(h) = cert.certify(cur, dst) {
+                // The interval is fault-free: a neighbor progresses iff
+                // its label is one bit closer to dst, and its link is
+                // then alive too.
+                let ld = cert.labels[dst as usize];
+                let closer = |_, v: u32| (cert.labels[v as usize] ^ ld).count_ones() < h;
+                return Ok(self.progressive_hop(cur, dst, load, closer));
+            }
+        }
+        if !self.node_alive(dst) {
+            return Err(DropReason::NodeDied);
+        }
+        let dist = self.dist.to_dst(dst);
+        let dc = dist[cur as usize];
+        if dc == UNREACHED {
+            return Err(DropReason::Unreachable);
+        }
+        let base = self.graph.edge_range(cur).start;
+        // Honour the wrapped policy while its hop survives and still
+        // approaches dst within the healthy subgraph; else detour.
+        let progress = |slot, v: u32| self.masks.edge_alive(base + slot) && dist[v as usize] < dc;
+        Ok(self.progressive_hop(cur, dst, load, progress))
+    }
+
     /// The hop rule over a progress test `progress(slot, v)`: the inner
     /// hop when it progresses, else the least-loaded progressing link
     /// (ties toward the smallest slot).
@@ -826,28 +882,8 @@ impl<R: Router + ?Sized> Router for FaultMaskingRouter<'_, R> {
         if cur == dst {
             return None;
         }
-        if let Some(cert) = &self.cert {
-            if let Some(h) = cert.certify(cur, dst) {
-                // The interval is fault-free: a neighbor progresses iff
-                // its label is one bit closer to dst, and its link is
-                // then alive too.
-                let ld = cert.labels[dst as usize];
-                let closer = |_, v: u32| (cert.labels[v as usize] ^ ld).count_ones() < h;
-                return Some(self.progressive_hop(cur, dst, load, closer));
-            }
-        }
-        let dist = self.dist.to_dst(dst);
-        let dc = dist[cur as usize];
-        debug_assert_ne!(
-            dc,
-            fibcube_graph::bfs::INFINITY,
-            "engine must drop unreachable packets before routing"
-        );
-        let base = self.graph.edge_range(cur).start;
-        // Honour the wrapped policy while its hop survives and still
-        // approaches dst within the healthy subgraph; else detour.
-        let progress = |slot, v: u32| self.masks.edge_alive(base + slot) && dist[v as usize] < dc;
-        Some(self.progressive_hop(cur, dst, load, progress))
+        let hop = self.hop_or_drop(cur, dst, load);
+        Some(hop.expect("engine must drop unreachable packets before routing"))
     }
 }
 
@@ -1210,8 +1246,31 @@ mod tests {
         }
         // And precompute degrades to per-hop routing instead of erroring.
         assert!(EcubeRouter.precompute(&g).is_none());
-        assert!(check_table_budget(16_384).is_ok());
-        assert!(check_table_budget(16_385).is_err());
+        assert!(check_table_budget(16_384, 4).is_ok());
+        assert!(check_table_budget(16_385, 4).is_err());
+    }
+
+    #[test]
+    fn the_table_budget_is_charged_by_entry_width() {
+        // Four-byte next-hop entries and two-byte distances.
+        assert!(check_table_budget(16_384, 4).is_ok());
+        assert_eq!(
+            check_table_budget(16_385, 4),
+            Err(ExperimentError::TableTooLarge {
+                nodes: 16_385,
+                bytes: 16_385u128 * 16_385 * 4
+            })
+        );
+        assert!(check_table_budget(23_170, 2).is_ok());
+        assert_eq!(
+            check_table_budget(23_171, 2),
+            Err(ExperimentError::TableTooLarge {
+                nodes: 23_171,
+                bytes: 23_171u128 * 23_171 * 2
+            })
+        );
+        assert_eq!(max_table_nodes(4), 16_384);
+        assert_eq!(max_table_nodes(2), 23_170);
     }
 
     #[test]
