@@ -17,17 +17,22 @@
 //!   fault mask (Γ_12, four dead nodes, 10 000 uniform packets, one
 //!   lane), the masked admission and per-hop routing that no
 //!   end-to-end benchmark workload runs;
-//! * `dist` — the masked router's incremental distance-table repair
-//!   alone: a scripted sequence of node and link failures and
-//!   recoveries on Γ_14, applied through `apply_event` and ending back
-//!   at the intact network, so every iteration repeats the same work.
+//! * `dist` — the masked router's distances alone. `repair_events`
+//!   replays a scripted sequence of node and link failures and
+//!   recoveries on Γ_14 through `apply_event` on a router built without
+//!   labels, so it times the incremental repair of the dense table the
+//!   label-less topologies keep, ending back at the intact network so
+//!   every iteration repeats the same work. `static_mask` builds a
+//!   labelled Γ_16 router around 8 dead nodes (`nodes(count=8)`, seed 1)
+//!   and replays 4 000 queries the label certificate cannot answer, so
+//!   it times the exception rows: the build, and each row's first fill.
 
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fibcube_network::arena::{LinkQueues, RING_STRIDE};
 use fibcube_network::engine::{self, Admission, RunPlan, Workload};
-use fibcube_network::fault::{ChurnEvent, ChurnTarget, FaultSet};
+use fibcube_network::fault::{ChurnEvent, ChurnTarget, FaultSet, FaultSpec};
 use fibcube_network::router::{FaultMaskingRouter, NoLoad, Router};
 use fibcube_network::{
     CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, NoopObserver, SwitchingSpec, Topology,
@@ -229,8 +234,8 @@ fn bench_dist_repair(c: &mut Criterion) {
     group.sample_size(10);
     let gamma = FibonacciNet::classical(14);
     let router = CanonicalRouter::for_net(&gamma);
-    let mut mask = FaultMaskingRouter::for_topology(&gamma, &router, &FaultSet::empty());
     let g = gamma.graph();
+    let mut mask = FaultMaskingRouter::new(g, &router, &FaultSet::empty());
     let link = |k: usize| {
         let (u, v) = g.edges().nth(k).expect("Γ_14 has this many links");
         ChurnTarget::Link(u, v)
@@ -260,7 +265,46 @@ fn bench_dist_repair(c: &mut Criterion) {
                 mask.apply_event(ev);
             }
             assert!(mask.node_alive(77) && mask.node_alive(301));
-            std::hint::black_box(mask.distances().distance(0, 1))
+            std::hint::black_box(mask.distance(0, 1))
+        })
+    });
+
+    let gamma = FibonacciNet::classical(16);
+    let router = CanonicalRouter::for_net(&gamma);
+    let g = gamma.graph();
+    let faults = FaultSpec::Nodes { count: 8 }.sample(g, 1).unwrap();
+    // Pairs with a dead node on one of their shortest paths: node `w`
+    // lies in the `cur → dst` interval iff its label agrees with `cur`'s
+    // wherever `cur`'s and `dst`'s agree.
+    let labels = gamma.cube_labels().unwrap();
+    let dead: Vec<u64> = faults
+        .failed_nodes()
+        .iter()
+        .map(|&x| labels[x as usize])
+        .collect();
+    let n = gamma.len() as u64;
+    let mut state = 1u64;
+    let mut uncertified = Vec::new();
+    while uncertified.len() < 4_000 {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        let (cur, dst) = ((state >> 33) % n, (state >> 12) % n);
+        let (lc, ld) = (labels[cur as usize], labels[dst as usize]);
+        if cur != dst && dead.iter().any(|&w| (w ^ lc) & !(lc ^ ld) == 0) {
+            uncertified.push((cur as u32, dst as u32));
+        }
+    }
+    group.bench_function(BenchmarkId::new("static_mask", gamma.name()), |bench| {
+        bench.iter(|| {
+            let mask = FaultMaskingRouter::for_topology(&gamma, &router, &faults);
+            let mut hops = 0u64;
+            for &(cur, dst) in &uncertified {
+                if mask.reachable(cur, dst) {
+                    hops += u64::from(mask.next_hop(cur, dst, &NoLoad).unwrap());
+                }
+            }
+            std::hint::black_box(hops)
         })
     });
     group.finish();

@@ -1,4 +1,4 @@
-//! Shared all-pairs distance tables, healthy and degraded.
+//! Shared distance stores, healthy and degraded.
 //!
 //! Three corners of the crate need the same BFS ground truth: the static
 //! figure-of-merit table ([`metrics`](mod@crate::metrics)), the static
@@ -6,12 +6,25 @@
 //! and the live fault-masking router
 //! ([`FaultMaskingRouter`](crate::router::FaultMaskingRouter)). Each used
 //! to run its own BFS sweeps (the router even lazily, behind a `RefCell`).
-//! [`DistanceTable`] is the one shared form: a flat `n × n` matrix of
+//! [`DistanceTable`] is the one dense form: a flat `n × n` matrix of
 //! two-byte distances, built once per `(graph, fault set)` and threaded
 //! through wherever distances are consulted.
+//!
+//! On a graph with an isometric hypercube embedding
+//! ([`Topology::cube_labels`](crate::topology::Topology::cube_labels)) the
+//! masked router keeps no dense table. Its healthy distance is the
+//! Hamming distance of the labels, and faults change few of them (tens
+//! to hundreds of the 6.6 M pairs of Γ_16 under 1–64 faults), so the
+//! crate-private `ExceptionRows` store keeps per destination only the
+//! live sources whose degraded distance differs from the Hamming
+//! distance. It builds a row on first use by one batched
+//! Ramalingam–Reps deletion repair of the Hamming row (Ramalingam &
+//! Reps, J. Algorithms 1996) and drops the built rows when the faults
+//! change.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use fibcube_graph::bfs::{bfs_into, BfsScratch, INFINITY};
 use fibcube_graph::csr::CsrGraph;
@@ -138,21 +151,6 @@ impl DistanceTable {
                 continue;
             }
             masked_bfs_row(g, masks, row, dst, &mut queue);
-        }
-        DistanceTable { n, dist }
-    }
-
-    /// All-pairs distances of an intact graph with an isometric hypercube
-    /// embedding ([`Topology::cube_labels`](crate::topology::Topology::cube_labels)),
-    /// in closed form: `dist[dst][src] = popcount(labels[src] ^ labels[dst])`.
-    /// Equal to [`healthy`](DistanceTable::healthy) on such a graph, at
-    /// the cost of one XOR per entry instead of one BFS per node. The
-    /// caller checks the byte budget.
-    pub(crate) fn hamming(labels: &[u64]) -> DistanceTable {
-        let n = labels.len();
-        let mut dist = Vec::with_capacity(n * n);
-        for &ld in labels {
-            dist.extend(labels.iter().map(|&ls| (ls ^ ld).count_ones() as u16));
         }
         DistanceTable { n, dist }
     }
@@ -573,6 +571,273 @@ fn relax_decrease(
     }
 }
 
+/// Degraded distances on a graph with an isometric hypercube embedding,
+/// stored as exceptions to the closed form. See the
+/// [module docs](self).
+///
+/// Row `dst` holds the `(src, distance)` entries, sorted by `src`, of
+/// the live sources whose distance to `dst` differs from
+/// `popcount(l[src] ^ l[dst])`; the distance is [`INFINITY`] when the
+/// faults cut `src` off. Every other live source is at its Hamming
+/// distance. Dead nodes have no entries: the caller checks liveness.
+///
+/// Rows are built on first use ([`row`](ExceptionRows::row)) into a
+/// `OnceLock` per destination, so a store shared by several lanes fills
+/// without a lock on the read path, and stays `Send + Sync`.
+/// [`clear`](ExceptionRows::clear) empties exactly the rows that were
+/// built, and must follow every change of the faults.
+pub(crate) struct ExceptionRows {
+    labels: Vec<u64>,
+    rows: Vec<OnceLock<Entries>>,
+    /// The built rows and the repair scratch, locked only while a row
+    /// is built.
+    fill: Mutex<RowFill>,
+}
+
+/// The `(src, distance)` entries of one row, sorted by `src`.
+type Entries = Box<[(u32, u32)]>;
+
+/// The build side of an [`ExceptionRows`] store.
+#[derive(Default)]
+struct RowFill {
+    built: Vec<u32>,
+    scratch: RowScratch,
+}
+
+/// Scratch of one row repair. Orphans are stamped with the row's
+/// generation, so a row costs time in its changed region only and no
+/// per-row clearing; `dist` is read only at stamped nodes.
+#[derive(Default)]
+struct RowScratch {
+    mark: Vec<u32>,
+    generation: u32,
+    dist: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    orphans: Vec<u32>,
+}
+
+/// One built row of an [`ExceptionRows`] store: the distance toward its
+/// destination from any live source.
+#[derive(Clone, Copy)]
+pub(crate) struct ExceptionRow<'r> {
+    labels: &'r [u64],
+    dst_label: u64,
+    entries: &'r [(u32, u32)],
+}
+
+impl ExceptionRow<'_> {
+    /// The degraded distance from live node `src` ([`INFINITY`] when
+    /// cut off).
+    #[inline]
+    pub(crate) fn distance(&self, src: u32) -> u32 {
+        match self.entries.binary_search_by_key(&src, |&(s, _)| s) {
+            Ok(i) => self.entries[i].1,
+            Err(_) => (self.labels[src as usize] ^ self.dst_label).count_ones(),
+        }
+    }
+}
+
+impl ExceptionRows {
+    /// An empty store over `labels`, the isometric cube labels of the
+    /// graph's nodes.
+    pub(crate) fn new(labels: Vec<u64>) -> ExceptionRows {
+        ExceptionRows {
+            rows: (0..labels.len()).map(|_| OnceLock::new()).collect(),
+            labels,
+            fill: Mutex::default(),
+        }
+    }
+
+    /// The cube labels, indexed by node.
+    #[inline]
+    pub(crate) fn labels(&self) -> &[u64] {
+        &self.labels
+    }
+
+    /// The row toward live node `dst` on `g` degraded by `masks`, built
+    /// now if it is not yet. `faults` lists every live fault: each dead
+    /// node, and each independently failed link.
+    #[inline]
+    pub(crate) fn row(
+        &self,
+        g: &CsrGraph,
+        masks: &FaultMasks,
+        faults: &[ChurnTarget],
+        dst: u32,
+    ) -> ExceptionRow<'_> {
+        debug_assert!(masks.node_alive(dst), "dead destinations have no row");
+        let entries = self.rows[dst as usize].get_or_init(|| {
+            // A build that panicked leaves valid state behind: every build
+            // restamps and clears the scratch it reads, and a listed row
+            // that was never set clears as a no-op.
+            let mut fill = self.fill.lock().unwrap_or_else(PoisonError::into_inner);
+            fill.built.push(dst);
+            fill.scratch.build(g, masks, &self.labels, faults, dst)
+        });
+        ExceptionRow {
+            labels: &self.labels,
+            dst_label: self.labels[dst as usize],
+            entries,
+        }
+    }
+
+    /// Empties every built row, for a change of the faults.
+    pub(crate) fn clear(&mut self) {
+        let fill = self.fill.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for dst in fill.built.drain(..) {
+            self.rows[dst as usize].take();
+        }
+    }
+
+    /// The number of exception entries over the built rows.
+    #[cfg(test)]
+    fn entries(&self) -> usize {
+        self.rows
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|r| r.len())
+            .sum()
+    }
+}
+
+impl RowScratch {
+    fn is_orphan(&self, x: u32) -> bool {
+        self.mark[x as usize] == self.generation
+    }
+
+    fn confirm(&mut self, x: u32) {
+        self.mark[x as usize] = self.generation;
+        self.orphans.push(x);
+    }
+
+    /// The exception entries of the row toward `dst`: one batched
+    /// Ramalingam–Reps deletion repair of the Hamming row against every
+    /// live fault at once. Deleting nodes and links only lengthens
+    /// distances, and a node keeps its Hamming distance iff it keeps a
+    /// surviving neighbor one bit closer that keeps its own. Phase 1
+    /// finds the orphans, the nodes that lose every such neighbor, in
+    /// ascending Hamming order from the dead nodes and the deeper
+    /// endpoints of failed links; phase 2 re-relaxes the live orphans
+    /// from their intact boundary. The live orphans are the entries.
+    fn build(
+        &mut self,
+        g: &CsrGraph,
+        masks: &FaultMasks,
+        labels: &[u64],
+        faults: &[ChurnTarget],
+        dst: u32,
+    ) -> Entries {
+        let n = labels.len();
+        if self.mark.len() < n {
+            self.mark.resize(n, 0);
+            self.dist.resize(n, INFINITY);
+        }
+        if self.generation == u32::MAX {
+            self.mark.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.heap.clear();
+        self.orphans.clear();
+        let ld = labels[dst as usize];
+        let hamming = |x: u32| (labels[x as usize] ^ ld).count_ones();
+
+        // Phase 1: orphan propagation, in ascending Hamming distance so
+        // a node's parents are judged before it is.
+        for &fault in faults {
+            match fault {
+                ChurnTarget::Node(x) if !self.is_orphan(x) => self.confirm(x),
+                ChurnTarget::Node(_) => {}
+                ChurnTarget::Link(u, v) => {
+                    // Only the deeper endpoint can lose its parent.
+                    let (du, dv) = (hamming(u), hamming(v));
+                    if dv == du + 1 {
+                        self.heap.push(Reverse((dv, v)));
+                    } else if du == dv + 1 {
+                        self.heap.push(Reverse((du, u)));
+                    }
+                }
+            }
+        }
+        for i in 0..self.orphans.len() {
+            self.enqueue_children(g, &hamming, self.orphans[i]);
+        }
+        while let Some(Reverse((d, x))) = self.heap.pop() {
+            if self.is_orphan(x) {
+                continue;
+            }
+            let base = g.edge_range(x).start;
+            let supported = g.neighbors(x).iter().enumerate().any(|(slot, &w)| {
+                masks.edge_alive(base + slot) && !self.is_orphan(w) && hamming(w) + 1 == d
+            });
+            if !supported {
+                self.confirm(x);
+                self.enqueue_children(g, &hamming, x);
+            }
+        }
+
+        // Phase 2: seed every live orphan from its intact boundary and
+        // re-relax, decrease-only, within the orphan region.
+        for &x in &self.orphans {
+            self.dist[x as usize] = INFINITY;
+        }
+        for i in 0..self.orphans.len() {
+            let x = self.orphans[i];
+            if !masks.node_alive(x) {
+                continue;
+            }
+            let base = g.edge_range(x).start;
+            let best = g
+                .neighbors(x)
+                .iter()
+                .enumerate()
+                .filter(|&(slot, &w)| masks.edge_alive(base + slot) && !self.is_orphan(w))
+                .map(|(_, &w)| hamming(w) + 1)
+                .min();
+            if let Some(best) = best {
+                self.heap.push(Reverse((best, x)));
+            }
+        }
+        while let Some(Reverse((d, x))) = self.heap.pop() {
+            if self.dist[x as usize] <= d {
+                continue;
+            }
+            self.dist[x as usize] = d;
+            let base = g.edge_range(x).start;
+            for (slot, &y) in g.neighbors(x).iter().enumerate() {
+                if masks.edge_alive(base + slot)
+                    && self.is_orphan(y)
+                    && self.dist[y as usize] > d + 1
+                {
+                    self.heap.push(Reverse((d + 1, y)));
+                }
+            }
+        }
+
+        let mut entries: Vec<(u32, u32)> = self
+            .orphans
+            .iter()
+            .filter(|&&x| masks.node_alive(x))
+            .map(|&x| (x, self.dist[x as usize]))
+            .collect();
+        entries.sort_unstable();
+        entries.into_boxed_slice()
+    }
+
+    /// Enqueues `x`'s potential tree children (Hamming distance one
+    /// deeper) as orphan candidates, ignoring edge masks as
+    /// [`DistanceTable`]'s repair does: a candidate behind a dead link
+    /// fails the support check anyway.
+    fn enqueue_children(&mut self, g: &CsrGraph, hamming: &impl Fn(u32) -> u32, x: u32) {
+        let d = hamming(x) + 1;
+        for &y in g.neighbors(x) {
+            if hamming(y) == d && !self.is_orphan(y) {
+                self.heap.push(Reverse((d, y)));
+            }
+        }
+    }
+}
+
 /// Sampled distance statistics for networks too large for an all-pairs
 /// [`DistanceTable`]: exact BFS from a uniform random sample of `sources`
 /// nodes, `O(s · (n + m))` time and `O(n)` transient space.
@@ -672,7 +937,7 @@ impl DistanceSample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSet;
+    use crate::fault::{ChurnTarget, FaultSet};
     use crate::topology::{FibonacciNet, Hypercube, Ring, Topology};
     use fibcube_graph::bfs::bfs_distances;
 
@@ -701,19 +966,89 @@ mod tests {
 
     #[test]
     fn hamming_table_matches_bfs_on_labelled_topologies() {
+        // Without faults every row of an exception store is empty and
+        // every distance is the Hamming distance of the labels.
         for topo in [
             &FibonacciNet::classical(7) as &dyn Topology,
             &FibonacciNet::new(6, 3),
             &Hypercube::new(4),
         ] {
-            let labels = topo.cube_labels().expect("cubes carry labels");
-            let table = DistanceTable::hamming(&labels);
-            let healthy = DistanceTable::healthy(topo.graph()).unwrap();
+            let g = topo.graph();
+            let rows = ExceptionRows::new(topo.cube_labels().expect("cubes carry labels"));
+            let masks = FaultSet::empty().masks(g);
+            let healthy = DistanceTable::healthy(g).unwrap();
             for dst in 0..topo.len() as u32 {
-                assert_eq!(table.to_dst(dst), healthy.to_dst(dst), "{}", topo.name());
+                let row = rows.row(g, &masks, &[], dst);
+                for src in 0..topo.len() as u32 {
+                    assert_eq!(
+                        row.distance(src),
+                        healthy.distance(src, dst),
+                        "{}",
+                        topo.name()
+                    );
+                }
             }
+            assert_eq!(rows.entries(), 0, "{}", topo.name());
         }
         assert!(Ring::new(6).cube_labels().is_none());
+    }
+
+    #[test]
+    fn exception_rows_match_the_degraded_table() {
+        // Every live pair of every row, for fault sets of dead nodes and
+        // failed links (some overlapping: a failed link at a dead node),
+        // small and past the certificate's bound; the store is cleared
+        // and refilled under each new set, as churn does.
+        for topo in [
+            &FibonacciNet::classical(8) as &dyn Topology,
+            &FibonacciNet::new(7, 3),
+            &Hypercube::new(5),
+        ] {
+            let g = topo.graph();
+            let n = g.num_vertices() as u32;
+            let edges: Vec<(u32, u32)> = g.edges().collect();
+            let mut rows = ExceptionRows::new(topo.cube_labels().unwrap());
+            for (k, step) in [(1u32, 3u32), (3, 7), (12, 5), (20, 11)] {
+                let nodes = (0..k).map(|i| (i * step * 7 + 5) % n);
+                let links = (0..k).map(|i| edges[(i * step * 13 + 1) as usize % edges.len()]);
+                let set = FaultSet::new(nodes, links);
+                let masks = set.masks(g);
+                let mut faults: Vec<ChurnTarget> = (0..n)
+                    .filter(|&v| !masks.node_alive(v))
+                    .map(ChurnTarget::Node)
+                    .collect();
+                faults.extend(
+                    set.failed_links()
+                        .iter()
+                        .map(|&(u, v)| ChurnTarget::Link(u, v)),
+                );
+                let dense = DistanceTable::degraded(g, &masks);
+                rows.clear();
+                let labels = topo.cube_labels().unwrap();
+                let mut differ = 0;
+                for dst in (0..n).filter(|&v| masks.node_alive(v)) {
+                    let row = rows.row(g, &masks, &faults, dst);
+                    for src in (0..n).filter(|&v| masks.node_alive(v)) {
+                        let d = dense.distance(src, dst);
+                        let what = format!("{} {k} faults: {src} → {dst}", topo.name());
+                        assert_eq!(row.distance(src), d, "{what}");
+                        let hamming = (labels[src as usize] ^ labels[dst as usize]).count_ones();
+                        differ += usize::from(d != hamming);
+                    }
+                }
+                assert_eq!(
+                    rows.entries(),
+                    differ,
+                    "{} keeps only exceptions",
+                    topo.name()
+                );
+                assert!(
+                    differ > 0,
+                    "{} {k} faults change some distance",
+                    topo.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,43 +19,49 @@
 //! every admission verdict and routing decision within one cycle sees
 //! one consistent fault epoch (the stability contract of
 //! `FaultState`). Applying an event flips the masked router's masks
-//! and **incrementally patches** its distance table
-//! (`FaultMaskingRouter::apply_event`); packets queued on a dying link
-//! or node are flushed as typed drops ([`DropReason::LinkDied`] /
-//! [`DropReason::NodeDied`]), and a packet whose destination died or was
-//! cut off while it was in flight drops on arrival at its next hop
-//! ([`DropReason::NodeDied`] / [`DropReason::Unreachable`]). Deliveries
-//! at the `c + 1` arrival boundary precede deaths at cycle `c + 1`.
+//! and brings its distances up to date
+//! (`FaultMaskingRouter::apply_event`, see "Routing state"); packets
+//! queued on a dying link or node are flushed as typed drops
+//! ([`DropReason::LinkDied`] / [`DropReason::NodeDied`]), and a packet
+//! whose destination died or was cut off while it was in flight drops
+//! on arrival at its next hop ([`DropReason::NodeDied`] /
+//! [`DropReason::Unreachable`]). Deliveries at the `c + 1` arrival
+//! boundary precede deaths at cycle `c + 1`.
 //!
 //! ## Routing state
 //!
 //! The router is built with
-//! [`FaultMaskingRouter::for_topology`](crate::router::FaultMaskingRouter::for_topology).
-//! Its distance table holds two bytes per pair (`2n²` bytes: 13.4 MB on
-//! Γ_16, 627 MB on Γ_20, the largest Fibonacci cube within the table
-//! budget). On a topology with
+//! [`FaultMaskingRouter::for_topology`](crate::router::FaultMaskingRouter::for_topology),
+//! and the topology decides what it keeps. On a topology with
 //! [`cube_labels`](crate::topology::Topology::cube_labels)
-//! (the Fibonacci cubes and `Q_d`) its fault-free start table is filled
-//! in closed form, `dist[dst][src] = popcount(l[src] ^ l[dst])`, with no
-//! BFS. Per hop, a `(cur, dst)` query is **certified** when no dead node
-//! and no independently failed link (both endpoints) lies in their
-//! interval, where node `w` is in the interval iff
+//! (the Fibonacci cubes and `Q_d`) it keeps no distance table. Per hop,
+//! a `(cur, dst)` query is **certified** when no dead node and no
+//! independently failed link (both endpoints) lies in their interval,
+//! where node `w` is in the interval iff
 //! `((l[w] ^ l[cur]) & !(l[cur] ^ l[dst])) == 0`. A certified pair is
 //! reachable at its Hamming distance, and the hop rule runs on labels
-//! alone, making exactly the table's decision. The table is read as
-//! before for uncertified pairs, for every pair while more than a fixed
-//! number of faults are live, and on topologies without labels.
+//! alone. An uncertified pair, and every pair while more than a fixed
+//! number of faults are live, reads `dst`'s exception row: the live
+//! sources whose degraded distance differs from the Hamming distance,
+//! built on first use by one batched Ramalingam–Reps repair of the
+//! Hamming row. Applying an event empties the rows built so far. On
+//! Γ_16 the replica holds the labels, the masks and a row cell per
+//! node, about 150 KB, where the dense table held 13.4 MB.
+//! On a topology without labels the router keeps a two-byte distance
+//! table (`2n²` bytes) and patches it incrementally per event; its
+//! budget refuses churn there above 23 170 nodes.
 //!
 //! A packet in flight asks once per hop (`FaultState::forward`): one
 //! certificate scan of the fault list, or one read of the destination's
-//! table row, decides both whether it drops (destination dead, or cut
+//! row, decides both whether it drops (destination dead, or cut
 //! off) and which link it takes.
 //!
 //! ## Sharding
 //!
-//! Each lane owns a **replica** of the masked router (table, labels and
-//! fault list), built from the same timeline and patched by the same
-//! deterministic `FaultMaskingRouter::apply_event` calls — so every
+//! Each lane owns a **replica** of the masked router (masks, and the
+//! labels, fault list and exception rows or the table), built from the
+//! same timeline and updated by the same deterministic
+//! `FaultMaskingRouter::apply_event` calls — so every
 //! lane's routing and admission decisions agree without any shared lock.
 //! Queue flushes and drop accounting are gated on node ownership; the
 //! closed-loop session machine is replicated the same way, with every

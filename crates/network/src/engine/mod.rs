@@ -122,9 +122,10 @@ pub enum Admission<'p, R: Router + ?Sized> {
     /// Packets route through it, and dead or disconnected endpoints are
     /// typed drops at injection ([`DropReason`]). Nothing is silently
     /// stranded: `offered == delivered + dropped + still-in-flight`.
-    /// Many runs may share one mask — and the `O(n·m)` degraded
-    /// distance table inside it. A mask with no live fault runs the
-    /// healthy network through its inner router.
+    /// Many runs may share one mask — and the distances inside it: the
+    /// `O(n·m)` degraded table, or the exception rows its lanes build.
+    /// A mask with no live fault runs the healthy network through its
+    /// inner router.
     Static(&'p FaultMaskingRouter<'p, R>),
     /// A fail/recover timeline applied at cycle boundaries, with routes
     /// repaired incrementally and packets on dying elements typed as
@@ -218,8 +219,9 @@ impl fmt::Display for Workload<'_> {
 /// ([`ExperimentError::InvalidTraffic`]), and a churn timeline with
 /// events, whose lanes each build a fault-masking router, must fit the
 /// router's `2n²`-byte distance table in
-/// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET)
-/// ([`ExperimentError::TableTooLarge`]: Γ_20 fits, Γ_21 does not), and
+/// [`TABLE_BYTE_BUDGET`](crate::router::TABLE_BYTE_BUDGET) on a
+/// topology without cube labels ([`ExperimentError::TableTooLarge`]
+/// above 23 170 nodes; a labelled topology keeps no table), and
 /// every event must name nodes, and links, of the topology
 /// ([`FaultError::InvalidChurn`](crate::fault::FaultError::InvalidChurn)).
 /// A static mask comes built ([`Experiment`](crate::experiment::Experiment)
@@ -1390,26 +1392,37 @@ mod tests {
 
     #[test]
     fn churn_fits_the_distance_budget_through_gamma_20() {
-        // A churn lane's masked router keeps a two-byte distance table:
-        // Γ_20 (17 711 nodes, 627 MB) fits the budget and Γ_21 (28 657
-        // nodes, 1.64 GB) does not. Only the plan check runs here.
-        for (d, fits) in [(20, true), (21, false)] {
-            let net = FibonacciNet::classical(d);
-            let n = net.len();
-            let (u, v) = net.graph().edges().next().unwrap();
-            let timeline = ChurnTimeline::from_events([ChurnEvent {
+        // Only a label-less topology's churn lane keeps a two-byte
+        // distance table: a 23 170-node ring fits the budget and a
+        // 23 171-node one does not. Labelled topologies keep exception
+        // rows instead, so Γ_20 and Γ_21 (28 657 nodes, whose table would
+        // need 1.64 GB) are both admitted. Only the plan check runs here.
+        let one_link = |g: &fibcube_graph::csr::CsrGraph| {
+            let (u, v) = g.edges().next().unwrap();
+            ChurnTimeline::from_events([ChurnEvent {
                 cycle: 3,
                 target: ChurnTarget::Link(u, v),
                 failed: true,
-            }]);
+            }])
+        };
+        for d in [20, 21] {
+            let net = FibonacciNet::classical(d);
+            let timeline = one_link(net.graph());
             let plan = RunPlan::new(&net, &EcubeRouter, Workload::Open(&[]), 200)
+                .admission(Admission::Churn(&timeline));
+            assert_eq!(plan.check(), Ok(()), "Γ_{d}");
+        }
+        for (n, fits) in [(23_170, true), (23_171, false)] {
+            let ring = Ring::new(n);
+            let timeline = one_link(ring.graph());
+            let plan = RunPlan::new(&ring, &EcubeRouter, Workload::Open(&[]), 200)
                 .admission(Admission::Churn(&timeline));
             match plan.check() {
                 Ok(()) if fits => {}
                 Err(ExperimentError::TableTooLarge { nodes, bytes }) if !fits => {
                     assert_eq!((nodes, bytes), (n, (n as u128) * (n as u128) * 2))
                 }
-                other => panic!("Γ_{d}: got {other:?}"),
+                other => panic!("ring of {n}: got {other:?}"),
             }
         }
     }

@@ -23,7 +23,6 @@ use std::cell::OnceCell;
 use fibcube_graph::csr::CsrGraph;
 
 use crate::arena::{Loads, NodeLoad, PacketSlab};
-use crate::dist::DistanceTable;
 use crate::experiment::ExperimentError;
 use crate::fault::{ChurnEvent, ChurnTarget, FaultError, FaultSet};
 use crate::observer::SimObserver;
@@ -94,7 +93,7 @@ pub(crate) enum FaultState<'a, R: Router + ?Sized> {
     Static(&'a FaultMaskingRouter<'a, R>),
     /// Churn: a lane-owned **replica** of the masked router and the
     /// cursor of the next timeline event, so events can flip its masks
-    /// and patch its distance table mid-run without any cross-lane lock
+    /// and update its distances mid-run without any cross-lane lock
     /// — every lane applies the same deterministic event stream, so the
     /// replicas never diverge.
     Churn {
@@ -145,9 +144,11 @@ impl<'a, R: Router + ?Sized> FaultState<'a, R> {
     /// mask built on another graph than the topology's
     /// ([`ExperimentError::TableMismatch`]), a churn event naming a node
     /// outside the topology or a "link" between two nodes that are not
-    /// adjacent ([`FaultError::InvalidChurn`]), or a churn replica whose
-    /// `2n²`-byte distance table is over budget
-    /// ([`ExperimentError::TableTooLarge`]: Γ_20 fits, Γ_21 does not).
+    /// adjacent ([`FaultError::InvalidChurn`]), or a churn replica on a
+    /// topology without cube labels whose `2n²`-byte distance table is
+    /// over budget ([`ExperimentError::TableTooLarge`] above 23 170
+    /// nodes). A labelled topology keeps exception rows, not a table, at
+    /// any size.
     pub(crate) fn check<T: Topology + ?Sized>(
         plan: &RunPlan<'_, T, R>,
     ) -> Result<(), ExperimentError> {
@@ -184,7 +185,7 @@ impl<'a, R: Router + ?Sized> FaultState<'a, R> {
                 if t.is_empty() {
                     Ok(())
                 } else {
-                    DistanceTable::check_budget(n)
+                    FaultMaskingRouter::<R>::check_budget(plan.topology)
                 }
             }
         }

@@ -583,7 +583,7 @@ impl<'a, T: Topology + ?Sized, O: SimObserver> Experiment<'a, T, O> {
         let mask = if unmasked || set.is_empty() {
             None
         } else {
-            crate::dist::DistanceTable::check_budget(self.topology.len())?;
+            FaultMaskingRouter::<R>::check_budget(self.topology)?;
             Some(FaultMaskingRouter::for_topology(
                 self.topology,
                 router,
@@ -1679,10 +1679,13 @@ mod tests {
 
     #[test]
     fn masked_runs_over_the_table_budget_are_refused_before_allocating() {
-        // Γ_21 has 28 657 nodes: a masked router's distance table would
-        // need 1.64 GB. Every path that builds one must refuse with the
-        // typed error instead of aborting on the allocation.
+        // A masked router keeps a dense distance table only on a topology
+        // without cube labels: on a 23 171-node ring it would need 1.07 GB,
+        // over the budget, and every path that builds one must refuse
+        // with the typed error instead of aborting on the allocation.
+        // Γ_21 (28 657 nodes) has labels, keeps exception rows, and runs.
         let net = FibonacciNet::classical(21);
+        let ring = Ring::new(23_171);
         let rr: TrafficSpec = "request_reply(clients=8,think=20,timeout=200,retries=3)"
             .parse()
             .unwrap();
@@ -1695,30 +1698,35 @@ mod tests {
         };
         let wormhole: SwitchingSpec = "wormhole(flit_size=8,vcs=2,buf_flits=4)".parse().unwrap();
         let faulted = FaultSpec::Nodes { count: 3 };
-        let runs = [
-            Experiment::on(&net)
-                .traffic(rr.clone())
-                .faults(faulted.clone())
-                .cycles(200),
-            Experiment::on(&net)
-                .traffic(few.clone())
-                .faults(churn)
-                .cycles(200),
-            Experiment::on(&net)
-                .traffic(few.clone())
-                .faults(faulted.clone()),
-            Experiment::on(&net)
-                .traffic(few)
-                .faults(faulted)
-                .switching(wormhole),
-        ];
-        for (i, exp) in runs.into_iter().enumerate() {
-            match exp.run() {
-                Err(ExperimentError::TableTooLarge { nodes, bytes }) => {
-                    assert_eq!(nodes, 28_657, "run {i}");
-                    assert_eq!(bytes, 28_657u128 * 28_657 * 2, "run {i}");
+        for topology in [&ring as &dyn Topology, &net] {
+            let runs = [
+                Experiment::on(topology)
+                    .traffic(rr.clone())
+                    .faults(faulted.clone())
+                    .cycles(200),
+                Experiment::on(topology)
+                    .traffic(few.clone())
+                    .faults(churn.clone())
+                    .cycles(200),
+                Experiment::on(topology)
+                    .traffic(few.clone())
+                    .faults(faulted.clone()),
+                Experiment::on(topology)
+                    .traffic(few.clone())
+                    .faults(faulted.clone())
+                    .switching(wormhole.clone()),
+            ];
+            for (i, exp) in runs.into_iter().enumerate() {
+                let what = format!("{} run {i}", topology.name());
+                match exp.run() {
+                    Ok(report) if topology.len() == net.len() => {
+                        assert!(report.stats.offered > 0, "{what}")
+                    }
+                    Err(ExperimentError::TableTooLarge { nodes, bytes }) if nodes == ring.len() => {
+                        assert_eq!(bytes, 23_171u128 * 23_171 * 2, "{what}");
+                    }
+                    other => panic!("{what}: got {other:?}"),
                 }
-                other => panic!("run {i}: expected TableTooLarge, got {other:?}"),
             }
         }
         // Healthy runs of the same network build no masked router and

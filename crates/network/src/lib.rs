@@ -34,8 +34,10 @@
 //!   `Q_d(1^k)` lazily from rank↔word codecs, streaming its CSR graph;
 //! * [`dist`] — the shared [`DistanceTable`] (healthy or degraded by a
 //!   fault set) behind metrics, survivability analysis, and the
-//!   fault-masking router, plus the sampled [`DistanceSample`]
-//!   estimator for networks past the dense-table byte budget;
+//!   fault-masking router on label-less topologies, the exception rows
+//!   the router keeps in its place on the cubes, and the sampled
+//!   [`DistanceSample`] estimator for networks past the dense-table
+//!   byte budget;
 //! * [`observer`] — pluggable [`SimObserver`] hooks compiled into the
 //!   engine (zero-cost when absent), with [`LatencyHistogram`],
 //!   [`LinkHeatmap`], and the SLO-grade [`SloTracker`] (windowed

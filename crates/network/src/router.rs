@@ -33,10 +33,11 @@
 use core::fmt;
 use core::str::FromStr;
 
+use fibcube_graph::bfs::INFINITY;
 use fibcube_graph::csr::{CsrGraph, SlotTable};
 use fibcube_words::word::Word;
 
-use crate::dist::{DistanceTable, UNREACHED};
+use crate::dist::{DistanceTable, ExceptionRows, UNREACHED};
 use crate::engine::DropReason;
 use crate::experiment::ExperimentError;
 use crate::fault::{ChurnEvent, ChurnTarget, FaultMasks, FaultSet};
@@ -508,38 +509,42 @@ impl<T: Topology + ?Sized> Router for NextHopRouter<'_, T> {
 ///
 /// # Distance table and label certificate
 ///
-/// Healthy-subgraph distances live in a [`DistanceTable`] (`2n²` bytes)
-/// built eagerly at construction and patched incrementally under churn
-/// ([`apply_event`](FaultMaskingRouter::apply_event)), so the per-hop
-/// path needs no interior mutability and the router is `Send + Sync`.
-/// How the table is built, and how often a hop reads it, depends on
-/// what the router knows about the topology:
+/// Routing needs the healthy-subgraph distance toward the destination.
+/// Where it comes from depends on what the router knows about the
+/// topology; either way the per-hop path needs no interior mutability
+/// beyond write-once rows, and the router is `Send + Sync`.
 ///
-/// - [`new`](FaultMaskingRouter::new) knows only the graph. It builds
-///   the table with one masked BFS per node and reads it on every
-///   [`reachable`](FaultMaskingRouter::reachable) and
-///   [`next_hop`](Router::next_hop) query — random reads into a table
-///   far larger than the caches on any sizeable network.
+/// - [`new`](FaultMaskingRouter::new) knows only the graph. It keeps a
+///   dense [`DistanceTable`] (`2n²` bytes), built with one masked BFS
+///   per node and patched incrementally under churn
+///   ([`apply_event`](FaultMaskingRouter::apply_event)), and reads it
+///   on every [`reachable`](FaultMaskingRouter::reachable) and
+///   [`next_hop`](Router::next_hop) query. Its byte budget refuses it
+///   above 23 170 nodes.
 /// - [`for_topology`](FaultMaskingRouter::for_topology) also takes the
 ///   topology's [`cube_labels`](Topology::cube_labels), when it has
-///   them. The healthy start table is then filled in closed form
-///   (`popcount(l[src] ^ l[dst])`, no BFS), and each query is first
-///   **certified** against the live faults: node `w` lies on a shortest
-///   `cur → dst` path iff `((l[w] ^ l[cur]) & !(l[cur] ^ l[dst])) == 0`.
-///   When no dead node and no independently failed link (both
-///   endpoints) lies in that interval, every shortest path of the intact
-///   cube survives, so the degraded distance *is* the Hamming distance:
-///   the pair is reachable, and a neighbor makes progress iff its label
-///   is one bit closer to `dst`. The hop rule above then runs on labels
-///   alone and makes the table's decision without reading the table.
-///   Uncertified pairs, and every pair while more than a fixed number of
-///   faults are live (past which scanning the fault list costs more than
-///   the table read it saves), read the table exactly as `new` does.
+///   them, and then keeps no table. Each query is first **certified**
+///   against the live faults: node `w` lies on a shortest `cur → dst`
+///   path iff `((l[w] ^ l[cur]) & !(l[cur] ^ l[dst])) == 0`. When no
+///   dead node and no independently failed link (both endpoints) lies
+///   in that interval, every shortest path of the intact cube survives,
+///   so the degraded distance *is* the Hamming distance
+///   `popcount(l[cur] ^ l[dst])`: the pair is reachable, and a neighbor
+///   makes progress iff its label is one bit closer to `dst`. The hop
+///   rule above then runs on labels alone. An uncertified pair, and
+///   every pair while more than a fixed number of faults are live, reads
+///   the destination's **exception row**: the few live sources whose
+///   degraded distance differs from the Hamming distance, built on
+///   first use by one batched Ramalingam–Reps repair of the Hamming row
+///   (see [`dist`](mod@crate::dist)), and emptied when a churn event
+///   changes the faults. A Γ_16 row holds a handful of entries, where the
+///   dense table holds 2 584 distances per row. There is no budget.
 ///
-/// Either way a hop asks once: the engine's per-hop query certifies the
-/// pair (one scan of the live-fault list) or reads the destination's
-/// table row (one read), and from that one answer decides both whether
-/// the packet can still arrive and which link it takes.
+/// Routing decisions are identical either way. A hop asks once: the
+/// engine's per-hop query certifies the pair (one scan of the live-fault
+/// list) or reads the destination's row (one row lookup per neighbor),
+/// and from that one answer decides both whether the packet can still
+/// arrive and which link it takes.
 ///
 /// Every hop strictly decreases the healthy distance, so routes on the
 /// degraded network remain livelock-free; packets whose destination is
@@ -560,66 +565,88 @@ pub struct FaultMaskingRouter<'a, R: Router + ?Sized> {
     /// resurrect a link that failed on its own. The composite mask is
     /// `node_dead(u) || node_dead(v) || link_down[e]`.
     link_down: Vec<bool>,
-    /// Healthy-subgraph distances toward every destination (`UNREACHED`
-    /// marks unreachable or dead nodes), shared-form
-    /// [`DistanceTable`], built once up front and patched incrementally
-    /// under churn ([`apply_event`](FaultMaskingRouter::apply_event)).
-    dist: DistanceTable,
-    /// The label certificate, on topologies with cube labels.
-    cert: Option<LabelCert>,
+    /// Healthy-subgraph distances toward every destination.
+    dist: Distances,
+}
+
+/// Where a [`FaultMaskingRouter`] reads its distances: the topology's
+/// labels decide.
+enum Distances {
+    /// Label-less topologies: the dense table (`UNREACHED` marks
+    /// unreachable or dead nodes), built once up front and patched
+    /// incrementally under churn.
+    Table(DistanceTable),
+    /// Topologies with cube labels: the certificate and the exception
+    /// rows, boxed to keep the router (and the churn lane state that
+    /// holds it) small.
+    Labels(Box<LabelCert>),
 }
 
 /// Live faults above which the label certificate is skipped and every
-/// query reads the table. A certified query scans the whole fault list,
-/// and with more faults fewer queries certify, so past some count the
-/// scan costs more than the table reads it saves. Measured on Γ_16
-/// (2 584 nodes, with a four-byte 26.7 MB table) with 512 request/reply
-/// clients for 10 000 cycles under static node and link faults, median of 11
-/// interleaved pairs on a 2-vCPU x86-64 host: certifying is 1.2× faster
-/// at 2–8 faults and 1.05–1.1× at 12–16, breaks even near 20, and is
-/// 0.84× at 48. The bound sits just below that crossover.
-const MAX_CERTIFIED_FAULTS: usize = 16;
+/// query reads its exception row. A certified query scans the whole
+/// fault list, and with more faults fewer queries certify, so past some
+/// count the scan costs more than the row reads it saves. Measured on
+/// Γ_16 (2 584 nodes) with 512 request/reply clients for 10 000 cycles
+/// under static faults (half dead nodes, half failed links), certifying
+/// against reading rows only, median of 11 interleaved pairs on a 2-vCPU
+/// x86-64 host: certifying is 1.03× faster at 4 faults and 1.02× at 6,
+/// breaks even at 8–10, and is 0.98× at 12, 0.92–0.94× at 20–24 and
+/// 0.88× at 48. (Against the dense four-byte table it replaced, the
+/// crossover was near 20.) The bound sits at the break-even.
+const MAX_CERTIFIED_FAULTS: usize = 8;
 
-/// The label side of a [`FaultMaskingRouter`]: the cube labels plus a
-/// short list of the live faults, kept in step with the masks.
+/// The label side of a [`FaultMaskingRouter`]: the exception rows (which
+/// hold the cube labels) plus a short list of the live faults, kept in
+/// step with the masks.
 struct LabelCert {
-    labels: Vec<u64>,
+    rows: ExceptionRows,
     /// Live faults as `(label, flip)`: `(l[x], 0)` for a dead node `x`,
     /// `(min(l[u], l[v]), l[u] ^ l[v])` for an independently failed link
     /// `u–v`. Either lies in the `cur → dst` interval iff
     /// `((label ^ l[cur]) | flip) & !(l[cur] ^ l[dst]) == 0` — for a link,
     /// iff both endpoints do.
     faults: Vec<(u64, u64)>,
+    /// The same faults by node ids, in the same order: the seeds of a
+    /// row repair.
+    targets: Vec<ChurnTarget>,
 }
 
 impl LabelCert {
     /// Records one fault event. Failing an element already down, or
     /// recovering one already up, changes nothing.
     fn record(&mut self, target: ChurnTarget, failed: bool) {
+        let labels = self.rows.labels();
         let fault = match target {
-            ChurnTarget::Node(x) => (self.labels[x as usize], 0),
+            ChurnTarget::Node(x) => (labels[x as usize], 0),
             ChurnTarget::Link(u, v) => {
-                let (a, b) = (self.labels[u as usize], self.labels[v as usize]);
+                let (a, b) = (labels[u as usize], labels[v as usize]);
                 (a.min(b), a ^ b)
             }
         };
-        if !failed {
-            self.faults.retain(|&f| f != fault);
-        } else if !self.faults.contains(&fault) {
-            self.faults.push(fault);
+        match self.faults.iter().position(|&f| f == fault) {
+            Some(i) if !failed => {
+                self.faults.remove(i);
+                self.targets.remove(i);
+            }
+            None if failed => {
+                self.faults.push(fault);
+                self.targets.push(target);
+            }
+            _ => {}
         }
     }
 
     /// The degraded distance `cur → dst` when no live fault lies on any
     /// shortest path between them — it is then their Hamming distance —
-    /// or `None` when the table must decide.
+    /// or `None` when the exception row must decide.
     #[inline]
     fn certify(&self, cur: u32, dst: u32) -> Option<u32> {
         if self.faults.len() > MAX_CERTIFIED_FAULTS {
             return None;
         }
-        let lc = self.labels[cur as usize];
-        let diff = lc ^ self.labels[dst as usize];
+        let labels = self.rows.labels();
+        let lc = labels[cur as usize];
+        let diff = lc ^ labels[dst as usize];
         let blocked = self
             .faults
             .iter()
@@ -631,20 +658,20 @@ impl LabelCert {
 impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
     /// Wraps `inner` so it routes on `graph` degraded by `faults`,
     /// building the masked distance table eagerly by BFS. Fault entries
-    /// outside the graph are ignored. This router reads the table on
-    /// every query; [`for_topology`](FaultMaskingRouter::for_topology)
-    /// avoids most reads on topologies with cube labels.
+    /// outside the graph are ignored. This router reads the dense table
+    /// on every query; [`for_topology`](FaultMaskingRouter::for_topology)
+    /// keeps none on topologies with cube labels.
     pub fn new(graph: &'a CsrGraph, inner: &'a R, faults: &FaultSet) -> FaultMaskingRouter<'a, R> {
         let masks = faults.masks(graph);
-        let dist = DistanceTable::degraded(graph, &masks);
-        FaultMaskingRouter::with_table(graph, inner, faults, masks, dist)
+        let dist = Distances::Table(DistanceTable::degraded(graph, &masks));
+        FaultMaskingRouter::with_distances(graph, inner, faults, masks, dist)
     }
 
-    /// [`new`](FaultMaskingRouter::new) on `topology`'s graph, with the
-    /// label certificate when the topology has
-    /// [`cube_labels`](Topology::cube_labels): a fault-free start table
-    /// is filled in closed form, and certified queries skip the table
-    /// (see the [type docs](FaultMaskingRouter#distance-table-and-label-certificate)).
+    /// [`new`](FaultMaskingRouter::new) on `topology`'s graph, or, when
+    /// the topology has [`cube_labels`](Topology::cube_labels), a router
+    /// that keeps no distance table: certified queries run on the labels,
+    /// the rest on exception rows built on first use (see the
+    /// [type docs](FaultMaskingRouter#distance-table-and-label-certificate)).
     /// Routing decisions are identical either way.
     pub fn for_topology<T: Topology + ?Sized>(
         topology: &'a T,
@@ -657,14 +684,10 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         };
         debug_assert_eq!(labels.len(), graph.num_vertices());
         let masks = faults.masks(graph);
-        let dist = if faults.is_empty() {
-            DistanceTable::hamming(&labels)
-        } else {
-            DistanceTable::degraded(graph, &masks)
-        };
         let mut cert = LabelCert {
-            labels,
+            rows: ExceptionRows::new(labels),
             faults: Vec::new(),
+            targets: Vec::new(),
         };
         for v in 0..graph.num_vertices() as u32 {
             if !masks.node_alive(v) {
@@ -676,21 +699,28 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
                 cert.record(ChurnTarget::Link(u, v), true);
             }
         }
-        FaultMaskingRouter {
-            cert: Some(cert),
-            ..FaultMaskingRouter::with_table(graph, inner, faults, masks, dist)
+        let dist = Distances::Labels(Box::new(cert));
+        FaultMaskingRouter::with_distances(graph, inner, faults, masks, dist)
+    }
+
+    /// Refuses a masked router on `topology` whose dense
+    /// [`DistanceTable`] would exceed the byte budget
+    /// ([`ExperimentError::TableTooLarge`] above 23 170 nodes). Only
+    /// topologies without cube labels build one, so a labelled topology
+    /// of any size passes.
+    pub(crate) fn check_budget<T: Topology + ?Sized>(topology: &T) -> Result<(), ExperimentError> {
+        match DistanceTable::check_budget(topology.len()) {
+            Err(_) if topology.cube_labels().is_some() => Ok(()),
+            checked => checked,
         }
     }
 
-    /// [`new`](FaultMaskingRouter::new) against a caller-built table
-    /// (which must match `graph` + `faults`): the by-BFS table of `new`,
-    /// or the closed-form start table of `for_topology`.
-    pub(crate) fn with_table(
+    fn with_distances(
         graph: &'a CsrGraph,
         inner: &'a R,
         faults: &FaultSet,
         masks: FaultMasks,
-        dist: DistanceTable,
+        dist: Distances,
     ) -> FaultMaskingRouter<'a, R> {
         let mut link_down = vec![false; graph.num_directed_edges()];
         for &(u, v) in faults.failed_links() {
@@ -706,7 +736,6 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
             masks,
             link_down,
             dist,
-            cert: None,
         }
     }
 
@@ -718,17 +747,24 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
     /// `true` when `src` can still reach `dst` through surviving nodes
     /// and links (both endpoints must be alive).
     pub fn reachable(&self, src: u32, dst: u32) -> bool {
-        if let Some(cert) = &self.cert {
-            if cert.certify(src, dst).is_some() {
-                return true;
-            }
-        }
-        self.node_alive(src) && self.node_alive(dst) && self.dist.reachable(src, dst)
+        self.distance(src, dst) != INFINITY
     }
 
-    /// The healthy-subgraph distance table the adapter routes by.
-    pub fn distances(&self) -> &DistanceTable {
-        &self.dist
+    /// The hop distance from `src` to `dst` through surviving nodes and
+    /// links, [`INFINITY`] when the faults cut them apart or either is
+    /// dead.
+    pub fn distance(&self, src: u32, dst: u32) -> u32 {
+        if !self.node_alive(src) || !self.node_alive(dst) {
+            return INFINITY;
+        }
+        match &self.dist {
+            Distances::Table(table) => table.distance(src, dst),
+            Distances::Labels(cert) => cert.certify(src, dst).unwrap_or_else(|| {
+                cert.rows
+                    .row(self.graph, &self.masks, &cert.targets, dst)
+                    .distance(src)
+            }),
+        }
     }
 
     /// The current liveness masks (post any applied churn events).
@@ -741,32 +777,36 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         self.inner
     }
 
-    /// The healthy graph the masks and the table were built on.
+    /// The healthy graph the masks and the distances were built on.
     pub(crate) fn graph(&self) -> &'a CsrGraph {
         self.graph
     }
 
-    /// Applies one churn event: flips the liveness masks (and the label
-    /// certificate's fault lists), then patches the distance table
-    /// *incrementally* ([`DistanceTable::apply_event`]) instead of
-    /// rebuilding it — the masked-BFS work is limited to the affected
-    /// frontier.
+    /// Applies one churn event: flips the liveness masks, then brings
+    /// the distances up to date: the dense table is patched
+    /// *incrementally* ([`DistanceTable::apply_event`]), limiting the
+    /// masked-BFS work to the affected frontier; on a labelled topology
+    /// the certificate's fault list is updated and the built exception
+    /// rows are emptied, to be rebuilt on their next use.
     pub fn apply_event(&mut self, event: &ChurnEvent) {
         match event.target {
             ChurnTarget::Node(x) => self.set_node(x, event.failed),
             ChurnTarget::Link(u, v) => self.set_link(u, v, event.failed),
         }
-        if let Some(cert) = &mut self.cert {
-            cert.record(event.target, event.failed);
+        match &mut self.dist {
+            Distances::Table(table) => table.apply_event(self.graph, &self.masks, event),
+            Distances::Labels(cert) => {
+                cert.record(event.target, event.failed);
+                cert.rows.clear();
+            }
         }
-        self.dist.apply_event(self.graph, &self.masks, event);
     }
 
     /// The hop from `cur` toward `dst` (`cur ≠ dst`) in the current fault
     /// state, or why there is none: [`DropReason::NodeDied`] when `dst`
     /// is dead, else [`DropReason::Unreachable`] when the faults cut
     /// `cur` off from it. The pair is certified once (one scan of the
-    /// live-fault list) or, uncertified, its table row is read once; the
+    /// live-fault list) or, uncertified, its distance row is read; the
     /// same answer decides reachability and the hop.
     #[inline]
     pub(crate) fn hop_or_drop(
@@ -776,28 +816,58 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         load: &dyn LinkLoad,
     ) -> Result<u32, DropReason> {
         debug_assert_ne!(cur, dst, "a packet at its destination has no hop");
-        if let Some(cert) = &self.cert {
-            if let Some(h) = cert.certify(cur, dst) {
-                // The interval is fault-free: a neighbor progresses iff
-                // its label is one bit closer to dst, and its link is
-                // then alive too.
-                let ld = cert.labels[dst as usize];
-                let closer = |_, v: u32| (cert.labels[v as usize] ^ ld).count_ones() < h;
-                return Ok(self.progressive_hop(cur, dst, load, closer));
+        match &self.dist {
+            Distances::Labels(cert) => {
+                if let Some(h) = cert.certify(cur, dst) {
+                    // The interval is fault-free: a neighbor progresses iff
+                    // its label is one bit closer to dst, and its link is
+                    // then alive too.
+                    let labels = cert.rows.labels();
+                    let ld = labels[dst as usize];
+                    let closer = |_, v: u32| (labels[v as usize] ^ ld).count_ones() < h;
+                    return Ok(self.progressive_hop(cur, dst, load, closer));
+                }
+                if !self.node_alive(dst) {
+                    return Err(DropReason::NodeDied);
+                }
+                let row = cert.rows.row(self.graph, &self.masks, &cert.targets, dst);
+                let dc = if self.node_alive(cur) {
+                    row.distance(cur)
+                } else {
+                    INFINITY
+                };
+                self.hop_by_distance(cur, dst, load, dc, INFINITY, |v| row.distance(v))
+            }
+            Distances::Table(table) => {
+                if !self.node_alive(dst) {
+                    return Err(DropReason::NodeDied);
+                }
+                let row = table.to_dst(dst);
+                let dc = row[cur as usize];
+                self.hop_by_distance(cur, dst, load, dc, UNREACHED, |v| row[v as usize])
             }
         }
-        if !self.node_alive(dst) {
-            return Err(DropReason::NodeDied);
-        }
-        let dist = self.dist.to_dst(dst);
-        let dc = dist[cur as usize];
-        if dc == UNREACHED {
+    }
+
+    /// The hop rule against the distances toward `dst`: `dc` at `cur`
+    /// and `dist(v)` at a neighbor, `unreached` when cut off. Honours
+    /// the wrapped policy while its hop survives and still approaches
+    /// `dst` within the healthy subgraph; else detours.
+    #[inline]
+    fn hop_by_distance<D: Copy + PartialOrd>(
+        &self,
+        cur: u32,
+        dst: u32,
+        load: &dyn LinkLoad,
+        dc: D,
+        unreached: D,
+        dist: impl Fn(u32) -> D,
+    ) -> Result<u32, DropReason> {
+        if dc == unreached {
             return Err(DropReason::Unreachable);
         }
         let base = self.graph.edge_range(cur).start;
-        // Honour the wrapped policy while its hop survives and still
-        // approaches dst within the healthy subgraph; else detour.
-        let progress = |slot, v: u32| self.masks.edge_alive(base + slot) && dist[v as usize] < dc;
+        let progress = |slot, v: u32| self.masks.edge_alive(base + slot) && dist(v) < dc;
         Ok(self.progressive_hop(cur, dst, load, progress))
     }
 
@@ -1179,7 +1249,7 @@ mod tests {
         assert_send_sync(&masked);
         // And it still routes after the eager build.
         assert_eq!(masked.next_hop(0, 3, &NoLoad), Some(2));
-        assert_eq!(masked.distances().distance(0, 3), 2);
+        assert_eq!(masked.distance(0, 3), 2);
     }
 
     #[test]
@@ -1216,11 +1286,13 @@ mod tests {
             let fresh = FaultMaskingRouter::new(g, &EcubeRouter, &set);
             for v in 0..16u32 {
                 assert_eq!(live.node_alive(v), fresh.node_alive(v), "{event:?}");
-                assert_eq!(
-                    live.distances().to_dst(v),
-                    fresh.distances().to_dst(v),
-                    "{event:?} dst {v}"
-                );
+                for u in 0..16u32 {
+                    assert_eq!(
+                        live.distance(u, v),
+                        fresh.distance(u, v),
+                        "{event:?} dst {v}"
+                    );
+                }
             }
             for e in 0..g.num_directed_edges() {
                 assert_eq!(

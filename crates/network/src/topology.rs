@@ -112,10 +112,11 @@ pub trait Topology: Send + Sync {
     ///
     /// The fault-masking router
     /// ([`FaultMaskingRouter::for_topology`](crate::router::FaultMaskingRouter::for_topology))
-    /// uses the labels to fill its healthy distance table in closed form
-    /// and to route without reading the table wherever no fault lies
-    /// between the current node and the destination. Labels that are not
-    /// isometric would mis-route, so the default is `None`.
+    /// uses the labels in place of a distance table: it routes on labels
+    /// alone wherever no fault lies between the current node and the
+    /// destination, and keeps only the distances the faults change.
+    /// Labels that are not isometric would mis-route, so the default is
+    /// `None`.
     fn cube_labels(&self) -> Option<Vec<u64>> {
         None
     }

@@ -706,7 +706,7 @@ proptest! {
             for u in 0..n as u32 {
                 for v in 0..n as u32 {
                     prop_assert_eq!(
-                        masked.distances().distance(u, v),
+                        masked.distance(u, v),
                         fresh.distance(u, v),
                         "Γ_{d}: {u}→{v} diverges after event {step} ({target:?}, failed={failed})"
                     );
@@ -1495,12 +1495,14 @@ fn closed_form_start_table_equals_the_healthy_bfs_table() {
         let masked = FaultMaskingRouter::for_topology(&*topo, &*router, &FaultSet::empty());
         let healthy = DistanceTable::healthy(topo.graph()).unwrap();
         for dst in 0..topo.len() as u32 {
-            assert_eq!(
-                masked.distances().to_dst(dst),
-                healthy.to_dst(dst),
-                "{} dst {dst}",
-                topo.name()
-            );
+            for src in 0..topo.len() as u32 {
+                assert_eq!(
+                    masked.distance(src, dst),
+                    healthy.distance(src, dst),
+                    "{} dst {dst}",
+                    topo.name()
+                );
+            }
         }
     }
 }
@@ -1528,6 +1530,74 @@ impl Router for Wayward<'_> {
     fn next_hop(&self, cur: u32, dst: u32, _load: &dyn LinkLoad) -> Option<u32> {
         let nbrs = self.0.neighbors(cur);
         (cur != dst && !nbrs.is_empty()).then(|| nbrs[(cur ^ dst) as usize % nbrs.len()])
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn static_exception_rows_agree_with_the_dense_table(
+        which in 0usize..1_000,
+        dead in 0usize..24,
+        cut in 0usize..24,
+        seed in 0u64..10_000,
+    ) {
+        // A static fault set on a labelled topology: `for_topology`
+        // (label certificate plus exception rows) must answer
+        // `reachable`, `distance` and `next_hop` on every pair exactly as
+        // `new` (the dense table) does, under an idle and a skewed load,
+        // for the topology's own and a wayward inner policy. Up to 46
+        // faults push the live fault count past the certificate's bound,
+        // so there the rows answer every query.
+        let topos = labelled_topologies();
+        let topo = &topos[which % topos.len()];
+        let g = topo.graph();
+        let n = g.num_vertices();
+        let edges: Vec<(u32, u32)> = g.edges().collect();
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let nodes: Vec<u32> = (0..dead).map(|_| (next() % n as u64) as u32).collect();
+        let links: Vec<(u32, u32)> = (0..cut)
+            .filter(|_| !edges.is_empty())
+            .map(|_| edges[(next() % edges.len() as u64) as usize])
+            .collect();
+        let set = FaultSet::new(nodes, links);
+        let inners: [Box<dyn Router + '_>; 2] = [topo.router(), Box::new(Wayward(g))];
+        let skewed = SkewedLoad(seed);
+        for inner in &inners {
+            let labelled = FaultMaskingRouter::for_topology(&**topo, &**inner, &set);
+            let dense = FaultMaskingRouter::new(g, &**inner, &set);
+            for dst in 0..n as u32 {
+                for cur in 0..n as u32 {
+                    let reach = dense.reachable(cur, dst);
+                    prop_assert_eq!(
+                        labelled.reachable(cur, dst), reach,
+                        "{}: reachable {}→{} under {:?}", topo.name(), cur, dst, set
+                    );
+                    prop_assert_eq!(
+                        labelled.distance(cur, dst), dense.distance(cur, dst),
+                        "{}: distance {}→{} under {:?}", topo.name(), cur, dst, set
+                    );
+                    if !reach {
+                        continue;
+                    }
+                    for load in [&NoLoad as &dyn LinkLoad, &skewed] {
+                        prop_assert_eq!(
+                            labelled.next_hop(cur, dst, load),
+                            dense.next_hop(cur, dst, load),
+                            "{} via {}: next_hop {}→{} under {:?}",
+                            topo.name(), dense.name(), cur, dst, set
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

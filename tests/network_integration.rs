@@ -8,8 +8,8 @@ use fibcube::network::metrics::metrics;
 use fibcube::network::sweep::{sweep, Axis, SweepConfig};
 use fibcube::network::{
     simulate_reference, AdaptiveMinimal, ChurnTimeline, CopyPlan, DeliveryTracker,
-    FaultMaskingRouter, FaultSet, LinkHeatmap, Mesh, NoopObserver, Ring, SimStats, SwitchingSpec,
-    VcOccupancy,
+    FaultMaskingRouter, FaultSet, ImplicitFibonacciNet, LinkHeatmap, Mesh, NoopObserver, Ring,
+    SimStats, SwitchingSpec, VcOccupancy,
 };
 use fibcube::prelude::*;
 
@@ -384,6 +384,43 @@ fn label_certified_routing_equals_the_table_router_end_to_end() {
                 assert_eq!(labelled.to_json(), plain.to_json(), "{what}");
             }
         }
+    }
+}
+
+#[test]
+fn masked_runs_on_implicit_gamma_24_keep_no_distance_table() {
+    // Γ_24 has 121 393 nodes: a dense distance table would need 29 GB,
+    // far over its budget. With cube labels the masked router keeps
+    // exception rows instead, so churn and a static mask both run, and
+    // give the same statistics at one lane and at two.
+    let net = ImplicitFibonacciNet::classical(24);
+    let traffic = TrafficSpec::Uniform {
+        count: 300,
+        window: 100,
+    };
+    let churn: FaultSpec = "churn(node_rate=0.05,link_rate=0.1,mttr=50)"
+        .parse()
+        .unwrap();
+    let fixed: FaultSpec = "nodes(count=8)".parse().unwrap();
+    for faults in [churn, fixed] {
+        let run = |threads: usize| {
+            Experiment::on(&net)
+                .traffic(traffic.clone())
+                .faults(faults.clone())
+                .cycles(400)
+                .seed(3)
+                .threads(threads)
+                .run()
+                .unwrap_or_else(|e| panic!("{faults} threads={threads}: {e}"))
+        };
+        let one = run(1);
+        assert!(one.stats.delivered > 0, "{faults}: {:?}", one.stats);
+        assert!(
+            one.router.starts_with("fault-masked"),
+            "{faults}: {}",
+            one.router
+        );
+        assert_eq!(run(2).stats, one.stats, "{faults}: 2 lanes ≡ 1 lane");
     }
 }
 
