@@ -20,9 +20,11 @@
 //! * `dist` — the masked router's distances alone. `repair_events`
 //!   replays a scripted sequence of node and link failures and
 //!   recoveries on Γ_14 through `apply_event` on a router built without
-//!   labels, so it times the incremental repair of the dense table the
-//!   label-less topologies keep, ending back at the intact network so
-//!   every iteration repeats the same work. `static_mask` builds a
+//!   labels, and after each event the same 200 queries, so it times the
+//!   exception rows over the dense healthy table that label-less
+//!   topologies keep: each event's clear and the rows its queries
+//!   rebuild. The script ends back at the intact network so every
+//!   iteration repeats the same work. `static_mask` builds a
 //!   labelled Γ_16 router around 8 dead nodes (`nodes(count=8)`, seed 1)
 //!   and replays 4 000 queries the label certificate cannot answer, so
 //!   it times the exception rows: the build, and each row's first fill.
@@ -229,6 +231,20 @@ fn bench_fault_state(c: &mut Criterion) {
     group.finish();
 }
 
+/// Distinct-endpoint `(cur, dst)` pairs over `n` nodes from a fixed
+/// linear congruential sequence.
+fn lcg_pairs(n: u64) -> impl Iterator<Item = (u32, u32)> {
+    let mut state = 1u64;
+    std::iter::repeat_with(move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        ((state >> 33) % n, (state >> 12) % n)
+    })
+    .filter(|&(cur, dst)| cur != dst)
+    .map(|(cur, dst)| (cur as u32, dst as u32))
+}
+
 fn bench_dist_repair(c: &mut Criterion) {
     let mut group = c.benchmark_group("dist");
     group.sample_size(10);
@@ -259,13 +275,20 @@ fn bench_dist_repair(c: &mut Criterion) {
         event(y, false),
         event(b, false),
     ];
+    let queries = lcg_pairs(gamma.len() as u64).take(200).collect::<Vec<_>>();
     group.bench_function(BenchmarkId::new("repair_events", gamma.name()), |bench| {
         bench.iter(|| {
+            let mut hops = 0u64;
             for ev in &script {
                 mask.apply_event(ev);
+                for &(cur, dst) in &queries {
+                    if mask.reachable(cur, dst) {
+                        hops += u64::from(mask.next_hop(cur, dst, &NoLoad).unwrap());
+                    }
+                }
             }
             assert!(mask.node_alive(77) && mask.node_alive(301));
-            std::hint::black_box(mask.distance(0, 1))
+            std::hint::black_box(hops)
         })
     });
 
@@ -282,19 +305,13 @@ fn bench_dist_repair(c: &mut Criterion) {
         .iter()
         .map(|&x| labels[x as usize])
         .collect();
-    let n = gamma.len() as u64;
-    let mut state = 1u64;
-    let mut uncertified = Vec::new();
-    while uncertified.len() < 4_000 {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1);
-        let (cur, dst) = ((state >> 33) % n, (state >> 12) % n);
-        let (lc, ld) = (labels[cur as usize], labels[dst as usize]);
-        if cur != dst && dead.iter().any(|&w| (w ^ lc) & !(lc ^ ld) == 0) {
-            uncertified.push((cur as u32, dst as u32));
-        }
-    }
+    let uncertified: Vec<(u32, u32)> = lcg_pairs(gamma.len() as u64)
+        .filter(|&(cur, dst)| {
+            let (lc, ld) = (labels[cur as usize], labels[dst as usize]);
+            dead.iter().any(|&w| (w ^ lc) & !(lc ^ ld) == 0)
+        })
+        .take(4_000)
+        .collect();
     group.bench_function(BenchmarkId::new("static_mask", gamma.name()), |bench| {
         bench.iter(|| {
             let mask = FaultMaskingRouter::for_topology(&gamma, &router, &faults);

@@ -10,17 +10,18 @@
 //! two-byte distances, built once per `(graph, fault set)` and threaded
 //! through wherever distances are consulted.
 //!
-//! On a graph with an isometric hypercube embedding
-//! ([`Topology::cube_labels`](crate::topology::Topology::cube_labels)) the
-//! masked router keeps no dense table. Its healthy distance is the
-//! Hamming distance of the labels, and faults change few of them (tens
-//! to hundreds of the 6.6 M pairs of Γ_16 under 1–64 faults), so the
-//! crate-private `ExceptionRows` store keeps per destination only the
-//! live sources whose degraded distance differs from the Hamming
-//! distance. It builds a row on first use by one batched
-//! Ramalingam–Reps deletion repair of the Hamming row (Ramalingam &
-//! Reps, J. Algorithms 1996) and drops the built rows when the faults
-//! change.
+//! The masked router keeps its degraded distances as exceptions to the
+//! healthy ones, since faults change few of them (tens to hundreds of
+//! the 6.6 M pairs of Γ_16 under 1–64 faults). The crate-private
+//! `ExceptionRows` store keeps per destination only the live sources
+//! whose degraded distance differs from the healthy distance. That comes
+//! from a base: on a graph with an isometric hypercube embedding
+//! ([`Topology::cube_labels`](crate::topology::Topology::cube_labels))
+//! it is the Hamming distance of the labels, and on any other graph the
+//! intact graph's dense table. The store builds a row on first use by
+//! one batched Ramalingam–Reps deletion repair of the healthy row
+//! (Ramalingam & Reps, J. Algorithms 1996) and drops the built rows when
+//! the faults change, so a recovery needs no repair at all.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,7 +32,7 @@ use fibcube_graph::csr::CsrGraph;
 use fibcube_graph::parallel::par_map;
 
 use crate::experiment::ExperimentError;
-use crate::fault::{ChurnEvent, ChurnTarget, FaultMasks};
+use crate::fault::{ChurnTarget, FaultMasks, FaultSet};
 use crate::router::{check_table_budget, max_table_nodes};
 
 /// The stored distance of an unreachable (or dead) pair in a
@@ -65,23 +66,6 @@ fn narrow(d: u32) -> u16 {
 /// scalar queries answer those pairs with [`INFINITY`]. Undirected graphs
 /// make the matrix symmetric, so "row toward `dst`" and "row from `src`"
 /// coincide.
-///
-/// # Incremental repair
-///
-/// Under churn the table is *patched*, not rebuilt: the
-/// [`fail_link`](DistanceTable::fail_link) /
-/// [`recover_link`](DistanceTable::recover_link) /
-/// [`fail_node`](DistanceTable::fail_node) /
-/// [`recover_node`](DistanceTable::recover_node) methods apply one
-/// fault event in time proportional to the *affected frontier* (the
-/// Ramalingam–Reps orphan region plus its boundary) instead of the
-/// `O(n·m)` of a from-scratch [`degraded`](DistanceTable::degraded)
-/// rebuild.
-///
-/// **Invariant:** when a patch method returns, every row equals the
-/// corresponding row of `DistanceTable::degraded(g, masks)` built from
-/// scratch under the *post-event* masks. The proptest suite replays
-/// random event sequences and asserts exactly this after every event.
 #[derive(Clone, Debug)]
 pub struct DistanceTable {
     n: usize,
@@ -146,11 +130,25 @@ impl DistanceTable {
         let mut dist = vec![UNREACHED; n * n];
         let mut queue: Vec<u32> = Vec::with_capacity(n);
         for dst in 0..n as u32 {
-            let row = &mut dist[dst as usize * n..][..n];
             if !masks.node_alive(dst) {
                 continue;
             }
-            masked_bfs_row(g, masks, row, dst, &mut queue);
+            let row = &mut dist[dst as usize * n..][..n];
+            row[dst as usize] = 0;
+            queue.clear();
+            queue.push(dst);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                let next = row[u as usize] + 1;
+                let edges = g.edge_range(u).start;
+                for (slot, &v) in g.neighbors(u).iter().enumerate() {
+                    if masks.edge_alive(edges + slot) && row[v as usize] == UNREACHED {
+                        row[v as usize] = next;
+                        queue.push(v);
+                    }
+                }
+            }
         }
         DistanceTable { n, dist }
     }
@@ -217,369 +215,16 @@ impl DistanceTable {
             sum as f64 / pairs as f64
         }
     }
-
-    /// Applies one churn event incrementally. `masks` must already
-    /// reflect the *post-event* liveness (the caller flips its masks
-    /// first, then patches the table). See the type-level
-    /// [incremental-repair invariant](DistanceTable#incremental-repair).
-    pub fn apply_event(&mut self, g: &CsrGraph, masks: &FaultMasks, event: &ChurnEvent) {
-        match (event.target, event.failed) {
-            (ChurnTarget::Node(x), true) => self.fail_node(g, masks, x),
-            (ChurnTarget::Node(x), false) => self.recover_node(g, masks, x),
-            (ChurnTarget::Link(u, v), true) => self.fail_link(g, masks, u, v),
-            (ChurnTarget::Link(u, v), false) => self.recover_link(g, masks, u, v),
-        }
-    }
-
-    /// Patches the table for the failure of link `u–v` (`masks` already
-    /// post-event). Per row this is `O(1)` unless the link was on a
-    /// shortest path to that destination; affected rows repair by
-    /// orphan propagation plus a boundary re-relax limited to the
-    /// region that lost its distances.
-    pub fn fail_link(&mut self, g: &CsrGraph, masks: &FaultMasks, u: u32, v: u32) {
-        self.patch_rows(|row, scratch| row_fail_link(g, masks, row, u, v, scratch));
-    }
-
-    /// Patches the table for the recovery of link `u–v` (`masks` already
-    /// post-event): a decrease-only relaxation seeded at whichever
-    /// endpoint the new link improves — `O(1)` per row when it improves
-    /// neither.
-    pub fn recover_link(&mut self, g: &CsrGraph, masks: &FaultMasks, u: u32, v: u32) {
-        // A recovered link whose endpoint is still down stays dead in
-        // the composite mask; the event then changes no distances.
-        let alive = g
-            .slot_of(u, v)
-            .is_some_and(|slot| masks.edge_alive(g.edge_range(u).start + slot));
-        if !alive {
-            return;
-        }
-        self.patch_rows(|row, scratch| {
-            scratch.heap.clear();
-            seed_link(row, u, v, &mut scratch.heap);
-            relax_decrease(g, masks, row, &mut scratch.heap)
-        });
-    }
-
-    /// Patches the table for the failure of node `x` (`masks` already
-    /// post-event): `x`'s own row goes all-[`UNREACHED`]; every other row
-    /// orphan-propagates from `x` exactly as if all its incident links
-    /// died at once.
-    pub fn fail_node(&mut self, g: &CsrGraph, masks: &FaultMasks, x: u32) {
-        self.patch_rows_indexed(|dst, row, scratch| {
-            if dst == x {
-                row.fill(UNREACHED);
-            } else {
-                row_fail_node(g, masks, row, x, scratch);
-            }
-        });
-    }
-
-    /// Patches the table for the recovery of node `x` (`masks` already
-    /// post-event): `x`'s own row is rebuilt with one masked BFS; every
-    /// other live row runs a decrease-only relaxation seeded through
-    /// `x`'s surviving links.
-    pub fn recover_node(&mut self, g: &CsrGraph, masks: &FaultMasks, x: u32) {
-        self.patch_rows_indexed(|dst, row, scratch| {
-            if dst == x {
-                row.fill(UNREACHED);
-                if masks.node_alive(x) {
-                    scratch.queue.clear();
-                    masked_bfs_row(g, masks, row, x, &mut scratch.queue);
-                }
-            } else if masks.node_alive(dst) {
-                scratch.heap.clear();
-                seed_node(g, masks, row, x, &mut scratch.heap);
-                relax_decrease(g, masks, row, &mut scratch.heap);
-            }
-        });
-    }
-
-    fn patch_rows(&mut self, mut repair: impl FnMut(&mut [u16], &mut PatchScratch)) {
-        self.patch_rows_indexed(|_, row, scratch| repair(row, scratch));
-    }
-
-    fn patch_rows_indexed(&mut self, mut repair: impl FnMut(u32, &mut [u16], &mut PatchScratch)) {
-        let n = self.n;
-        let mut scratch = PatchScratch::new(n);
-        for dst in 0..n {
-            repair(dst as u32, &mut self.dist[dst * n..][..n], &mut scratch);
-        }
-    }
 }
 
-/// Masked BFS from `root` into `row` (which must be all-[`UNREACHED`]),
-/// reusing `queue` as scratch. The single-row unit both
-/// [`DistanceTable::degraded`] and the node-recovery patch build on.
-fn masked_bfs_row(
-    g: &CsrGraph,
-    masks: &FaultMasks,
-    row: &mut [u16],
-    root: u32,
-    queue: &mut Vec<u32>,
-) {
-    row[root as usize] = 0;
-    queue.clear();
-    queue.push(root);
-    let mut head = 0usize;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        let next = row[u as usize] + 1;
-        let base = g.edge_range(u).start;
-        for (slot, &v) in g.neighbors(u).iter().enumerate() {
-            if masks.edge_alive(base + slot) && row[v as usize] == UNREACHED {
-                row[v as usize] = next;
-                queue.push(v);
-            }
-        }
-    }
-}
-
-/// Reusable per-patch scratch: generation-stamped orphan marks (no
-/// per-row clearing), the shared priority queue, and the orphan list.
-struct PatchScratch {
-    mark: Vec<u64>,
-    generation: u64,
-    heap: BinaryHeap<Reverse<(u16, u32)>>,
-    orphans: Vec<u32>,
-    queue: Vec<u32>,
-}
-
-impl PatchScratch {
-    fn new(n: usize) -> PatchScratch {
-        PatchScratch {
-            mark: vec![0; n],
-            generation: 0,
-            heap: BinaryHeap::new(),
-            orphans: Vec::new(),
-            queue: Vec::new(),
-        }
-    }
-
-    fn begin_row(&mut self) {
-        self.generation += 1;
-        self.heap.clear();
-        self.orphans.clear();
-    }
-
-    fn is_orphan(&self, x: u32) -> bool {
-        self.mark[x as usize] == self.generation
-    }
-
-    fn confirm(&mut self, x: u32) {
-        self.mark[x as usize] = self.generation;
-        self.orphans.push(x);
-    }
-}
-
-/// Link `u–v` failed: repairs one destination row.
-fn row_fail_link(
-    g: &CsrGraph,
-    masks: &FaultMasks,
-    row: &mut [u16],
-    u: u32,
-    v: u32,
-    scratch: &mut PatchScratch,
-) {
-    let (du, dv) = (row[u as usize], row[v as usize]);
-    if du == UNREACHED || dv == UNREACHED {
-        // An unreachable endpoint means the link was on no shortest
-        // path toward this destination.
-        return;
-    }
-    // Only the deeper endpoint can have used the link as its parent
-    // edge; equal depths mean the link was on no shortest path.
-    let b = if dv == du + 1 {
-        v
-    } else if du == dv + 1 {
-        u
-    } else {
-        return;
-    };
-    if has_tight_parent(g, masks, row, b, None) {
-        return;
-    }
-    scratch.begin_row();
-    scratch.confirm(b);
-    repair_after_loss(g, masks, row, scratch);
-}
-
-/// Node `x` failed: repairs one destination row (`dst ≠ x`).
-fn row_fail_node(
-    g: &CsrGraph,
-    masks: &FaultMasks,
-    row: &mut [u16],
-    x: u32,
-    scratch: &mut PatchScratch,
-) {
-    if row[x as usize] == UNREACHED {
-        // x was already unreachable toward this destination, so no
-        // shortest path ran through it.
-        return;
-    }
-    scratch.begin_row();
-    scratch.confirm(x);
-    repair_after_loss(g, masks, row, scratch);
-}
-
-/// `true` when `x` still has an alive neighbor one hop closer to the
-/// destination that is not itself in the current orphan set (pass
-/// `scratch` during propagation, `None` for the initial check).
-fn has_tight_parent(
-    g: &CsrGraph,
-    masks: &FaultMasks,
-    row: &[u16],
-    x: u32,
-    scratch: Option<&PatchScratch>,
-) -> bool {
-    let d = row[x as usize];
-    let base = g.edge_range(x).start;
-    g.neighbors(x).iter().enumerate().any(|(slot, &w)| {
-        masks.edge_alive(base + slot)
-            && scratch.is_none_or(|s| !s.is_orphan(w))
-            && row[w as usize] != UNREACHED
-            && row[w as usize] + 1 == d
-    })
-}
-
-/// Ramalingam–Reps deletion repair: starting from the confirmed orphans
-/// already in `scratch`, finds every node whose old distance is no
-/// longer supported (ascending old-distance order makes parent status
-/// final before children are judged), invalidates the orphan region,
-/// and re-relaxes it from its intact boundary.
-fn repair_after_loss(g: &CsrGraph, masks: &FaultMasks, row: &mut [u16], s: &mut PatchScratch) {
-    // Phase 1: orphan propagation. Children of an orphan are judged by
-    // whether any non-orphan tight parent survives; over-enqueueing is
-    // harmless (candidates with a surviving parent are rejected), which
-    // lets node failures enqueue through their already-masked edges.
-    for i in 0..s.orphans.len() {
-        let x = s.orphans[i];
-        enqueue_children(g, row, x, s);
-    }
-    while let Some(Reverse((_, x))) = s.heap.pop() {
-        if s.is_orphan(x) {
-            continue;
-        }
-        if !has_tight_parent(g, masks, row, x, Some(s)) {
-            s.confirm(x);
-            enqueue_children(g, row, x, s);
-        }
-    }
-    // Phase 2: the orphan region loses its old distances.
-    for i in 0..s.orphans.len() {
-        row[s.orphans[i] as usize] = UNREACHED;
-    }
-    // Phase 3: seed every orphan from its intact (non-orphan) boundary
-    // and re-relax, decrease-only, within the orphan region.
-    for i in 0..s.orphans.len() {
-        let x = s.orphans[i];
-        if !masks.node_alive(x) {
-            continue;
-        }
-        let base = g.edge_range(x).start;
-        let mut best = UNREACHED;
-        for (slot, &w) in g.neighbors(x).iter().enumerate() {
-            if masks.edge_alive(base + slot) && !s.is_orphan(w) && row[w as usize] != UNREACHED {
-                best = best.min(row[w as usize] + 1);
-            }
-        }
-        if best != UNREACHED {
-            s.heap.push(Reverse((best, x)));
-        }
-    }
-    while let Some(Reverse((d, x))) = s.heap.pop() {
-        if row[x as usize] <= d {
-            continue;
-        }
-        row[x as usize] = d;
-        let base = g.edge_range(x).start;
-        for (slot, &y) in g.neighbors(x).iter().enumerate() {
-            if masks.edge_alive(base + slot) && s.is_orphan(y) && row[y as usize] > d + 1 {
-                s.heap.push(Reverse((d + 1, y)));
-            }
-        }
-    }
-}
-
-/// Enqueues `x`'s potential tree children (old distance exactly one
-/// deeper) as orphan candidates. Deliberately ignores edge masks: a
-/// candidate reached through a dead edge never had `x` as parent and is
-/// rejected by the tight-parent check, while mask-filtering here would
-/// miss the children of a freshly dead node (its incident edges are
-/// already masked).
-fn enqueue_children(g: &CsrGraph, row: &[u16], x: u32, s: &mut PatchScratch) {
-    let d = row[x as usize];
-    for &y in g.neighbors(x) {
-        if row[y as usize] != UNREACHED && row[y as usize] == d + 1 && !s.is_orphan(y) {
-            s.heap.push(Reverse((row[y as usize], y)));
-        }
-    }
-}
-
-/// Seeds a decrease-only relaxation with the improvement a recovered
-/// link `u–v` offers (at most one endpoint can improve).
-fn seed_link(row: &[u16], u: u32, v: u32, heap: &mut BinaryHeap<Reverse<(u16, u32)>>) {
-    let (du, dv) = (row[u as usize], row[v as usize]);
-    if du != UNREACHED && (dv == UNREACHED || du + 1 < dv) {
-        heap.push(Reverse((du + 1, v)));
-    } else if dv != UNREACHED && (du == UNREACHED || dv + 1 < du) {
-        heap.push(Reverse((dv + 1, u)));
-    }
-}
-
-/// Seeds a decrease-only relaxation with the best distance a recovered
-/// node `x` obtains through its surviving links.
-fn seed_node(
-    g: &CsrGraph,
-    masks: &FaultMasks,
-    row: &[u16],
-    x: u32,
-    heap: &mut BinaryHeap<Reverse<(u16, u32)>>,
-) {
-    let base = g.edge_range(x).start;
-    let mut best = UNREACHED;
-    for (slot, &w) in g.neighbors(x).iter().enumerate() {
-        if masks.edge_alive(base + slot) && row[w as usize] != UNREACHED {
-            best = best.min(row[w as usize] + 1);
-        }
-    }
-    if best < row[x as usize] {
-        heap.push(Reverse((best, x)));
-    }
-}
-
-/// Decrease-only Dijkstra over alive edges from the seeded frontier.
-/// Safe anywhere: distances only ever move down, so already-correct
-/// rows are fixpoints.
-fn relax_decrease(
-    g: &CsrGraph,
-    masks: &FaultMasks,
-    row: &mut [u16],
-    heap: &mut BinaryHeap<Reverse<(u16, u32)>>,
-) {
-    while let Some(Reverse((d, x))) = heap.pop() {
-        if row[x as usize] <= d {
-            continue;
-        }
-        row[x as usize] = d;
-        let base = g.edge_range(x).start;
-        for (slot, &y) in g.neighbors(x).iter().enumerate() {
-            if masks.edge_alive(base + slot) && row[y as usize] > d + 1 {
-                heap.push(Reverse((d + 1, y)));
-            }
-        }
-    }
-}
-
-/// Degraded distances on a graph with an isometric hypercube embedding,
-/// stored as exceptions to the closed form. See the
+/// Degraded distances stored as exceptions to a healthy base. See the
 /// [module docs](self).
 ///
 /// Row `dst` holds the `(src, distance)` entries, sorted by `src`, of
-/// the live sources whose distance to `dst` differs from
-/// `popcount(l[src] ^ l[dst])`; the distance is [`INFINITY`] when the
-/// faults cut `src` off. Every other live source is at its Hamming
-/// distance. Dead nodes have no entries: the caller checks liveness.
+/// the live sources whose distance to `dst` differs from their healthy
+/// distance; the distance is [`INFINITY`] when the faults cut `src` off.
+/// Every other live source is at its healthy distance. Dead nodes have
+/// no entries: the caller checks liveness.
 ///
 /// Rows are built on first use ([`row`](ExceptionRows::row)) into a
 /// `OnceLock` per destination, so a store shared by several lanes fills
@@ -587,15 +232,52 @@ fn relax_decrease(
 /// [`clear`](ExceptionRows::clear) empties exactly the rows that were
 /// built, and must follow every change of the faults.
 pub(crate) struct ExceptionRows {
-    labels: Vec<u64>,
+    base: Base,
     rows: Vec<OnceLock<Entries>>,
     /// The built rows and the repair scratch, locked only while a row
     /// is built.
     fill: Mutex<RowFill>,
 }
 
-/// The `(src, distance)` entries of one row, sorted by `src`.
-type Entries = Box<[(u32, u32)]>;
+/// Where an [`ExceptionRows`] store reads the healthy distance.
+enum Base {
+    /// The isometric cube labels of the nodes: the Hamming distance of
+    /// two labels.
+    Labels(Vec<u64>),
+    /// The intact graph's dense table, for graphs without labels.
+    Table(DistanceTable),
+}
+
+/// The healthy distances toward one destination, resolved from the
+/// [`Base`] once per [`row`](ExceptionRows::row) call.
+#[derive(Clone, Copy)]
+enum BaseRow<'r> {
+    Hamming { labels: &'r [u64], dst: u64 },
+    Table(&'r [u16]),
+}
+
+impl BaseRow<'_> {
+    /// The healthy distance from `src` ([`INFINITY`] when the intact
+    /// graph already cannot reach the destination).
+    #[inline]
+    fn distance(self, src: u32) -> u32 {
+        match self {
+            BaseRow::Hamming { labels, dst } => (labels[src as usize] ^ dst).count_ones(),
+            BaseRow::Table(row) => match row[src as usize] {
+                UNREACHED => INFINITY,
+                d => d as u32,
+            },
+        }
+    }
+}
+
+/// One built row: its `(src, distance)` entries, sorted by `src`, and a
+/// one-word filter with bit `src % 64` set for each entry, so that most
+/// reads of a source without an entry skip the search.
+struct Entries {
+    filter: u64,
+    list: Box<[(u32, u32)]>,
+}
 
 /// The build side of an [`ExceptionRows`] store.
 #[derive(Default)]
@@ -614,15 +296,15 @@ struct RowScratch {
     dist: Vec<u32>,
     heap: BinaryHeap<Reverse<(u32, u32)>>,
     orphans: Vec<u32>,
+    entries: Vec<(u32, u32)>,
 }
 
 /// One built row of an [`ExceptionRows`] store: the distance toward its
 /// destination from any live source.
 #[derive(Clone, Copy)]
 pub(crate) struct ExceptionRow<'r> {
-    labels: &'r [u64],
-    dst_label: u64,
-    entries: &'r [(u32, u32)],
+    base: BaseRow<'r>,
+    entries: &'r Entries,
 }
 
 impl ExceptionRow<'_> {
@@ -630,34 +312,55 @@ impl ExceptionRow<'_> {
     /// cut off).
     #[inline]
     pub(crate) fn distance(&self, src: u32) -> u32 {
-        match self.entries.binary_search_by_key(&src, |&(s, _)| s) {
-            Ok(i) => self.entries[i].1,
-            Err(_) => (self.labels[src as usize] ^ self.dst_label).count_ones(),
+        let Entries { filter, list } = self.entries;
+        if filter & 1 << (src % 64) != 0 {
+            if let Ok(i) = list.binary_search_by_key(&src, |&(s, _)| s) {
+                return list[i].1;
+            }
         }
+        self.base.distance(src)
     }
 }
 
 impl ExceptionRows {
     /// An empty store over `labels`, the isometric cube labels of the
     /// graph's nodes.
-    pub(crate) fn new(labels: Vec<u64>) -> ExceptionRows {
+    pub(crate) fn over_labels(labels: Vec<u64>) -> ExceptionRows {
+        ExceptionRows::with_base(labels.len(), Base::Labels(labels))
+    }
+
+    /// An empty store over the intact graph `g`'s distance table, built
+    /// serially as [`DistanceTable::degraded`] is.
+    pub(crate) fn over_table(g: &CsrGraph) -> ExceptionRows {
+        let intact = FaultSet::empty().masks(g);
+        let table = DistanceTable::degraded(g, &intact);
+        ExceptionRows::with_base(table.nodes(), Base::Table(table))
+    }
+
+    fn with_base(n: usize, base: Base) -> ExceptionRows {
         ExceptionRows {
-            rows: (0..labels.len()).map(|_| OnceLock::new()).collect(),
-            labels,
+            base,
+            rows: (0..n).map(|_| OnceLock::new()).collect(),
             fill: Mutex::default(),
         }
     }
 
-    /// The cube labels, indexed by node.
+    /// The cube labels, indexed by node, when the base is labels.
     #[inline]
-    pub(crate) fn labels(&self) -> &[u64] {
-        &self.labels
+    pub(crate) fn labels(&self) -> Option<&[u64]> {
+        match &self.base {
+            Base::Labels(labels) => Some(labels),
+            Base::Table(_) => None,
+        }
     }
 
     /// The row toward live node `dst` on `g` degraded by `masks`, built
     /// now if it is not yet. `faults` lists every live fault: each dead
     /// node, and each independently failed link.
-    #[inline]
+    ///
+    /// Inlined into every hop, with the build kept out of line: called,
+    /// this read cost a label-less masked query about 4× its time.
+    #[inline(always)]
     pub(crate) fn row(
         &self,
         g: &CsrGraph,
@@ -666,19 +369,35 @@ impl ExceptionRows {
         dst: u32,
     ) -> ExceptionRow<'_> {
         debug_assert!(masks.node_alive(dst), "dead destinations have no row");
-        let entries = self.rows[dst as usize].get_or_init(|| {
-            // A build that panicked leaves valid state behind: every build
-            // restamps and clears the scratch it reads, and a listed row
-            // that was never set clears as a no-op.
-            let mut fill = self.fill.lock().unwrap_or_else(PoisonError::into_inner);
-            fill.built.push(dst);
-            fill.scratch.build(g, masks, &self.labels, faults, dst)
-        });
-        ExceptionRow {
-            labels: &self.labels,
-            dst_label: self.labels[dst as usize],
-            entries,
-        }
+        let base = match &self.base {
+            Base::Labels(labels) => BaseRow::Hamming {
+                labels,
+                dst: labels[dst as usize],
+            },
+            Base::Table(table) => BaseRow::Table(table.to_dst(dst)),
+        };
+        let entries =
+            self.rows[dst as usize].get_or_init(|| self.build_row(g, masks, base, faults, dst));
+        ExceptionRow { base, entries }
+    }
+
+    /// Builds the row toward `dst` and lists it as built.
+    #[cold]
+    #[inline(never)]
+    fn build_row(
+        &self,
+        g: &CsrGraph,
+        masks: &FaultMasks,
+        base: BaseRow<'_>,
+        faults: &[ChurnTarget],
+        dst: u32,
+    ) -> Entries {
+        // A build that panicked leaves valid state behind: every build
+        // restamps and clears the scratch it reads, and a listed row
+        // that was never set clears as a no-op.
+        let mut fill = self.fill.lock().unwrap_or_else(PoisonError::into_inner);
+        fill.built.push(dst);
+        fill.scratch.build(g, masks, base, faults)
     }
 
     /// Empties every built row, for a change of the faults.
@@ -695,7 +414,7 @@ impl ExceptionRows {
         self.rows
             .iter()
             .filter_map(OnceLock::get)
-            .map(|r| r.len())
+            .map(|r| r.list.len())
             .sum()
     }
 }
@@ -710,24 +429,25 @@ impl RowScratch {
         self.orphans.push(x);
     }
 
-    /// The exception entries of the row toward `dst`: one batched
-    /// Ramalingam–Reps deletion repair of the Hamming row against every
-    /// live fault at once. Deleting nodes and links only lengthens
-    /// distances, and a node keeps its Hamming distance iff it keeps a
-    /// surviving neighbor one bit closer that keeps its own. Phase 1
-    /// finds the orphans, the nodes that lose every such neighbor, in
-    /// ascending Hamming order from the dead nodes and the deeper
-    /// endpoints of failed links; phase 2 re-relaxes the live orphans
-    /// from their intact boundary. The live orphans are the entries.
+    /// The exception entries of the row whose healthy distances are
+    /// `base`: one batched Ramalingam–Reps deletion repair of the healthy
+    /// row against every live fault at once. Deleting nodes and links
+    /// only lengthens distances, and a node keeps its healthy distance
+    /// iff it keeps a surviving neighbor one hop closer that keeps its
+    /// own. Phase 1 finds the orphans, the nodes that lose every such
+    /// neighbor, in ascending healthy distance from the dead nodes and
+    /// the deeper endpoints of failed links; phase 2 re-relaxes the live
+    /// orphans from their intact boundary. The live orphans are the
+    /// entries. Nodes the intact graph cannot reach stay at their healthy
+    /// [`INFINITY`] and never become orphans.
     fn build(
         &mut self,
         g: &CsrGraph,
         masks: &FaultMasks,
-        labels: &[u64],
+        base: BaseRow<'_>,
         faults: &[ChurnTarget],
-        dst: u32,
     ) -> Entries {
-        let n = labels.len();
+        let n = g.num_vertices();
         if self.mark.len() < n {
             self.mark.resize(n, 0);
             self.dist.resize(n, INFINITY);
@@ -739,40 +459,41 @@ impl RowScratch {
         self.generation += 1;
         self.heap.clear();
         self.orphans.clear();
-        let ld = labels[dst as usize];
-        let hamming = |x: u32| (labels[x as usize] ^ ld).count_ones();
+        let healthy = |x: u32| base.distance(x);
 
-        // Phase 1: orphan propagation, in ascending Hamming distance so
+        // Phase 1: orphan propagation, in ascending healthy distance so
         // a node's parents are judged before it is.
         for &fault in faults {
             match fault {
-                ChurnTarget::Node(x) if !self.is_orphan(x) => self.confirm(x),
+                ChurnTarget::Node(x) if healthy(x) != INFINITY && !self.is_orphan(x) => {
+                    self.confirm(x)
+                }
                 ChurnTarget::Node(_) => {}
                 ChurnTarget::Link(u, v) => {
                     // Only the deeper endpoint can lose its parent.
-                    let (du, dv) = (hamming(u), hamming(v));
-                    if dv == du + 1 {
+                    let (du, dv) = (healthy(u), healthy(v));
+                    if du != INFINITY && dv == du + 1 {
                         self.heap.push(Reverse((dv, v)));
-                    } else if du == dv + 1 {
+                    } else if dv != INFINITY && du == dv + 1 {
                         self.heap.push(Reverse((du, u)));
                     }
                 }
             }
         }
         for i in 0..self.orphans.len() {
-            self.enqueue_children(g, &hamming, self.orphans[i]);
+            self.enqueue_children(g, &healthy, self.orphans[i]);
         }
         while let Some(Reverse((d, x))) = self.heap.pop() {
             if self.is_orphan(x) {
                 continue;
             }
-            let base = g.edge_range(x).start;
+            let edges = g.edge_range(x).start;
             let supported = g.neighbors(x).iter().enumerate().any(|(slot, &w)| {
-                masks.edge_alive(base + slot) && !self.is_orphan(w) && hamming(w) + 1 == d
+                masks.edge_alive(edges + slot) && !self.is_orphan(w) && healthy(w) == d - 1
             });
             if !supported {
                 self.confirm(x);
-                self.enqueue_children(g, &hamming, x);
+                self.enqueue_children(g, &healthy, x);
             }
         }
 
@@ -786,13 +507,13 @@ impl RowScratch {
             if !masks.node_alive(x) {
                 continue;
             }
-            let base = g.edge_range(x).start;
+            let edges = g.edge_range(x).start;
             let best = g
                 .neighbors(x)
                 .iter()
                 .enumerate()
-                .filter(|&(slot, &w)| masks.edge_alive(base + slot) && !self.is_orphan(w))
-                .map(|(_, &w)| hamming(w) + 1)
+                .filter(|&(slot, &w)| masks.edge_alive(edges + slot) && !self.is_orphan(w))
+                .map(|(_, &w)| healthy(w) + 1)
                 .min();
             if let Some(best) = best {
                 self.heap.push(Reverse((best, x)));
@@ -803,9 +524,9 @@ impl RowScratch {
                 continue;
             }
             self.dist[x as usize] = d;
-            let base = g.edge_range(x).start;
+            let edges = g.edge_range(x).start;
             for (slot, &y) in g.neighbors(x).iter().enumerate() {
-                if masks.edge_alive(base + slot)
+                if masks.edge_alive(edges + slot)
                     && self.is_orphan(y)
                     && self.dist[y as usize] > d + 1
                 {
@@ -814,24 +535,28 @@ impl RowScratch {
             }
         }
 
-        let mut entries: Vec<(u32, u32)> = self
-            .orphans
-            .iter()
-            .filter(|&&x| masks.node_alive(x))
-            .map(|&x| (x, self.dist[x as usize]))
-            .collect();
-        entries.sort_unstable();
-        entries.into_boxed_slice()
+        // Collected in scratch and copied out, so a row costs one
+        // allocation of its exact size (none when empty).
+        self.entries.clear();
+        let live = self.orphans.iter().filter(|&&x| masks.node_alive(x));
+        self.entries
+            .extend(live.map(|&x| (x, self.dist[x as usize])));
+        self.entries.sort_unstable();
+        Entries {
+            filter: self.entries.iter().fold(0, |f, &(x, _)| f | 1 << (x % 64)),
+            list: Box::from(&self.entries[..]),
+        }
     }
 
-    /// Enqueues `x`'s potential tree children (Hamming distance one
-    /// deeper) as orphan candidates, ignoring edge masks as
-    /// [`DistanceTable`]'s repair does: a candidate behind a dead link
-    /// fails the support check anyway.
-    fn enqueue_children(&mut self, g: &CsrGraph, hamming: &impl Fn(u32) -> u32, x: u32) {
-        let d = hamming(x) + 1;
+    /// Enqueues `x`'s potential tree children (healthy distance one
+    /// deeper) as orphan candidates, ignoring edge masks: a candidate
+    /// behind a dead link fails the support check anyway, while
+    /// filtering here would miss the children of a dead node, whose
+    /// links are all masked.
+    fn enqueue_children(&mut self, g: &CsrGraph, healthy: &impl Fn(u32) -> u32, x: u32) {
+        let d = healthy(x) + 1;
         for &y in g.neighbors(x) {
-            if hamming(y) == d && !self.is_orphan(y) {
+            if healthy(y) == d && !self.is_orphan(y) {
                 self.heap.push(Reverse((d, y)));
             }
         }
@@ -974,7 +699,7 @@ mod tests {
             &Hypercube::new(4),
         ] {
             let g = topo.graph();
-            let rows = ExceptionRows::new(topo.cube_labels().expect("cubes carry labels"));
+            let rows = ExceptionRows::over_labels(topo.cube_labels().expect("cubes carry labels"));
             let masks = FaultSet::empty().masks(g);
             let healthy = DistanceTable::healthy(g).unwrap();
             for dst in 0..topo.len() as u32 {
@@ -1007,21 +732,12 @@ mod tests {
             let g = topo.graph();
             let n = g.num_vertices() as u32;
             let edges: Vec<(u32, u32)> = g.edges().collect();
-            let mut rows = ExceptionRows::new(topo.cube_labels().unwrap());
+            let mut rows = ExceptionRows::over_labels(topo.cube_labels().unwrap());
             for (k, step) in [(1u32, 3u32), (3, 7), (12, 5), (20, 11)] {
                 let nodes = (0..k).map(|i| (i * step * 7 + 5) % n);
                 let links = (0..k).map(|i| edges[(i * step * 13 + 1) as usize % edges.len()]);
                 let set = FaultSet::new(nodes, links);
-                let masks = set.masks(g);
-                let mut faults: Vec<ChurnTarget> = (0..n)
-                    .filter(|&v| !masks.node_alive(v))
-                    .map(ChurnTarget::Node)
-                    .collect();
-                faults.extend(
-                    set.failed_links()
-                        .iter()
-                        .map(|&(u, v)| ChurnTarget::Link(u, v)),
-                );
+                let (masks, faults) = live_faults(g, &set);
                 let dense = DistanceTable::degraded(g, &masks);
                 rows.clear();
                 let labels = topo.cube_labels().unwrap();
@@ -1048,6 +764,56 @@ mod tests {
                     topo.name()
                 );
             }
+        }
+    }
+
+    /// The masks of `set` on `g` and its live faults, as a masked router
+    /// lists them: every dead node, then every failed link.
+    fn live_faults(g: &CsrGraph, set: &FaultSet) -> (FaultMasks, Vec<ChurnTarget>) {
+        let masks = set.masks(g);
+        let mut faults: Vec<ChurnTarget> = (0..g.num_vertices() as u32)
+            .filter(|&v| !masks.node_alive(v))
+            .map(ChurnTarget::Node)
+            .collect();
+        faults.extend(
+            set.failed_links()
+                .iter()
+                .map(|&(u, v)| ChurnTarget::Link(u, v)),
+        );
+        (masks, faults)
+    }
+
+    #[test]
+    fn table_based_rows_keep_unreachable_pairs_out() {
+        // A graph of three components: a 6-cycle, a 5-node path and an
+        // isolated node. Pairs across components are unreachable in the
+        // intact graph already, so they never become entries; every live
+        // pair still reads its degraded distance.
+        let mut edges: Vec<(u32, u32)> = (0..6).map(|i| (i, (i + 1) % 6)).collect();
+        edges.extend((6..10).map(|i| (i, i + 1)));
+        let g = CsrGraph::from_edges(12, &edges);
+        let healthy = DistanceTable::healthy(&g).unwrap();
+        let mut rows = ExceptionRows::over_table(&g);
+        for set in [
+            FaultSet::new([2u32], [(7u32, 8u32)]),
+            FaultSet::new([11u32, 8], [(0u32, 1u32)]),
+            FaultSet::new([0u32, 3, 6, 10], []),
+            FaultSet::new([], [(4u32, 5u32), (9, 10), (1, 2)]),
+        ] {
+            let (masks, faults) = live_faults(&g, &set);
+            let dense = DistanceTable::degraded(&g, &masks);
+            rows.clear();
+            let mut differ = 0;
+            for dst in (0..12).filter(|&v| masks.node_alive(v)) {
+                let row = rows.row(&g, &masks, &faults, dst);
+                for src in (0..12).filter(|&v| masks.node_alive(v)) {
+                    let d = dense.distance(src, dst);
+                    assert_eq!(row.distance(src), d, "{set:?}: {src} → {dst}");
+                    differ += usize::from(d != healthy.distance(src, dst));
+                }
+            }
+            assert_eq!(rows.entries(), differ, "{set:?} keeps only exceptions");
+            assert!(differ > 0, "{set:?} changes some distance");
         }
     }
 
@@ -1109,7 +875,8 @@ mod tests {
 
     #[test]
     fn incremental_patches_match_from_scratch_rebuilds() {
-        use crate::fault::{ChurnEvent, ChurnTarget};
+        use crate::fault::ChurnEvent;
+        use crate::router::{FaultMaskingRouter, NextHopRouter};
 
         for topo in [
             &FibonacciNet::classical(7) as &dyn Topology,
@@ -1117,8 +884,10 @@ mod tests {
             &Ring::new(10),
         ] {
             let g = topo.graph();
-            // A scripted sequence exercising all four patch kinds,
-            // including recovery of a previously failed target.
+            let inner = NextHopRouter::new(topo);
+            // A scripted sequence of all four event kinds through the
+            // label-less masked router, including recovery of a
+            // previously failed target.
             let e = |target, failed| ChurnEvent {
                 cycle: 0,
                 target,
@@ -1133,7 +902,7 @@ mod tests {
                 e(ChurnTarget::Node(1), false),
                 e(ChurnTarget::Node(2), false),
             ];
-            let mut table = DistanceTable::healthy(g).unwrap();
+            let mut router = FaultMaskingRouter::new(g, &inner, &FaultSet::empty());
             let mut down_nodes: Vec<u32> = Vec::new();
             let mut down_links: Vec<(u32, u32)> = Vec::new();
             for (i, ev) in events.iter().enumerate() {
@@ -1143,30 +912,38 @@ mod tests {
                     (ChurnTarget::Link(u, v), true) => down_links.push((u, v)),
                     (ChurnTarget::Link(u, v), false) => down_links.retain(|&l| l != (u, v)),
                 }
-                let masks =
-                    FaultSet::new(down_nodes.iter().copied(), down_links.iter().copied()).masks(g);
-                table.apply_event(g, &masks, ev);
-                let scratch = DistanceTable::degraded(g, &masks);
-                for dst in 0..g.num_vertices() as u32 {
-                    assert_eq!(
-                        table.to_dst(dst),
-                        scratch.to_dst(dst),
-                        "{} event {i} ({ev:?}) dst {dst}",
-                        topo.name()
-                    );
-                }
+                let set = FaultSet::new(down_nodes.iter().copied(), down_links.iter().copied());
+                router.apply_event(ev);
+                let what = format!("{} event {i} ({ev:?})", topo.name());
+                let scratch = DistanceTable::degraded(g, &set.masks(g));
+                assert_matches_table(|u, v| router.distance(u, v), &scratch, &what);
+                assert_matches_bfs(|u, v| router.distance(u, v), g, &set, &what);
             }
             // The full sequence is a no-op net of faults: back to healthy.
             let healthy = DistanceTable::healthy(g).unwrap();
-            for dst in 0..g.num_vertices() as u32 {
-                assert_eq!(table.to_dst(dst), healthy.to_dst(dst));
+            assert_matches_table(|u, v| router.distance(u, v), &healthy, &topo.name());
+        }
+    }
+
+    /// Asserts that `distance(src, dst)` equals `table`'s answer for
+    /// every pair.
+    fn assert_matches_table(distance: impl Fn(u32, u32) -> u32, table: &DistanceTable, what: &str) {
+        for dst in 0..table.nodes() as u32 {
+            for src in 0..table.nodes() as u32 {
+                let d = table.distance(src, dst);
+                assert_eq!(distance(src, dst), d, "{what}: {src} → {dst}");
             }
         }
     }
 
-    /// Asserts that every `distance()` answer of `table` equals a BFS on
-    /// the subgraph `set` leaves of `g` (`INFINITY` at dead nodes).
-    fn assert_matches_bfs(table: &DistanceTable, g: &CsrGraph, set: &FaultSet, what: &str) {
+    /// Asserts that every `distance(src, dst)` answer equals a BFS on the
+    /// subgraph `set` leaves of `g` (`INFINITY` at dead nodes).
+    fn assert_matches_bfs(
+        distance: impl Fn(u32, u32) -> u32,
+        g: &CsrGraph,
+        set: &FaultSet,
+        what: &str,
+    ) {
         let (healthy, survivors) = set.healthy_subgraph(g);
         let mut new_id = vec![u32::MAX; g.num_vertices()];
         for (i, &v) in survivors.iter().enumerate() {
@@ -1180,14 +957,15 @@ mod tests {
                     (Some(row), i) if i != u32::MAX => row[i as usize],
                     _ => INFINITY,
                 };
-                assert_eq!(table.distance(src, dst), expected, "{what}: {src} → {dst}");
+                assert_eq!(distance(src, dst), expected, "{what}: {src} → {dst}");
             }
         }
     }
 
     #[test]
     fn two_byte_rows_hold_distances_past_one_byte() {
-        use crate::fault::{ChurnEvent, ChurnTarget};
+        use crate::fault::ChurnEvent;
+        use crate::router::{FaultMaskingRouter, NextHopRouter};
 
         // A 3 000-node ring cut at one link is a 3 000-node path, with
         // distances up to 2 999: more than one byte holds.
@@ -1197,10 +975,11 @@ mod tests {
         let degraded = DistanceTable::degraded(g, &cut.masks(g));
         assert_eq!(degraded.distance(0, 1), 2_999);
         assert_eq!(degraded.diameter(), Some(2_999));
-        assert_matches_bfs(&degraded, g, &cut, "degraded");
+        assert_matches_bfs(|u, v| degraded.distance(u, v), g, &cut, "degraded");
 
-        // The same faults reached by fail/recover events on the healthy
-        // table, checked against BFS after every event.
+        // The same faults reached by fail/recover events on the
+        // label-less masked router, checked against the degraded table
+        // and BFS after every event.
         let e = |target, failed| ChurnEvent {
             cycle: 0,
             target,
@@ -1221,10 +1000,14 @@ mod tests {
             ),
             (e(ChurnTarget::Node(1_500), false), FaultSet::empty()),
         ];
-        let mut table = DistanceTable::healthy(g).unwrap();
+        let inner = NextHopRouter::new(&ring);
+        let mut router = FaultMaskingRouter::new(g, &inner, &FaultSet::empty());
         for (i, (event, set)) in steps.iter().enumerate() {
-            table.apply_event(g, &set.masks(g), event);
-            assert_matches_bfs(&table, g, set, &format!("event {i} ({event:?})"));
+            router.apply_event(event);
+            let what = format!("event {i} ({event:?})");
+            let table = DistanceTable::degraded(g, &set.masks(g));
+            assert_matches_table(|u, v| router.distance(u, v), &table, &what);
+            assert_matches_bfs(|u, v| router.distance(u, v), g, set, &what);
         }
     }
 

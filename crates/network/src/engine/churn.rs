@@ -47,9 +47,10 @@
 //! Hamming row. Applying an event empties the rows built so far. On
 //! Γ_16 the replica holds the labels, the masks and a row cell per
 //! node, about 150 KB, where the dense table held 13.4 MB.
-//! On a topology without labels the router keeps a two-byte distance
-//! table (`2n²` bytes) and patches it incrementally per event; its
-//! budget refuses churn there above 23 170 nodes.
+//! On a topology without labels the exception rows sit over the intact
+//! network's two-byte distance table (`2n²` bytes), which no event
+//! changes: there every query reads its row. The table's budget
+//! refuses churn there above 23 170 nodes.
 //!
 //! A packet in flight asks once per hop (`FaultState::forward`): one
 //! certificate scan of the fault list, or one read of the destination's
@@ -58,10 +59,10 @@
 //!
 //! ## Sharding
 //!
-//! Each lane owns a **replica** of the masked router (masks, and the
-//! labels, fault list and exception rows or the table), built from the
-//! same timeline and updated by the same deterministic
-//! `FaultMaskingRouter::apply_event` calls — so every
+//! Each lane owns a **replica** of the masked router (masks, fault
+//! list, exception rows, and their base: the labels or the healthy
+//! table), built from the same timeline and updated by the same
+//! deterministic `FaultMaskingRouter::apply_event` calls — so every
 //! lane's routing and admission decisions agree without any shared lock.
 //! Queue flushes and drop accounting are gated on node ownership; the
 //! closed-loop session machine is replicated the same way, with every

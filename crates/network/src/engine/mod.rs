@@ -123,12 +123,14 @@ pub enum Admission<'p, R: Router + ?Sized> {
     /// typed drops at injection ([`DropReason`]). Nothing is silently
     /// stranded: `offered == delivered + dropped + still-in-flight`.
     /// Many runs may share one mask — and the distances inside it: the
-    /// `O(n·m)` degraded table, or the exception rows its lanes build.
+    /// exception rows its lanes build, and on label-less topologies the
+    /// `O(n·m)` healthy table under them.
     /// A mask with no live fault runs the healthy network through its
     /// inner router.
     Static(&'p FaultMaskingRouter<'p, R>),
-    /// A fail/recover timeline applied at cycle boundaries, with routes
-    /// repaired incrementally and packets on dying elements typed as
+    /// A fail/recover timeline applied at cycle boundaries, with each
+    /// event emptying the masked router's exception rows (rebuilt on
+    /// their next use) and packets on dying elements typed as
     /// drops (see `engine/churn.rs` for the event semantics). Each lane
     /// owns a replica of the masked router. An empty timeline runs the
     /// healthy network.

@@ -340,7 +340,7 @@ impl Topology for ImplicitFibonacciNet {
 
     fn cube_labels(&self) -> Option<Vec<u64>> {
         // Unranked on demand: only the fault-masking router asks, and it
-        // builds an n² table next to these n labels anyway.
+        // keeps these n labels as the base of its exception rows.
         Some((0..self.n as u32).map(|v| self.address(v)).collect())
     }
 

@@ -33,9 +33,9 @@
 //!   no per-node flip rows) and [`ImplicitFibonacciNet`] materialises
 //!   `Q_d(1^k)` lazily from rank↔word codecs, streaming its CSR graph;
 //! * [`dist`] — the shared [`DistanceTable`] (healthy or degraded by a
-//!   fault set) behind metrics, survivability analysis, and the
-//!   fault-masking router on label-less topologies, the exception rows
-//!   the router keeps in its place on the cubes, and the sampled
+//!   fault set) behind metrics and survivability analysis, the
+//!   fault-masking router's exception rows (over the cube labels, or
+//!   over a healthy table on label-less topologies), and the sampled
 //!   [`DistanceSample`] estimator for networks past the dense-table
 //!   byte budget;
 //! * [`observer`] — pluggable [`SimObserver`] hooks compiled into the
@@ -76,8 +76,9 @@
 //!   [`Experiment::faults`](Experiment::faults) (dead packets become
 //!   typed drops, survivors detour via the
 //!   [`FaultMaskingRouter`]), dynamic fault churn as a precomputed
-//!   seeded event timeline ([`ChurnTimeline`]) with incremental route
-//!   repair, plus the static survivability/dilation analysis.
+//!   seeded event timeline ([`ChurnTimeline`]) whose routes are repaired
+//!   lazily, per destination row, plus the static
+//!   survivability/dilation analysis.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -37,7 +37,7 @@ use fibcube_graph::bfs::INFINITY;
 use fibcube_graph::csr::{CsrGraph, SlotTable};
 use fibcube_words::word::Word;
 
-use crate::dist::{DistanceTable, ExceptionRows, UNREACHED};
+use crate::dist::{DistanceTable, ExceptionRow, ExceptionRows};
 use crate::engine::DropReason;
 use crate::experiment::ExperimentError;
 use crate::fault::{ChurnEvent, ChurnTarget, FaultMasks, FaultSet};
@@ -507,38 +507,37 @@ impl<T: Topology + ?Sized> Router for NextHopRouter<'_, T> {
 /// destination strictly decreases it forwards on the least-loaded one
 /// (ties toward the smallest slot).
 ///
-/// # Distance table and label certificate
+/// # Exception rows and label certificate
 ///
 /// Routing needs the healthy-subgraph distance toward the destination.
-/// Where it comes from depends on what the router knows about the
-/// topology; either way the per-hop path needs no interior mutability
-/// beyond write-once rows, and the router is `Send + Sync`.
+/// The router keeps it as **exception rows** over the intact network's
+/// distance: per destination, the few live sources whose degraded
+/// distance differs, built on first use by one batched Ramalingam–Reps
+/// repair of the healthy row (see [`dist`](mod@crate::dist)) and emptied
+/// when a churn event changes the faults. The per-hop path needs no
+/// interior mutability beyond those write-once rows, and the router is
+/// `Send + Sync`. Where the intact distance comes from depends on what
+/// the router knows about the topology:
 ///
-/// - [`new`](FaultMaskingRouter::new) knows only the graph. It keeps a
-///   dense [`DistanceTable`] (`2n²` bytes), built with one masked BFS
-///   per node and patched incrementally under churn
-///   ([`apply_event`](FaultMaskingRouter::apply_event)), and reads it
-///   on every [`reachable`](FaultMaskingRouter::reachable) and
-///   [`next_hop`](Router::next_hop) query. Its byte budget refuses it
-///   above 23 170 nodes.
+/// - [`new`](FaultMaskingRouter::new) knows only the graph. It reads the
+///   intact distance from a dense [`DistanceTable`] (`2n²` bytes), built
+///   with one BFS per node, and its byte budget refuses it above 23 170
+///   nodes.
 /// - [`for_topology`](FaultMaskingRouter::for_topology) also takes the
 ///   topology's [`cube_labels`](Topology::cube_labels), when it has
-///   them, and then keeps no table. Each query is first **certified**
-///   against the live faults: node `w` lies on a shortest `cur → dst`
-///   path iff `((l[w] ^ l[cur]) & !(l[cur] ^ l[dst])) == 0`. When no
-///   dead node and no independently failed link (both endpoints) lies
-///   in that interval, every shortest path of the intact cube survives,
-///   so the degraded distance *is* the Hamming distance
+///   them, and then keeps no table: the intact distance is the Hamming
+///   distance of the labels, and there is no budget. Each query is first
+///   **certified** against the live faults: node `w` lies on a shortest
+///   `cur → dst` path iff `((l[w] ^ l[cur]) & !(l[cur] ^ l[dst])) == 0`.
+///   When no dead node and no independently failed link (both endpoints)
+///   lies in that interval, every shortest path of the intact cube
+///   survives, so the degraded distance *is* the Hamming distance
 ///   `popcount(l[cur] ^ l[dst])`: the pair is reachable, and a neighbor
 ///   makes progress iff its label is one bit closer to `dst`. The hop
 ///   rule above then runs on labels alone. An uncertified pair, and
 ///   every pair while more than a fixed number of faults are live, reads
-///   the destination's **exception row**: the few live sources whose
-///   degraded distance differs from the Hamming distance, built on
-///   first use by one batched Ramalingam–Reps repair of the Hamming row
-///   (see [`dist`](mod@crate::dist)), and emptied when a churn event
-///   changes the faults. A Γ_16 row holds a handful of entries, where the
-///   dense table holds 2 584 distances per row. There is no budget.
+///   the destination's exception row. A Γ_16 row holds a handful of
+///   entries, where a dense table holds 2 584 distances per row.
 ///
 /// Routing decisions are identical either way. A hop asks once: the
 /// engine's per-hop query certifies the pair (one scan of the live-fault
@@ -565,21 +564,19 @@ pub struct FaultMaskingRouter<'a, R: Router + ?Sized> {
     /// resurrect a link that failed on its own. The composite mask is
     /// `node_dead(u) || node_dead(v) || link_down[e]`.
     link_down: Vec<bool>,
-    /// Healthy-subgraph distances toward every destination.
-    dist: Distances,
-}
-
-/// Where a [`FaultMaskingRouter`] reads its distances: the topology's
-/// labels decide.
-enum Distances {
-    /// Label-less topologies: the dense table (`UNREACHED` marks
-    /// unreachable or dead nodes), built once up front and patched
-    /// incrementally under churn.
-    Table(DistanceTable),
-    /// Topologies with cube labels: the certificate and the exception
-    /// rows, boxed to keep the router (and the churn lane state that
-    /// holds it) small.
-    Labels(Box<LabelCert>),
+    /// Every live fault: each dead node, and each independently failed
+    /// link as `(min, max)`. The seeds of a row repair.
+    faults: Vec<ChurnTarget>,
+    /// The same faults as `(label, flip)` when the rows' base is cube
+    /// labels, in the same order, else empty: `(l[x], 0)` for a dead
+    /// node `x`, `(min(l[u], l[v]), l[u] ^ l[v])` for a failed link
+    /// `u–v`. Either lies in the `cur → dst` interval iff
+    /// `((label ^ l[cur]) | flip) & !(l[cur] ^ l[dst]) == 0` — for a
+    /// link, iff both endpoints do.
+    cert: Vec<(u64, u64)>,
+    /// Healthy-subgraph distances toward every destination, boxed to
+    /// keep the router (and the churn lane state that holds it) small.
+    rows: Box<ExceptionRows>,
 }
 
 /// Live faults above which the label certificate is skipped and every
@@ -595,83 +592,21 @@ enum Distances {
 /// crossover was near 20.) The bound sits at the break-even.
 const MAX_CERTIFIED_FAULTS: usize = 8;
 
-/// The label side of a [`FaultMaskingRouter`]: the exception rows (which
-/// hold the cube labels) plus a short list of the live faults, kept in
-/// step with the masks.
-struct LabelCert {
-    rows: ExceptionRows,
-    /// Live faults as `(label, flip)`: `(l[x], 0)` for a dead node `x`,
-    /// `(min(l[u], l[v]), l[u] ^ l[v])` for an independently failed link
-    /// `u–v`. Either lies in the `cur → dst` interval iff
-    /// `((label ^ l[cur]) | flip) & !(l[cur] ^ l[dst]) == 0` — for a link,
-    /// iff both endpoints do.
-    faults: Vec<(u64, u64)>,
-    /// The same faults by node ids, in the same order: the seeds of a
-    /// row repair.
-    targets: Vec<ChurnTarget>,
-}
-
-impl LabelCert {
-    /// Records one fault event. Failing an element already down, or
-    /// recovering one already up, changes nothing.
-    fn record(&mut self, target: ChurnTarget, failed: bool) {
-        let labels = self.rows.labels();
-        let fault = match target {
-            ChurnTarget::Node(x) => (labels[x as usize], 0),
-            ChurnTarget::Link(u, v) => {
-                let (a, b) = (labels[u as usize], labels[v as usize]);
-                (a.min(b), a ^ b)
-            }
-        };
-        match self.faults.iter().position(|&f| f == fault) {
-            Some(i) if !failed => {
-                self.faults.remove(i);
-                self.targets.remove(i);
-            }
-            None if failed => {
-                self.faults.push(fault);
-                self.targets.push(target);
-            }
-            _ => {}
-        }
-    }
-
-    /// The degraded distance `cur → dst` when no live fault lies on any
-    /// shortest path between them — it is then their Hamming distance —
-    /// or `None` when the exception row must decide.
-    #[inline]
-    fn certify(&self, cur: u32, dst: u32) -> Option<u32> {
-        if self.faults.len() > MAX_CERTIFIED_FAULTS {
-            return None;
-        }
-        let labels = self.rows.labels();
-        let lc = labels[cur as usize];
-        let diff = lc ^ labels[dst as usize];
-        let blocked = self
-            .faults
-            .iter()
-            .any(|&(label, flip)| ((label ^ lc) | flip) & !diff == 0);
-        (!blocked).then_some(diff.count_ones())
-    }
-}
-
 impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
-    /// Wraps `inner` so it routes on `graph` degraded by `faults`,
-    /// building the masked distance table eagerly by BFS. Fault entries
-    /// outside the graph are ignored. This router reads the dense table
-    /// on every query; [`for_topology`](FaultMaskingRouter::for_topology)
-    /// keeps none on topologies with cube labels.
+    /// Wraps `inner` so it routes on `graph` degraded by `faults`, over
+    /// the intact graph's distance table, built eagerly by BFS. Fault
+    /// entries outside the graph are ignored.
+    /// [`for_topology`](FaultMaskingRouter::for_topology) keeps no table
+    /// on topologies with cube labels.
     pub fn new(graph: &'a CsrGraph, inner: &'a R, faults: &FaultSet) -> FaultMaskingRouter<'a, R> {
-        let masks = faults.masks(graph);
-        let dist = Distances::Table(DistanceTable::degraded(graph, &masks));
-        FaultMaskingRouter::with_distances(graph, inner, faults, masks, dist)
+        FaultMaskingRouter::over(graph, inner, faults, ExceptionRows::over_table(graph))
     }
 
     /// [`new`](FaultMaskingRouter::new) on `topology`'s graph, or, when
     /// the topology has [`cube_labels`](Topology::cube_labels), a router
     /// that keeps no distance table: certified queries run on the labels,
-    /// the rest on exception rows built on first use (see the
-    /// [type docs](FaultMaskingRouter#distance-table-and-label-certificate)).
+    /// the rest on exception rows over the Hamming distance (see the
+    /// [type docs](FaultMaskingRouter#exception-rows-and-label-certificate)).
     /// Routing decisions are identical either way.
     pub fn for_topology<T: Topology + ?Sized>(
         topology: &'a T,
@@ -683,24 +618,7 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
             return FaultMaskingRouter::new(graph, inner, faults);
         };
         debug_assert_eq!(labels.len(), graph.num_vertices());
-        let masks = faults.masks(graph);
-        let mut cert = LabelCert {
-            rows: ExceptionRows::new(labels),
-            faults: Vec::new(),
-            targets: Vec::new(),
-        };
-        for v in 0..graph.num_vertices() as u32 {
-            if !masks.node_alive(v) {
-                cert.record(ChurnTarget::Node(v), true);
-            }
-        }
-        for &(u, v) in faults.failed_links() {
-            if graph.slot_of(u, v).is_some() {
-                cert.record(ChurnTarget::Link(u, v), true);
-            }
-        }
-        let dist = Distances::Labels(Box::new(cert));
-        FaultMaskingRouter::with_distances(graph, inner, faults, masks, dist)
+        FaultMaskingRouter::over(graph, inner, faults, ExceptionRows::over_labels(labels))
     }
 
     /// Refuses a masked router on `topology` whose dense
@@ -715,12 +633,11 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         }
     }
 
-    fn with_distances(
+    fn over(
         graph: &'a CsrGraph,
         inner: &'a R,
         faults: &FaultSet,
-        masks: FaultMasks,
-        dist: Distances,
+        rows: ExceptionRows,
     ) -> FaultMaskingRouter<'a, R> {
         let mut link_down = vec![false; graph.num_directed_edges()];
         for &(u, v) in faults.failed_links() {
@@ -730,13 +647,75 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
                 }
             }
         }
-        FaultMaskingRouter {
+        let mut router = FaultMaskingRouter {
             graph,
             inner,
-            masks,
+            masks: faults.masks(graph),
             link_down,
-            dist,
+            faults: Vec::new(),
+            cert: Vec::new(),
+            rows: Box::new(rows),
+        };
+        for v in 0..graph.num_vertices() as u32 {
+            if !router.node_alive(v) {
+                router.record(ChurnTarget::Node(v), true);
+            }
         }
+        for &(u, v) in faults.failed_links() {
+            if graph.slot_of(u, v).is_some() {
+                router.record(ChurnTarget::Link(u, v), true);
+            }
+        }
+        router
+    }
+
+    /// Records one fault event in the live-fault lists. Failing an
+    /// element already down, or recovering one already up, changes
+    /// nothing.
+    fn record(&mut self, target: ChurnTarget, failed: bool) {
+        let target = match target {
+            ChurnTarget::Link(u, v) => ChurnTarget::Link(u.min(v), u.max(v)),
+            node => node,
+        };
+        match self.faults.iter().position(|&f| f == target) {
+            Some(i) if !failed => {
+                self.faults.remove(i);
+                if self.rows.labels().is_some() {
+                    self.cert.remove(i);
+                }
+            }
+            None if failed => {
+                self.faults.push(target);
+                if let Some(labels) = self.rows.labels() {
+                    self.cert.push(match target {
+                        ChurnTarget::Node(x) => (labels[x as usize], 0),
+                        ChurnTarget::Link(u, v) => {
+                            let (a, b) = (labels[u as usize], labels[v as usize]);
+                            (a.min(b), a ^ b)
+                        }
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The degraded distance `cur → dst` on `labels`, the rows' base,
+    /// when no live fault lies on any shortest path between them — it is
+    /// then their Hamming distance — or `None` when the exception row
+    /// must decide.
+    #[inline]
+    fn certify(&self, labels: &[u64], cur: u32, dst: u32) -> Option<u32> {
+        if self.cert.len() > MAX_CERTIFIED_FAULTS {
+            return None;
+        }
+        let lc = labels[cur as usize];
+        let diff = lc ^ labels[dst as usize];
+        let blocked = self
+            .cert
+            .iter()
+            .any(|&(label, flip)| ((label ^ lc) | flip) & !diff == 0);
+        (!blocked).then_some(diff.count_ones())
     }
 
     /// `true` when node `v` survived the faults.
@@ -757,14 +736,16 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         if !self.node_alive(src) || !self.node_alive(dst) {
             return INFINITY;
         }
-        match &self.dist {
-            Distances::Table(table) => table.distance(src, dst),
-            Distances::Labels(cert) => cert.certify(src, dst).unwrap_or_else(|| {
-                cert.rows
-                    .row(self.graph, &self.masks, &cert.targets, dst)
-                    .distance(src)
-            }),
-        }
+        self.rows
+            .labels()
+            .and_then(|labels| self.certify(labels, src, dst))
+            .unwrap_or_else(|| self.row(dst).distance(src))
+    }
+
+    /// The exception row toward live node `dst`.
+    #[inline]
+    fn row(&self, dst: u32) -> ExceptionRow<'_> {
+        self.rows.row(self.graph, &self.masks, &self.faults, dst)
     }
 
     /// The current liveness masks (post any applied churn events).
@@ -782,31 +763,23 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         self.graph
     }
 
-    /// Applies one churn event: flips the liveness masks, then brings
-    /// the distances up to date: the dense table is patched
-    /// *incrementally* ([`DistanceTable::apply_event`]), limiting the
-    /// masked-BFS work to the affected frontier; on a labelled topology
-    /// the certificate's fault list is updated and the built exception
-    /// rows are emptied, to be rebuilt on their next use.
+    /// Applies one churn event: flips the liveness masks, records the
+    /// fault in the live-fault list and empties the built exception
+    /// rows, to be rebuilt on their next use. A recovery needs no repair.
     pub fn apply_event(&mut self, event: &ChurnEvent) {
         match event.target {
             ChurnTarget::Node(x) => self.set_node(x, event.failed),
             ChurnTarget::Link(u, v) => self.set_link(u, v, event.failed),
         }
-        match &mut self.dist {
-            Distances::Table(table) => table.apply_event(self.graph, &self.masks, event),
-            Distances::Labels(cert) => {
-                cert.record(event.target, event.failed);
-                cert.rows.clear();
-            }
-        }
+        self.record(event.target, event.failed);
+        self.rows.clear();
     }
 
     /// The hop from `cur` toward `dst` (`cur ≠ dst`) in the current fault
     /// state, or why there is none: [`DropReason::NodeDied`] when `dst`
     /// is dead, else [`DropReason::Unreachable`] when the faults cut
     /// `cur` off from it. The pair is certified once (one scan of the
-    /// live-fault list) or, uncertified, its distance row is read; the
+    /// live-fault list) or, uncertified, its exception row is read; the
     /// same answer decides reachability and the hop.
     #[inline]
     pub(crate) fn hop_or_drop(
@@ -816,58 +789,32 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         load: &dyn LinkLoad,
     ) -> Result<u32, DropReason> {
         debug_assert_ne!(cur, dst, "a packet at its destination has no hop");
-        match &self.dist {
-            Distances::Labels(cert) => {
-                if let Some(h) = cert.certify(cur, dst) {
-                    // The interval is fault-free: a neighbor progresses iff
-                    // its label is one bit closer to dst, and its link is
-                    // then alive too.
-                    let labels = cert.rows.labels();
-                    let ld = labels[dst as usize];
-                    let closer = |_, v: u32| (labels[v as usize] ^ ld).count_ones() < h;
-                    return Ok(self.progressive_hop(cur, dst, load, closer));
-                }
-                if !self.node_alive(dst) {
-                    return Err(DropReason::NodeDied);
-                }
-                let row = cert.rows.row(self.graph, &self.masks, &cert.targets, dst);
-                let dc = if self.node_alive(cur) {
-                    row.distance(cur)
-                } else {
-                    INFINITY
-                };
-                self.hop_by_distance(cur, dst, load, dc, INFINITY, |v| row.distance(v))
-            }
-            Distances::Table(table) => {
-                if !self.node_alive(dst) {
-                    return Err(DropReason::NodeDied);
-                }
-                let row = table.to_dst(dst);
-                let dc = row[cur as usize];
-                self.hop_by_distance(cur, dst, load, dc, UNREACHED, |v| row[v as usize])
+        if let Some(labels) = self.rows.labels() {
+            if let Some(h) = self.certify(labels, cur, dst) {
+                // The interval is fault-free: a neighbor progresses iff
+                // its label is one bit closer to dst, and its link is
+                // then alive too.
+                let ld = labels[dst as usize];
+                let closer = |_, v: u32| (labels[v as usize] ^ ld).count_ones() < h;
+                return Ok(self.progressive_hop(cur, dst, load, closer));
             }
         }
-    }
-
-    /// The hop rule against the distances toward `dst`: `dc` at `cur`
-    /// and `dist(v)` at a neighbor, `unreached` when cut off. Honours
-    /// the wrapped policy while its hop survives and still approaches
-    /// `dst` within the healthy subgraph; else detours.
-    #[inline]
-    fn hop_by_distance<D: Copy + PartialOrd>(
-        &self,
-        cur: u32,
-        dst: u32,
-        load: &dyn LinkLoad,
-        dc: D,
-        unreached: D,
-        dist: impl Fn(u32) -> D,
-    ) -> Result<u32, DropReason> {
-        if dc == unreached {
+        if !self.node_alive(dst) {
+            return Err(DropReason::NodeDied);
+        }
+        let row = self.row(dst);
+        let dc = if self.node_alive(cur) {
+            row.distance(cur)
+        } else {
+            INFINITY
+        };
+        if dc == INFINITY {
             return Err(DropReason::Unreachable);
         }
-        let base = self.graph.edge_range(cur).start;
-        let progress = |slot, v: u32| self.masks.edge_alive(base + slot) && dist(v) < dc;
+        // Honour the wrapped policy while its hop survives and still
+        // approaches dst within the healthy subgraph; else detour.
+        let edges = self.graph.edge_range(cur).start;
+        let progress = |slot, v: u32| self.masks.edge_alive(edges + slot) && row.distance(v) < dc;
         Ok(self.progressive_hop(cur, dst, load, progress))
     }
 
@@ -1240,8 +1187,9 @@ mod tests {
     #[test]
     fn masked_router_is_send_and_sync_for_the_batch_runner() {
         // Regression guard: the RefCell distance cache made this router
-        // !Sync; the eager DistanceTable restores Send + Sync, which the
-        // parallel batch runner (run_batch / sweep cells) relies on.
+        // !Sync; the eager healthy table and the write-once exception
+        // rows keep it Send + Sync, which the parallel batch runner
+        // (run_batch / sweep cells) relies on.
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
         let q = Hypercube::new(3);
         let faults = FaultSet::new([1u32], []);

@@ -664,52 +664,72 @@ proptest! {
 
     #[test]
     fn incremental_repair_matches_from_scratch_rebuild(d in 3usize..=7, steps in 1usize..20, seed in 0u64..10_000) {
-        // The incremental-repair invariant (see `dist.rs`): after *every*
-        // applied churn event, the patched distance table must equal a
-        // from-scratch masked BFS over the current liveness masks, on all
-        // pairs.
+        // The incremental-repair invariant: after *every* applied churn
+        // event, the masked router's distances must equal a from-scratch
+        // masked BFS over the current liveness masks, on all pairs. The
+        // cubes run through `new` (the dense healthy base); the ring and
+        // the mesh, which have no labels, through `for_topology`, the
+        // path churn runs on them take.
         let net = FibonacciNet::classical(d);
-        let g = net.graph();
-        let router = net.router();
-        let mut masked = FaultMaskingRouter::new(g, &*router, &FaultSet::empty());
-        let edges: Vec<(u32, u32)> = g.edges().collect();
-        let n = g.num_vertices();
-        let mut node_down = vec![false; n];
-        let mut link_down = vec![false; edges.len()];
-        // Small xorshift so the event sequence is a pure function of the
-        // proptest seed (state must be nonzero).
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for step in 0..steps {
-            // Flip a random element: fail it if up, recover it if down —
-            // the strict alternation `apply_event` is specified against.
-            let (target, failed) = if next() & 1 == 0 {
-                let idx = (next() % n as u64) as usize;
-                node_down[idx] = !node_down[idx];
-                (ChurnTarget::Node(idx as u32), node_down[idx])
+        let cube = Hypercube::new(d);
+        let ring = Ring::new(4 * d);
+        let mesh = Mesh::new(d, d - 1);
+        let inputs = [
+            (&net as &dyn Topology, false),
+            (&cube, false),
+            (&ring, true),
+            (&mesh, true),
+        ];
+        for (topo, through_topology) in inputs {
+            let g = topo.graph();
+            let router = topo.router();
+            let empty = FaultSet::empty();
+            let mut masked = if through_topology {
+                FaultMaskingRouter::for_topology(topo, &*router, &empty)
             } else {
-                let idx = (next() % edges.len() as u64) as usize;
-                link_down[idx] = !link_down[idx];
-                let (u, v) = edges[idx];
-                (ChurnTarget::Link(u, v), link_down[idx])
+                FaultMaskingRouter::new(g, &*router, &empty)
             };
-            masked.apply_event(&ChurnEvent { cycle: step as u64, target, failed });
-            for v in 0..n as u32 {
-                prop_assert_eq!(masked.node_alive(v), !node_down[v as usize]);
-            }
-            let fresh = DistanceTable::degraded(g, masked.masks());
-            for u in 0..n as u32 {
+            let edges: Vec<(u32, u32)> = g.edges().collect();
+            let n = g.num_vertices();
+            let mut node_down = vec![false; n];
+            let mut link_down = vec![false; edges.len()];
+            // Small xorshift so the event sequence is a pure function of
+            // the proptest seed (state must be nonzero).
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for step in 0..steps {
+                // Flip a random element: fail it if up, recover it if
+                // down — the strict alternation `apply_event` is
+                // specified against.
+                let (target, failed) = if next() & 1 == 0 {
+                    let idx = (next() % n as u64) as usize;
+                    node_down[idx] = !node_down[idx];
+                    (ChurnTarget::Node(idx as u32), node_down[idx])
+                } else {
+                    let idx = (next() % edges.len() as u64) as usize;
+                    link_down[idx] = !link_down[idx];
+                    let (u, v) = edges[idx];
+                    (ChurnTarget::Link(u, v), link_down[idx])
+                };
+                masked.apply_event(&ChurnEvent { cycle: step as u64, target, failed });
                 for v in 0..n as u32 {
-                    prop_assert_eq!(
-                        masked.distance(u, v),
-                        fresh.distance(u, v),
-                        "Γ_{d}: {u}→{v} diverges after event {step} ({target:?}, failed={failed})"
-                    );
+                    prop_assert_eq!(masked.node_alive(v), !node_down[v as usize]);
+                }
+                let fresh = DistanceTable::degraded(g, masked.masks());
+                for u in 0..n as u32 {
+                    for v in 0..n as u32 {
+                        prop_assert_eq!(
+                            masked.distance(u, v),
+                            fresh.distance(u, v),
+                            "{}: {}→{} diverges after event {} ({:?}, failed={})",
+                            topo.name(), u, v, step, target, failed
+                        );
+                    }
                 }
             }
         }
