@@ -3,7 +3,11 @@
 //!
 //! * `route_lookup` — per-hop policy calls vs the dense [`NextHopTable`]
 //!   (and the table's build cost, the other side of the precompute
-//!   trade-off);
+//!   trade-off), plus the table-free `ImplicitRouter` on Γ_12
+//!   (`per_hop/Γ_12 implicit`, the same hops from address arithmetic);
+//! * `implicit` — `encode/codec` and `encode/table` unrank every rank of
+//!   Γ_24 through `RankCodec`'s `d`-step scan and through the two-level
+//!   `RankTable` that implicit routing uses;
 //! * `link_queue` — ring-buffer enqueue/dequeue at shallow depth (the
 //!   common case), past the stride on every link (the spill/promote
 //!   path) and on one hot link among 4 096 shallow ones (`hotspot`, where
@@ -37,9 +41,10 @@ use fibcube_network::engine::{self, Admission, RunPlan, Workload};
 use fibcube_network::fault::{ChurnEvent, ChurnTarget, FaultSet, FaultSpec};
 use fibcube_network::router::{FaultMaskingRouter, NoLoad, Router};
 use fibcube_network::{
-    CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, NoopObserver, SwitchingSpec, Topology,
-    TrafficSpec,
+    CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, ImplicitFibonacciNet, NoopObserver,
+    SwitchingSpec, Topology, TrafficSpec,
 };
+use fibcube_words::zeckendorf::{RankCodec, RankTable};
 
 fn all_pairs_per_hop(t: &dyn Topology, r: &dyn Router) -> usize {
     let n = t.len() as u32;
@@ -97,6 +102,39 @@ fn bench_route_lookup(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(router.precompute(topo.graph())))
         });
     }
+    let implicit = ImplicitFibonacciNet::classical(12);
+    let router = implicit.router();
+    let expected = all_pairs_per_hop(&gamma, &canonical);
+    assert_eq!(all_pairs_per_hop(&implicit, &*router), expected);
+    group.bench_function(BenchmarkId::new("per_hop", "Γ_12 implicit"), |b| {
+        b.iter(|| assert_eq!(all_pairs_per_hop(&implicit, &*router), expected))
+    });
+    group.finish();
+}
+
+/// Unranks every rank of Γ_24 (121 393 nodes) through `encode` and
+/// folds the words into a checksum, so the loop cannot be optimised
+/// away.
+fn unrank_all(total: u64, encode: impl Fn(u64) -> Option<u64>) -> u64 {
+    (0..total).fold(0, |acc, r| {
+        acc.rotate_left(1) ^ encode(r).expect("rank in range")
+    })
+}
+
+fn bench_implicit_encode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("implicit");
+    group.sample_size(10);
+    let codec = RankCodec::new(2, 24);
+    let table = RankTable::new(codec.clone());
+    let total = codec.total();
+    let expected = unrank_all(total, |r| codec.encode(r));
+    assert_eq!(unrank_all(total, |r| table.encode(r)), expected);
+    group.bench_function(BenchmarkId::new("encode", "codec"), |b| {
+        b.iter(|| assert_eq!(unrank_all(total, |r| codec.encode(r)), expected))
+    });
+    group.bench_function(BenchmarkId::new("encode", "table"), |b| {
+        b.iter(|| assert_eq!(unrank_all(total, |r| table.encode(r)), expected))
+    });
     group.finish();
 }
 
@@ -330,6 +368,7 @@ fn bench_dist_repair(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_route_lookup,
+    bench_implicit_encode,
     bench_link_queue,
     bench_flit_engine,
     bench_fault_state,

@@ -852,7 +852,7 @@ fn run() -> Result<(), BenchError> {
     header("E-S5 — million-node scale ladder (implicit Zeckendorf routing)");
     let scale_start = Instant::now();
     // The implicit path end to end: no labels vector, no flip rows, no
-    // O(n²) tables — routing state is the O(d) weight vector alone. Smoke
+    // O(n²) tables — routing state is the O(√n) rank table alone. Smoke
     // tops out at Γ_26 (317,811 nodes) for CI; the full run climbs to
     // Γ_30 (2,178,309 nodes). Packet count is fixed, so the rungs expose
     // the per-node costs, not a growing workload.

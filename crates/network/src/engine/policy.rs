@@ -35,9 +35,11 @@ use super::stepper::Shard;
 use super::{Admission, RunPlan};
 
 /// How the healthy network resolves each hop: a dense precomputed table
-/// (one load per hop) or per-hop policy calls (live link-load view plus
-/// a slot search in the node's neighbor list — a couple of compares in
-/// one already-hot cache line, which beats any big-table lookup here).
+/// (one load per hop) or per-hop policy calls ([`Router::next_slot`]:
+/// live link-load view plus, unless the policy knows the slot in closed
+/// form, a slot search in the node's neighbor list — a couple of
+/// compares in one already-hot cache line, which beats any big-table
+/// lookup here).
 /// Every lane of a sharded run borrows the same table.
 pub(crate) enum Routing<'t, R: ?Sized> {
     Table(&'t NextHopTable),
@@ -384,12 +386,9 @@ fn per_hop<Q: Router + ?Sized, L: Loads + ?Sized>(
         loads,
         base: base - edge_lo,
     };
-    let hop = router
-        .next_hop(node, dst, &load)
-        .expect("routing a packet not yet at dst");
-    base + g
-        .slot_of(node, hop)
-        .expect("next_hop must return a neighbor")
+    base + router
+        .next_slot(g, node, dst, &load)
+        .expect("routing a packet not yet at dst")
 }
 
 /// The workload half of the store-and-forward engine: the per-cycle

@@ -28,10 +28,11 @@
 //! * [`arena`] — the engine's storage core: the struct-of-arrays
 //!   [`PacketSlab`] and the fixed-stride ring-buffer [`LinkQueues`];
 //! * [`implicit`] — million-node scale: [`ImplicitRouter`] computes
-//!   canonical-path and e-cube hops straight from Zeckendorf address
-//!   arithmetic (`O(d)` time, `O(d)` total state — no `O(n²)` table,
-//!   no per-node flip rows) and [`ImplicitFibonacciNet`] materialises
-//!   `Q_d(1^k)` lazily from rank↔word codecs, streaming its CSR graph;
+//!   canonical-path and e-cube hops and their output slots straight
+//!   from Zeckendorf address arithmetic (constant time, one shared
+//!   `O(√n)` rank table — no `O(n²)` table, no per-node flip rows) and
+//!   [`ImplicitFibonacciNet`] materialises `Q_d(1^k)` lazily from that
+//!   table, streaming its CSR graph;
 //! * [`dist`] — the shared [`DistanceTable`] (healthy or degraded by a
 //!   fault set) behind metrics and survivability analysis, the
 //!   fault-masking router's exception rows (over the cube labels, or

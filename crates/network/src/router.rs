@@ -139,6 +139,12 @@ impl LinkLoad for NoLoad {
 
 /// A distributed routing policy: given the current node, the destination,
 /// and (optionally) the local link loads, pick the output neighbor.
+///
+/// The engine asks for the hop as an output *slot* of the current node
+/// ([`next_slot`](Router::next_slot)). Its default maps
+/// [`next_hop`](Router::next_hop) through the node's sorted neighbor
+/// list; a policy that knows the slot in closed form (the implicit
+/// routers) overrides it, with the same answer on every graph.
 pub trait Router {
     /// Short policy name (`"e-cube"`, `"canonical"`, `"adaptive"`, …).
     fn name(&self) -> String;
@@ -148,12 +154,28 @@ pub trait Router {
     /// decreases the distance to `dst`.
     fn next_hop(&self, cur: u32, dst: u32, load: &dyn LinkLoad) -> Option<u32>;
 
+    /// The slot of [`next_hop`](Router::next_hop) in `cur`'s neighbor
+    /// list of `g`, or `None` when `cur == dst`. An override must return
+    /// exactly this value on every graph and load view.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the hop is not a neighbor of `cur` in `g`.
+    #[inline]
+    fn next_slot(&self, g: &CsrGraph, cur: u32, dst: u32, load: &dyn LinkLoad) -> Option<usize> {
+        let hop = self.next_hop(cur, dst, load)?;
+        Some(
+            g.slot_of(cur, hop)
+                .expect("next_hop must return a neighbor"),
+        )
+    }
+
     /// The policy's routes as a dense [`NextHopTable`], or `None` (the
     /// default) when the policy cannot be tabulated — because it is
     /// load-dependent ([`AdaptiveMinimal`], [`FaultMaskingRouter`]), has
     /// no per-entry-cheap closed form, or the `4n²`-byte table would
     /// exceed [`TABLE_BYTE_BUDGET`] (the engine then routes per hop,
-    /// which the implicit routers make `O(d)`/lookup). A returned table must agree
+    /// which the implicit routers make constant-time). A returned table must agree
     /// with [`next_hop`](Router::next_hop) under [`NoLoad`] on every
     /// `(cur, dst)` pair.
     ///
@@ -174,6 +196,10 @@ impl<R: Router + ?Sized> Router for &R {
 
     fn next_hop(&self, cur: u32, dst: u32, load: &dyn LinkLoad) -> Option<u32> {
         (**self).next_hop(cur, dst, load)
+    }
+
+    fn next_slot(&self, g: &CsrGraph, cur: u32, dst: u32, load: &dyn LinkLoad) -> Option<usize> {
+        (**self).next_slot(g, cur, dst, load)
     }
 
     fn precompute(&self, graph: &CsrGraph) -> Option<NextHopTable> {

@@ -979,7 +979,8 @@ proptest! {
 /// table-free [`ImplicitRouter`] agrees with the dense per-node routers
 /// on *every* (current, destination) pair of every Γ_d up to d = 12 —
 /// the address arithmetic (rank ± weight) must reproduce the flip-row
-/// lookup exactly.
+/// lookup exactly — and its closed-form output slot is the hop's slot
+/// in the dense graph, there and on every `Q_d(1^3)` up to d = 9.
 #[test]
 fn implicit_router_agrees_with_dense_canonical_on_every_gamma_up_to_12() {
     for d in 0..=12usize {
@@ -995,6 +996,34 @@ fn implicit_router_agrees_with_dense_canonical_on_every_gamma_up_to_12() {
                     "Γ_{d}: {cur}→{dst}"
                 );
             }
+        }
+        assert_next_slot_is_slot_of_next_hop(&implicit, net.graph(), &format!("Γ_{d}"));
+    }
+    for d in 0..=9usize {
+        let net = FibonacciNet::new(d, 3);
+        let implicit = ImplicitRouter::for_cube(d, 3);
+        assert_next_slot_is_slot_of_next_hop(&implicit, net.graph(), &format!("Q_{d}(1^3)"));
+    }
+}
+
+/// `router.next_slot` equals `slot_of(cur, next_hop(cur, dst))` on every
+/// pair of `g`'s nodes.
+fn assert_next_slot_is_slot_of_next_hop(
+    router: &dyn Router,
+    g: &fibcube_graph::csr::CsrGraph,
+    name: &str,
+) {
+    let n = g.num_vertices() as u32;
+    for cur in 0..n {
+        for dst in 0..n {
+            let searched = router
+                .next_hop(cur, dst, &NoLoad)
+                .map(|hop| g.slot_of(cur, hop).expect("hop is a neighbor"));
+            assert_eq!(
+                router.next_slot(g, cur, dst, &NoLoad),
+                searched,
+                "{name}: {cur}→{dst}"
+            );
         }
     }
 }
@@ -1016,6 +1045,7 @@ fn implicit_router_agrees_with_ecube_on_every_hypercube_up_to_8() {
                 );
             }
         }
+        assert_next_slot_is_slot_of_next_hop(&implicit, q.graph(), &format!("Q_{k}"));
     }
 }
 
