@@ -32,6 +32,10 @@
 //!   labelled Γ_16 router around 8 dead nodes (`nodes(count=8)`, seed 1)
 //!   and replays 4 000 queries the label certificate cannot answer, so
 //!   it times the exception rows: the build, and each row's first fill.
+//! * `pooled` — one whole store-and-forward Γ_16 run (20 000 uniform
+//!   packets over 2 000 cycles) at two lanes through `Experiment::run`,
+//!   so the lane barrier and the outbox exchange get a timing without
+//!   the end-to-end benchmark.
 
 use std::collections::VecDeque;
 
@@ -41,8 +45,8 @@ use fibcube_network::engine::{self, Admission, RunPlan, Workload};
 use fibcube_network::fault::{ChurnEvent, ChurnTarget, FaultSet, FaultSpec};
 use fibcube_network::router::{FaultMaskingRouter, NoLoad, Router};
 use fibcube_network::{
-    CanonicalRouter, EcubeRouter, FibonacciNet, Hypercube, ImplicitFibonacciNet, NoopObserver,
-    SwitchingSpec, Topology, TrafficSpec,
+    CanonicalRouter, EcubeRouter, Experiment, FibonacciNet, Hypercube, ImplicitFibonacciNet,
+    NoopObserver, SwitchingSpec, Topology, TrafficSpec,
 };
 use fibcube_words::zeckendorf::{RankCodec, RankTable};
 
@@ -365,6 +369,28 @@ fn bench_dist_repair(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_pooled(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pooled");
+    group.sample_size(10);
+    let gamma = FibonacciNet::classical(16);
+    let traffic = TrafficSpec::Uniform {
+        count: 20_000,
+        window: 2_000,
+    };
+    group.bench_function(BenchmarkId::new("uniform_2_lanes", gamma.name()), |b| {
+        b.iter(|| {
+            let report = Experiment::on(&gamma)
+                .traffic(traffic.clone())
+                .threads(2)
+                .run()
+                .unwrap();
+            assert_eq!(report.stats.delivered, report.stats.offered);
+            std::hint::black_box(report.stats.total_hops)
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_route_lookup,
@@ -372,6 +398,7 @@ criterion_group!(
     bench_link_queue,
     bench_flit_engine,
     bench_fault_state,
-    bench_dist_repair
+    bench_dist_repair,
+    bench_pooled
 );
 criterion_main!(benches);

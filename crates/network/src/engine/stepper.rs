@@ -11,9 +11,11 @@
 //!   [`run`](super::run) is a `Solo` monomorphization on the caller's
 //!   thread, so it compiles to a straight-line loop with no fork and no
 //!   thread spawn.
-//! - `Pooled` (in [`parallel`](super::parallel)) — `k` lanes on a
-//!   scoped thread pool with per-lane `RwLock` outboxes, published
-//!   queue counters, and a barrier per phase boundary.
+//! - `Pooled` (in [`parallel`](super::parallel)) — `k` lanes, lane 0
+//!   on the caller's thread and the rest on scoped threads, with
+//!   per-lane `RwLock` outboxes, published queue counters, and a
+//!   spin-then-park barrier per phase boundary. A lane that panics
+//!   poisons the barrier, so the run fails instead of hanging.
 //!
 //! Both switching models build their lanes on one chassis ([`Shard`]);
 //! a wormhole run is always one lane.

@@ -9,7 +9,7 @@ use fibcube::network::sweep::{sweep, Axis, SweepConfig};
 use fibcube::network::{
     simulate_reference, AdaptiveMinimal, ChurnTimeline, CopyPlan, DeliveryTracker,
     FaultMaskingRouter, FaultSet, ImplicitFibonacciNet, LinkHeatmap, Mesh, NoopObserver, Ring,
-    SimStats, SwitchingSpec, VcOccupancy,
+    SimObserver, SimStats, SwitchingSpec, VcOccupancy,
 };
 use fibcube::prelude::*;
 
@@ -845,5 +845,55 @@ fn hubs_above_64_links_forward_through_the_plain_edge_scan() {
         if !switching.is_wormhole() {
             assert_eq!(one.stats, reference, "store-and-forward ≡ reference");
         }
+    }
+}
+
+/// An observer whose every fork panics when a packet reaches a node in
+/// the upper half of the network, which a sharded run owns on a lane
+/// other than lane 0.
+#[derive(Clone, Copy)]
+struct PanicsInUpperHalf {
+    half: u32,
+}
+
+impl SimObserver for PanicsInUpperHalf {
+    fn fork(&self) -> Option<Self> {
+        Some(*self)
+    }
+
+    fn on_deliver(&mut self, _cycle: u64, dst: u32, _latency: u64) {
+        assert!(dst < self.half, "observer fault at node {dst}");
+    }
+}
+
+#[test]
+fn a_panicking_lane_fails_the_run_instead_of_hanging_it() {
+    for lanes in [2, 3] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let net = FibonacciNet::classical(10);
+            let observer = PanicsInUpperHalf {
+                half: net.len() as u32 / 2,
+            };
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Experiment::on(&net)
+                    .traffic("uniform(count=2000,window=200)".parse().unwrap())
+                    .threads(lanes)
+                    .observe(observer)
+                    .run()
+            }));
+            tx.send(run.map(|_| ()).map_err(|payload| {
+                let text = payload.downcast_ref::<String>();
+                text.cloned().unwrap_or_default()
+            }))
+        });
+        let run = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{lanes} lanes: the run hung after a lane panicked"));
+        let message = run.expect_err("the observer panics on a delivery");
+        assert!(
+            message.starts_with("observer fault at node"),
+            "{lanes} lanes: the first lane's panic is re-raised, got {message:?}"
+        );
     }
 }
