@@ -8,11 +8,13 @@
 //! * `implicit` — `encode/codec` and `encode/table` unrank every rank of
 //!   Γ_24 through `RankCodec`'s `d`-step scan and through the two-level
 //!   `RankTable` that implicit routing uses;
-//! * `link_queue` — ring-buffer enqueue/dequeue at shallow depth (the
-//!   common case), past the stride on every link (the spill/promote
-//!   path) and on one hot link among 4 096 shallow ones (`hotspot`, where
-//!   spill state should cost only the queue that spills), against the
-//!   `VecDeque`-per-link layout the first engine used;
+//! * `link_queue` — link-FIFO enqueue/dequeue at shallow depth (the
+//!   common case), past the ring stride on every link (`overflow`, the
+//!   flit rings' spill/promote path) and on one hot link among 4 096
+//!   shallow ones (`hotspot`, where spill state should cost only the
+//!   queue that spills), for the store-and-forward engine's
+//!   slab-threaded lists (`slab`), the flit engine's rings (`ring`) and
+//!   the `VecDeque`-per-link layout the first engine used;
 //! * `flit_engine` — one whole run of the flit-level wormhole engine
 //!   (Γ_12, 2 000 uniform packets, 4 flits per packet, 2 VCs of 4-flit
 //!   buffers), so a change to its forward scan or credit bookkeeping
@@ -40,7 +42,7 @@
 use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fibcube_network::arena::{LinkQueues, RING_STRIDE};
+use fibcube_network::arena::{LinkQueues, PacketSlab, SlabQueues, RING_STRIDE};
 use fibcube_network::engine::{self, Admission, RunPlan, Workload};
 use fibcube_network::fault::{ChurnEvent, ChurnTarget, FaultSet, FaultSpec};
 use fibcube_network::router::{FaultMaskingRouter, NoLoad, Router};
@@ -147,7 +149,7 @@ fn bench_implicit_encode(c: &mut Criterion) {
 /// the loop cannot be optimised away. The queues are built inside, so
 /// spill-store set-up counts too.
 fn ring_pattern(depths: &[usize], rounds: usize) -> u64 {
-    let mut queues = LinkQueues::new(depths.len());
+    let mut queues = LinkQueues::<u32>::new(depths.len());
     let mut sum = 0u64;
     let mut id = 0u32;
     for _ in 0..rounds {
@@ -162,6 +164,34 @@ fn ring_pattern(depths: &[usize], rounds: usize) -> u64 {
                 sum = sum.wrapping_add(popped as u64);
             }
         }
+    }
+    sum
+}
+
+/// The same pattern on lists threaded through a packet slab. The
+/// engine allocates and releases a slab entry per hop whatever its
+/// FIFOs, so the round's packets are allocated once, in `slab` (ids
+/// `0..`, in push order), and only the list operations are timed.
+fn slab_pattern(depths: &[usize], rounds: usize, slab: &mut PacketSlab) -> u64 {
+    let total: usize = depths.iter().sum();
+    assert!(slab.live() >= total, "one slab entry per packet of a round");
+    let mut queues = SlabQueues::new(depths.len());
+    let mut sum = 0u64;
+    let mut base = 0u32;
+    for _ in 0..rounds {
+        let mut id = 0u32;
+        for (e, &depth) in depths.iter().enumerate() {
+            for _ in 0..depth {
+                queues.push(e, id, slab);
+                id += 1;
+            }
+        }
+        for e in 0..depths.len() {
+            while let Some(popped) = queues.pop(e, slab) {
+                sum = sum.wrapping_add(base.wrapping_add(popped) as u64);
+            }
+        }
+        base = base.wrapping_add(id);
     }
     sum
 }
@@ -196,7 +226,8 @@ fn bench_link_queue(c: &mut Criterion) {
     // stride, so every link exercises the spill/promote path. Hotspot:
     // one link runs 16× the stride deep while the rest hold one packet,
     // the saturated large-network pattern where only a few queues ever
-    // spill.
+    // spill. The slab-threaded lists have no stride: every depth takes
+    // the same path.
     let mut hotspot = vec![1; LINKS];
     hotspot[LINKS / 2] = RING_STRIDE * 16;
     for (label, depths) in [
@@ -206,6 +237,14 @@ fn bench_link_queue(c: &mut Criterion) {
     ] {
         let expected = ring_pattern(&depths, ROUNDS);
         assert_eq!(vecdeque_pattern(&depths, ROUNDS), expected);
+        let mut slab = PacketSlab::new();
+        for id in 0..depths.iter().sum::<usize>() as u32 {
+            slab.alloc(id, 0);
+        }
+        assert_eq!(slab_pattern(&depths, ROUNDS, &mut slab), expected);
+        group.bench_function(BenchmarkId::new("slab", label), |b| {
+            b.iter(|| assert_eq!(slab_pattern(&depths, ROUNDS, &mut slab), expected))
+        });
         group.bench_function(BenchmarkId::new("ring", label), |b| {
             b.iter(|| assert_eq!(ring_pattern(&depths, ROUNDS), expected))
         });

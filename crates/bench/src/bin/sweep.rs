@@ -118,6 +118,26 @@ fn time_best_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
     (result.expect("runs happened"), best)
 }
 
+/// Runs behind each thread-ladder rung's median.
+const LADDER_RUNS: usize = 7;
+
+/// Median wall-clock time of [`LADDER_RUNS`] runs of `f` after one
+/// untimed warm-up run, in milliseconds. The thread ladder's rungs last
+/// from under a millisecond to tens of milliseconds, where one slow or
+/// lucky draw on a shared host swings a best-of-3 several-fold; the
+/// median of seven does not follow a single outlier.
+fn time_median_of<T>(mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut result = f();
+    let mut ms = [0.0; LADDER_RUNS];
+    for m in &mut ms {
+        let start = Instant::now();
+        result = f();
+        *m = start.elapsed().as_secs_f64() * 1e3;
+    }
+    ms.sort_by(f64::total_cmp);
+    (result, ms[LADDER_RUNS / 2])
+}
+
 fn fixed_load(t: &dyn Topology, packets: usize, window: u64) -> Result<FixedLoadRow, BenchError> {
     let traffic = TrafficSpec::Uniform {
         count: packets,
@@ -406,10 +426,11 @@ fn parallel_speedup(rows: &[(usize, f64)], threads: usize) -> f64 {
 }
 
 /// One policy's fixed-load thread ladder: `run(t)` at 1/2/4/8 shard
-/// workers, timed best-of. Every rung's output must equal the serial
-/// rung's — bit-identical results on every host, or a typed error. With
-/// `barred` set and ≥8 host CPUs, a loaded host gets two re-measurements
-/// before the caller's ≥2× @ 8 threads bar can see a low number.
+/// workers, each rung timed by its median run. Every rung's output must
+/// equal the serial rung's — bit-identical results on every host, or a
+/// typed error. With `barred` set and ≥8 host CPUs, a loaded host gets
+/// two re-measurements before the caller's ≥2× @ 8 threads bar can see a
+/// low number.
 fn thread_ladder<S: PartialEq>(
     topology: &str,
     host_cpus: usize,
@@ -421,7 +442,7 @@ fn thread_ladder<S: PartialEq>(
     for attempt in 0..3 {
         rows.clear();
         for t in [1usize, 2, 4, 8] {
-            let (out, ms) = time_best_of(|| run(t));
+            let (out, ms) = time_median_of(|| run(t));
             let out = out?;
             match &serial {
                 None => serial = Some(out),

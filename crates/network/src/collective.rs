@@ -299,7 +299,7 @@ pub(crate) enum CollectiveWorkload {
 /// [`BroadcastSchedule`]-derived forwarding plan the arena engine
 /// executes by replication. Per node it stores the children to inform —
 /// in schedule-round order — together with the directed CSR edge that
-/// reaches each child, so a spawn is two array loads and a ring-buffer
+/// reaches each child, so a spawn is two array loads and a link-FIFO
 /// push. Intended recipients that a fault set kills or disconnects are
 /// recorded as typed drops the engine reports at cycle 0.
 ///

@@ -155,7 +155,7 @@ impl<O: SimObserver, R: Router + ?Sized> Core<'_, O, R> {
                 };
                 let e = g.edge_range(a).start + slot;
                 let le = e - self.shard.edge_lo;
-                while let Some(id) = self.queues.pop(le) {
+                while let Some(id) = self.queues.pop(le, &mut self.slab) {
                     self.shard.pop(e, self.queues.load(le) == 0);
                     if !silent {
                         self.shard.acc.drop_packet(reason);

@@ -8,7 +8,7 @@
 
 use fibcube_graph::csr::CsrGraph;
 
-use crate::arena::{LinkQueues, PacketSlab, NO_COPY};
+use crate::arena::{PacketSlab, SlabQueues, NO_COPY};
 use crate::collective::CopyPlan;
 use crate::observer::SimObserver;
 use crate::router::Router;
@@ -45,8 +45,9 @@ pub(crate) struct SafMsg {
 pub(crate) struct Core<'a, O, R: Router + ?Sized> {
     pub(crate) shard: Shard<'a, O>,
     pub(crate) slab: PacketSlab,
-    /// One FIFO per owned directed edge, indexed `e − edge_lo`.
-    pub(crate) queues: LinkQueues,
+    /// One FIFO per owned directed edge, indexed `e − edge_lo`, threaded
+    /// through `slab`.
+    pub(crate) queues: SlabQueues,
     pub(crate) fault: FaultState<'a, R>,
 }
 
@@ -67,7 +68,7 @@ impl<O: SimObserver, R: Router + ?Sized> Core<'_, O, R> {
     /// copy plan already names the edge.
     #[inline]
     pub(crate) fn enqueue(&mut self, e: usize, id: u32) {
-        self.queues.push(e - self.shard.edge_lo, id);
+        self.queues.push(e - self.shard.edge_lo, id, &mut self.slab);
         self.shard.push(e);
     }
 }
@@ -95,7 +96,7 @@ impl<'a, O: SimObserver, W, R: Router + ?Sized> SafLane<'a, O, W, R> {
     ) -> Self {
         let shard = Shard::new(g, lo, hi, observer);
         let core = Core {
-            queues: LinkQueues::new(shard.edge_hi - shard.edge_lo),
+            queues: SlabQueues::new(shard.edge_hi - shard.edge_lo),
             shard,
             slab: PacketSlab::new(),
             fault,
@@ -139,7 +140,10 @@ where
         let mut scan = Scan::default();
         while let Some((u, e)) = core.shard.next_loaded(&mut scan) {
             let le = e - core.shard.edge_lo;
-            let id = core.queues.pop(le).expect("loaded edge has a packet");
+            let id = core
+                .queues
+                .pop(le, &mut core.slab)
+                .expect("loaded edge has a packet");
             core.shard.pop(e, core.queues.load(le) == 0);
             let v = core.shard.g.target(e);
             core.shard.observer.on_hop(cycle, u, v, e);

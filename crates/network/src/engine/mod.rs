@@ -44,11 +44,12 @@
 //! All per-packet and per-link state lives in flat arrays (see
 //! [`arena`](crate::arena)): in-flight packets sit in a struct-of-arrays
 //! [`PacketSlab`](crate::arena::PacketSlab) and are referred to by `u32`
-//! id, and every directed link owns a fixed-stride ring-buffer FIFO in
-//! one contiguous [`LinkQueues`](crate::arena::LinkQueues) arena indexed
-//! by the graph's directed-edge index; a queue deeper than its ring
-//! spills into a sparse store holding a list only for each queue that
-//! overflows. Each cycle visits only the links that actually hold
+//! id, and every directed link owns one 8-byte FIFO record, `(tail,
+//! len)`, in one contiguous [`SlabQueues`](crate::arena::SlabQueues)
+//! arena indexed by the graph's directed-edge index; the queue itself
+//! is a circular list threaded through the slab's `next` column, so a
+//! queue of any depth costs its record and nothing else. Each cycle
+//! visits only the links that actually hold
 //! packets (a two-level occupancy bitset per lane), and empty stretches
 //! between injections are skipped entirely.
 //!
@@ -880,10 +881,10 @@ mod tests {
 
     #[test]
     fn ring_overflow_preserves_fifo_against_reference() {
-        // Funnel far more packets through single links than the ring
-        // stride holds: 40 same-direction packets on a 4-ring, plus a
-        // hot-spot drain on Q_3. The spill/promote path must stay
-        // packet-for-packet identical to the reference engine.
+        // Funnel many packets through single links: 40 same-direction
+        // packets on a 4-ring, plus a hot-spot drain on Q_3. The deep
+        // link FIFOs must stay packet-for-packet identical to the
+        // reference engine.
         let ring = Ring::new(4);
         let pkts: Vec<Packet> = (0..40)
             .map(|i| Packet {

@@ -26,7 +26,9 @@
 //!   protocol that is bit-identical to the one-lane run at any lane
 //!   count. The original full-scan engines stay as reference oracles;
 //! * [`arena`] — the engine's storage core: the struct-of-arrays
-//!   [`PacketSlab`] and the fixed-stride ring-buffer [`LinkQueues`];
+//!   [`PacketSlab`], the link FIFOs threaded through it
+//!   ([`SlabQueues`], 8 bytes per link), and the flit engine's
+//!   fixed-stride ring-buffer [`LinkQueues`];
 //! * [`implicit`] — million-node scale: [`ImplicitRouter`] computes
 //!   canonical-path and e-cube hops and their output slots straight
 //!   from Zeckendorf address arithmetic (constant time, one shared
@@ -103,7 +105,7 @@ pub mod switching;
 pub mod topology;
 pub mod traffic;
 
-pub use arena::{LinkQueues, PacketSlab};
+pub use arena::{LinkQueues, PacketSlab, SlabQueues};
 pub use broadcast::{
     broadcast_all_port, broadcast_one_port, verify_schedule, BroadcastError, BroadcastSchedule,
 };

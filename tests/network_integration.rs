@@ -7,9 +7,9 @@ use fibcube::network::hamilton::{hamiltonian_path, verify_hamiltonian, HamiltonR
 use fibcube::network::metrics::metrics;
 use fibcube::network::sweep::{sweep, Axis, SweepConfig};
 use fibcube::network::{
-    simulate_reference, AdaptiveMinimal, ChurnTimeline, CopyPlan, DeliveryTracker,
-    FaultMaskingRouter, FaultSet, ImplicitFibonacciNet, LinkHeatmap, Mesh, NoopObserver, Ring,
-    SimObserver, SimStats, SwitchingSpec, VcOccupancy,
+    simulate_faulted_reference, simulate_reference, AdaptiveMinimal, ChurnEvent, ChurnTarget,
+    ChurnTimeline, CopyPlan, DeliveryTracker, FaultMaskingRouter, FaultSet, ImplicitFibonacciNet,
+    LinkHeatmap, Mesh, NoopObserver, Ring, SimObserver, SimStats, SwitchingSpec, VcOccupancy,
 };
 use fibcube::prelude::*;
 
@@ -896,4 +896,129 @@ fn a_panicking_lane_fails_the_run_instead_of_hanging_it() {
             "{lanes} lanes: the first lane's panic is re-raised, got {message:?}"
         );
     }
+}
+
+/// The recorded outcome of one saturated store-and-forward run.
+struct SafGolden {
+    delivered: usize,
+    /// `(dropped_link_died, dropped_node_died)`: churn's flushed queues.
+    flushed: (usize, usize),
+    makespan: u64,
+    mean_latency: f64,
+    p99_latency: u64,
+    total_hops: u64,
+    /// `(len, digest)` of the exact latency histogram.
+    histogram: (usize, u64),
+}
+
+#[test]
+fn saturated_store_and_forward_runs_reproduce_their_golden_values() {
+    // Γ_10 with half of 8 000 packets aimed at node 0 in 200 cycles: the
+    // hot spot's in-links take about twice what they can carry, so link
+    // FIFOs grow hundreds of packets deep (the hottest held 1 193 packets
+    // under the canonical table, 665 under adaptive routing and 785 under
+    // churn). Pinned to the `SimStats` the ring-and-spill link FIFOs
+    // produced, at 1 and 3 lanes: under the canonical table (and against
+    // `simulate_reference`), under `AdaptiveMinimal`, which reads every
+    // queue's occupancy through the load view (and against
+    // `simulate_faulted_reference` with no faults), and under churn,
+    // whose dying link and node flush deep queues in FIFO order.
+    let net = FibonacciNet::classical(10);
+    let canonical = net.router();
+    let adaptive = AdaptiveMinimal::new(&net);
+    let cap = 1_000_000;
+    let pkts = TrafficSpec::HotSpot {
+        count: 8_000,
+        window: 200,
+        hot_fraction: 0.5,
+    }
+    .generate(net.len(), 11);
+    // The link 0–1 into the hot spot dies, then a neighbour of node 0
+    // with all its links, each while its queues are deep.
+    let hub_neighbour = net.graph().neighbors(0)[3];
+    let event = |cycle, target, failed| ChurnEvent {
+        cycle,
+        target,
+        failed,
+    };
+    let timeline = ChurnTimeline::from_events([
+        event(150, ChurnTarget::Link(0, 1), true),
+        event(300, ChurnTarget::Node(hub_neighbour), true),
+        event(400, ChurnTarget::Link(0, 1), false),
+        event(600, ChurnTarget::Node(hub_neighbour), false),
+    ]);
+    let run = |router: &(dyn Router + Sync), admission, what: &str, gold: SafGolden| {
+        let plan = RunPlan::new(&net, router, Workload::Open(&pkts), cap).admission(admission);
+        let s = engine::run(&plan, 1, &mut NoopObserver).expect(what).stats;
+        assert_eq!(s.offered, pkts.len(), "{what}");
+        assert_eq!(s.delivered, gold.delivered, "{what}");
+        assert_eq!(
+            (s.dropped_link_died, s.dropped_node_died),
+            gold.flushed,
+            "{what}"
+        );
+        assert_eq!(s.delivered + s.dropped(), s.offered, "{what}: drained");
+        assert_eq!(s.makespan, gold.makespan, "{what}");
+        assert_eq!(s.mean_latency, gold.mean_latency, "{what}");
+        assert_eq!(s.p99_latency, gold.p99_latency, "{what}");
+        assert_eq!(s.total_hops, gold.total_hops, "{what}");
+        let hist = &s.latency_histogram;
+        assert_eq!(
+            (hist.len(), histogram_digest(hist)),
+            gold.histogram,
+            "{what}"
+        );
+        let three = engine::run(&plan, 3, &mut NoopObserver).expect(what).stats;
+        assert_eq!(three, s, "{what}: 3 lanes ≡ 1 lane");
+        s
+    };
+    let s = run(
+        &*canonical,
+        Admission::Healthy,
+        "canonical",
+        SafGolden {
+            delivered: 8000,
+            flushed: (0, 0),
+            makespan: 1952,
+            mean_latency: 361.03125,
+            p99_latency: 1724,
+            total_hops: 28110,
+            histogram: (0x6db, 0xb9eb_1978_f247_1103),
+        },
+    );
+    assert_eq!(
+        s,
+        simulate_reference(&net, &pkts, cap),
+        "canonical ≡ reference"
+    );
+    let s = run(
+        &adaptive,
+        Admission::Healthy,
+        "adaptive",
+        SafGolden {
+            delivered: 8000,
+            flushed: (0, 0),
+            makespan: 872,
+            mean_latency: 102.474375,
+            p99_latency: 609,
+            total_hops: 28110,
+            histogram: (0x2a2, 0xa0df_7c3c_1f3e_cc59),
+        },
+    );
+    let oracle = simulate_faulted_reference(&net, &adaptive, &FaultSet::empty(), &pkts, cap);
+    assert_eq!(s, oracle, "adaptive ≡ reference");
+    run(
+        &*canonical,
+        Admission::Churn(&timeline),
+        "churn",
+        SafGolden {
+            delivered: 6928,
+            flushed: (598, 474),
+            makespan: 1308,
+            mean_latency: 235.8578233256351,
+            p99_latency: 1106,
+            total_hops: 27236,
+            histogram: (0x4a2, 0x07fa_9635_7a50_d48b),
+        },
+    );
 }
