@@ -3,8 +3,9 @@
 //!
 //! * `route_lookup` — per-hop policy calls vs the dense [`NextHopTable`]
 //!   (and the table's build cost, the other side of the precompute
-//!   trade-off), plus the table-free `ImplicitRouter` on Γ_12
-//!   (`per_hop/Γ_12 implicit`, the same hops from address arithmetic);
+//!   trade-off). The canonical router runs on Γ_12 twice: over the
+//!   stored labels (`per_hop/Γ_12`) and over node ranks alone, unranking
+//!   each address from the rank table (`per_hop/Γ_12 implicit`);
 //! * `implicit` — `encode/codec` and `encode/table` unrank every rank of
 //!   Γ_24 through `RankCodec`'s `d`-step scan and through the two-level
 //!   `RankTable` that implicit routing uses;
@@ -109,11 +110,11 @@ fn bench_route_lookup(c: &mut Criterion) {
         });
     }
     let implicit = ImplicitFibonacciNet::classical(12);
-    let router = implicit.router();
+    let ranks = CanonicalRouter::on_ranks(implicit.table().clone());
     let expected = all_pairs_per_hop(&gamma, &canonical);
-    assert_eq!(all_pairs_per_hop(&implicit, &*router), expected);
+    assert_eq!(all_pairs_per_hop(&implicit, &ranks), expected);
     group.bench_function(BenchmarkId::new("per_hop", "Γ_12 implicit"), |b| {
-        b.iter(|| assert_eq!(all_pairs_per_hop(&implicit, &*router), expected))
+        b.iter(|| assert_eq!(all_pairs_per_hop(&implicit, &ranks), expected))
     });
     group.finish();
 }

@@ -1,7 +1,8 @@
 //! Bench: distributed route computation (experiment E-N2) — the split-out
-//! routers (precomputed canonical-path, e-cube, adaptive minimal) against
-//! the seed's scan-per-hop `Topology::next_hop` rules. Routers are built
-//! through `RouterSpec::resolve`, the same path `Experiment` takes.
+//! routers (canonical-path by rank arithmetic, e-cube, adaptive minimal)
+//! against the seed's scan-per-hop `Topology::next_hop` rules. Routers
+//! are built through `RouterSpec::resolve`, the same path `Experiment`
+//! takes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fibcube_network::router::{NoLoad, Router, RouterSpec};

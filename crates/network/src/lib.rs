@@ -14,8 +14,8 @@
 //!   distributed shortest-path rule (canonical-path routing on the
 //!   Fibonacci cubes, justified by Proposition 3.1's argument);
 //! * [`router`] — routing *policies* split out of the topologies: e-cube,
-//!   precomputed canonical-path, and load-aware adaptive minimal routing,
-//!   named declaratively by [`RouterSpec`];
+//!   canonical-path, and load-aware adaptive minimal routing, named
+//!   declaratively by [`RouterSpec`];
 //! * [`engine`] — the simulation engine behind one entry point,
 //!   [`engine::run`]: a [`RunPlan`] names the switching model, the
 //!   admission mode (healthy, a static fault mask, or a churn timeline of
@@ -29,10 +29,10 @@
 //!   [`PacketSlab`], the link FIFOs threaded through it
 //!   ([`SlabQueues`], 8 bytes per link), and the flit engine's
 //!   fixed-stride ring-buffer [`LinkQueues`];
-//! * [`implicit`] — million-node scale: [`ImplicitRouter`] computes
-//!   canonical-path and e-cube hops and their output slots straight
-//!   from Zeckendorf address arithmetic (constant time, one shared
-//!   `O(√n)` rank table — no `O(n²)` table, no per-node flip rows) and
+//! * [`implicit`] — million-node scale: Zeckendorf address arithmetic
+//!   gives canonical-path hops and their output slots in constant time
+//!   from one shared `O(√n)` rank table ([`CanonicalRouter`] on node
+//!   ranks, no `O(n²)` table and no label vector), and
 //!   [`ImplicitFibonacciNet`] materialises `Q_d(1^k)` lazily from that
 //!   table, streaming its CSR graph;
 //! * [`dist`] — the shared [`DistanceTable`] (healthy or degraded by a
@@ -122,7 +122,7 @@ pub use fault::{
     FaultMasks, FaultSet, FaultSpec, FaultSweepRow, FaultTrial,
 };
 pub use hamilton::{hamiltonian_cycle, hamiltonian_path, HamiltonResult};
-pub use implicit::{ImplicitFibonacciNet, ImplicitRouter};
+pub use implicit::ImplicitFibonacciNet;
 pub use metrics::{metrics, metrics_sampled, metrics_with, TopologyMetrics};
 pub use observer::{
     DeliveryTracker, LatencyHistogram, LinkHeatmap, NoopObserver, SimObserver, SloRecovery,

@@ -9,7 +9,8 @@
 //!   bit arithmetic, `O(1)` per hop;
 //! * [`CanonicalRouter`] — the Proposition 3.1 canonical-path rule on
 //!   `Q_d(1^k)`, with the per-hop label binary search of the seed replaced
-//!   by a precomputed `node × position → node` flip table, `O(1)` per hop;
+//!   by rank arithmetic (`cur ∓ W(j)`) and a popcount output slot, `O(1)`
+//!   per hop over the cube labels or over node ranks alone;
 //! * [`AdaptiveMinimal`] — a minimal *adaptive* router for
 //!   Hamming-addressed topologies (hypercube and the isometric `Q_d(1^k)`):
 //!   among all neighbors strictly closer to the destination it forwards to
@@ -32,10 +33,11 @@
 
 use core::fmt;
 use core::str::FromStr;
+use std::sync::Arc;
 
 use fibcube_graph::bfs::INFINITY;
 use fibcube_graph::csr::{CsrGraph, SlotTable};
-use fibcube_words::word::Word;
+use fibcube_words::zeckendorf::RankTable;
 
 use crate::dist::{DistanceTable, ExceptionRow, ExceptionRows};
 use crate::engine::DropReason;
@@ -56,16 +58,15 @@ use crate::topology::{FibonacciNet, Hypercube, Topology};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RouterSpec {
     /// The topology's preferred policy ([`Topology::router`]) — e-cube on
-    /// hypercubes, precomputed canonical-path on Fibonacci networks, the
-    /// built-in rule elsewhere. The default of an `Experiment`.
+    /// hypercubes, canonical-path on Fibonacci networks, the built-in
+    /// rule elsewhere. The default of an `Experiment`.
     Preferred,
     /// The topology's built-in distributed rule via [`NextHopRouter`] —
     /// available everywhere.
     Builtin,
     /// Dimension-ordered [`EcubeRouter`] — hypercubes only.
     Ecube,
-    /// Precomputed canonical-path [`CanonicalRouter`] — Fibonacci
-    /// networks only.
+    /// Canonical-path [`CanonicalRouter`] — Fibonacci networks only.
     Canonical,
     /// Load-aware [`AdaptiveMinimal`] — Hamming-addressed topologies
     /// (hypercube and `Q_d(1^k)`).
@@ -143,8 +144,9 @@ impl LinkLoad for NoLoad {
 /// The engine asks for the hop as an output *slot* of the current node
 /// ([`next_slot`](Router::next_slot)). Its default maps
 /// [`next_hop`](Router::next_hop) through the node's sorted neighbor
-/// list; a policy that knows the slot in closed form (the implicit
-/// routers) overrides it, with the same answer on every graph.
+/// list; a policy that knows the slot in closed form
+/// ([`CanonicalRouter`]) overrides it, with the same answer on every
+/// graph.
 pub trait Router {
     /// Short policy name (`"e-cube"`, `"canonical"`, `"adaptive"`, …).
     fn name(&self) -> String;
@@ -174,10 +176,9 @@ pub trait Router {
     /// default) when the policy cannot be tabulated — because it is
     /// load-dependent ([`AdaptiveMinimal`], [`FaultMaskingRouter`]), has
     /// no per-entry-cheap closed form, or the `4n²`-byte table would
-    /// exceed [`TABLE_BYTE_BUDGET`] (the engine then routes per hop,
-    /// which the implicit routers make constant-time). A returned table must agree
-    /// with [`next_hop`](Router::next_hop) under [`NoLoad`] on every
-    /// `(cur, dst)` pair.
+    /// exceed [`TABLE_BYTE_BUDGET`] (the engine then routes per hop). A
+    /// returned table must agree with [`next_hop`](Router::next_hop) under
+    /// [`NoLoad`] on every `(cur, dst)` pair.
     ///
     /// The simulation engine calls this once per run *when the workload
     /// amortises the `O(n²)` build* (see [`NextHopTable`] for the
@@ -239,7 +240,7 @@ pub struct NextHopTable {
 /// [`DistanceTable`] at n = 23 171 (Γ_20's 17 711 nodes fit, Γ_21's
 /// 28 657 do not). Builders return [`ExperimentError::TableTooLarge`]
 /// instead of attempting the allocation; `Router::precompute` degrades
-/// to per-hop (implicit) routing.
+/// to per-hop routing.
 pub const TABLE_BYTE_BUDGET: usize = 1 << 30;
 
 /// The largest `n` whose `n × n` table of `width`-byte entries fits
@@ -310,6 +311,8 @@ impl NextHopTable {
     }
 }
 
+const INVALID: u32 = u32::MAX;
+
 /// E-cube (dimension-ordered) routing on the binary hypercube: correct the
 /// lowest differing dimension first. Node ids are the addresses, so the
 /// policy needs no state at all.
@@ -345,57 +348,110 @@ impl Router for EcubeRouter {
 /// Canonical-path routing on `Q_d(1^k)` (Proposition 3.1): flip the
 /// leftmost `1 → 0` correction first, else the leftmost `0 → 1`.
 ///
-/// The seed recomputed the flipped word and binary-searched the full label
-/// list on **every hop** (`O(d + log n)`); this router precomputes the
-/// `node × position → node` flip table once (`O(n·d·log n)` at build) and
-/// then routes each hop with two bit operations and one table load.
+/// Node ids are the lexicographic ranks of the addresses, so flipping
+/// bit `j` (u64 position, = suffix length) moves the id by exactly
+/// `±W(j)`, the weights of the network's shared [`RankTable`] (see the
+/// [`implicit`](crate::implicit) module docs). A hop is two bit
+/// operations and one add. The hop's output slot is closed-form too: a node's neighbor list holds
+/// the `1 → 0` flips from the highest position down, then the valid
+/// `0 → 1` flips from the lowest up, so bit `j`'s slot is a popcount
+/// ([`Router::next_slot`]).
+///
+/// The addresses come from one of two sources: the cube labels, when
+/// the topology keeps them ([`for_net`](CanonicalRouter::for_net), `8n`
+/// bytes), or else the rank table itself, which unranks each address in
+/// constant time ([`on_ranks`](CanonicalRouter::on_ranks), no per-node
+/// state). Both give the same hops and slots.
 #[derive(Clone, Debug)]
 pub struct CanonicalRouter {
-    d: usize,
-    /// Raw label bits per node (`b₁` at bit `d−1`).
-    bits: Vec<u64>,
-    /// `flip[i·d + (p−1)]` — node id of `labels[i].flip(p)`, or `INVALID`
-    /// when the flipped word leaves the network.
-    flip: Vec<u32>,
+    table: Arc<RankTable>,
+    /// Node addresses (`b₁` at bit `d−1`), or `None` to unrank them from
+    /// `table`.
+    labels: Option<Vec<u64>>,
 }
 
-const INVALID: u32 = u32::MAX;
-
 impl CanonicalRouter {
-    /// Builds the router for a label set of `d`-bit Zeckendorf addresses
-    /// (sorted, as produced by [`FibonacciNet::labels`]).
-    pub fn new(d: usize, labels: &[Word]) -> CanonicalRouter {
-        let bits: Vec<u64> = labels.iter().map(Word::bits).collect();
-        let mut flip = vec![INVALID; labels.len() * d];
-        for (i, w) in labels.iter().enumerate() {
-            for p in 1..=d {
-                if let Ok(j) = labels.binary_search(&w.flip(p)) {
-                    flip[i * d + (p - 1)] = j as u32;
-                }
-            }
+    /// Routes on the stored labels of a Fibonacci-cube network.
+    pub fn for_net(net: &FibonacciNet) -> CanonicalRouter {
+        CanonicalRouter {
+            table: net.table().clone(),
+            labels: net.cube_labels(),
         }
-        CanonicalRouter { d, bits, flip }
     }
 
-    /// Builds the router for a Fibonacci-cube network in `O(n·d + m)`:
-    /// every valid flip is already materialised as a link, so the flip
-    /// table is read straight off the adjacency lists instead of binary
-    /// searching per (node, position) as [`CanonicalRouter::new`] must.
-    pub fn for_net(net: &FibonacciNet) -> CanonicalRouter {
-        let d = net.d();
-        let labels = net.labels();
-        let bits: Vec<u64> = labels.iter().map(Word::bits).collect();
-        let mut flip = vec![INVALID; labels.len() * d];
-        let g = net.graph();
-        for u in 0..g.num_vertices() as u32 {
-            for &v in g.neighbors(u) {
-                // Each link flips exactly one position.
-                let diff = bits[u as usize] ^ bits[v as usize];
-                let p = d - diff.trailing_zeros() as usize;
-                flip[u as usize * d + (p - 1)] = v;
-            }
+    /// Routes on node ranks alone, unranking addresses from `table`.
+    pub fn on_ranks(table: Arc<RankTable>) -> CanonicalRouter {
+        CanonicalRouter {
+            table,
+            labels: None,
         }
-        CanonicalRouter { d, bits, flip }
+    }
+
+    /// The rank table supplying the weights.
+    pub(crate) fn table(&self) -> &Arc<RankTable> {
+        &self.table
+    }
+
+    #[inline]
+    fn address(&self, v: u32) -> u64 {
+        match &self.labels {
+            Some(labels) => labels[v as usize],
+            None => self
+                .table
+                .encode(v as u64)
+                .expect("node id within the network"),
+        }
+    }
+
+    /// The canonical-path flip from `cur` toward `dst`, or `None` when
+    /// `cur == dst`: the hop, `cur`'s address, the flipped position `j`,
+    /// and whether the flip is a `1 → 0` correction.
+    #[inline]
+    fn flip(&self, cur: u32, dst: u32) -> Option<(u32, u64, u32, bool)> {
+        if cur == dst {
+            return None;
+        }
+        let (c, t) = (self.address(cur), self.address(dst));
+        let weight = |j: u32| self.table.codec().weight(j as usize) as u32;
+        // Leftmost position = highest u64 bit (b₁ lives at bit d−1). The
+        // flip stays 1^k-free (Prop 3.1), so the rank moves by ±W(j).
+        let down = c & !t;
+        Some(if down != 0 {
+            let j = 63 - down.leading_zeros();
+            (cur - weight(j), c, j, true)
+        } else {
+            let j = 63 - (t & !c).leading_zeros();
+            (cur + weight(j), c, j, false)
+        })
+    }
+
+    /// The output slot of a flip at position `j` of address `c`, in the
+    /// order the network lists neighbors: `popcount(c >> (j + 1))` for a
+    /// `1 → 0` flip (the set bits above `j` come first); for a `0 → 1`
+    /// flip, `popcount(c)` plus the valid `0 → 1` positions below `j`.
+    #[inline]
+    fn slot(&self, c: u64, j: u32, down: bool) -> u32 {
+        if down {
+            (c >> j >> 1).count_ones()
+        } else {
+            c.count_ones() + (self.table.free_flips(c) & ((1 << j) - 1)).count_ones()
+        }
+    }
+}
+
+/// `slot` when `g` lists `hop` there among `cur`'s neighbors, else the
+/// slot a search of the list finds: on the graph the router was built
+/// for the closed form always holds, and on any other graph the answer
+/// is still the default [`Router::next_slot`]'s.
+#[inline]
+fn checked_slot(g: &CsrGraph, cur: u32, hop: u32, slot: u32) -> usize {
+    let edges = g.edge_range(cur);
+    let slot = slot as usize;
+    if slot < edges.len() && g.target(edges.start + slot) == hop {
+        slot
+    } else {
+        g.slot_of(cur, hop)
+            .expect("next_hop must return a neighbor")
     }
 }
 
@@ -406,21 +462,18 @@ impl Router for CanonicalRouter {
 
     #[inline]
     fn next_hop(&self, cur: u32, dst: u32, _load: &dyn LinkLoad) -> Option<u32> {
-        let c = self.bits[cur as usize];
-        let t = self.bits[dst as usize];
-        if c == t {
-            return None;
-        }
-        // Leftmost position = highest bit (b₁ lives at bit d−1).
-        let down = c & !t;
-        let chosen = if down != 0 { down } else { t & !c };
-        let p = self.d - (63 - chosen.leading_zeros() as usize);
-        let hop = self.flip[cur as usize * self.d + (p - 1)];
-        debug_assert_ne!(hop, INVALID, "canonical flips stay 1^k-free (Prop 3.1)");
-        Some(hop)
+        self.flip(cur, dst).map(|(hop, ..)| hop)
+    }
+
+    #[inline]
+    fn next_slot(&self, g: &CsrGraph, cur: u32, dst: u32, _load: &dyn LinkLoad) -> Option<usize> {
+        let (hop, c, j, down) = self.flip(cur, dst)?;
+        Some(checked_slot(g, cur, hop, self.slot(c, j, down)))
     }
 
     fn precompute(&self, graph: &CsrGraph) -> Option<NextHopTable> {
+        // Over the byte budget the build refuses and the engine stays
+        // on per-hop routing.
         NextHopTable::build(graph, |cur, dst| self.next_hop(cur, dst, &NoLoad)).ok()
     }
 }
@@ -975,39 +1028,79 @@ mod tests {
         }
     }
 
+    /// The one check of the canonical router against the seed rule
+    /// `FibonacciNet::next_hop` (which `simulate_reference` routes by),
+    /// on both address sources and every ordered pair of Γ_{d≤12},
+    /// Q_{d≤10}(1^3) and Q_{d≤9}(1^4): the hops agree, the closed-form
+    /// slot is the hop's slot in the network's own graph without the
+    /// search, and `next_slot` is `slot_of(next_hop)` — there and, via
+    /// the search, on Γ_8 with its ids reversed, whose neighbor lists
+    /// are in another order.
     #[test]
-    fn canonical_router_matches_seed_rule() {
-        for (d, k) in [(7usize, 2usize), (6, 3), (5, 4)] {
+    fn canonical_router_matches_the_seed_rule_on_labels_and_ranks() {
+        let mut cubes: Vec<(usize, usize)> = (0..=12).map(|d| (d, 2)).collect();
+        cubes.extend((0..=10).map(|d| (d, 3)));
+        cubes.extend((0..=9).map(|d| (d, 4)));
+        for (d, k) in cubes {
             let net = FibonacciNet::new(d, k);
-            let router = CanonicalRouter::for_net(&net);
-            assert_progressive(&net, &router);
-            for cur in 0..net.len() as u32 {
-                for dst in 0..net.len() as u32 {
-                    assert_eq!(
-                        router.next_hop(cur, dst, &NoLoad),
-                        net.next_hop(cur, dst),
-                        "d={d} k={k} {cur}→{dst}"
-                    );
+            let g = net.graph();
+            let n = net.len() as u32;
+            let labels = CanonicalRouter::for_net(&net);
+            let ranks = CanonicalRouter::on_ranks(net.table().clone());
+            for (source, router) in [("labels", &labels), ("ranks", &ranks)] {
+                let what = format!("{} on {source}", net.name());
+                assert_progressive(&net, router);
+                for cur in 0..n {
+                    for dst in 0..n {
+                        let hop = router.next_hop(cur, dst, &NoLoad);
+                        assert_eq!(hop, net.next_hop(cur, dst), "{what}: {cur}→{dst}");
+                        let searched = hop.map(|hop| g.slot_of(cur, hop).unwrap());
+                        let closed = router
+                            .flip(cur, dst)
+                            .map(|(_, c, j, down)| router.slot(c, j, down) as usize);
+                        assert_eq!(closed, searched, "{what}: {cur}→{dst}");
+                        assert_eq!(
+                            router.next_slot(g, cur, dst, &NoLoad),
+                            searched,
+                            "{what}: {cur}→{dst}"
+                        );
+                    }
                 }
             }
         }
-    }
 
-    #[test]
-    fn for_net_fast_build_matches_label_build() {
-        for (d, k) in [(0usize, 2usize), (1, 2), (8, 2), (6, 3)] {
-            let net = FibonacciNet::new(d, k);
-            let fast = CanonicalRouter::for_net(&net);
-            let slow = CanonicalRouter::new(net.d(), net.labels());
-            for cur in 0..net.len() as u32 {
-                for dst in 0..net.len() as u32 {
+        let net = FibonacciNet::classical(8);
+        let n = net.len() as u32;
+        let flip = |v: u32| n - 1 - v;
+        let edges: Vec<(u32, u32)> = net
+            .graph()
+            .edges()
+            .map(|(u, v)| (flip(u), flip(v)))
+            .collect();
+        let reversed = CsrGraph::from_edges(n as usize, &edges);
+        let labels = CanonicalRouter::for_net(&net);
+        let ranks = CanonicalRouter::on_ranks(net.table().clone());
+        for router in [&labels, &ranks] {
+            let (mut checked, mut moved) = (0, 0);
+            for cur in 0..n {
+                for dst in 0..n {
+                    let Some(hop) = router.next_hop(cur, dst, &NoLoad) else {
+                        assert_eq!(router.next_slot(&reversed, cur, dst, &NoLoad), None);
+                        continue;
+                    };
+                    let Some(slot) = reversed.slot_of(cur, hop) else {
+                        continue;
+                    };
                     assert_eq!(
-                        fast.next_hop(cur, dst, &NoLoad),
-                        slow.next_hop(cur, dst, &NoLoad),
-                        "d={d} k={k} {cur}→{dst}"
+                        router.next_slot(&reversed, cur, dst, &NoLoad),
+                        Some(slot),
+                        "{cur}→{dst}"
                     );
+                    checked += 1;
+                    moved += usize::from(net.graph().slot_of(cur, hop) != Some(slot));
                 }
             }
+            assert!(checked > 0 && moved > 0, "{checked} pairs, {moved} moved");
         }
     }
 

@@ -8,11 +8,14 @@
 //! classic baselines it is compared against (binary hypercube, ring, mesh).
 
 use core::fmt;
+use std::sync::Arc;
 
 use fibcube_graph::csr::CsrGraph;
 use fibcube_words::automaton::FactorAutomaton;
 use fibcube_words::word::Word;
+use fibcube_words::zeckendorf::RankTable;
 
+use crate::implicit::rank_table;
 use crate::router::{
     AdaptiveMinimal, CanonicalRouter, EcubeRouter, NextHopRouter, Router, RouterSpec,
 };
@@ -257,6 +260,7 @@ pub struct FibonacciNet {
     k: usize,
     labels: Vec<Word>,
     graph: CsrGraph,
+    table: Arc<RankTable>,
 }
 
 impl FibonacciNet {
@@ -270,6 +274,7 @@ impl FibonacciNet {
             k,
             labels,
             graph,
+            table: Arc::new(rank_table(d, k)),
         }
     }
 
@@ -301,6 +306,12 @@ impl FibonacciNet {
     /// Node id of an address.
     pub fn node_of(&self, w: &Word) -> Option<u32> {
         self.labels.binary_search(w).ok().map(|i| i as u32)
+    }
+
+    /// The rank table of the addresses (node ids are their ranks), shared
+    /// with every canonical router the network resolves.
+    pub(crate) fn table(&self) -> &Arc<RankTable> {
+        &self.table
     }
 }
 
@@ -380,9 +391,8 @@ impl Topology for FibonacciNet {
     }
 
     fn router(&self) -> Box<dyn Router + Send + Sync + '_> {
-        // Built on demand: one O(n·d·log n) table pass per simulation run
-        // (comparable to the engine's own SlotTable build), so the many
-        // non-routing analyses don't pay for it at construction.
+        // Built on demand: one O(n) copy of the labels per simulation
+        // run, which the router reads instead of unranking per hop.
         Box::new(CanonicalRouter::for_net(self))
     }
 
