@@ -38,7 +38,11 @@
 //! * `pooled` — one whole store-and-forward Γ_16 run (20 000 uniform
 //!   packets over 2 000 cycles) at two lanes through `Experiment::run`,
 //!   so the lane barrier and the outbox exchange get a timing without
-//!   the end-to-end benchmark.
+//!   the end-to-end benchmark;
+//! * `topology_build` — building a Fibonacci-cube network: the dense
+//!   `FibonacciNet` (labels plus the CSR graph streamed from the rank
+//!   table) at Γ_16 and Γ_20, and `ImplicitFibonacciNet` at Γ_20 with
+//!   its lazy graph forced, the same streamed build without labels.
 
 use std::collections::VecDeque;
 
@@ -431,6 +435,30 @@ fn bench_pooled(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_topology_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("topology_build");
+    group.sample_size(20);
+    for d in [16, 20] {
+        let edges = FibonacciNet::classical(d).graph().num_directed_edges();
+        group.bench_function(BenchmarkId::new("dense", format!("Γ_{d}")), |b| {
+            b.iter(|| {
+                let net = FibonacciNet::classical(d);
+                assert_eq!(net.graph().num_directed_edges(), edges);
+                std::hint::black_box(net.len())
+            })
+        });
+    }
+    let edges = FibonacciNet::classical(20).graph().num_directed_edges();
+    group.bench_function(BenchmarkId::new("implicit", "Γ_20"), |b| {
+        b.iter(|| {
+            let net = ImplicitFibonacciNet::classical(20);
+            assert_eq!(net.graph().num_directed_edges(), edges);
+            std::hint::black_box(net.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_route_lookup,
@@ -439,6 +467,7 @@ criterion_group!(
     bench_flit_engine,
     bench_fault_state,
     bench_dist_repair,
-    bench_pooled
+    bench_pooled,
+    bench_topology_build
 );
 criterion_main!(benches);

@@ -12,7 +12,7 @@ use crate::arena::{PacketSlab, SlabQueues, NO_COPY};
 use crate::collective::CopyPlan;
 use crate::observer::SimObserver;
 use crate::router::Router;
-use crate::traffic::Packet;
+use crate::traffic::{by_inject_time, Packet};
 
 use super::policy::{FaultState, ReplicationPolicy};
 use super::stats::DropReason;
@@ -189,17 +189,13 @@ pub(crate) struct Unicast<'p> {
 
 impl<'p> Unicast<'p> {
     /// The lane-restricted injection list: `packets` with `src` in
-    /// `[lo, hi)`, time-sorted (stable, so same-cycle packets keep
-    /// their generation order — the serial order restricted to the
-    /// lane).
+    /// `[lo, hi)`, time-sorted ([`by_inject_time`]: stable, so
+    /// same-cycle packets keep their generation order — the serial
+    /// order restricted to the lane).
     pub(crate) fn for_range(packets: &'p [Packet], lo: u32, hi: u32) -> Unicast<'p> {
-        let mut inj: Vec<&Packet> = packets
-            .iter()
-            .filter(|p| lo <= p.src && p.src < hi)
-            .collect();
-        inj.sort_by_key(|p| p.inject_time);
+        let lane = packets.iter().filter(|p| lo <= p.src && p.src < hi);
         Unicast {
-            inj,
+            inj: by_inject_time(lane.collect()),
             next_inject: 0,
         }
     }

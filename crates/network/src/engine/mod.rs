@@ -54,7 +54,9 @@
 //! between injections are skipped entirely.
 //!
 //! Healthy routing takes one of two paths: when the workload
-//! amortises the build, deterministic policies are tabulated once into a
+//! amortises the build and the table stays small (2 MiB, 724 nodes,
+//! past which a cache-missing table load costs what a closed-form hop
+//! does), deterministic policies are tabulated once into a
 //! dense [`NextHopTable`](crate::router::NextHopTable)
 //! ([`Router::precompute`]) and each hop is a single load; otherwise the
 //! policy is called per hop with the live link-load view.

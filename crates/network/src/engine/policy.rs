@@ -46,12 +46,34 @@ pub(crate) enum Routing<'t, R: ?Sized> {
     PerHop(&'t R),
 }
 
+/// The largest next-hop table a healthy run builds, in bytes (`4n²`:
+/// 724 nodes). Past a few megabytes the table no longer fits the cache
+/// it was meant to save trips to, and one load per hop from it costs
+/// about what a closed-form per-hop decision does. Measured with the
+/// canonical router on `uniform(count=c,window=c/10)`, one lane, best
+/// of 5 in-process runs (table build included), 2–5 interleaved pairs
+/// on a 2-vCPU x86-64 host; speed is per-hop time over table time, and
+/// peak RSS is the table run's `VmHWM` over the per-hop run's:
+///
+/// | net | table | c | speed | peak RSS |
+/// |---|---|---|---|---|
+/// | Γ_12 | 0.57 MB | 100 000 | 1.20–1.40× | equal |
+/// | Γ_13 | 1.49 MB | 150 000 | 0.97–1.15× | +0.4 MB |
+/// | Γ_14 | 3.90 MB | 200 000 | 0.90–1.03× | +3.6 MB |
+/// | Γ_15 | 10.2 MB | 500 000 | 0.87–0.89× | +9.4 MB |
+/// | Γ_16 | 26.7 MB | 1 000 000 | 0.67–0.74× | +18 MB |
+///
+/// The cap sits below Γ_14, where the table stops saving time but
+/// still costs its bytes.
+const MAX_ROUTING_TABLE_BYTES: u64 = 2 << 20;
+
 /// The next-hop table for a healthy run, when one pays: tabulate when
 /// the expected number of route lookups (≈ `packets × diameter/2`, a
 /// proxy for packets × average distance) amortises the `O(n²)` table
-/// build *and* the policy can be tabulated at all. See [`NextHopTable`]
-/// for the trade-off. A run builds it once (with the global packet
-/// count), so every lane takes the same path.
+/// build, the table fits [`MAX_ROUTING_TABLE_BYTES`], *and* the policy
+/// can be tabulated at all. See [`NextHopTable`] for the trade-off. A
+/// run builds it once (with the global packet count), so every lane
+/// takes the same path.
 fn routing_for<T, R>(topology: &T, router: &R, packets: usize) -> Option<NextHopTable>
 where
     T: Topology + ?Sized,
@@ -60,7 +82,8 @@ where
     let g = topology.graph();
     let n = g.num_vertices() as u64;
     let lookups = (packets as u64).saturating_mul((topology.diameter_bound() as u64 / 2).max(1));
-    (lookups >= n.saturating_mul(n))
+    let bytes = n.saturating_mul(n).saturating_mul(size_of::<u32>() as u64);
+    (lookups >= n.saturating_mul(n) && bytes <= MAX_ROUTING_TABLE_BYTES)
         .then(|| router.precompute(g))
         .flatten()
 }
@@ -346,8 +369,9 @@ impl<'a, R: Router + ?Sized> FaultState<'a, R> {
     }
 }
 
-/// One masked-router query (`FaultMaskingRouter::hop_or_drop`)
-/// against the live link loads, mapped to the global directed-edge id;
+/// One masked-router query (`FaultMaskingRouter::hop_or_drop`, which
+/// answers an output slot) against the live link loads, offset to the
+/// global directed-edge id;
 /// out of line so the masked hop rule does not bloat the healthy hop
 /// path.
 #[inline(never)]
@@ -364,10 +388,7 @@ fn masked_hop<R: Router + ?Sized, L: Loads + ?Sized>(
         loads,
         base: base - edge_lo,
     };
-    let hop = mask.hop_or_drop(node, dst, &load)?;
-    Ok(base
-        + g.slot_of(node, hop)
-            .expect("next_hop must return a neighbor"))
+    Ok(base + mask.hop_or_drop(node, dst, &load)?)
 }
 
 /// One per-hop policy call against the live link loads, mapped to the
@@ -448,5 +469,25 @@ pub(crate) trait ReplicationPolicy<O: SimObserver, R: Router + ?Sized> {
     /// Default: nothing deferred.
     fn end_cycle(&mut self, now: u64, core: &mut Core<'_, O, R>) {
         let _ = (now, core);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::router::CanonicalRouter;
+    use crate::topology::FibonacciNet;
+
+    #[test]
+    fn routing_tables_stop_at_the_byte_cap() {
+        let small = FibonacciNet::classical(12);
+        let router = CanonicalRouter::for_net(&small);
+        assert!(routing_for(&small, &router, 100_000).is_some());
+        // Too few packets to amortise the build.
+        assert!(routing_for(&small, &router, 1_000).is_none());
+        // Γ_16's 26.7 MB table is refused, however many packets.
+        let large = FibonacciNet::classical(16);
+        let router = CanonicalRouter::for_net(&large);
+        assert!(routing_for(&large, &router, 1_000_000).is_none());
     }
 }

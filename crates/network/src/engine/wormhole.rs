@@ -59,7 +59,7 @@ use crate::observer::SimObserver;
 use crate::router::{Router, TABLE_BYTE_BUDGET};
 use crate::switching::SwitchingSpec;
 use crate::topology::Topology;
-use crate::traffic::Packet;
+use crate::traffic::{by_inject_time, Packet};
 
 use super::policy::FaultState;
 use super::stats::SimStats;
@@ -543,8 +543,7 @@ where
     let SwitchingSpec::Wormhole { vcs, buf_flits, .. } = *spec else {
         unreachable!("store-and-forward specs run the packet core")
     };
-    let mut inj: Vec<&Packet> = packets.iter().collect();
-    inj.sort_by_key(|p| p.inject_time);
+    let inj = by_inject_time(packets.iter().collect());
     // `RunPlan::check` validated the spec: every figure is at least 1.
     let (g, vcs) = (topology.graph(), vcs as usize);
     let links = g.num_directed_edges();

@@ -49,17 +49,20 @@
 //! dense [`FibonacciNet`] lends it the stored labels.
 //!
 //! [`ImplicitFibonacciNet`] is the matching [`Topology`]: no label
-//! vector, a CSR link graph *streamed* two-pass from the table (exactly
-//! equal to the automaton-built graph of [`FibonacciNet`], but with no
-//! per-node allocations and no hashing), built lazily on first use.
+//! vector, and a CSR link graph *streamed* two-pass from the table (no
+//! per-node allocations, no search), built lazily on first use. The
+//! dense [`FibonacciNet`] builds the same graph with the same function
+//! at construction; the tests check both against the independent
+//! construction, the automaton's words and the hypercube subgraph they
+//! induce.
 //!
 //! # Dense vs implicit
 //!
 //! | structure | dense path | implicit path |
 //! |---|---|---|
-//! | node labels | `Vec<Word>`, 16 B/node | unranked on demand, 0 B |
+//! | node labels | `Vec<Word>`, 16 B/node, unranked once | unranked on demand, 0 B |
 //! | next-hop precompute | `4n²` B table | refused over budget, `O(1)`/hop |
-//! | graph build | automaton + `Vec<Vec>` staging | two-pass streamed CSR |
+//! | graph build | two-pass streamed CSR, eager | the same, on first use |
 //!
 //! The CSR graph itself (≈ `4(n + 2m)` bytes) is still materialised —
 //! the store-and-forward engine needs real per-link queues — so the
@@ -180,47 +183,49 @@ impl ImplicitFibonacciNet {
     pub fn routing_state_bytes(&self) -> usize {
         self.table().state_bytes()
     }
+}
 
-    /// Streams the CSR graph from the table: one degree-counting pass,
-    /// one fill pass, no per-node allocation, no hashing, no automaton.
-    /// Neighbor ids come from the `±W(j)` rank arithmetic; emitting
-    /// 1→0 flips from the highest position down and then 0→1 flips from
-    /// the lowest up yields each adjacency list already sorted.
-    fn build_graph(&self) -> CsrGraph {
-        let n = self.n;
-        let table = &**self.table();
-        let weight = |j: u32| table.codec().weight(j as usize) as u32;
-        let mut offsets = vec![0u32; n + 1];
-        for r in 0..n {
-            let bits = table.encode(r as u64).expect("rank in range");
-            let deg = bits.count_ones() + table.free_flips(bits).count_ones();
-            offsets[r + 1] = offsets[r]
-                .checked_add(deg)
-                .expect("directed edge count fits u32 offsets");
-        }
-        let mut targets = vec![0u32; offsets[n] as usize];
-        for r in 0..n {
-            let bits = table.encode(r as u64).expect("rank in range");
-            let mut idx = offsets[r] as usize;
-            // 1→0 flips: higher positions shed bigger weights, so the
-            // resulting ranks ascend as the position descends.
-            let mut down = bits;
-            while down != 0 {
-                let j = 63 - down.leading_zeros();
-                targets[idx] = r as u32 - weight(j);
-                idx += 1;
-                down ^= 1 << j;
-            }
-            // 0→1 flips: ranks ascend with the position.
-            let mut up = table.free_flips(bits);
-            while up != 0 {
-                targets[idx] = r as u32 + weight(up.trailing_zeros());
-                idx += 1;
-                up &= up - 1;
-            }
-        }
-        CsrGraph::from_parts(offsets, targets)
+/// The CSR link graph of `Q_d(1^k)` streamed from its rank table: one
+/// degree-counting pass, one fill pass, no per-node allocation, no
+/// search and no automaton. Neighbor ids come from the `±W(j)` rank
+/// arithmetic; emitting 1→0 flips from the highest position down and
+/// then 0→1 flips from the lowest up yields each adjacency list already
+/// sorted. Both Fibonacci networks build their graph here:
+/// [`FibonacciNet`](crate::topology::FibonacciNet) eagerly,
+/// [`ImplicitFibonacciNet`] on first use.
+pub(crate) fn stream_graph(table: &RankTable) -> CsrGraph {
+    let n = table.total() as usize;
+    let weight = |j: u32| table.codec().weight(j as usize) as u32;
+    let mut offsets = vec![0u32; n + 1];
+    for r in 0..n {
+        let bits = table.encode(r as u64).expect("rank in range");
+        let deg = bits.count_ones() + table.free_flips(bits).count_ones();
+        offsets[r + 1] = offsets[r]
+            .checked_add(deg)
+            .expect("directed edge count fits u32 offsets");
     }
+    let mut targets = vec![0u32; offsets[n] as usize];
+    for r in 0..n {
+        let bits = table.encode(r as u64).expect("rank in range");
+        let mut idx = offsets[r] as usize;
+        // 1→0 flips: higher positions shed bigger weights, so the
+        // resulting ranks ascend as the position descends.
+        let mut down = bits;
+        while down != 0 {
+            let j = 63 - down.leading_zeros();
+            targets[idx] = r as u32 - weight(j);
+            idx += 1;
+            down ^= 1 << j;
+        }
+        // 0→1 flips: ranks ascend with the position.
+        let mut up = table.free_flips(bits);
+        while up != 0 {
+            targets[idx] = r as u32 + weight(up.trailing_zeros());
+            idx += 1;
+            up &= up - 1;
+        }
+    }
+    CsrGraph::from_parts(offsets, targets)
 }
 
 impl Topology for ImplicitFibonacciNet {
@@ -239,7 +244,7 @@ impl Topology for ImplicitFibonacciNet {
     }
 
     fn graph(&self) -> &CsrGraph {
-        self.graph.get_or_init(|| self.build_graph())
+        self.graph.get_or_init(|| stream_graph(self.table()))
     }
 
     fn next_hop(&self, cur: u32, dst: u32) -> Option<u32> {
@@ -283,31 +288,58 @@ impl HammingAddressed for ImplicitFibonacciNet {
 mod tests {
     use super::*;
     use crate::topology::FibonacciNet;
+    use fibcube_words::automaton::FactorAutomaton;
 
-    #[test]
-    fn streamed_graph_equals_automaton_graph() {
-        for (d, k) in [(0usize, 2usize), (1, 2), (7, 2), (10, 2), (6, 3), (5, 4)] {
-            let implicit = ImplicitFibonacciNet::new(d, k);
-            let dense = FibonacciNet::new(d, k);
-            assert_eq!(implicit.len(), dense.len(), "d={d} k={k}");
-            assert!(!implicit.graph_built());
-            assert_eq!(implicit.graph(), dense.graph(), "d={d} k={k}");
-            assert!(implicit.graph_built());
-            assert_eq!(implicit.name(), dense.name());
+    /// Checks both Fibonacci networks of `Q_d(1^k)` against the
+    /// independent construction: the automaton's `1^k`-free words in
+    /// lexicographic order and the hypercube subgraph they induce.
+    fn assert_matches_automaton(d: usize, k: usize) {
+        let words = FactorAutomaton::new(Word::ones(k)).free_words(d);
+        let graph = fibcube_core::induced_hypercube_subgraph(d, &words);
+        let bits: Vec<u64> = words.iter().map(Word::bits).collect();
+        let implicit = ImplicitFibonacciNet::new(d, k);
+        let dense = FibonacciNet::new(d, k);
+        assert_eq!(dense.labels(), &words[..], "d={d} k={k}");
+        assert_eq!(dense.graph(), &graph, "d={d} k={k}");
+        assert_eq!(dense.cube_labels().as_ref(), Some(&bits), "d={d} k={k}");
+        assert_eq!(implicit.len(), words.len(), "d={d} k={k}");
+        assert!(!implicit.graph_built());
+        assert_eq!(implicit.graph(), &graph, "d={d} k={k}");
+        assert!(implicit.graph_built());
+        assert_eq!(implicit.cube_labels().as_ref(), Some(&bits), "d={d} k={k}");
+        assert_eq!(implicit.name(), dense.name());
+        for (i, w) in words.iter().enumerate() {
+            let i = i as u32;
+            assert_eq!(implicit.label(i), *w, "d={d} k={k} i={i}");
+            assert_eq!(implicit.node_of(w), Some(i), "d={d} k={k}");
+            assert_eq!(dense.node_of(w), Some(i), "d={d} k={k}");
         }
     }
 
     #[test]
-    fn labels_round_trip_without_storage() {
-        let implicit = ImplicitFibonacciNet::classical(9);
-        let dense = FibonacciNet::classical(9);
-        for i in 0..implicit.len() as u32 {
-            assert_eq!(implicit.label(i), dense.label(i));
-            assert_eq!(implicit.node_of(&dense.label(i)), Some(i));
+    fn streamed_networks_equal_the_automaton_construction() {
+        for d in 0..=14 {
+            assert_matches_automaton(d, 2);
         }
-        // Wrong length and invalid words miss.
-        assert_eq!(implicit.node_of(&Word::ones(3)), None);
-        assert_eq!(implicit.node_of(&Word::ones(9)), None);
+        for k in [3, 4] {
+            for d in 0..=12 {
+                assert_matches_automaton(d, k);
+            }
+        }
+        assert_matches_automaton(16, 2);
+    }
+
+    #[test]
+    fn invalid_addresses_have_no_node() {
+        for d in [3, 9] {
+            let implicit = ImplicitFibonacciNet::classical(d);
+            let dense = FibonacciNet::classical(d);
+            // Wrong length and words with a run of two ones miss.
+            for w in [Word::ones(3), Word::ones(9), Word::ones(d + 1)] {
+                assert_eq!(implicit.node_of(&w), None, "d={d} w={w}");
+                assert_eq!(dense.node_of(&w), None, "d={d} w={w}");
+            }
+        }
     }
 
     #[test]

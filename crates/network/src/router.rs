@@ -172,6 +172,25 @@ pub trait Router {
         )
     }
 
+    /// [`next_slot`](Router::next_slot) without its panic, for the
+    /// fault-masking router, which detours when the policy's hop is not a
+    /// neighbor of `cur` in `g`: `None` then, and when `cur == dst`.
+    /// Crate-private: no caller outside the crate can name the token, and
+    /// a policy that knows its slot in closed form overrides this with
+    /// `next_slot`.
+    #[doc(hidden)]
+    #[inline]
+    fn try_next_slot(
+        &self,
+        g: &CsrGraph,
+        cur: u32,
+        dst: u32,
+        load: &dyn LinkLoad,
+        _: sealed::Token,
+    ) -> Option<usize> {
+        g.slot_of(cur, self.next_hop(cur, dst, load)?)
+    }
+
     /// The policy's routes as a dense [`NextHopTable`], or `None` (the
     /// default) when the policy cannot be tabulated — because it is
     /// load-dependent ([`AdaptiveMinimal`], [`FaultMaskingRouter`]), has
@@ -203,9 +222,26 @@ impl<R: Router + ?Sized> Router for &R {
         (**self).next_slot(g, cur, dst, load)
     }
 
+    fn try_next_slot(
+        &self,
+        g: &CsrGraph,
+        cur: u32,
+        dst: u32,
+        load: &dyn LinkLoad,
+        token: sealed::Token,
+    ) -> Option<usize> {
+        (**self).try_next_slot(g, cur, dst, load, token)
+    }
+
     fn precompute(&self, graph: &CsrGraph) -> Option<NextHopTable> {
         (**self).precompute(graph)
     }
+}
+
+/// The token that keeps [`Router::try_next_slot`] crate-private: it is
+/// public, so the trait may name it, but unreachable from outside.
+mod sealed {
+    pub struct Token;
 }
 
 /// A dense precomputed routing table: `[node × destination] → output
@@ -222,8 +258,11 @@ impl<R: Router + ?Sized> Router for &R {
 /// packets) and long saturation sweeps qualify; a few thousand packets on
 /// a 2 500-node network do not, which is why the engine's
 /// [`precompute`](Router::precompute) heuristic skips the build for
-/// light fixed-load runs. Load-aware policies can never be tabulated:
-/// their choices depend on live queue state.
+/// light fixed-load runs. Past 2 MiB (724 nodes) the engine routes per
+/// hop whatever the load: a table that outgrows the cache was measured
+/// slower than closed-form per-hop routing from Γ_15 up. Load-aware
+/// policies can never be tabulated: their choices depend on live queue
+/// state.
 #[derive(Clone, Debug)]
 pub struct NextHopTable {
     n: usize,
@@ -440,18 +479,18 @@ impl CanonicalRouter {
 }
 
 /// `slot` when `g` lists `hop` there among `cur`'s neighbors, else the
-/// slot a search of the list finds: on the graph the router was built
-/// for the closed form always holds, and on any other graph the answer
-/// is still the default [`Router::next_slot`]'s.
+/// slot a search of the list finds, `None` when `hop` is no neighbor: on
+/// the graph the router was built for the closed form always holds, and
+/// on any other graph the answer is still the default
+/// [`Router::next_slot`]'s.
 #[inline]
-fn checked_slot(g: &CsrGraph, cur: u32, hop: u32, slot: u32) -> usize {
+fn checked_slot(g: &CsrGraph, cur: u32, hop: u32, slot: u32) -> Option<usize> {
     let edges = g.edge_range(cur);
     let slot = slot as usize;
     if slot < edges.len() && g.target(edges.start + slot) == hop {
-        slot
+        Some(slot)
     } else {
         g.slot_of(cur, hop)
-            .expect("next_hop must return a neighbor")
     }
 }
 
@@ -468,7 +507,23 @@ impl Router for CanonicalRouter {
     #[inline]
     fn next_slot(&self, g: &CsrGraph, cur: u32, dst: u32, _load: &dyn LinkLoad) -> Option<usize> {
         let (hop, c, j, down) = self.flip(cur, dst)?;
-        Some(checked_slot(g, cur, hop, self.slot(c, j, down)))
+        Some(
+            checked_slot(g, cur, hop, self.slot(c, j, down))
+                .expect("next_hop must return a neighbor"),
+        )
+    }
+
+    #[inline]
+    fn try_next_slot(
+        &self,
+        g: &CsrGraph,
+        cur: u32,
+        dst: u32,
+        _load: &dyn LinkLoad,
+        _: sealed::Token,
+    ) -> Option<usize> {
+        let (hop, c, j, down) = self.flip(cur, dst)?;
+        checked_slot(g, cur, hop, self.slot(c, j, down))
     }
 
     fn precompute(&self, graph: &CsrGraph) -> Option<NextHopTable> {
@@ -854,19 +909,20 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         self.rows.clear();
     }
 
-    /// The hop from `cur` toward `dst` (`cur ≠ dst`) in the current fault
-    /// state, or why there is none: [`DropReason::NodeDied`] when `dst`
-    /// is dead, else [`DropReason::Unreachable`] when the faults cut
-    /// `cur` off from it. The pair is certified once (one scan of the
-    /// live-fault list) or, uncertified, its exception row is read; the
-    /// same answer decides reachability and the hop.
+    /// The output slot of the hop from `cur` toward `dst` (`cur ≠ dst`)
+    /// in `cur`'s neighbor list, in the current fault state, or why there
+    /// is none: [`DropReason::NodeDied`] when `dst` is dead, else
+    /// [`DropReason::Unreachable`] when the faults cut `cur` off from it.
+    /// The pair is certified once (one scan of the live-fault list) or,
+    /// uncertified, its exception row is read; the same answer decides
+    /// reachability and the hop.
     #[inline]
     pub(crate) fn hop_or_drop(
         &self,
         cur: u32,
         dst: u32,
         load: &dyn LinkLoad,
-    ) -> Result<u32, DropReason> {
+    ) -> Result<usize, DropReason> {
         debug_assert_ne!(cur, dst, "a packet at its destination has no hop");
         if let Some(labels) = self.rows.labels() {
             if let Some(h) = self.certify(labels, cur, dst) {
@@ -875,7 +931,7 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
                 // then alive too.
                 let ld = labels[dst as usize];
                 let closer = |_, v: u32| (labels[v as usize] ^ ld).count_ones() < h;
-                return Ok(self.progressive_hop(cur, dst, load, closer));
+                return Ok(self.progressive_slot(cur, dst, load, closer));
             }
         }
         if !self.node_alive(dst) {
@@ -894,38 +950,39 @@ impl<'a, R: Router + ?Sized> FaultMaskingRouter<'a, R> {
         // approaches dst within the healthy subgraph; else detour.
         let edges = self.graph.edge_range(cur).start;
         let progress = |slot, v: u32| self.masks.edge_alive(edges + slot) && row.distance(v) < dc;
-        Ok(self.progressive_hop(cur, dst, load, progress))
+        Ok(self.progressive_slot(cur, dst, load, progress))
     }
 
-    /// The hop rule over a progress test `progress(slot, v)`: the inner
-    /// hop when it progresses, else the least-loaded progressing link
+    /// The hop rule over a progress test `progress(slot, v)`, as an
+    /// output slot of `cur`: the inner policy's slot when its hop is a
+    /// neighbor and progresses, else the least-loaded progressing link
     /// (ties toward the smallest slot).
     #[inline]
-    fn progressive_hop(
+    fn progressive_slot(
         &self,
         cur: u32,
         dst: u32,
         load: &dyn LinkLoad,
         progress: impl Fn(usize, u32) -> bool,
-    ) -> u32 {
-        if let Some(hop) = self.inner.next_hop(cur, dst, load) {
-            if let Some(slot) = self.graph.slot_of(cur, hop) {
-                if progress(slot, hop) {
-                    return hop;
-                }
-            }
+    ) -> usize {
+        let neighbors = self.graph.neighbors(cur);
+        let inner = self
+            .inner
+            .try_next_slot(self.graph, cur, dst, load, sealed::Token);
+        if let Some(slot) = inner.filter(|&slot| progress(slot, neighbors[slot])) {
+            return slot;
         }
-        let mut best: Option<(usize, u32)> = None;
-        for (slot, &v) in self.graph.neighbors(cur).iter().enumerate() {
+        let mut best: Option<(usize, usize)> = None;
+        for (slot, &v) in neighbors.iter().enumerate() {
             if progress(slot, v) {
                 let l = load.load(slot);
                 if best.is_none_or(|(bl, _)| l < bl) {
-                    best = Some((l, v));
+                    best = Some((l, slot));
                 }
             }
         }
-        let (_, hop) = best.expect("reachable destinations always have a progressive hop");
-        hop
+        let (_, slot) = best.expect("reachable destinations always have a progressive hop");
+        slot
     }
 
     /// Flips the pure link state of `u–v` (both directions) and
@@ -978,8 +1035,10 @@ impl<R: Router + ?Sized> Router for FaultMaskingRouter<'_, R> {
         if cur == dst {
             return None;
         }
-        let hop = self.hop_or_drop(cur, dst, load);
-        Some(hop.expect("engine must drop unreachable packets before routing"))
+        let slot = self
+            .hop_or_drop(cur, dst, load)
+            .expect("engine must drop unreachable packets before routing");
+        Some(self.graph.neighbors(cur)[slot])
     }
 }
 
@@ -1222,6 +1281,46 @@ mod tests {
         assert_eq!(masked.next_hop(0, 1, &NoLoad), Some(3));
         assert_eq!(masked.next_hop(3, 1, &NoLoad), Some(2));
         assert_eq!(masked.next_hop(2, 1, &NoLoad), Some(1));
+    }
+
+    #[test]
+    fn an_inner_hop_off_the_neighbor_list_detours() {
+        // An inner policy that jumps straight to the destination names
+        // a node that is no neighbor of the current one; the mask must
+        // detour along a progressing link, not panic.
+        struct Teleport;
+        impl Router for Teleport {
+            fn name(&self) -> String {
+                "teleport".into()
+            }
+            fn next_hop(&self, cur: u32, dst: u32, _load: &dyn LinkLoad) -> Option<u32> {
+                (cur != dst).then_some(dst)
+            }
+        }
+        let ring = Ring::new(10);
+        for faults in [FaultSet::empty(), FaultSet::new([], [(0u32, 1u32)])] {
+            let masked = FaultMaskingRouter::new(ring.graph(), &Teleport, &faults);
+            let route = |mut cur: u32, dst: u32| {
+                let mut path = vec![cur];
+                while let Some(hop) = masked.next_hop(cur, dst, &NoLoad) {
+                    assert!(ring.graph().has_edge(cur, hop));
+                    cur = hop;
+                    path.push(cur);
+                }
+                path
+            };
+            // 5 → 8: the clockwise path survives either mask.
+            assert_eq!(route(5, 8), [5, 6, 7, 8]);
+            // 0 → 2 with 0–1 cut: the long way round.
+            let expected: &[u32] = if faults.failed_links().is_empty() {
+                &[0, 1, 2]
+            } else {
+                &[0, 9, 8, 7, 6, 5, 4, 3, 2]
+            };
+            assert_eq!(route(0, 2), expected);
+            // A neighbor destination is the inner hop itself.
+            assert_eq!(masked.next_hop(3, 4, &NoLoad), Some(4));
+        }
     }
 
     #[test]

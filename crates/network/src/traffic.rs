@@ -142,6 +142,49 @@ pub(crate) fn check_list_size(len: u128) -> Result<(), String> {
     }
 }
 
+/// `packets` in injection order: stably sorted by `inject_time`, so
+/// same-cycle packets keep their list order — the engine's injection
+/// order. A least-significant-digit radix sort over 16-bit digits of
+/// `inject_time − min`: one counting pass per digit the time span
+/// needs (a single pass below 65 536 cycles), each linear in the list
+/// plus its digit's range, with one scratch copy of the list that is
+/// freed on return.
+pub(crate) fn by_inject_time(mut packets: Vec<&Packet>) -> Vec<&Packet> {
+    const DIGIT: u32 = 16;
+    let Some(first) = packets.first().map(|p| p.inject_time) else {
+        return packets;
+    };
+    let (min, max) = packets.iter().fold((first, first), |(lo, hi), p| {
+        (lo.min(p.inject_time), hi.max(p.inject_time))
+    });
+    let span = max - min;
+    let mut scratch = packets.clone();
+    let mut shift = 0;
+    loop {
+        let digit = |p: &Packet| ((p.inject_time - min) >> shift) as usize & ((1 << DIGIT) - 1);
+        let top = (span >> shift).min((1 << DIGIT) - 1) as usize;
+        // Counts shifted up one, then summed: `next[d]` is where the
+        // next packet of digit `d` goes.
+        let mut next = vec![0usize; top + 2];
+        for p in &packets {
+            next[digit(p) + 1] += 1;
+        }
+        for d in 1..next.len() {
+            next[d] += next[d - 1];
+        }
+        for &p in &packets {
+            let slot = &mut next[digit(p)];
+            scratch[*slot] = p;
+            *slot += 1;
+        }
+        std::mem::swap(&mut packets, &mut scratch);
+        shift += DIGIT;
+        if shift >= u64::BITS || span >> shift == 0 {
+            return packets;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // TrafficSpec
 // ---------------------------------------------------------------------------
@@ -605,6 +648,46 @@ mod tests {
 
     fn uniform_spec(count: usize, window: u64) -> TrafficSpec {
         TrafficSpec::Uniform { count, window }
+    }
+
+    /// `by_inject_time` of `packets` restricted to sources in
+    /// `[lo, hi)` is the stable comparison sort of the same list,
+    /// reference for reference.
+    fn assert_sorts_like_sort_by_key(packets: &[Packet], lo: u32, hi: u32) {
+        let lane = || packets.iter().filter(|p| lo <= p.src && p.src < hi);
+        let mut expected: Vec<&Packet> = lane().collect();
+        expected.sort_by_key(|p| p.inject_time);
+        let got = by_inject_time(lane().collect());
+        assert_eq!(got.len(), expected.len());
+        assert!(got.iter().zip(&expected).all(|(a, b)| std::ptr::eq(*a, *b)));
+    }
+
+    #[test]
+    fn radix_injection_order_equals_the_stable_comparison_sort() {
+        let n = 64;
+        let lists = [
+            gen_uniform(n, 5_000, 400, 3),
+            gen_uniform(n, 5_000, 150_000, 4),
+            // Every packet in one cycle: generation order stands.
+            gen_uniform(n, 3_000, 0, 5),
+            gen_all_to_all(16),
+            // A span of millions of cycles: two digits.
+            gen_bernoulli(2, 0.002, 3_000_000, 6),
+            // Spans up to the whole u64 range: every digit.
+            (0..4_000u64)
+                .map(|i| Packet {
+                    src: (i % 7) as u32,
+                    dst: 0,
+                    inject_time: (i % 97).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 3),
+                })
+                .collect(),
+            Vec::new(),
+        ];
+        for packets in &lists {
+            assert_sorts_like_sort_by_key(packets, 0, n as u32);
+            assert_sorts_like_sort_by_key(packets, 1, 3);
+            assert_sorts_like_sort_by_key(packets, 5, 6);
+        }
     }
 
     #[test]
